@@ -7,7 +7,7 @@ sign presets.  Entries serialize to plain JSON and back.
 
 from fractions import Fraction
 
-from .structures import HomogeneousSpace, InvariantStructure, StableStructure, make_space
+from .structures import InvariantStructure, StableStructure, make_space
 
 
 def _fr(seq):

@@ -121,6 +121,11 @@ def _resolve_structure(ns, entry, space):
     if entry is not None and text in entry.stable_presets:
         return entry.stable_structure(text)
     if set(text) <= {"+", "-"}:
+        if len(text) != len(space.summands):
+            raise UsageError(
+                "sign string %r has %d signs; %s has %d isotropy summands"
+                % (text, len(text), space.label, len(space.summands))
+            )
         return parse_signs(space, text)
     raise UsageError(
         "structure %r is neither 'standard', a +/- sign string, nor a known preset" % text
@@ -584,6 +589,8 @@ def main(argv=None):
             parser.print_help(sys.stderr)
             return EXIT_USAGE
         thread_count()  # validate the env var up front
+        if getattr(ns, "cutoff", None) is not None and ns.cutoff < 0:
+            raise UsageError("--cutoff must be >= 0, got %d" % ns.cutoff)
         out = ns.func(ns)
         name = ns.command + (" " + ns.subcommand if getattr(ns, "subcommand", None) else "")
         _emit(ns, name, out, started)

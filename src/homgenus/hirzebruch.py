@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .cobordism import evaluate_class, specialize_genus, tanh_series, todd_series
 from .exactalg import MultiPoly, RationalFn, TruncatedSeries
-from .rootdata import dot
+from .rootdata import compose, dot
 from .structures import InvariantStructure, StableStructure, fixed_points
 from .toricgenus import chern_dold_genus
 
@@ -19,20 +19,6 @@ from .toricgenus import chern_dold_genus
 def point_index(weights, ordering):
     """Number of isotropy weights on the negative side of the ordering."""
     return sum(1 for w in weights if ordering.sign(w) < 0)
-
-
-def _line_sign_table(space):
-    """Ordering signs of the transported weight lines, cached on the space.
-
-    Row w, column l holds the sign of w(rho_l) under the space's default
-    ordering; every structure on the space reuses the same table."""
-    tab = getattr(space, "_line_sign_cache", None)
-    if tab is None:
-        tab = tuple(
-            tuple(space.ordering.sign(img) for img in row) for row in space.coset_root_images
-        )
-        space._line_sign_cache = tab
-    return tab
 
 
 def chi_y_genus(structure, ordering=None):
@@ -46,12 +32,12 @@ def chi_y_genus(structure, ordering=None):
     counts = {}
     if ordering is None and isinstance(structure, InvariantStructure):
         eps = structure.eps
-        for row in _line_sign_table(space):
+        for row in space.line_signs:
             ind = sum(1 for e, s in zip(eps, row) if e * s < 0)
             counts[ind] = counts.get(ind, 0) + 1
     elif ordering is None and isinstance(structure, StableStructure):
         base_eps = structure.base.eps
-        for trow, srow in zip(structure.table, _line_sign_table(space)):
+        for trow, srow in zip(structure.table, space.line_signs):
             ind = sum(1 for t, b, s in zip(trow, base_eps, srow) if t * b * s < 0)
             sgn = structure.global_sign
             for t in trow:
@@ -287,9 +273,8 @@ def certify_odd_rigidity(structure, f=None, samples=3, seed=0):
 def _find_pairing(structure, fps):
     space = structure.space
     cosets = space.cosets
-    index_of = cosets.index_of_matrix
+    index_of = cosets.index_of
     reps = cosets.representatives
-    from .rootdata import mat_mul
 
     for t in space.weyl.elements:
         if not t.word:
@@ -297,7 +282,7 @@ def _find_pairing(structure, fps):
         sigma = []
         ok = True
         for i in range(len(reps)):
-            j = index_of(mat_mul(t.matrix, reps[i].matrix))
+            j = index_of(compose(t.perm, reps[i].perm))
             if j == i:
                 ok = False
                 break

@@ -2,10 +2,14 @@
 
 Groups are presented concretely: a coordinate dimension d, a finite list of
 roots (integer/rational vectors of length d), and optionally a Gram matrix
-when the natural coordinates are not orthonormal (G2).  Weyl elements are
-stored as exact d x d matrices acting on column vectors, together with a
-word in the simple reflections; breadth-first closure guarantees the word is
-one of minimal length and lexicographically least among those.
+when the natural coordinates are not orthonormal (G2).  A Weyl group acts
+faithfully on its roots (Humphreys, Reflection Groups and Coxeter Groups,
+1.10; Casselman, Machine calculations in Weyl groups, 1994), so each element
+is stored as a permutation of the group's root list, together with a word in
+the simple reflections; breadth-first closure guarantees the word is one of
+minimal length and lexicographically least among those.  The d x d matrix of
+an element, acting on column vectors, is built only when asked for, with
+integer entries wherever they are integral.
 
 Supported named groups: U(n), SU(n), Sp(n), SO(n), G2, and tori (U(1), Tn)
 which contribute no roots.
@@ -40,10 +44,6 @@ def vec_neg(u):
     return tuple(-a for a in u)
 
 
-def vec_scale(u, c):
-    return tuple(a * c for a in u)
-
-
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
@@ -59,7 +59,18 @@ def mat_mul(a, b):
 
 
 def identity_matrix(n):
-    return tuple(tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n))
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def compose(p, q):
+    """The permutation p o q: apply q first, then p."""
+    return tuple(map(p.__getitem__, q))
 
 
 def gram_pairing(u, v, gram=None):
@@ -70,7 +81,10 @@ def gram_pairing(u, v, gram=None):
 
 
 def reflection_matrix(alpha, dim, gram=None):
-    """Matrix of the reflection s_alpha(v) = v - 2 B(v,alpha)/B(alpha,alpha) alpha."""
+    """Matrix of the reflection s_alpha(v) = v - 2 B(v,alpha)/B(alpha,alpha) alpha.
+
+    Entries are ints where integral: for a root of a crystallographic system
+    they are Cartan integers, with or without a Gram matrix."""
     denom = gram_pairing(alpha, alpha, gram)
     if not denom:
         raise ValueError("cannot reflect in an isotropic vector %r" % (alpha,))
@@ -79,7 +93,7 @@ def reflection_matrix(alpha, dim, gram=None):
     else:
         galpha = tuple(sum(gram[j][k] * alpha[k] for k in range(dim)) for j in range(dim))
     return tuple(
-        tuple((Fraction(1) if i == j else Fraction(0)) - 2 * galpha[j] * alpha[i] / denom for j in range(dim))
+        tuple(_exact((1 if i == j else 0) - 2 * galpha[j] * alpha[i] / denom) for j in range(dim))
         for i in range(dim)
     )
 
@@ -154,6 +168,7 @@ class GroupData:
         self.dim = dim
         self.roots = tuple(vec(r) for r in roots)
         self.root_set = frozenset(self.roots)
+        self.root_index = {r: i for i, r in enumerate(self.roots)}
         self.gram = tuple(tuple(_frac(c) for c in row) for row in gram) if gram is not None else None
         self.rank = rank if rank is not None else dim
         for r in self.roots:
@@ -167,6 +182,36 @@ class GroupData:
 
     def pairing(self, u, v):
         return gram_pairing(u, v, self.gram)
+
+    def reflection_perm(self, alpha):
+        """The reflection in alpha as a permutation of the roots: entry i is
+        the index of s_alpha(roots[i])."""
+        alpha = vec(alpha)
+        norm = self.pairing(alpha, alpha)
+        if not norm:
+            raise ValueError("cannot reflect in an isotropic vector %r" % (alpha,))
+        perm = []
+        for r in self.roots:
+            n = 2 * self.pairing(r, alpha) / norm
+            try:
+                perm.append(self.root_index[tuple(a - n * b for a, b in zip(r, alpha))])
+            except KeyError:
+                raise ValueError(
+                    "the reflection in (%s) does not permute the roots of %s"
+                    % (", ".join(str(c) for c in alpha), self.label)
+                ) from None
+        return tuple(perm)
+
+    def perm_of_matrix(self, matrix):
+        """The permutation of the roots a matrix induces; ValueError when it
+        does not map the roots onto themselves."""
+        perm = []
+        for r in self.roots:
+            try:
+                perm.append(self.root_index[mat_vec(matrix, r)])
+            except KeyError:
+                raise ValueError("matrix does not permute the roots of %s" % self.label) from None
+        return tuple(perm)
 
     def positive_roots(self, ordering=None):
         ordering = ordering or default_ordering(self.dim)
@@ -251,42 +296,61 @@ def build_group(spec):
 
 
 class WeylElement:
-    __slots__ = ("matrix", "word")
+    """One Weyl group element: a permutation of the root list and its word.
 
-    def __init__(self, matrix, word):
-        self.matrix = matrix
+    ``perm[i]`` is the index of the image of ``roots[i]``.  The matrix is
+    built on first use, as the parent element's matrix times the generator
+    that extends the parent's word."""
+
+    __slots__ = ("perm", "word", "_parent", "_gen", "_matrix")
+
+    def __init__(self, perm, word, parent=None, gen=None, matrix=None):
+        self.perm = perm
         self.word = word
+        self._parent = parent
+        self._gen = gen
+        self._matrix = matrix
 
     def __repr__(self):
         return "WeylElement(word=%s)" % (self.word,)
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            self._matrix = mat_mul(self._parent.matrix, self._gen)
+        return self._matrix
 
     def apply(self, v):
         return mat_vec(self.matrix, v)
 
 
 class WeylGroup:
-    """Closure of a set of reflections, with BFS-minimal words."""
+    """Closure of the reflections in `simple_roots`, as permutations of the
+    root list of `group`, with BFS-minimal words.
 
-    def __init__(self, dim, generators, cap=WEYL_CAP, label=""):
-        self.dim = dim
-        self.generators = tuple(generators)
+    A subgroup's Weyl group is built over the ambient group, so its elements
+    permute the ambient root list and compose with the ambient elements."""
+
+    def __init__(self, group, simple_roots, cap=WEYL_CAP, label=""):
+        self.group = group
         self.label = label
-        ident = identity_matrix(dim)
-        seen = {ident: WeylElement(ident, ())}
-        queue = deque([seen[ident]])
+        gens = [(group.reflection_perm(a), reflection_matrix(a, group.dim, group.gram)) for a in simple_roots]
+        ident = WeylElement(tuple(range(len(group.roots))), (), matrix=identity_matrix(group.dim))
+        seen = {ident.perm: ident}
+        queue = deque([ident])
         while queue:
             cur = queue.popleft()
-            for gi, gen in enumerate(self.generators):
-                m = mat_mul(cur.matrix, gen)
-                if m not in seen:
-                    el = WeylElement(m, cur.word + (gi,))
-                    seen[m] = el
+            for gi, (gen_perm, gen_matrix) in enumerate(gens):
+                p = compose(cur.perm, gen_perm)
+                if p not in seen:
+                    el = WeylElement(p, cur.word + (gi,), cur, gen_matrix)
+                    seen[p] = el
                     queue.append(el)
                     if len(seen) > cap:
                         raise ValueError("Weyl group exceeds the cap of %d elements" % cap)
         # BFS with ascending generator index enumerates words in (length, lex) order
         self.elements = sorted(seen.values(), key=lambda e: (len(e.word), e.word))
-        self.by_matrix = {e.matrix: e for e in self.elements}
+        self.by_perm = seen
 
     def __len__(self):
         return len(self.elements)
@@ -294,13 +358,23 @@ class WeylGroup:
     def __iter__(self):
         return iter(self.elements)
 
+    def element_of_matrix(self, m):
+        """The element whose matrix is m; ValueError when there is none."""
+        el = self.by_perm.get(self.group.perm_of_matrix(m))
+        if el is None or el.matrix != tuple(map(tuple, m)):
+            raise ValueError("matrix does not lie in the enumerated Weyl group")
+        return el
+
     def contains_matrix(self, m):
-        return m in self.by_matrix
+        try:
+            self.element_of_matrix(m)
+        except ValueError:
+            return False
+        return True
 
 
 def weyl_group(group, ordering=None, cap=WEYL_CAP):
-    gens = [reflection_matrix(a, group.dim, group.gram) for a in group.simple_roots(ordering)]
-    return WeylGroup(group.dim, gens, cap=cap, label=group.label)
+    return WeylGroup(group, group.simple_roots(ordering), cap=cap, label=group.label)
 
 
 class SubgroupData:
@@ -336,53 +410,41 @@ class SubgroupData:
         return self.as_group().simple_roots(ordering)
 
 
-def is_closed_system(roots, ambient):
-    """Is `roots` a negation- and addition-closed subsystem of `ambient`?"""
-    rs = set(vec(r) for r in roots)
-    amb = set(vec(r) for r in ambient)
-    if not rs <= amb:
-        return False
-    for r in rs:
-        if vec_neg(r) not in rs:
-            return False
-    for a in rs:
-        for b in rs:
-            s = vec_add(a, b)
-            if s in amb and s not in rs:
-                return False
-    return True
-
-
 class CosetSpace:
     """Left cosets w W_H in W_G, one representative each.
 
+    `wh` is the subgroup's Weyl group built over the same root list as `wg`.
     The representative is the element with the shortest word (ties broken
     lexicographically), i.e. the first member of the coset in BFS order.
     The number of cosets is the Euler characteristic of G/H.
     """
 
-    def __init__(self, wg, wh_matrices):
+    def __init__(self, wg, wh):
         self.wg = wg
-        self.wh_matrices = tuple(sorted(wh_matrices))
+        self.wh_perms = tuple(e.perm for e in wh.elements)
         reps = []
         key_to_index = {}
         for el in wg.elements:
-            k = self.coset_key(el.matrix)
+            k = self.coset_key(el.perm)
             if k not in key_to_index:
                 key_to_index[k] = len(reps)
                 reps.append(el)
         self.representatives = tuple(reps)
         self._key_to_index = key_to_index
 
-    def coset_key(self, matrix):
-        return min(mat_mul(matrix, v) for v in self.wh_matrices)
+    def coset_key(self, perm):
+        """The least permutation in the coset perm W_H."""
+        return min(compose(perm, h) for h in self.wh_perms)
+
+    def index_of(self, perm):
+        """Index of the coset containing the element with this permutation."""
+        try:
+            return self._key_to_index[self.coset_key(perm)]
+        except KeyError:
+            raise ValueError("permutation does not lie in the enumerated Weyl group") from None
 
     def index_of_matrix(self, matrix):
-        k = self.coset_key(matrix)
-        try:
-            return self._key_to_index[k]
-        except KeyError:
-            raise ValueError("matrix does not lie in the enumerated Weyl group") from None
+        return self.index_of(self.wg.element_of_matrix(matrix).perm)
 
     def __len__(self):
         return len(self.representatives)
@@ -391,14 +453,8 @@ class CosetSpace:
 def coset_space(group, subgroup, ordering=None, cap=WEYL_CAP):
     """Enumerate W_G / W_H for a subgroup of maximal rank."""
     wg = weyl_group(group, ordering, cap=cap)
-    sub = subgroup.as_group()
-    sub_simple = sub.simple_roots(ordering)
-    if sub_simple:
-        wh = WeylGroup(group.dim, [reflection_matrix(a, group.dim, group.gram) for a in sub_simple], cap=cap)
-        wh_matrices = [e.matrix for e in wh.elements]
-    else:
-        wh_matrices = [identity_matrix(group.dim)]
-    return CosetSpace(wg, wh_matrices)
+    wh = WeylGroup(group, subgroup.simple_roots(ordering), cap=cap, label=subgroup.label)
+    return CosetSpace(wg, wh)
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,13 @@ from fractions import Fraction
 
 from .rootdata import (
     CosetSpace,
-    GroupData,
-    Ordering,
     SubgroupData,
     WeylGroup,
     build_group,
     canonical_positive,
-    coset_space,
+    compose,
     default_ordering,
-    identity_matrix,
-    mat_mul,
+    dot,
     reflection_matrix,
     space_from_doc,
     vec,
@@ -66,23 +63,25 @@ class HomogeneousSpace:
         self.subgroup = subgroup
         self.label = label or "%s/%s" % (group.label, subgroup.label)
         self.ordering = ordering or default_ordering(group.dim)
-        comp = []
-        seen_lines = set()
-        for r in group.roots:
+        # line -> (index of the root of G that is a positive multiple of it, the multiple)
+        along = {}
+        for i, r in enumerate(group.roots):
             if r in subgroup.root_set:
                 continue
-            line, _ = canonical_positive(r, self.ordering)
-            if line not in seen_lines:
-                seen_lines.add(line)
-                comp.append(line)
-        comp.sort(key=_comp_sort_key)
-        self.comp_roots = tuple(comp)
-        self.n = len(comp)  # complex dimension of G/H
+            line, scale = canonical_positive(r, self.ordering)
+            if scale > 0:
+                along[line] = (i, scale)
+        self.comp_roots = tuple(sorted(along, key=_comp_sort_key))
+        self.n = len(self.comp_roots)  # complex dimension of G/H
+        # comp_roots[l] == group.roots[comp_root_indices[l]] / _comp_scales[l]
+        self.comp_root_indices = tuple(along[line][0] for line in self.comp_roots)
+        self._comp_scales = tuple(along[line][1] for line in self.comp_roots)
         self._weyl = None
         self._wh = None
         self._cosets = None
         self._summands = None
         self._root_images = None
+        self._line_signs = None
 
     def __repr__(self):
         return "HomogeneousSpace(%s)" % self.label
@@ -95,19 +94,16 @@ class HomogeneousSpace:
 
     @property
     def subgroup_weyl(self):
+        """W_H, as permutations of the ambient group's root list."""
         if self._wh is None:
             simple = self.subgroup.simple_roots(self.ordering)
-            if simple:
-                gens = [reflection_matrix(a, self.group.dim, self.group.gram) for a in simple]
-                self._wh = WeylGroup(self.group.dim, gens, label=self.subgroup.label)
-            else:
-                self._wh = WeylGroup(self.group.dim, [], label=self.subgroup.label)
+            self._wh = WeylGroup(self.group, simple, label=self.subgroup.label)
         return self._wh
 
     @property
     def cosets(self):
         if self._cosets is None:
-            self._cosets = CosetSpace(self.weyl, [e.matrix for e in self.subgroup_weyl.elements])
+            self._cosets = CosetSpace(self.weyl, self.subgroup_weyl)
         return self._cosets
 
     @property
@@ -118,10 +114,26 @@ class HomogeneousSpace:
     def coset_root_images(self):
         """coset_root_images[w][l] = (coset rep w) applied to comp_roots[l]."""
         if self._root_images is None:
+            roots = self.group.roots
+            lines = tuple(zip(self.comp_root_indices, self._comp_scales))
             self._root_images = tuple(
-                tuple(rep.apply(r) for r in self.comp_roots) for rep in self.cosets.representatives
+                tuple(
+                    roots[rep.perm[k]] if scale == 1 else tuple(c / scale for c in roots[rep.perm[k]])
+                    for k, scale in lines
+                )
+                for rep in self.cosets.representatives
             )
         return self._root_images
+
+    @property
+    def line_signs(self):
+        """line_signs[w][l] = ordering sign of coset_root_images[w][l]; every
+        structure on the space reuses the same table."""
+        if self._line_signs is None:
+            self._line_signs = tuple(
+                tuple(self.ordering.sign(img) for img in row) for row in self.coset_root_images
+            )
+        return self._line_signs
 
     @property
     def summands(self):
@@ -130,34 +142,23 @@ class HomogeneousSpace:
         return self._summands
 
     def _compute_summands(self):
+        roots = self.group.roots
+        root_index = self.group.root_index
         line_index = {r: i for i, r in enumerate(self.comp_roots)}
-        wh_mats = [e.matrix for e in self.subgroup_weyl.elements]
+        wh_perms = [e.perm for e in self.subgroup_weyl.elements]
         assigned = {}
         summands = []
-        for i, rho in enumerate(self.comp_roots):
+        for i, k in enumerate(self.comp_root_indices):
             if i in assigned:
                 continue
-            # orbit of the signed root +rho under W_H
-            orbit = set()
-            frontier = [rho]
-            while frontier:
-                v = frontier.pop()
-                if v in orbit:
-                    continue
-                orbit.add(v)
-                for m in wh_mats:
-                    w = tuple(sum(m[a][b] * v[b] for b in range(len(v))) for a in range(len(v)))
-                    if w not in orbit:
-                        frontier.append(w)
-            self_conj = any(vec_neg(v) in orbit for v in orbit)
-            lines = []
+            # orbit of the signed root +rho_i under W_H, as root indices
+            orbit = {h[k] for h in wh_perms}
+            self_conj = any(root_index[vec_neg(roots[j])] in orbit for j in orbit)
             orient = {}
-            for v in orbit:
-                line, scale = canonical_positive(v, self.ordering)
-                li = line_index[line]
-                lines.append(li)
-                orient[li] = 1 if scale > 0 else -1
-            lines = sorted(set(lines))
+            for j in orbit:
+                line, scale = canonical_positive(roots[j], self.ordering)
+                orient[line_index[line]] = 1 if scale > 0 else -1
+            lines = sorted(orient)
             for li in lines:
                 assigned[li] = len(summands)
             if self_conj:
@@ -293,19 +294,14 @@ def is_integrable(structure):
 
     Exhaustive over the ambient Weyl group; exact.  The subgroup's positive
     system can always be chosen compatibly afterwards, so this single check
-    settles integrability of the invariant structure.
+    settles integrability of the invariant structure.  An element whose image
+    of some structure root is not oriented by the ordering gives no verdict.
     """
     space = structure.space
-    ordering = space.ordering
-    roots = structure.roots
-    for el in space.weyl.elements:
-        try:
-            if all(ordering.sign(el.apply(r)) > 0 for r in roots):
-                return True
-        except ValueError:
-            # ordering vanished on an image; that element gives no verdict
-            continue
-    return False
+    v = space.ordering.v
+    side = [dot(r, v) for r in space.group.roots]
+    signed = tuple(zip(structure.eps, space.comp_root_indices))
+    return any(all(e * side[el.perm[k]] > 0 for e, k in signed) for el in space.weyl.elements)
 
 
 class StableStructure:
@@ -438,13 +434,13 @@ def verify_pairing(structure, alpha):
     else:
         struct_roots = structure.base.roots
     a_weight = struct_roots[li]
-    t_matrix = reflection_matrix(line, space.group.dim, space.group.gram)
+    t_perm = space.group.reflection_perm(line)
     fps = fixed_points(structure)
     weights_by_coset = [fp.weights for fp in fps]
     entries = []
     all_hold = True
     for i, rep in enumerate(space.cosets.representatives):
-        partner_idx = space.cosets.index_of_matrix(mat_mul(rep.matrix, t_matrix))
+        partner_idx = space.cosets.index_of(compose(rep.perm, t_perm))
         wa = rep.apply(a_weight)
         refl = reflection_matrix(wa, space.group.dim, space.group.gram)
         ys = weights_by_coset[i]
@@ -488,9 +484,7 @@ def verify_pairing(structure, alpha):
         present = neg_wa in weights_by_coset[partner_idx]
         if not present or flips % 2 == 0:
             all_hold = False
-        back = space.cosets.index_of_matrix(
-            mat_mul(space.cosets.representatives[partner_idx].matrix, t_matrix)
-        )
+        back = space.cosets.index_of(compose(space.cosets.representatives[partner_idx].perm, t_perm))
         entries.append(
             PairingEntry(
                 coset=i,

@@ -18,12 +18,11 @@ import itertools
 import math
 from fractions import Fraction
 
-from .exactalg import MultiPoly, PoleCancellationError, divided_difference, exact_divide, var_key
-from .rootdata import canonical_positive, mat_mul, vec_neg
+from .exactalg import MultiPoly, divided_difference, exact_divide, var_key
+from .rootdata import canonical_positive
 from .structures import (
     HomogeneousSpace,
     InvariantStructure,
-    StableStructure,
     SubgroupData,
     fixed_points,
     make_space,
@@ -195,6 +194,8 @@ def chern_dold_genus(structure, cutoff=None):
     space = structure.space
     if cutoff is None:
         cutoff = space.n
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0, got %d" % cutoff)
     # fixed_points hands back signs relative to the reference structure; the
     # expansion is an invariant of the oriented manifold, so the orientation
     # sign comes back in here.
@@ -444,6 +445,8 @@ def twisted_product(base_structure, fiber_structure, cutoff=None):
     """
     base_space = base_structure.space
     fiber_space = fiber_structure.space
+    if cutoff is not None and cutoff < 0:
+        raise ValueError("cutoff must be >= 0, got %d" % cutoff)
     if fiber_space.group.root_set != base_space.subgroup.root_set:
         raise ValueError("fiber ambient group must be the base isotropy group")
     base_roots = _signed_root_set(base_structure)

@@ -296,7 +296,7 @@ def _c12():
 
 @check(13, 6, "twisted products match direct expansions")
 def _c13():
-    from .structures import HomogeneousSpace, SubgroupData, make_space
+    from .structures import HomogeneousSpace, SubgroupData
 
     # exceptional flag over the six-sphere, fiber the long-root flag
     s6 = catalog_entry("S6")

@@ -66,6 +66,20 @@ def test_genus_class_json(capsys):
     assert doc["result"]["lower_terms_vanish"] is True
 
 
+def test_negative_cutoff_is_usage_error(capsys):
+    code, out, err = run(capsys, "genus", "class", "--space", "S6", "--cutoff", "-1", "--json")
+    assert code == 1
+    assert out == ""
+    assert "--cutoff" in err
+
+
+def test_sign_string_length_is_usage_error(capsys):
+    code, out, err = run(capsys, "genus", "class", "--space", "G42", "--structure", "+-")
+    assert code == 1
+    assert out == ""
+    assert "1 isotropy summands" in err
+
+
 def test_genus_class_stable_preset(capsys):
     code, out, _ = run(
         capsys, "genus", "class", "--space", "CP3", "--structure", "cp3-null", "--json"

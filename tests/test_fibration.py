@@ -66,6 +66,12 @@ def test_projective_plane_all_sign_combinations():
             assert tw.form != prod
 
 
+def test_negative_cutoff_rejected():
+    s6 = catalog_space("S6")
+    with pytest.raises(ValueError, match="cutoff must be >= 0"):
+        twisted_product(_std(s6), _std(_full_flag_fiber(s6)), cutoff=-1)
+
+
 def test_fiber_group_must_match_isotropy():
     base = _std(catalog_space("S6"))
     stranger = _std(catalog_space("CP1"))

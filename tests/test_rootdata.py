@@ -1,9 +1,13 @@
 """Root systems, Weyl groups, coset enumeration."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from homgenus.catalog import catalog_list, catalog_space
 from homgenus.rootdata import (
     Ordering,
     SubgroupData,
@@ -14,11 +18,15 @@ from homgenus.rootdata import (
     gram_pairing,
     group_from_doc,
     identity_matrix,
+    mat_mul,
     mat_vec,
     reflection_matrix,
     root_sign,
+    vec_add,
+    vec_neg,
     weyl_group,
 )
+from homgenus.structures import make_space
 
 
 def test_builtin_group_root_counts():
@@ -155,6 +163,10 @@ def test_coset_index_of_matrix_rejects_stranger():
     assert len(cs.representatives) == 6
     with pytest.raises(ValueError):
         cs.index_of_matrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    # fixes every root (they sum to zero) but moves the centre: not in W
+    with pytest.raises(ValueError):
+        cs.index_of_matrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+    assert not cs.wg.contains_matrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
 
 
 def test_subgroup_closure_checked():
@@ -185,3 +197,110 @@ def test_weyl_coset_order_identity():
     wg = len(list(weyl_group(u4)))
     wh = len(list(weyl_group(h)))
     assert wg == wh * len(coset_space(u4, sub).representatives)
+
+
+# Coset words of every catalog space: (number of cosets, sha1 of the repr of
+# [rep.word for rep in space.cosets.representatives]).  The words and their
+# order are visible in `genus chi-y` output, so they are frozen.
+CATALOG_COSET_WORDS = {
+    "S6": (2, "b2e33ac61e01b9476e5761a953a3d583e934a2bb"),
+    "CP1": (2, "b2e33ac61e01b9476e5761a953a3d583e934a2bb"),
+    "CP2": (3, "2d592e9b7f4a13b685d6fd6679e864c0d8d0ae9a"),
+    "CP3": (4, "a443c5c1dbe6199cc12ab63ad4779ec8cf1f932c"),
+    "U3-flag": (6, "b38828cbeb39ef8a338f4cc8c30c4572c0bedc6f"),
+    "U4-flag": (24, "a8b6adced5c9c24c74c79309e6ccf6fea7de1c3f"),
+    "U5-flag": (120, "826d4faf9654a1cbd1fe2edd68e75bcb51b2222a"),
+    "G42": (6, "cb22be12b2ed60c49202fb2a4704cf18c39a87a9"),
+    "G52": (10, "218c434349dc7880d39eeb708f502a1fd78814ab"),
+    "G622": (90, "97369fca0962a2c688f049bd1700d776d16cbfb0"),
+    "U4-T2xU2": (12, "c8a96173ffcb58772498a19e188b2d112c2634c5"),
+    "G2-flag": (12, "6285e6b51be806b23280b250aba499c683ff20b9"),
+    "Sp2-flag": (8, "38588e773fa5b9f72b829c3b71d8d74816bae92a"),
+    "HP1": (2, "35b64c600ecefb292ee73de11cfe4b06eb6a312e"),
+    "HP2": (3, "d77e22b735ebcffaacf7139866b9aeaee8b21df6"),
+    "CP3-sp": (4, "e8bd5ebc473ee3e6fa6f991cb079aa2850e58c35"),
+}
+
+
+def test_catalog_coset_words_are_frozen():
+    assert sorted(CATALOG_COSET_WORDS) == sorted(catalog_list())
+    assert [r.word for r in catalog_space("G42").cosets.representatives] == [
+        (), (1,), (0, 1), (2, 1), (0, 2, 1), (1, 0, 2, 1)
+    ]
+    for name, (count, sha) in CATALOG_COSET_WORDS.items():
+        words = [r.word for r in catalog_space(name).cosets.representatives]
+        assert len(words) == count, name
+        assert hashlib.sha1(repr(words).encode()).hexdigest() == sha, name
+
+
+def _closed_subsystem(group, seeds):
+    """The smallest negation- and addition-closed set of roots of `group`
+    containing `seeds`."""
+    roots = set(seeds) | {vec_neg(r) for r in seeds}
+    while True:
+        sums = {vec_add(a, b) for a in roots for b in roots} & group.root_set
+        if sums <= roots:
+            return roots
+        roots |= sums
+
+
+@st.composite
+def block_subgroups(draw):
+    """A space U(n)/H with H a product of unitary blocks, n <= 5."""
+    n = draw(st.integers(1, 5))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    roots = []
+    for i in range(n):
+        for j in range(n):
+            if i != j and labels[i] == labels[j]:
+                r = [0] * n
+                r[i], r[j] = 1, -1
+                roots.append(tuple(r))
+    return "U(%d)" % n, roots
+
+
+@st.composite
+def closed_subgroups(draw):
+    """A space G/H for G in Sp(2), Sp(3), G2 and H spanned by a few roots."""
+    group = build_group(draw(st.sampled_from(["Sp(2)", "Sp(3)", "G2"])))
+    seeds = draw(st.lists(st.sampled_from(group.roots), max_size=3))
+    return group, sorted(_closed_subsystem(group, seeds))
+
+
+def _inverse(perm):
+    inv = [0] * len(perm)
+    for i, j in enumerate(perm):
+        inv[j] = i
+    return tuple(inv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(block_subgroups(), closed_subgroups()))
+def test_cosets_by_root_permutations(case):
+    group, sub_roots = case
+    space = make_space(group, sub_roots)
+    roots = space.group.roots
+    wg, wh, cosets = space.weyl, space.subgroup_weyl, space.cosets
+    reps = cosets.representatives
+    assert len(wg) == len(wh) * len(cosets)
+
+    # brute force: w lies in the coset of r exactly when r^-1 w is in W_H
+    wh_perms = {h.perm for h in wh}
+    members = [[] for _ in reps]
+    for w in wg:
+        hits = [
+            i for i, r in enumerate(reps)
+            if tuple(_inverse(r.perm)[j] for j in w.perm) in wh_perms
+        ]
+        assert len(hits) == 1
+        members[hits[0]].append(w)
+    for r, coset in zip(reps, members):
+        assert r.word == min((len(w.word), w.word) for w in coset)[1]
+
+    for i, r in enumerate(reps):
+        for h in wh:
+            assert cosets.index_of_matrix(mat_mul(r.matrix, h.matrix)) == i
+
+    for el in list(wg) + list(wh):
+        for i, root in enumerate(roots):
+            assert mat_vec(el.matrix, root) == roots[el.perm[i]]

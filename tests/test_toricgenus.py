@@ -69,6 +69,11 @@ def test_low_cutoff_refuses_to_name_a_class():
         ge.bordism_class()
 
 
+def test_negative_cutoff_rejected():
+    with pytest.raises(ValueError, match="cutoff must be >= 0"):
+        chern_dold_genus(_std("S6"), cutoff=-1)
+
+
 def test_stable_preset_null():
     ss = catalog_entry("CP3").stable_structure("cp3-null")
     cls = chern_dold_genus(ss).bordism_class()
