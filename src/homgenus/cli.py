@@ -39,6 +39,7 @@ from .structures import (
     space_from_json,
 )
 from .toricgenus import (
+    _normalize_omega,
     chern_dold_genus,
     hp_obstruction_search,
     restricted_genus_hp,
@@ -100,10 +101,10 @@ def _resolve_space(ns):
     if not name:
         raise UsageError("--space is required for this command")
     if name.strip().startswith("{"):
-        return None, space_from_json(json.loads(name))
+        return None, _space_from_json_text(name)
     if os.path.exists(name) and name.endswith(".json"):
         with open(name) as fh:
-            return None, space_from_json(json.load(fh))
+            return None, _space_from_json_text(fh.read())
     try:
         entry = catalog_entry(name)
     except KeyError:
@@ -112,6 +113,18 @@ def _resolve_space(ns):
             % (name, ", ".join(catalog_list()))
         )
     return entry, entry.space()
+
+
+def _space_from_json_text(text):
+    """The space a JSON document describes, with its cosets built: a document
+    that is not JSON, names a subgroup root that is not a root, or lists roots
+    not closed under their reflections is bad input, not a math failure."""
+    try:
+        space = space_from_json(json.loads(text))
+        space.cosets
+    except (ValueError, KeyError) as exc:
+        raise UsageError("invalid space document: %s" % exc)
+    return space
 
 
 def _resolve_structure(ns, entry, space):
@@ -254,10 +267,14 @@ def cmd_genus_class(ns):
 
 def cmd_genus_s(ns):
     entry, space = _resolve_space(ns)
-    structure = _resolve_structure(ns, entry, space)
     if not ns.omega:
         raise UsageError("--omega is required, e.g. --omega 1,0,0,0,1,0")
     omega = _parse_int_tuple(ns.omega, "--omega")
+    try:
+        _normalize_omega(omega, space.n)
+    except ValueError as exc:
+        raise UsageError("--omega: %s" % exc)
+    structure = _resolve_structure(ns, entry, space)
     value = s_number(structure, omega)
     return {
         "result": {"omega": list(omega), "value": value},

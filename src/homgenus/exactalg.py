@@ -16,8 +16,12 @@ text output is deterministic and round-trips exactly.
 """
 
 import ast
+import math
 import re
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter, lshift
 
 _VAR_RE = re.compile(r"^([a-z]+?)(\d*)$")
 
@@ -63,6 +67,16 @@ def _as_fraction(c):
 
 class PoleCancellationError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
+
+
+def _by_exponent(terms, shift, mask, cutoff):
+    """(t, key, coeff) for packed (key, coeff) pairs, with t the bit field at
+    shift/mask, sorted by t; a cutoff drops the terms with t above it."""
+    out = [((k >> shift) & mask, k, c) for k, c in terms]
+    if cutoff is not None:
+        out = [r for r in out if r[0] <= cutoff]
+    out.sort(key=itemgetter(0))
+    return out
 
 
 class MultiPoly:
@@ -215,27 +229,118 @@ class MultiPoly:
     def __rsub__(self, other):
         return MultiPoly.const(other) + (-self)
 
+    @classmethod
+    def sum(cls, polys):
+        """The sum of many polynomials, accumulated in one dict; equal to
+        folding ``+`` over them, without copying the running total."""
+        polys = list(polys)
+        vs = tuple(sorted({v for p in polys for v in p.vars}, key=var_key))
+        out = {}
+        get = out.get
+        for p in polys:
+            if p.vars == vs:
+                items = p.terms.items()
+            else:
+                idx = [p.vars.index(v) if v in p.vars else None for v in vs]
+                items = ((tuple(e[i] if i is not None else 0 for i in idx), c) for e, c in p.terms.items())
+            for e, c in items:
+                out[e] = get(e, 0) + c
+        return cls._from_clean(vs, {e: c for e, c in out.items() if c})
+
+    @classmethod
+    def _from_clean(cls, vs, terms):
+        """Wrap vars already in canonical order and terms mapping exponent
+        tuples to nonzero Fractions, without re-checking either."""
+        p = object.__new__(cls)
+        p.vars = vs
+        p.terms = terms
+        return p
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
             if not c:
                 return MultiPoly.zero()
             return MultiPoly(self.vars, {e: k * c for e, k in self.terms.items()})
-        ta, tb, vs = self._aligned(other)
-        out = {}
-        if len(ta) > len(tb):
-            ta, tb = tb, ta
-        for e1, c1 in ta.items():
-            for e2, c2 in tb.items():
-                e = tuple(i + j for i, j in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return MultiPoly(vs, out)
+        return MultiPoly.product((self, other))
 
     __rmul__ = __mul__
+
+    def mul_truncated(self, other, name, cutoff):
+        """``(self * other).truncate_var(name, cutoff)``, without forming the
+        products whose exponent of `name` exceeds cutoff."""
+        return MultiPoly.product((self, other), name, cutoff)
+
+    @classmethod
+    def product(cls, factors, name=None, cutoff=None):
+        """Exact product of `factors`, on packed integer monomials; with a
+        cutoff, ``truncate_var(name, cutoff)`` of it.
+
+        Each exponent tuple becomes one int, a bit field per variable wide
+        enough for the sum of the factors' largest exponents in that
+        variable, so adding packed keys adds the exponents with no carry
+        between fields.  Coefficients are scaled to ints over the lcm of each
+        factor's denominators.  The running product stays a dict of packed
+        ints, so each factor is packed once and each output term becomes a
+        Fraction once.  With a cutoff, both sides of every step are sorted by
+        the exponent of `name` and only pairs whose exponents sum to at most
+        the cutoff are formed; dropping a term early loses nothing, since
+        exponents only grow.
+        """
+        factors = list(factors)
+        vs = factors[0].vars if factors else ()
+        if any(p.vars != vs for p in factors):
+            vs = tuple(sorted({v for p in factors for v in p.vars}, key=var_key))
+        top = dict.fromkeys(vs, 0)
+        for p in factors:
+            if not p.terms:
+                return cls._from_clean(vs, {})
+            for v, column in zip(p.vars, zip(*p.terms)):
+                top[v] += max(column)
+        shift_of = {}
+        fields = []
+        shift = 0
+        for v in reversed(vs):
+            width = top[v].bit_length()
+            shift_of[v] = shift
+            fields.append((shift, (1 << width) - 1))
+            shift += width
+        fields.reverse()
+        truncating = cutoff is not None and name in vs
+        t_shift, t_mask = fields[vs.index(name)] if truncating else (0, 0)
+
+        def packed(p):
+            # each factor packs from its own variable positions, so none is
+            # first remapped onto the union variables
+            shifts = [shift_of[v] for v in p.vars]
+            den = math.lcm(*(c.denominator for c in p.terms.values()))
+            terms = [(sum(map(lshift, e, shifts)), c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
+            return _by_exponent(terms, t_shift, t_mask, cutoff if truncating else None), den
+
+        cur, den = packed(factors[0]) if factors else ([(0, 0, 1)], 1)
+        for p in factors[1:]:
+            pb, den_b = packed(p)
+            den *= den_b
+            pa = cur
+            if len(pa) > len(pb):
+                pa, pb = pb, pa
+            b_exps = [t for t, _, _ in pb]
+            b_terms = [(k, c) for _, k, c in pb]
+            acc = {}
+            get = acc.get
+            for t1, group in groupby(pa, key=itemgetter(0)):
+                inner = b_terms[: bisect_right(b_exps, cutoff - t1)] if truncating else b_terms
+                for _, k1, c1 in group:
+                    for k2, c2 in inner:
+                        k = k1 + k2
+                        acc[k] = get(k, 0) + c1 * c2
+            cur = _by_exponent([kc for kc in acc.items() if kc[1]], t_shift, t_mask, None)
+            del acc  # freed before the next step or the output is built
+        out = {}
+        while cur:
+            _, k, c = cur.pop()
+            out[tuple([(k >> s) & m for s, m in fields])] = Fraction(c, den)
+        return cls._from_clean(vs, out)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:

@@ -31,9 +31,10 @@ def chi_y_genus(structure, ordering=None):
     space = structure.space
     counts = {}
     if ordering is None and isinstance(structure, InvariantStructure):
-        eps = structure.eps
-        for row in space.line_signs:
-            ind = sum(1 for e, s in zip(eps, row) if e * s < 0)
+        # e * s < 0 exactly where one of the two signs is negative
+        eps_mask = sum(1 << l for l, e in enumerate(structure.eps) if e < 0)
+        for mask in space.line_sign_masks:
+            ind = (eps_mask ^ mask).bit_count()
             counts[ind] = counts.get(ind, 0) + 1
     elif ordering is None and isinstance(structure, StableStructure):
         base_eps = structure.base.eps

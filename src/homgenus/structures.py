@@ -82,6 +82,7 @@ class HomogeneousSpace:
         self._summands = None
         self._root_images = None
         self._line_signs = None
+        self._line_sign_masks = None
 
     def __repr__(self):
         return "HomogeneousSpace(%s)" % self.label
@@ -134,6 +135,15 @@ class HomogeneousSpace:
                 tuple(self.ordering.sign(img) for img in row) for row in self.coset_root_images
             )
         return self._line_signs
+
+    @property
+    def line_sign_masks(self):
+        """One int per fixed point, with bit l set where line_signs[w][l] < 0."""
+        if self._line_sign_masks is None:
+            self._line_sign_masks = tuple(
+                sum(1 << l for l, s in enumerate(row) if s < 0) for row in self.line_signs
+            )
+        return self._line_sign_masks
 
     @property
     def summands(self):

@@ -92,9 +92,17 @@ def apply_weyl(poly, matrix):
     return poly.subs(mapping)
 
 
-def _canonical_weights(weights, ordering):
-    """[(line, scale)] for each weight vector."""
-    return [canonical_positive(w, ordering) for w in weights]
+def _canonical_weights(weights, ordering, memo):
+    """[(line, scale)] for each weight vector.  `memo` maps weight vectors to
+    their (line, scale) within one call: a sum meets each of the at most
+    2*|roots| signed weights at many fixed points."""
+    out = []
+    for w in weights:
+        cw = memo.get(w)
+        if cw is None:
+            cw = memo[w] = canonical_positive(w, ordering)
+        out.append(cw)
+    return out
 
 
 def _f_factor(line_poly, scale, cutoff, powers_cache):
@@ -118,7 +126,8 @@ def localized_numerator(points, ordering, cutoff, fiber_forms=None):
     expansion carried to t^cutoff.  `fiber_forms`, when given, multiplies the
     point's term by an extra polynomial (used by twisted products).
     """
-    canon = [_canonical_weights(ws, ordering) for _, ws in points]
+    memo = {}
+    canon = [_canonical_weights(ws, ordering, memo) for _, ws in points]
     lines = []
     seen = set()
     for cw in canon:
@@ -127,7 +136,7 @@ def localized_numerator(points, ordering, cutoff, fiber_forms=None):
                 seen.add(line)
                 lines.append(line)
     line_polys = {line: _form_of(line) for line in lines}
-    total = MultiPoly.zero()
+    terms = []
     powers_cache = {}
     for k, (sign, _) in enumerate(points):
         cw = canon[k]
@@ -137,18 +146,13 @@ def localized_numerator(points, ordering, cutoff, fiber_forms=None):
         coeff = Fraction(sign)
         for _, scale in cw:
             coeff /= scale
-        term = MultiPoly.const(coeff)
-        for line in lines:
-            if line not in own:
-                term = term * line_polys[line]
-        for line, scale in cw:
-            term = (term * _f_factor(line_polys[line], scale, cutoff, powers_cache)).truncate_var(
-                "t", cutoff
-            )
+        factors = [MultiPoly.const(coeff)]
+        factors += [line_polys[line] for line in lines if line not in own]
+        factors += [_f_factor(line_polys[line], scale, cutoff, powers_cache) for line, scale in cw]
         if fiber_forms is not None:
-            term = (term * fiber_forms[k]).truncate_var("t", cutoff)
-        total = total + term
-    return total, lines
+            factors.append(fiber_forms[k])
+        terms.append(MultiPoly.product(factors, "t", cutoff))
+    return MultiPoly.sum(terms), lines
 
 
 class GenusExpansion:
@@ -255,17 +259,6 @@ def _f_omega(forms, omega):
     return state.get(tuple(omega), MultiPoly.zero())
 
 
-_LINE_POWER_CACHE = {}
-
-
-def _line_power(line, m):
-    p = _LINE_POWER_CACHE.get((line, m))
-    if p is None:
-        p = _form_of(line) ** m
-        _LINE_POWER_CACHE[(line, m)] = p
-    return p
-
-
 def s_number(structure, omega):
     """The characteristic number s_omega, an exact integer.
 
@@ -280,7 +273,8 @@ def s_number(structure, omega):
     single_power = parts[0][0] if len(parts) == 1 and parts[0][1] == 1 else None
     orientation = getattr(structure, "global_sign", 1)
     fps = fixed_points(structure)
-    canon = [_canonical_weights(fp.weights, space.ordering) for fp in fps]
+    memo = {}
+    canon = [_canonical_weights(fp.weights, space.ordering, memo) for fp in fps]
     lines = []
     seen = set()
     for cw in canon:
@@ -289,26 +283,30 @@ def s_number(structure, omega):
                 seen.add(line)
                 lines.append(line)
     line_polys = {line: _form_of(line) for line in lines}
-    total = MultiPoly.zero()
+    # points that miss the same lines are summed before those lines multiply
+    # in; for a one-part omega, f_omega is a power sum of the weights, so such
+    # a group is one rational coefficient per line
+    groups = {}
     for fp, cw in zip(fps, canon):
         coeff = Fraction(fp.sign)
         for _, scale in cw:
             coeff /= scale
-        if single_power is not None:
-            # f_omega for a one-part omega is just a power sum of the weights
-            m = single_power
-            term = MultiPoly.zero()
-            for line, scale in cw:
-                term = term + _line_power(line, m) * (Fraction(scale) ** m)
-            term = term * coeff
-        else:
-            weight_forms = [_form_of(w) for w in fp.weights]
-            term = _f_omega(weight_forms, omega) * coeff
         own = {line for line, _ in cw}
-        for line in lines:
-            if line not in own:
-                term = term * line_polys[line]
-        total = total + term
+        missing = tuple(line for line in lines if line not in own)
+        if single_power is not None:
+            acc = groups.setdefault(missing, {})
+            for line, scale in cw:
+                acc[line] = acc.get(line, 0) + coeff * Fraction(scale) ** single_power
+        else:
+            groups.setdefault(missing, []).append(_f_omega([_form_of(w) for w in fp.weights], omega) * coeff)
+    terms = []
+    for missing, group in groups.items():
+        if single_power is not None:
+            term = MultiPoly.sum(line_polys[line] ** single_power * c for line, c in group.items())
+        else:
+            term = MultiPoly.sum(group)
+        terms.append(MultiPoly.product([term] + [line_polys[line] for line in missing]))
+    total = MultiPoly.sum(terms)
     for line in lines:
         total = exact_divide(total, line_polys[line], "localization sum has uncancelled pole")
     if not total.is_constant():
@@ -402,10 +400,6 @@ def s_number_schur_route(structure, omega):
 # twisted products of fibrations
 
 
-def _signed_root_set(structure):
-    return set(structure.roots)
-
-
 def combine_structures(base_structure, fiber_structure, total_space=None):
     """The invariant structure on G/K induced by base (G/H) and fiber (H/K)."""
     base_space = base_structure.space
@@ -449,7 +443,7 @@ def twisted_product(base_structure, fiber_structure, cutoff=None):
         raise ValueError("cutoff must be >= 0, got %d" % cutoff)
     if fiber_space.group.root_set != base_space.subgroup.root_set:
         raise ValueError("fiber ambient group must be the base isotropy group")
-    base_roots = _signed_root_set(base_structure)
+    base_roots = set(base_structure.roots)
     for el in base_space.subgroup_weyl.elements:
         if {tuple(el.apply(r)) for r in base_roots} != base_roots:
             raise ValueError(

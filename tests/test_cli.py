@@ -103,6 +103,29 @@ def test_genus_s_requires_omega(capsys):
     assert "--omega" in err
 
 
+def test_omega_of_wrong_weight_is_usage_error(capsys):
+    code, out, err = run(capsys, "genus", "s", "--space", "G42", "--omega", "1,0")
+    assert code == 1
+    assert out == ""
+    assert "total weight 4" in err
+
+
+def test_json_subgroup_non_root_is_usage_error(capsys):
+    doc = json.dumps({"group": "U(2)", "subgroup_roots": [[2, 0]]})
+    code, out, err = run(capsys, "genus", "class", "--space", doc)
+    assert code == 1
+    assert out == ""
+    assert "is not a root" in err
+
+
+def test_json_roots_not_closed_under_reflections_is_usage_error(capsys):
+    doc = json.dumps({"group": {"dim": 2, "roots": [[1, 0], [-1, 0], [1, 1], [-1, -1]]}})
+    code, out, err = run(capsys, "genus", "class", "--space", doc)
+    assert code == 1
+    assert out == ""
+    assert "does not permute the roots" in err
+
+
 def test_genus_chi_y_plain(capsys):
     code, out, _ = run(
         capsys, "genus", "chi-y", "--space", "CP3", "--structure", "cp3-e11-minus"

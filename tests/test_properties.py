@@ -1,7 +1,10 @@
 """Property-based invariants (hypothesis)."""
 
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from homgenus.catalog import catalog_space
@@ -12,10 +15,12 @@ from homgenus.exactalg import (
     exact_divide,
     parse_poly,
     series_reversion,
+    var_key,
 )
 from homgenus.hirzebruch import chi_y_genus, euler_number, signature
 from homgenus.rootdata import Ordering, canonical_positive, root_sign
-from homgenus.structures import InvariantStructure, enumerate_structures
+from homgenus.structures import InvariantStructure, enumerate_structures, fixed_points
+from homgenus.toricgenus import localized_numerator
 
 
 fractions = st.fractions(
@@ -167,3 +172,134 @@ def test_conjugate_reverses_chi_y(data):
         c = chi.coefficient_of("y", k).constant_value() * (-1) ** n
         back = back + MultiPoly.variable("y") ** (n - k) * MultiPoly.const(c)
     assert flipped == back
+
+
+# ---------------------------------------------------------------------------
+# the packed-monomial product kernel against a naive reference
+
+
+def naive_product(p, q):
+    """Term-by-term double loop over exponent tuples, in Fractions."""
+    vs = tuple(sorted(set(p.vars) | set(q.vars), key=var_key))
+
+    def spread(poly):
+        idx = [poly.vars.index(v) if v in poly.vars else None for v in vs]
+        return [(tuple(e[i] if i is not None else 0 for i in idx), c) for e, c in poly.terms.items()]
+
+    out = {}
+    for e1, c1 in spread(p):
+        for e2, c2 in spread(q):
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return MultiPoly(vs, out)
+
+
+def same(p, q):
+    """Equal as stored: the same variable tuple and the same term dict."""
+    return p.vars == q.vars and p.terms == q.terms
+
+
+mixed_fractions = st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=30)
+# small exponents collide and cancel; large ones force wide bit fields
+exponents = st.one_of(st.integers(0, 3), st.integers(0, 3), st.integers(60, 5000))
+
+
+@st.composite
+def kernel_polys(draw, pool=("x1", "x2", "a1", "t", "y")):
+    names = draw(st.lists(st.sampled_from(pool), unique=True, max_size=4))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        terms[tuple(draw(exponents) for _ in names)] = draw(mixed_fractions)
+    return MultiPoly(tuple(names), terms)
+
+
+@st.composite
+def kernel_pairs(draw):
+    """(p, q), where q is sometimes p with some signs flipped, so that the
+    product's cross terms cancel to zero."""
+    p = draw(kernel_polys())
+    if draw(st.booleans()):
+        flips = draw(st.lists(st.booleans(), min_size=len(p.terms), max_size=len(p.terms)))
+        q = MultiPoly(p.vars, {e: -c if f else c for (e, c), f in zip(p.terms.items(), flips)})
+    else:
+        q = draw(kernel_polys())
+    return p, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_pairs())
+def test_product_matches_naive_reference(pair):
+    p, q = pair
+    assert same(p * q, naive_product(p, q))
+    assert same(q * p, naive_product(p, q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_pairs(), st.integers(0, 8))
+def test_truncated_product_matches_product_then_truncate(pair, cutoff):
+    p, q = pair
+    assert same(p.mul_truncated(q, "t", cutoff), (p * q).truncate_var("t", cutoff))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(kernel_polys(), max_size=4), st.one_of(st.none(), st.integers(0, 8)))
+def test_chained_product_matches_folded_reference(ps, cutoff):
+    want = reduce(naive_product, ps, MultiPoly.const(1))
+    if cutoff is not None:
+        want = want.truncate_var("t", cutoff)
+    assert same(MultiPoly.product(ps, "t", cutoff), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(kernel_polys(), max_size=6))
+def test_sum_matches_folded_add(ps):
+    assert same(MultiPoly.sum(ps), reduce(add, ps, MultiPoly.zero()))
+
+
+def test_product_cancels_cross_terms():
+    p = parse_poly("x1 + 1/3*t")
+    q = parse_poly("x1 - 1/3*t")
+    assert same(p * q, naive_product(p, q))
+    assert (p * q) == parse_poly("x1^2 - 1/9*t^2")
+
+
+def _reference_numerator(points, ordering, cutoff):
+    """The localization numerator as full products truncated afterwards and
+    summed one point at a time."""
+    lines = []
+    for _, ws in points:
+        for w in ws:
+            line, _ = canonical_positive(w, ordering)
+            if line not in lines:
+                lines.append(line)
+
+    def form(v):
+        return MultiPoly.linear_form(["x%d" % (i + 1) for i in range(len(v))], v)
+
+    total = MultiPoly.zero()
+    for sign, ws in points:
+        cw = [canonical_positive(w, ordering) for w in ws]
+        coeff = Fraction(sign)
+        for _, scale in cw:
+            coeff /= scale
+        term = MultiPoly.const(coeff)
+        for line in lines:
+            if line not in {l for l, _ in cw}:
+                term = term * form(line)
+        for line, scale in cw:
+            z = form(line) * scale * MultiPoly.variable("t")
+            f = reduce(add, (MultiPoly.variable("a%d" % i) * z ** i for i in range(1, cutoff + 1)), MultiPoly.const(1))
+            term = (term * f).truncate_var("t", cutoff)
+        total = total + term
+    return total, lines
+
+
+@pytest.mark.parametrize("name", ["U4-T2xU2", "G2-flag"])
+def test_localized_numerator_matches_full_products(name):
+    space = catalog_space(name)
+    j = InvariantStructure(space, (1,) * len(space.summands))
+    points = [(fp.sign, fp.weights) for fp in fixed_points(j)]
+    got, got_lines = localized_numerator(points, space.ordering, space.n)
+    want, want_lines = _reference_numerator(points, space.ordering, space.n)
+    assert got_lines == want_lines
+    assert same(got, want)
