@@ -3,8 +3,7 @@
 Exit codes: 0 success, 1 usage error, 2 mathematical failure (uncancelled
 pole, impossible structure, mismatch in a checked identity), 3 reproduction
 failure.  Output formats: --plain (default), --json (schema-versioned
-document), --csv.  HOMGENUS_THREADS sets the worker count for the
-reproduction harness; the algebraic core itself is single-threaded.
+document), --csv.
 """
 
 import argparse
@@ -47,7 +46,7 @@ from .toricgenus import (
     twisted_product,
 )
 
-SCHEMA = "homgenus/1"
+SCHEMA = "homgenus/2"
 EXIT_OK, EXIT_USAGE, EXIT_MATH, EXIT_ACCEPT = 0, 1, 2, 3
 
 
@@ -59,17 +58,6 @@ class Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; our contract reserves 2 for math failures
     def error(self, message):
         raise UsageError(message)
-
-
-def thread_count():
-    raw = os.environ.get("HOMGENUS_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        raise UsageError("HOMGENUS_THREADS must be an integer, got %r" % raw)
-    if k < 1:
-        raise UsageError("HOMGENUS_THREADS must be at least 1")
-    return k
 
 
 def _jsonable(obj):
@@ -484,7 +472,7 @@ def cmd_reproduce(ns):
 
     groups = set(ns.section) if ns.section else None
     ids = set(ns.id) if ns.id else None
-    rows = run_checks(groups=groups, ids=ids, workers=thread_count())
+    rows = run_checks(groups=groups, ids=ids)
     plain = []
     for r in rows:
         mark = "PASS" if r["passed"] else "FAIL"
@@ -580,7 +568,6 @@ def _emit(ns, command_name, out, started):
             "command": command_name,
             "result": _jsonable(out["result"]),
             "timing_ms": int((time.perf_counter() - started) * 1000),
-            "threads": thread_count(),
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     elif getattr(ns, "csv", False):
@@ -605,7 +592,6 @@ def main(argv=None):
         if not getattr(ns, "func", None):
             parser.print_help(sys.stderr)
             return EXIT_USAGE
-        thread_count()  # validate the env var up front
         if getattr(ns, "cutoff", None) is not None and ns.cutoff < 0:
             raise UsageError("--cutoff must be >= 0, got %d" % ns.cutoff)
         out = ns.func(ns)

@@ -20,6 +20,7 @@ import math
 import re
 from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter, lshift
 
@@ -29,6 +30,9 @@ _VAR_RE = re.compile(r"^([a-z]+?)(\d*)$")
 _CAT = {"x": 0, "u": 1, "v": 2, "a": 3, "b": 4, "t": 5, "y": 6, "z": 7}
 
 
+# the two below are pure functions of the name, called for every variable of
+# every polynomial; the bound keeps hostile input from growing the caches
+@lru_cache(maxsize=1024)
 def var_weight(name):
     """Grading weight of a variable, from its name."""
     m = _VAR_RE.match(name)
@@ -46,6 +50,7 @@ def var_weight(name):
     return 1  # x, u, t
 
 
+@lru_cache(maxsize=1024)
 def var_key(name):
     """Canonical sort key for a variable name."""
     m = _VAR_RE.match(name)

@@ -57,28 +57,26 @@ def chi_y_genus(structure, ordering=None):
     return MultiPoly(("y",), terms)
 
 
-def signature(structure):
-    """chi_y at y = 1."""
-    chi = chi_y_genus(structure)
-    val = chi.evaluate({"y": Fraction(1)})
+def _chi_y_at(structure, y):
+    """chi_y evaluated at the integer y, an integer."""
+    val = chi_y_genus(structure).evaluate({"y": Fraction(y)})
     assert val.denominator == 1
     return int(val)
+
+
+def signature(structure):
+    """chi_y at y = 1."""
+    return _chi_y_at(structure, 1)
 
 
 def todd_genus(structure):
     """chi_y at y = 0 (equals the Todd evaluation of the bordism class)."""
-    chi = chi_y_genus(structure)
-    val = chi.evaluate({"y": Fraction(0)})
-    assert val.denominator == 1
-    return int(val)
+    return _chi_y_at(structure, 0)
 
 
 def euler_number(structure):
     """chi_y at y = -1: just the number of fixed points, signed."""
-    chi = chi_y_genus(structure)
-    val = chi.evaluate({"y": Fraction(-1)})
-    assert val.denominator == 1
-    return int(val)
+    return _chi_y_at(structure, -1)
 
 
 def genus_of_class(cls, genus_data, degree=None):

@@ -127,10 +127,6 @@ def default_ordering(dim):
     return Ordering(tuple(range(dim, 0, -1)))
 
 
-def root_sign(root, ordering):
-    return ordering.sign(root)
-
-
 def canonical_positive(vector, ordering=None):
     """Primitive integer representative of the line through `vector`,
     oriented positively (default ordering when possible, else first nonzero
@@ -448,13 +444,6 @@ class CosetSpace:
 
     def __len__(self):
         return len(self.representatives)
-
-
-def coset_space(group, subgroup, ordering=None, cap=WEYL_CAP):
-    """Enumerate W_G / W_H for a subgroup of maximal rank."""
-    wg = weyl_group(group, ordering, cap=cap)
-    wh = WeylGroup(group, subgroup.simple_roots(ordering), cap=cap, label=subgroup.label)
-    return CosetSpace(wg, wh)
 
 
 # ---------------------------------------------------------------------------

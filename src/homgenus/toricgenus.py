@@ -18,7 +18,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .exactalg import MultiPoly, divided_difference, exact_divide, var_key
+from .exactalg import MultiPoly, divided_difference, exact_divide, vandermonde, var_key
 from .rootdata import canonical_positive
 from .structures import (
     HomogeneousSpace,
@@ -92,30 +92,65 @@ def apply_weyl(poly, matrix):
     return poly.subs(mapping)
 
 
-def _canonical_weights(weights, ordering, memo):
-    """[(line, scale)] for each weight vector.  `memo` maps weight vectors to
-    their (line, scale) within one call: a sum meets each of the at most
-    2*|roots| signed weights at many fixed points."""
-    out = []
-    for w in weights:
-        cw = memo.get(w)
-        if cw is None:
-            cw = memo[w] = canonical_positive(w, ordering)
-        out.append(cw)
-    return out
+def _localize(points, ordering, group_term):
+    """The one fixed-point sum behind every localization in this module.
+
+    `points` is a list of (sign, weights).  Returns (N, lines): N over the
+    product of the distinct weight lines is the sum over the points of sign
+    times the point's kernel over the product of its weights.  Points that
+    miss the same lines are summed first, by `group_term(members, power)`:
+    each member is (k, coeff, cw), the point's index, sign / prod(scales) and
+    (line, scale) pairs, and `power(line, i)` memoizes the line's form to
+    the i.  Each group's sum then multiplies its missing lines once.
+    """
+    # a sum meets each of the at most 2*|roots| signed weights at many points
+    distinct = dict.fromkeys(w for _, ws in points for w in ws)
+    canonical = {w: canonical_positive(w, ordering) for w in distinct}
+    lines = list(dict.fromkeys(line for line, _ in canonical.values()))
+    groups = {}
+    for k, (sign, ws) in enumerate(points):
+        cw = [canonical[w] for w in ws]
+        own = {line for line, _ in cw}
+        if len(own) != len(cw):
+            raise ValueError("two isotropy weights at one fixed point share a line")
+        coeff = Fraction(sign)
+        for _, scale in cw:
+            coeff /= scale
+        missing = tuple(line for line in lines if line not in own)
+        groups.setdefault(missing, []).append((k, coeff, cw))
+    powers = {}
+
+    def power(line, i):
+        p = powers.get(line)
+        if p is None:
+            p = powers[line] = [MultiPoly.const(1), _form_of(line)]
+        while len(p) <= i:
+            p.append(p[-1] * p[1])
+        return p[i]
+
+    terms = [
+        MultiPoly.product([power(line, 1) for line in missing] + [group_term(members, power)])
+        for missing, members in groups.items()
+    ]
+    return MultiPoly.sum(terms), lines
 
 
-def _f_factor(line_poly, scale, cutoff, powers_cache):
+def _divide_lines(numerator, lines):
+    """numerator / prod(lines), exactly; a remainder is an uncancelled pole."""
+    for line in lines:
+        numerator = exact_divide(numerator, _form_of(line), "localization sum has uncancelled pole")
+    return numerator
+
+
+def _f_factor(line, scale, cutoff, power):
     """f(t * scale * line) truncated at t^cutoff, with f = 1 + sum a_i z^i."""
-    key = id(line_poly)
-    powers = powers_cache.setdefault(key, {0: MultiPoly.const(1)})
-    factor = MultiPoly.const(1)
-    for i in range(1, cutoff + 1):
-        if i not in powers:
-            powers[i] = powers[i - 1] * line_poly
-        coeff = Fraction(scale) ** i
-        factor = factor + MultiPoly(("a%d" % i, "t"), {(1, i): coeff}) * powers[i]
-    return factor
+    return MultiPoly.sum(
+        [MultiPoly.const(1)]
+        + [
+            MultiPoly(("a%d" % i, "t"), {(1, i): Fraction(scale) ** i}) * power(line, i)
+            for i in range(1, cutoff + 1)
+        ]
+    )
 
 
 def localized_numerator(points, ordering, cutoff, fiber_forms=None):
@@ -126,33 +161,21 @@ def localized_numerator(points, ordering, cutoff, fiber_forms=None):
     expansion carried to t^cutoff.  `fiber_forms`, when given, multiplies the
     point's term by an extra polynomial (used by twisted products).
     """
-    memo = {}
-    canon = [_canonical_weights(ws, ordering, memo) for _, ws in points]
-    lines = []
-    seen = set()
-    for cw in canon:
-        for line, _ in cw:
-            if line not in seen:
-                seen.add(line)
-                lines.append(line)
-    line_polys = {line: _form_of(line) for line in lines}
-    terms = []
-    powers_cache = {}
-    for k, (sign, _) in enumerate(points):
-        cw = canon[k]
-        own = {line for line, _ in cw}
-        if len(own) != len(cw):
-            raise ValueError("two isotropy weights at one fixed point share a line")
-        coeff = Fraction(sign)
-        for _, scale in cw:
-            coeff /= scale
-        factors = [MultiPoly.const(coeff)]
-        factors += [line_polys[line] for line in lines if line not in own]
-        factors += [_f_factor(line_polys[line], scale, cutoff, powers_cache) for line, scale in cw]
-        if fiber_forms is not None:
-            factors.append(fiber_forms[k])
-        terms.append(MultiPoly.product(factors, "t", cutoff))
-    return MultiPoly.sum(terms), lines
+    f_factors = {}
+
+    def group_term(members, power):
+        terms = []
+        for k, coeff, cw in members:
+            for pair in cw:
+                if pair not in f_factors:
+                    f_factors[pair] = _f_factor(*pair, cutoff, power)
+            factors = [MultiPoly.const(coeff)] + [f_factors[pair] for pair in cw]
+            if fiber_forms is not None:
+                factors.append(fiber_forms[k])
+            terms.append(MultiPoly.product(factors, "t", cutoff))
+        return MultiPoly.sum(terms)
+
+    return _localize(points, ordering, group_term)
 
 
 class GenusExpansion:
@@ -172,7 +195,7 @@ class GenusExpansion:
         return self.form.coefficient_of("t", l)
 
     def lower_terms_vanish(self):
-        n = self.structure.space.n if self.structure is not None else self.cutoff
+        n = self.structure.space.n
         return all(self.coefficient(l).is_zero() for l in range(min(n, self.cutoff + 1)))
 
     def bordism_class(self):
@@ -206,10 +229,7 @@ def chern_dold_genus(structure, cutoff=None):
     orientation = getattr(structure, "global_sign", 1)
     fps = fixed_points(structure)
     points = [(orientation * fp.sign, fp.weights) for fp in fps]
-    total, lines = localized_numerator(points, space.ordering, cutoff)
-    form = total
-    for line in lines:
-        form = exact_divide(form, _form_of(line), "localization sum has uncancelled pole")
+    form = _divide_lines(*localized_numerator(points, space.ordering, cutoff))
     return GenusExpansion(structure, cutoff, form, label=space.label)
 
 
@@ -232,27 +252,32 @@ def _normalize_omega(omega, n):
     return omega
 
 
-def _f_omega(forms, omega):
-    """Coefficient of a^omega in prod_j f(<form_j, x>), as a polynomial in x.
+def _f_omega(pairs, omega, powers):
+    """Coefficient of a^omega in prod_j f(scale_j * <line_j, x>), as a
+    polynomial in x, for the (line, scale) pairs of one point.
 
-    Incremental over the forms, pruned to sub-multi-indices of omega.
+    Incremental over the pairs, pruned to sub-multi-indices of omega.
+    `powers` memoizes (scale * line)^i by (line, scale) for one call.
     """
     support = [i + 1 for i, k in enumerate(omega) if k]
     zero = tuple(0 for _ in omega)
     state = {zero: MultiPoly.const(1)}
-    for form in forms:
-        powers = {}
+    for pair in pairs:
+        p = powers.get(pair)
+        if p is None:
+            line, scale = pair
+            p = powers[pair] = [MultiPoly.const(1), _form_of(line) * scale]
         new = dict(state)
         for key, poly in state.items():
             for i in support:
                 if key[i - 1] >= omega[i - 1]:
                     continue
-                if i not in powers:
-                    powers[i] = form ** i
+                while len(p) <= i:
+                    p.append(p[-1] * p[1])
                 k2 = list(key)
                 k2[i - 1] += 1
                 k2 = tuple(k2)
-                add = poly * powers[i]
+                add = poly * p[i]
                 cur = new.get(k2)
                 new[k2] = add if cur is None else cur + add
         state = new
@@ -265,50 +290,32 @@ def s_number(structure, omega):
     Computed from the fixed-point sum: the a^omega coefficient of each local
     contribution is f_omega(transported weights) over the product of the
     weights; cleared to the common line denominator and divided exactly, the
-    sum collapses to a constant.
+    sum collapses to a constant.  For a one-part omega, f_omega is the power
+    sum of the weights, so a group of points is one rational coefficient per
+    line.
     """
     space = structure.space
     omega = _normalize_omega(omega, space.n)
     parts = [(i + 1, k) for i, k in enumerate(omega) if k]
-    single_power = parts[0][0] if len(parts) == 1 and parts[0][1] == 1 else None
     orientation = getattr(structure, "global_sign", 1)
-    fps = fixed_points(structure)
-    memo = {}
-    canon = [_canonical_weights(fp.weights, space.ordering, memo) for fp in fps]
-    lines = []
-    seen = set()
-    for cw in canon:
-        for line, _ in cw:
-            if line not in seen:
-                seen.add(line)
-                lines.append(line)
-    line_polys = {line: _form_of(line) for line in lines}
-    # points that miss the same lines are summed before those lines multiply
-    # in; for a one-part omega, f_omega is a power sum of the weights, so such
-    # a group is one rational coefficient per line
-    groups = {}
-    for fp, cw in zip(fps, canon):
-        coeff = Fraction(fp.sign)
-        for _, scale in cw:
-            coeff /= scale
-        own = {line for line, _ in cw}
-        missing = tuple(line for line in lines if line not in own)
-        if single_power is not None:
-            acc = groups.setdefault(missing, {})
-            for line, scale in cw:
-                acc[line] = acc.get(line, 0) + coeff * Fraction(scale) ** single_power
-        else:
-            groups.setdefault(missing, []).append(_f_omega([_form_of(w) for w in fp.weights], omega) * coeff)
-    terms = []
-    for missing, group in groups.items():
-        if single_power is not None:
-            term = MultiPoly.sum(line_polys[line] ** single_power * c for line, c in group.items())
-        else:
-            term = MultiPoly.sum(group)
-        terms.append(MultiPoly.product([term] + [line_polys[line] for line in missing]))
-    total = MultiPoly.sum(terms)
-    for line in lines:
-        total = exact_divide(total, line_polys[line], "localization sum has uncancelled pole")
+    points = [(fp.sign, fp.weights) for fp in fixed_points(structure)]
+    if len(parts) == 1 and parts[0][1] == 1:
+        m = parts[0][0]
+
+        def group_term(members, power):
+            acc = {}
+            for _, coeff, cw in members:
+                for line, scale in cw:
+                    acc[line] = acc.get(line, 0) + coeff * Fraction(scale) ** m
+            return MultiPoly.sum(power(line, m) * c for line, c in acc.items())
+
+    else:
+        scaled = {}
+
+        def group_term(members, power):
+            return MultiPoly.sum(_f_omega(cw, omega, scaled) * coeff for _, coeff, cw in members)
+
+    total = _divide_lines(*_localize(points, space.ordering, group_term))
     if not total.is_constant():
         raise ArithmeticError("s_omega did not collapse to a constant: %s" % total.to_text())
     value = total.constant_value() * orientation
@@ -380,12 +387,9 @@ def s_number_schur_route(structure, omega):
     lam = Fraction(1)
     for e in structure.eps:
         lam *= e
-    forms = [_form_of(r) for r in structure.roots]
-    arg = _f_omega(forms, omega)
+    arg = _f_omega([canonical_positive(r) for r in structure.roots], omega, {})
     for b in blocks:
-        for ii in range(len(b)):
-            for jj in range(ii + 1, len(b)):
-                arg = arg * (MultiPoly.variable(names[b[ii]]) - MultiPoly.variable(names[b[jj]]))
+        arg = arg * vandermonde([names[i] for i in b])
         lam /= math.factorial(len(b))
     res = divided_difference(arg, names)
     if not res.is_constant():
@@ -458,10 +462,7 @@ def twisted_product(base_structure, fiber_structure, cutoff=None):
     fps = fixed_points(base_structure)
     points = [(fp.sign, fp.weights) for fp in fps]
     fiber_forms = [apply_weyl(fiber_form, fp.rep.matrix) for fp in fps]
-    total, lines = localized_numerator(points, base_space.ordering, cutoff, fiber_forms=fiber_forms)
-    form = total
-    for line in lines:
-        form = exact_divide(form, _form_of(line), "localization sum has uncancelled pole")
+    form = _divide_lines(*localized_numerator(points, base_space.ordering, cutoff, fiber_forms=fiber_forms))
     return GenusExpansion(combined, cutoff, form, label=total_space.label + " (twisted)")
 
 

@@ -44,7 +44,7 @@ def check(num, group, name):
     return deco
 
 
-def run_checks(groups=None, ids=None, workers=1):
+def run_checks(groups=None, ids=None):
     selected = [
         c
         for c in CHECKS
@@ -67,11 +67,6 @@ def run_checks(groups=None, ids=None, workers=1):
             "ms": int((time.perf_counter() - t0) * 1000),
         }
 
-    if workers > 1 and len(selected) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_one, selected))
     return [run_one(c) for c in selected]
 
 

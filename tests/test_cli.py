@@ -28,10 +28,10 @@ def test_space_list_json(capsys):
     code, out, _ = run(capsys, "space", "list", "--json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema"] == "homgenus/1"
+    assert doc["schema"] == "homgenus/2"
     assert doc["command"] == "space list"
     assert "timing_ms" in doc
-    assert doc["threads"] == 1
+    assert "threads" not in doc
     names = [row["name"] for row in doc["result"]["spaces"]]
     assert "S6" in names and "CP3" in names
 
@@ -273,16 +273,6 @@ def test_reproduce_crashing_check_is_a_failure_not_a_crash(capsys, monkeypatch):
     row = json.loads(out)["result"]["rows"][0]
     assert not row["passed"]
     assert "kaput" in row["computed"]
-
-
-def test_threads_env_validated(capsys, monkeypatch):
-    monkeypatch.setenv("HOMGENUS_THREADS", "zero")
-    code, _, err = run(capsys, "space", "list")
-    assert code == 1
-    assert "HOMGENUS_THREADS" in err
-    monkeypatch.setenv("HOMGENUS_THREADS", "0")
-    code, _, err = run(capsys, "space", "list")
-    assert code == 1
 
 
 def test_console_script_installed():

@@ -18,7 +18,7 @@ from homgenus.exactalg import (
     var_key,
 )
 from homgenus.hirzebruch import chi_y_genus, euler_number, signature
-from homgenus.rootdata import Ordering, canonical_positive, root_sign
+from homgenus.rootdata import Ordering, canonical_positive
 from homgenus.structures import InvariantStructure, enumerate_structures, fixed_points
 from homgenus.toricgenus import localized_numerator
 

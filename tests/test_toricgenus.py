@@ -1,7 +1,9 @@
 """Bordism classes, s-numbers, restricted expansions over the quaternionic base."""
 
+import itertools
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -94,6 +96,50 @@ def test_stable_preset_standard_matches_invariant():
     entry = catalog_entry("CP3")
     ss = entry.stable_structure("cp3-standard")
     assert chern_dold_genus(ss).bordism_class() == chern_dold_genus(_std("CP3")).bordism_class()
+
+
+def _partitions(n):
+    """Every omega of total weight n: omega[i] parts of size i + 1."""
+    return [
+        omega
+        for omega in itertools.product(*(range(n // (i + 1) + 1) for i in range(n)))
+        if sum((i + 1) * k for i, k in enumerate(omega)) == n
+    ]
+
+
+def _structure(name, signs):
+    if name == "CP3" and signs.startswith("cp3-"):
+        return catalog_entry(name).stable_structure(signs)
+    return parse_signs(catalog_space(name), signs)
+
+
+@lru_cache(maxsize=None)
+def _class(name, signs):
+    return chern_dold_genus(_structure(name, signs)).bordism_class()
+
+
+def _oracle_cases():
+    structures = []
+    for name in ("CP1", "CP2", "CP3", "S6", "U3-flag", "G42", "Sp2-flag", "CP3-sp"):
+        k = len(catalog_space(name).summands)
+        structures += [(name, "".join(p)) for p in itertools.product("+-", repeat=k)]
+    structures += [("CP3", preset) for preset in sorted(catalog_entry("CP3").stable_presets)]
+    return [
+        pytest.param(name, signs, omega, id="%s:%s:%s" % (name, signs, ",".join(map(str, omega))))
+        for name, signs in structures
+        for omega in _partitions(catalog_space(name).n)
+    ]
+
+
+@pytest.mark.parametrize("name,signs,omega", _oracle_cases())
+def test_s_number_is_the_class_coefficient(name, signs, omega):
+    # both s_number kernels (power sum for a one-part omega, _f_omega
+    # otherwise) against the a^omega coefficient of the bordism class
+    coeff = _class(name, signs)
+    for i, k in enumerate(omega):
+        coeff = coeff.coefficient_of("a%d" % (i + 1), k)
+    assert coeff.is_constant()
+    assert s_number(_structure(name, signs), omega) == coeff.constant_value()
 
 
 def test_grassmannian_s_numbers():
