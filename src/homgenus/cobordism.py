@@ -7,21 +7,48 @@ F(u, v) = exp(g(u) + g(v)).  All series are truncated at the weighted degree
 matching a fixed u-degree cutoff D: a term u^i v^j b_omega is homogeneous of
 weight 2(i+j) - 1, so weighted cutoff 2D - 1 keeps exactly the u-degrees
 through D.
+
+The exponential and both dictionaries are closed forms by Lagrange
+inversion (Stanley, Enumerative Combinatorics II, 5.4): each coefficient is
+one [u^k] of a power of A(u) = 1 + sum a_i u^i or B(u) = 1 + sum b_k u^k,
+a sum over the partitions of k.
 """
 
+import math
 from fractions import Fraction
+from functools import cached_property
 
-from .exactalg import (
-    MultiPoly,
-    RationalFn,
-    TruncatedSeries,
-    exact_divide,
-    series_reversion,
-)
+from .exactalg import MultiPoly, RationalFn, TruncatedSeries, exact_divide
 
 
 def _weighted_cutoff(degree):
     return 2 * degree - 1
+
+
+def _partitions(n, largest=None):
+    """The partitions of n, as non-increasing tuples of parts."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _power_coefficient(prefix, p, k):
+    """[u^k] (1 + sum_j prefix_j u^j)^p, a polynomial in prefix_1..prefix_k.
+
+    By the multinomial theorem it is the sum over the partitions lambda of k
+    of p(p-1)...(p-l+1) / prod_j m_j! * prefix^lambda, where l is the number
+    of parts and m_j the multiplicity of part j; p is any rational.
+    """
+    names = ["%s%d" % (prefix, j) for j in range(1, k + 1)]
+    terms = {}
+    for parts in _partitions(k):
+        mult = tuple(parts.count(j) for j in range(1, k + 1))
+        c = Fraction(math.prod(p - i for i in range(len(parts))))
+        terms[mult] = c / math.prod(math.factorial(m) for m in mult)
+    return MultiPoly(names, terms).restrict_vars()
 
 
 class FormalGroupLaw:
@@ -33,21 +60,20 @@ class FormalGroupLaw:
         self.degree = degree
         cutoff = _weighted_cutoff(degree)
         self.cutoff = cutoff
-        log_terms = {}
-        nvars = ["u1"] + ["b%d" % k for k in range(1, degree)]
-        e0 = [0] * len(nvars)
-        e0[0] = 1
-        log_terms[tuple(e0)] = Fraction(1)
-        for k in range(1, degree):
-            e = [0] * len(nvars)
-            e[0] = k + 1
-            e[nvars.index("b%d" % k)] = 1
-            log_terms[tuple(e)] = Fraction(1)
-        self.log = TruncatedSeries(MultiPoly(nvars, log_terms), cutoff)
-        self.exp = series_reversion(self.log, "u1", "x1")
-        log_u2 = TruncatedSeries(self.log.body.subs({"u1": MultiPoly.variable("u2")}), cutoff)
-        self.law = self.exp.compose("x1", self.log + log_u2)
-        self._inverse = None
+        u, x = MultiPoly.variable("u1"), MultiPoly.variable("x1")
+        log = u + MultiPoly.sum(u ** (k + 1) * MultiPoly.variable("b%d" % k) for k in range(1, degree))
+        self.log = TruncatedSeries(log, cutoff)
+        # [x^m] exp = [u^{m-1}] B(u)^{-m} / m
+        self.exp = TruncatedSeries(
+            MultiPoly.sum(x ** m * _power_coefficient("b", -m, m - 1) * Fraction(1, m) for m in range(1, degree + 1)),
+            cutoff,
+        )
+
+    @cached_property
+    def law(self):
+        """F(u1, u2) = exp(g(u1) + g(u2)), built on first use."""
+        log_u2 = TruncatedSeries(self.log.body.subs({"u1": MultiPoly.variable("u2")}), self.cutoff)
+        return self.exp.compose("x1", self.log + log_u2)
 
     def __repr__(self):
         return "FormalGroupLaw(degree=%d)" % self.degree
@@ -66,16 +92,14 @@ class FormalGroupLaw:
         body = self.law.body.subs({"u1": s.body, "u2": t.body})
         return TruncatedSeries(body, c)
 
-    @property
+    @cached_property
     def inverse(self):
         """iota(u) with F(u, iota(u)) = 0."""
-        if self._inverse is None:
-            u = TruncatedSeries(MultiPoly.variable("u1"), self.cutoff)
-            iota = -u
-            for _ in range(self.degree):
-                iota = iota - self.add(u, iota)
-            self._inverse = iota
-        return self._inverse
+        u = TruncatedSeries(MultiPoly.variable("u1"), self.cutoff)
+        iota = -u
+        for _ in range(self.degree):
+            iota = iota - self.add(u, iota)
+        return iota
 
     def power_system(self, n, var="u1"):
         """The n-th power series [n](u); n may be negative."""
@@ -117,32 +141,28 @@ def formal_group_law(degree):
 
 
 def a_in_terms_of_b(degree):
-    """{i: polynomial in b} from x/exp(x) = 1 + a_1 x + ..."""
-    # one degree deeper than asked: the x^i coefficient carries b-weight i,
-    # so its weighted degree 2i only fits under the next cutoff up
-    fgl = formal_group_law(degree + 1)
-    exp_over_x = TruncatedSeries(
-        exact_divide(fgl.exp.body, MultiPoly.variable("x1"), "exponential series lost its leading term"),
-        2 * degree,
-    )
-    quot = exp_over_x.invert()
-    return {i: quot.body.coefficient_of("x1", i) for i in range(1, degree + 1)}
+    """{i: polynomial in b} from x/exp(x) = 1 + a_1 x + ..., for i <= degree.
+
+    a_1 = b_1 and a_i = [u^i] B(u)^{1-i} / (1-i) for i >= 2, by
+    Lagrange-Buermann applied to x/exp(x) = B(exp(x)).
+    """
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    return {
+        i: MultiPoly.variable("b1") if i == 1 else _power_coefficient("b", 1 - i, i) * Fraction(1, 1 - i)
+        for i in range(1, degree + 1)
+    }
 
 
 def b_in_terms_of_a(degree):
-    """{n: polynomial in a} by reverting x/f(x) back to the logarithm."""
-    cutoff = 2 * degree + 2
-    f_vars = ["x1"] + ["a%d" % i for i in range(1, degree + 1)]
-    terms = {tuple([0] * len(f_vars)): Fraction(1)}
-    for i in range(1, degree + 1):
-        e = [0] * len(f_vars)
-        e[0] = i
-        e[f_vars.index("a%d" % i)] = 1
-        terms[tuple(e)] = Fraction(1)
-    f = TruncatedSeries(MultiPoly(f_vars, terms), cutoff)
-    ginv = TruncatedSeries(MultiPoly.variable("x1"), cutoff) * f.invert()
-    g = series_reversion(ginv, "x1", "u1")
-    return {n: g.body.coefficient_of("u1", n + 1) for n in range(1, degree + 1)}
+    """{n: polynomial in a} from the logarithm, for n <= degree.
+
+    g is the compositional inverse of x/A(x), so Lagrange inversion gives
+    b_n = [u^n] A(u)^{n+1} / (n+1).
+    """
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    return {n: _power_coefficient("a", n + 1, n) * Fraction(1, n + 1) for n in range(1, degree + 1)}
 
 
 def _alphabet_degree(poly, prefix):
@@ -159,19 +179,14 @@ def basis_convert(poly, direction):
     direction is "a->b" or "b->a"; the needed dictionary depth is read off
     the polynomial itself.
     """
-    if direction == "a->b":
-        depth = _alphabet_degree(poly, "a")
-        table = a_in_terms_of_b(depth) if depth else {}
-        mapping = {"a%d" % i: table[i] for i in table}
-    elif direction == "b->a":
-        depth = _alphabet_degree(poly, "b")
-        table = b_in_terms_of_a(depth) if depth else {}
-        mapping = {"b%d" % n: table[n] for n in table}
-    else:
+    dictionaries = {"a->b": a_in_terms_of_b, "b->a": b_in_terms_of_a}
+    if direction not in dictionaries:
         raise ValueError("direction must be 'a->b' or 'b->a'")
-    if not mapping:
+    source = direction[0]
+    table = dictionaries[direction](_alphabet_degree(poly, source))
+    if not table:
         return poly
-    return poly.subs(mapping)
+    return poly.subs({"%s%d" % (source, i): p for i, p in table.items()})
 
 
 # ---------------------------------------------------------------------------

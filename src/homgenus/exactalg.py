@@ -412,7 +412,7 @@ class MultiPoly:
             if isinstance(img, (int, Fraction, str)):
                 img = MultiPoly.const(_as_fraction(img))
             images[v] = img
-        result = MultiPoly.zero()
+        terms = []
         pow_cache = {}
         for e, c in self.terms.items():
             term = MultiPoly.const(c)
@@ -426,8 +426,8 @@ class MultiPoly:
                     term = term * pow_cache[key]
                 else:
                     term = term * MultiPoly((v,), {(ei,): 1})
-            result = result + term
-        return result
+            terms.append(term)
+        return MultiPoly.sum(terms)
 
     def evaluate(self, point):
         """Evaluate at a dict name -> Fraction.  Every variable must be set."""
@@ -755,9 +755,6 @@ class TruncatedSeries:
     def __repr__(self):
         return "TruncatedSeries(%s; cutoff %d)" % (self.body.to_text(), self.cutoff)
 
-    def truncate(self, cutoff):
-        return TruncatedSeries(self.body, min(self.cutoff, cutoff))
-
     def constant_term(self):
         p = self.body
         return p.terms.get((0,) * len(p.vars), Fraction(0))
@@ -791,28 +788,6 @@ class TruncatedSeries:
         for k in range(deg - 1, -1, -1):
             out = out * inner + TruncatedSeries(body.coefficient_of(name, k), cutoff)
         return out
-
-
-def series_reversion(series, in_var, out_var):
-    """Compositional inverse of s = in_var + O(in_var^2).
-
-    Returns r, a TruncatedSeries in out_var (same cutoff), with
-    s(r(out_var)) == out_var up to the cutoff.  Coefficients may live in any
-    other variables present (they just ride along).
-    """
-    cutoff = series.cutoff
-    x = TruncatedSeries(MultiPoly.variable(out_var), cutoff)
-    body = series.body
-    if body.coefficient_of(in_var, 0):
-        raise ValueError("series to revert must have zero constant term")
-    if body.coefficient_of(in_var, 1) != MultiPoly.const(1):
-        raise ValueError("series to revert must start with the variable itself")
-    # phi = s - id;  fixed point iteration r <- x - phi(r) gains one degree per pass
-    phi = TruncatedSeries(body - MultiPoly.variable(in_var), cutoff)
-    r = x
-    for _ in range(cutoff):
-        r = x - phi.compose(in_var, r)
-    return r
 
 
 # ---------------------------------------------------------------------------

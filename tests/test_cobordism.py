@@ -1,7 +1,8 @@
 """Formal group law, coefficient alphabets, genus specialization.
 
 sympy is used here as an independent oracle for the series reversions; the
-package itself never imports it.
+package itself never imports it.  `series_reference` is the second oracle:
+the closed-form dictionaries and exponential against series reversion.
 """
 
 from fractions import Fraction
@@ -20,6 +21,7 @@ from homgenus.cobordism import (
     todd_series,
 )
 from homgenus.exactalg import MultiPoly, parse_poly
+from series_reference import series_a_in_terms_of_b, series_b_in_terms_of_a, series_exp
 
 
 def test_law_degree_three_frozen():
@@ -141,6 +143,23 @@ def test_alphabet_frozen_values():
     ba = b_in_terms_of_a(3)
     assert ba[2] == parse_poly("a1^2 + a2")
     assert ba[3] == parse_poly("a1^3 + 3*a1*a2 + a3")
+
+
+@pytest.mark.parametrize("degree", range(1, 8))
+def test_closed_forms_match_series_route(degree):
+    closed = [*a_in_terms_of_b(degree).values(), *b_in_terms_of_a(degree).values(), formal_group_law(degree).exp.body]
+    series = [*series_a_in_terms_of_b(degree).values(), *series_b_in_terms_of_a(degree).values(), series_exp(degree).body]
+    assert len(closed) == len(series) == 2 * degree + 1
+    for got, want in zip(closed, series):
+        assert (got.vars, got.terms) == (want.vars, want.terms)
+        assert got.to_text() == want.to_text()
+
+
+@pytest.mark.parametrize("fn", [a_in_terms_of_b, b_in_terms_of_a])
+def test_dictionary_degrees(fn):
+    assert fn(0) == {}
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        fn(-1)
 
 
 def test_basis_convert_round_trip():

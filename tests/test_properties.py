@@ -14,13 +14,13 @@ from homgenus.exactalg import (
     TruncatedSeries,
     exact_divide,
     parse_poly,
-    series_reversion,
     var_key,
 )
 from homgenus.hirzebruch import chi_y_genus, euler_number, signature
 from homgenus.rootdata import Ordering, canonical_positive
 from homgenus.structures import InvariantStructure, enumerate_structures, fixed_points
 from homgenus.toricgenus import localized_numerator
+from series_reference import series_reversion
 
 
 fractions = st.fractions(
