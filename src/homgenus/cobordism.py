@@ -78,10 +78,6 @@ class FormalGroupLaw:
     def __repr__(self):
         return "FormalGroupLaw(degree=%d)" % self.degree
 
-    def log_of(self, series):
-        """g(series) for a series with zero constant term."""
-        return self.log.compose("u1", series)
-
     def add(self, s, t):
         """F(s, t) by simultaneous substitution (capture-free)."""
         if isinstance(s, MultiPoly):
@@ -100,31 +96,6 @@ class FormalGroupLaw:
         for _ in range(self.degree):
             iota = iota - self.add(u, iota)
         return iota
-
-    def power_system(self, n, var="u1"):
-        """The n-th power series [n](u); n may be negative."""
-        u = TruncatedSeries(MultiPoly.variable("u1"), self.cutoff)
-        if n == 0:
-            cur = TruncatedSeries(MultiPoly.zero(), self.cutoff)
-        else:
-            k = abs(n)
-            cur = u
-            for _ in range(k - 1):
-                cur = self.add(cur, u)
-            if n < 0:
-                cur = self.inverse.compose("u1", cur)
-        if var != "u1":
-            cur = TruncatedSeries(cur.body.subs({"u1": MultiPoly.variable(var)}), cur.cutoff)
-        return cur
-
-    def multi_bracket(self, nvec):
-        """[n1, ..., nk](u1, ..., uk): iterated formal sum of powers."""
-        if not nvec:
-            raise ValueError("need at least one exponent")
-        cur = self.power_system(nvec[0], "u1")
-        for j, n in enumerate(nvec[1:], start=2):
-            cur = self.add(cur, self.power_system(n, "u%d" % j))
-        return cur
 
 
 _FGL_CACHE = {}

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .cobordism import evaluate_class, specialize_genus, tanh_series, todd_series
 from .exactalg import MultiPoly, RationalFn, TruncatedSeries
-from .rootdata import compose, dot
+from .rootdata import dot
 from .structures import InvariantStructure, StableStructure, fixed_points
 from .toricgenus import chern_dold_genus
 
@@ -21,13 +21,8 @@ def point_index(weights, ordering):
     return sum(1 for w in weights if ordering.sign(w) < 0)
 
 
-def chi_y_genus(structure, ordering=None):
-    """The chi_y polynomial: sum over fixed points of sign(p) (-y)^{ind(p)}.
-
-    The value does not depend on the choice of generic ordering; the general
-    path recomputes weight signs for whatever ordering is passed, and the
-    property tests compare it against the cached default-ordering path.
-    """
+def _index_counts(structure, ordering=None):
+    """{index: signed number of fixed points with that index}, in ints."""
     space = structure.space
     counts = {}
     if ordering is None and isinstance(structure, InvariantStructure):
@@ -50,18 +45,24 @@ def chi_y_genus(structure, ordering=None):
         for fp in fixed_points(structure):
             ind = point_index(fp.weights, ordering)
             counts[ind] = counts.get(ind, 0) + orientation * fp.sign
-    terms = {}
-    for ind, c in counts.items():
-        if c:
-            terms[(ind,)] = Fraction(c * (-1) ** ind)
+    return counts
+
+
+def chi_y_genus(structure, ordering=None):
+    """The chi_y polynomial: sum over fixed points of sign(p) (-y)^{ind(p)}.
+
+    The value does not depend on the choice of generic ordering; the general
+    path recomputes weight signs for whatever ordering is passed, and the
+    property tests compare it against the cached default-ordering path.
+    """
+    counts = _index_counts(structure, ordering)
+    terms = {(ind,): Fraction(c * (-1) ** ind) for ind, c in counts.items() if c}
     return MultiPoly(("y",), terms)
 
 
 def _chi_y_at(structure, y):
     """chi_y evaluated at the integer y, an integer."""
-    val = chi_y_genus(structure).evaluate({"y": Fraction(y)})
-    assert val.denominator == 1
-    return int(val)
+    return sum(c * (-y) ** ind for ind, c in _index_counts(structure).items())
 
 
 def signature(structure):
@@ -270,36 +271,25 @@ def certify_odd_rigidity(structure, f=None, samples=3, seed=0):
 
 
 def _find_pairing(structure, fps):
-    space = structure.space
-    cosets = space.cosets
-    index_of = cosets.index_of
-    reps = cosets.representatives
-
-    for t in space.weyl.elements:
+    """The first non-identity t in W, in (length, lex) order, that pairs the
+    cosets without fixed points, t.rep_i W_H = rep_j W_H, with matched
+    weights and opposite signs in each pair; None when there is none."""
+    cosets = structure.space.cosets
+    n = len(cosets)
+    for t in structure.space.weyl.elements:
         if not t.word:
             continue
-        sigma = []
-        ok = True
-        for i in range(len(reps)):
-            j = index_of(compose(t.perm, reps[i].perm))
-            if j == i:
-                ok = False
-                break
-            sigma.append(j)
-        if not ok:
-            continue
-        if any(sigma[sigma[i]] != i for i in range(len(sigma))):
+        sigma = cosets.act(t.word)
+        if any(sigma[i] == i or sigma[sigma[i]] != i for i in range(n)):
             continue
         pairs = []
-        for i in range(len(sigma)):
-            j = sigma[i]
+        for i, j in enumerate(sigma):
             if j < i:
                 continue
             k = _match_weights(fps[i].weights, fps[j].weights)
             if k is None or fps[i].sign + fps[j].sign * (-1) ** k != 0:
-                ok = False
                 break
             pairs.append({"pair": (i, j), "flips": k})
-        if ok:
+        else:
             return {"element": tuple(t.word), "pairs": pairs}
     return None

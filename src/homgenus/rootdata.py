@@ -18,18 +18,13 @@ which contribute no roots.
 import re
 from collections import deque
 from fractions import Fraction
+from functools import cached_property
 
 WEYL_CAP = 100000
 
 
-def _frac(x):
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
-
-
 def vec(values):
-    return tuple(_frac(v) for v in values)
+    return tuple(Fraction(v) for v in values)
 
 
 def vec_add(u, v):
@@ -136,8 +131,8 @@ def canonical_positive(vector, ordering=None):
 
     if all(not c for c in vector):
         raise ValueError("zero vector has no direction")
-    denoms = lcm(*[_frac(c).denominator for c in vector])
-    ints = [int(_frac(c) * denoms) for c in vector]
+    denoms = lcm(*[Fraction(c).denominator for c in vector])
+    ints = [int(Fraction(c) * denoms) for c in vector]
     g = 0
     for c in ints:
         g = gcd(g, abs(c))
@@ -165,7 +160,7 @@ class GroupData:
         self.roots = tuple(vec(r) for r in roots)
         self.root_set = frozenset(self.roots)
         self.root_index = {r: i for i, r in enumerate(self.roots)}
-        self.gram = tuple(tuple(_frac(c) for c in row) for row in gram) if gram is not None else None
+        self.gram = tuple(tuple(Fraction(c) for c in row) for row in gram) if gram is not None else None
         self.rank = rank if rank is not None else dim
         for r in self.roots:
             if len(r) != dim:
@@ -347,6 +342,8 @@ class WeylGroup:
         # BFS with ascending generator index enumerates words in (length, lex) order
         self.elements = sorted(seen.values(), key=lambda e: (len(e.word), e.word))
         self.by_perm = seen
+        # generators[g] is the simple reflection that letter g of a word names
+        self.generators = tuple(gen_perm for gen_perm, _ in gens)
 
     def __len__(self):
         return len(self.elements)
@@ -441,6 +438,23 @@ class CosetSpace:
 
     def index_of_matrix(self, matrix):
         return self.index_of(self.wg.element_of_matrix(matrix).perm)
+
+    @cached_property
+    def action(self):
+        """Left action of the simple reflections on the cosets: action[g][i]
+        is the index of the coset s_g rep_i W_H, for each generator g of wg."""
+        return tuple(
+            tuple(self.index_of(compose(gen, rep.perm)) for rep in self.representatives)
+            for gen in self.wg.generators
+        )
+
+    def act(self, word):
+        """The permutation of coset indices by which the element with this
+        word acts on the left: its letters' actions, applied right to left."""
+        sigma = tuple(range(len(self.representatives)))
+        for g in reversed(word):
+            sigma = compose(self.action[g], sigma)
+        return sigma
 
     def __len__(self):
         return len(self.representatives)

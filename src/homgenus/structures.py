@@ -15,10 +15,8 @@ from .rootdata import (
     WeylGroup,
     build_group,
     canonical_positive,
-    compose,
     default_ordering,
     dot,
-    reflection_matrix,
     space_from_doc,
     vec,
     vec_add,
@@ -392,138 +390,3 @@ def fixed_points(structure):
             out.append(FixedPoint(i, rep, weights, sign))
         return out
     raise TypeError("expected an InvariantStructure or StableStructure")
-
-
-# ---------------------------------------------------------------------------
-# pairing of fixed points under a complementary reflection
-
-
-class PairingEntry:
-    __slots__ = (
-        "coset",
-        "partner",
-        "weight_at_coset",
-        "negated_weight_present",
-        "flip_count",
-        "groups",
-        "third_group_multiples",
-        "fourth_group",
-        "involutive",
-    )
-
-    def __init__(self, **kw):
-        for k in self.__slots__:
-            setattr(self, k, kw[k])
-
-    def as_dict(self):
-        return {k: getattr(self, k) for k in self.__slots__}
-
-
-def verify_pairing(structure, alpha):
-    """Pair each fixed point with its image under the reflection in alpha.
-
-    alpha must span a complementary root line.  For each coset w with
-    partner wtilde (the coset of w followed by the reflection), the weights
-    at the two points are compared through the ambient reflection r in the
-    transported root w(alpha): weights fall into fixed ones (I), swapped
-    pairs (II), negated-swapped pairs (III, whose sums are multiples of
-    w(alpha)), or shifted ones (IV).  Reports, per coset: whether the
-    negated transported weight occurs at the partner, the sign-flip parity
-    (always odd when group IV is empty), and the group-III multiples.
-    """
-    space = structure.space
-    alpha = vec(alpha)
-    line, _ = canonical_positive(alpha, space.ordering)
-    if line not in space.comp_roots:
-        raise ValueError(
-            "reflection not in the coset quotient: %s does not span a complementary root line" % (alpha,)
-        )
-    li = space.comp_roots.index(line)
-    if isinstance(structure, InvariantStructure):
-        struct_roots = structure.roots
-    else:
-        struct_roots = structure.base.roots
-    a_weight = struct_roots[li]
-    t_perm = space.group.reflection_perm(line)
-    fps = fixed_points(structure)
-    weights_by_coset = [fp.weights for fp in fps]
-    entries = []
-    all_hold = True
-    for i, rep in enumerate(space.cosets.representatives):
-        partner_idx = space.cosets.index_of(compose(rep.perm, t_perm))
-        wa = rep.apply(a_weight)
-        refl = reflection_matrix(wa, space.group.dim, space.group.gram)
-        ys = weights_by_coset[i]
-        imgs = [tuple(sum(refl[r][c] * y[c] for c in range(len(y))) for r in range(len(y))) for y in ys]
-        neg_ys = [vec_neg(y) for y in ys]
-        groups = {}
-        flips = 0
-        thirds = []
-        fourths = []
-        used = set()
-        for l, img in enumerate(imgs):
-            if l in used:
-                continue
-            if img == ys[l]:
-                groups[l] = "I"
-            elif img == neg_ys[l]:
-                groups[l] = "flip"
-                flips += 1
-            else:
-                s = next((k for k, y in enumerate(ys) if k != l and y == img), None)
-                if s is not None and imgs[s] == ys[l]:
-                    groups[l] = groups[s] = "II"
-                    used.add(s)
-                else:
-                    s = next((k for k, y in enumerate(neg_ys) if k != l and y == img), None)
-                    if s is not None and imgs[s] == neg_ys[l]:
-                        groups[l] = groups[s] = "III"
-                        used.add(s)
-                        flips += 2
-                        total = vec_add(ys[l], ys[s])
-                        ratio = _parallel_ratio(total, wa)
-                        thirds.append(((l, s), ratio))
-                        if ratio is None:
-                            all_hold = False
-                    else:
-                        # reflection shifts the weight along w(alpha)
-                        diff = vec_add(img, vec_neg(ys[l]))
-                        groups[l] = "IV"
-                        fourths.append((l, _parallel_ratio(diff, wa)))
-        neg_wa = vec_neg(wa)
-        present = neg_wa in weights_by_coset[partner_idx]
-        if not present or flips % 2 == 0:
-            all_hold = False
-        back = space.cosets.index_of(compose(space.cosets.representatives[partner_idx].perm, t_perm))
-        entries.append(
-            PairingEntry(
-                coset=i,
-                partner=partner_idx,
-                weight_at_coset=wa,
-                negated_weight_present=present,
-                flip_count=flips,
-                groups=groups,
-                third_group_multiples=thirds,
-                fourth_group=fourths,
-                involutive=(back == i),
-            )
-        )
-    return {"entries": entries, "all_claims_hold": all_hold}
-
-
-def _parallel_ratio(v, w):
-    """v == ratio * w, or None when not parallel."""
-    ratio = None
-    for a, b in zip(v, w):
-        if b == 0:
-            if a != 0:
-                return None
-            continue
-        r = Fraction(a) / Fraction(b)
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            return None
-    if ratio is None:
-        ratio = Fraction(0)
-    return ratio

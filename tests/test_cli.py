@@ -200,6 +200,14 @@ def test_rigidity_certify(capsys):
     assert json.loads(out)["result"]["verdict"] == "certified zero"
 
 
+def test_rigidity_certify_finds_no_pairing_on_g622(capsys):
+    code, out, _ = run(capsys, "rigidity", "certify", "--space", "G622", "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["verdict"] == "not covered: no fixed-point pairing found"
+    assert result["certificate"] is None
+
+
 def test_su_find(capsys):
     code, out, _ = run(capsys, "su", "find", "--space", "U3-flag", "--json")
     assert code == 0

@@ -65,24 +65,6 @@ def test_log_and_exp_frozen():
     assert fgl.exp.body == parse_poly("x1 - x1^2*b1 + 2*x1^3*b1^2 - x1^3*b2")
 
 
-def test_power_system():
-    fgl = formal_group_law(4)
-    u1 = MultiPoly.variable("u1")
-    ps2 = fgl.power_system(2)
-    assert ps2.body == fgl.add(u1, u1).body
-    assert fgl.power_system(3).body == fgl.add(u1, ps2.body).body
-    # logarithm turns [n] into multiplication by n
-    lo = fgl.log_of(ps2)
-    assert lo.body == (fgl.log.body * 2).truncate_weight(lo.cutoff)
-
-
-def test_multi_bracket():
-    fgl = formal_group_law(3)
-    assert fgl.multi_bracket((1, 1)).body == fgl.law.body
-    chk = fgl.add(fgl.power_system(2).body, MultiPoly.variable("u2"))
-    assert fgl.multi_bracket((2, 1)).body == chk.body
-
-
 def test_formal_group_law_cached():
     assert formal_group_law(5) is formal_group_law(5)
 

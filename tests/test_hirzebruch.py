@@ -1,10 +1,11 @@
 """chi_y, signature, Todd genus, rigidity functionals."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from homgenus.catalog import catalog_entry, catalog_space
+from homgenus.catalog import catalog_entry, catalog_list, catalog_space
 from homgenus.cobordism import tanh_series, todd_series
 from homgenus.exactalg import parse_poly, parse_rational
 from homgenus.hirzebruch import (
@@ -52,6 +53,21 @@ def test_chi_y_specializations():
     assert chi.evaluate({"y": Fraction(-1)}) == euler_number(j) == 6
     assert chi.evaluate({"y": Fraction(1)}) == signature(j) == 2
     assert chi.evaluate({"y": Fraction(0)}) == todd_genus(j) == 1
+
+
+def test_chi_y_specializations_are_its_values():
+    cases = []
+    for name in catalog_list():
+        structures = enumerate_structures(catalog_space(name))
+        if len(structures) <= 64:
+            cases += structures
+    entry = catalog_entry("CP3")
+    cases += [entry.stable_structure(p) for p in ("cp3-standard", "cp3-e11-minus", "cp3-null")]
+    for s in cases:
+        chi = chi_y_genus(s)
+        assert signature(s) == chi.evaluate({"y": Fraction(1)})
+        assert todd_genus(s) == chi.evaluate({"y": Fraction(0)})
+        assert euler_number(s) == chi.evaluate({"y": Fraction(-1)})
 
 
 def test_chi_y_independent_of_ordering():
@@ -169,3 +185,28 @@ def test_certify_with_truncated_series():
 def test_certify_rejects_even_series():
     with pytest.raises(ValueError, match="not odd"):
         certify_odd_rigidity(_std("U3-flag"), f=parse_rational("u^2/(1+u)"))
+
+
+# certify_odd_rigidity(s) with f=None, as (space, structure, verdict,
+# certificate) rows, on the first 16 structures of every catalog space and
+# the CP3 stable presets, where the Euler characteristic is even: (number of
+# rows, sha1 of their repr).  The element and its pairs are visible in
+# `rigidity certify` output, so they are frozen.
+PINNED_CERTIFICATES = (105, "fa4285d328c7dce5436e55b9539977b9f2052379")
+
+
+def test_certificates_are_pinned():
+    cases = [
+        (name, s.to_signs(), s)
+        for name in catalog_list()
+        for s in enumerate_structures(catalog_space(name))[:16]
+    ]
+    entry = catalog_entry("CP3")
+    cases += [("CP3", p, entry.stable_structure(p)) for p in entry.stable_presets]
+    rows = []
+    for name, label, s in cases:
+        if len(s.space.cosets) % 2 == 0:
+            out = certify_odd_rigidity(s)
+            rows.append((name, label, out["verdict"], out["certificate"]))
+    assert sum(r[2] == "certified zero" for r in rows) == 80
+    assert (len(rows), hashlib.sha1(repr(rows).encode()).hexdigest()) == PINNED_CERTIFICATES

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from homgenus.catalog import catalog_space
-from homgenus.cobordism import formal_group_law
 from homgenus.exactalg import (
     MultiPoly,
     TruncatedSeries,
@@ -104,13 +103,6 @@ def test_root_sign_antisymmetry(values):
     except ValueError:
         assume(False)
     assert s == -o.sign(tuple(-c for c in v))
-
-
-@given(st.integers(2, 4))
-def test_power_system_log(n):
-    fgl = formal_group_law(4)
-    lo = fgl.log_of(fgl.power_system(n))
-    assert lo.body == (fgl.log.body * n).truncate_weight(lo.cutoff)
 
 
 @st.composite

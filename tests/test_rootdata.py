@@ -13,6 +13,7 @@ from homgenus.rootdata import (
     SubgroupData,
     build_group,
     canonical_positive,
+    compose,
     default_ordering,
     gram_pairing,
     group_from_doc,
@@ -294,6 +295,11 @@ def test_cosets_by_root_permutations(case):
         members[hits[0]].append(w)
     for r, coset in zip(reps, members):
         assert r.word == min((len(w.word), w.word) for w in coset)[1]
+
+    # the coset action composed along a word is left multiplication by w
+    coset_of = {w.perm: i for i, coset in enumerate(members) for w in coset}
+    for w in wg:
+        assert cosets.act(w.word) == tuple(coset_of[compose(w.perm, r.perm)] for r in reps)
 
     for i, r in enumerate(reps):
         for h in wh:

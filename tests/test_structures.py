@@ -1,6 +1,4 @@
-"""Invariant and stable structures, fixed-point data, pairings."""
-
-from fractions import Fraction
+"""Invariant and stable structures, fixed-point data."""
 
 import pytest
 
@@ -15,7 +13,6 @@ from homgenus.structures import (
     fixed_points,
     is_integrable,
     parse_signs,
-    verify_pairing,
 )
 
 
@@ -140,23 +137,3 @@ def test_stable_table_validation():
         StableStructure(cp3, std, ((1, 1),) * 4)
     with pytest.raises(ValueError, match="must be \\+1 or -1"):
         StableStructure(cp3, std, ((1, 1, 2),) * 4)
-
-
-def test_verify_pairing_cp2():
-    std = InvariantStructure(catalog_space("CP2"), (1,))
-    out = verify_pairing(std, (1, -1, 0))
-    assert out["all_claims_hold"]
-    entries = out["entries"]
-    assert [e.coset for e in entries] == [0, 1, 2]
-    assert [e.partner for e in entries] == [1, 0, 0]
-    assert [e.involutive for e in entries] == [True, True, False]
-    e0 = entries[0]
-    assert e0.negated_weight_present
-    assert e0.flip_count == 1
-    assert e0.as_dict()["groups"] == {0: "flip", 1: "IV"}
-
-
-def test_verify_pairing_wall_must_be_a_root():
-    std = InvariantStructure(catalog_space("CP2"), (1,))
-    with pytest.raises(ValueError):
-        verify_pairing(std, (2, 0, 0))
