@@ -5,20 +5,15 @@ expected invariants (used by the reproduction harness), and optional stable
 sign presets.  Entries serialize to plain JSON and back.
 """
 
-from fractions import Fraction
-
+from .rootdata import vec
 from .structures import InvariantStructure, StableStructure, make_space
-
-
-def _fr(seq):
-    return tuple(tuple(Fraction(c) for c in r) for r in seq)
 
 
 class CatalogEntry:
     def __init__(self, name, group, subgroup_roots, notes, expected=None, stable_presets=None):
         self.name = name
         self.group = group
-        self.subgroup_roots = _fr(subgroup_roots)
+        self.subgroup_roots = tuple(vec(r) for r in subgroup_roots)
         self.notes = notes
         self.expected = expected or {}
         self.stable_presets = stable_presets or {}
@@ -62,7 +57,7 @@ class CatalogEntry:
         return cls(
             doc["name"],
             doc["group"],
-            [[Fraction(c) for c in r] for r in doc["subgroup_roots"]],
+            doc["subgroup_roots"],
             doc.get("notes", ""),
             expected=doc.get("expected"),
             stable_presets=presets,

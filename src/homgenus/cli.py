@@ -26,7 +26,7 @@ from .hirzebruch import (
     structure_independence,
     todd_genus,
 )
-from .rootdata import Ordering
+from .rootdata import Ordering, dot
 from .structures import (
     HomogeneousSpace,
     InvariantStructure,
@@ -147,7 +147,10 @@ def _resolve_ordering(ns, space):
     vec = _parse_int_tuple(raw, "--ordering")
     if len(vec) != space.group.dim:
         raise UsageError("--ordering needs %d components" % space.group.dim)
-    return Ordering(tuple(Fraction(c) for c in vec))
+    for r in space.group.roots:
+        if not dot(r, vec):
+            raise UsageError("--ordering is not generic: it vanishes on the root %s" % (r,))
+    return Ordering(vec)
 
 
 def _resolve_series(ns, required=True):
@@ -350,6 +353,8 @@ def cmd_rigidity_certify(ns):
 def cmd_rigidity_independence(ns):
     entry, space = _resolve_space(ns)
     f = _resolve_series(ns)
+    if ns.samples < 1:
+        raise UsageError("--samples must be >= 1, got %d" % ns.samples)
     structures = []
     names = []
     if entry is not None and entry.stable_presets:
@@ -394,7 +399,7 @@ def cmd_fibration_check(ns):
     base = _resolve_structure(ns, entry, base_space)
     h_group = base_space.subgroup.as_group()
     if ns.fiber_roots:
-        roots = [tuple(Fraction(c) for c in r) for r in json.loads(ns.fiber_roots)]
+        roots = json.loads(ns.fiber_roots)
     else:
         roots = []
     fiber_space = HomogeneousSpace(
@@ -426,6 +431,8 @@ def cmd_fibration_check(ns):
 
 
 def cmd_hp_restricted(ns):
+    if ns.max_index < 0:
+        raise UsageError("--max-index must be >= 0, got %d" % ns.max_index)
     out = restricted_genus_hp(2, ns.which, max_index=ns.max_index)
     doc = _jsonable(
         {k: v for k, v in out.items() if k not in ("component",)}

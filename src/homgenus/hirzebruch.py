@@ -190,6 +190,8 @@ def structure_independence(structures, f, samples=5, seed=0):
     rng = random.Random(seed)
     if not structures:
         raise ValueError("need at least one structure")
+    if samples < 1:
+        raise ValueError("need at least one sample point, got %d" % samples)
     points = [_admissible_point(structures[0], f, rng) for _ in range(samples)]
     values = []
     for pt in points:

@@ -19,12 +19,14 @@ import re
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 WEYL_CAP = 100000
 
 
 def vec(values):
-    return tuple(Fraction(v) for v in values)
+    """An exact lattice vector: ints where integral, Fractions elsewhere."""
+    return tuple(map(_exact, values))
 
 
 def vec_add(u, v):
@@ -59,6 +61,8 @@ def identity_matrix(n):
 
 def _exact(x):
     """x as an int when it is integral, else as a Fraction."""
+    if isinstance(x, int):
+        return int(x)
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
@@ -88,7 +92,7 @@ def reflection_matrix(alpha, dim, gram=None):
     else:
         galpha = tuple(sum(gram[j][k] * alpha[k] for k in range(dim)) for j in range(dim))
     return tuple(
-        tuple(_exact((1 if i == j else 0) - 2 * galpha[j] * alpha[i] / denom) for j in range(dim))
+        tuple(_exact((1 if i == j else 0) - Fraction(2 * galpha[j] * alpha[i]) / denom) for j in range(dim))
         for i in range(dim)
     )
 
@@ -125,17 +129,16 @@ def default_ordering(dim):
 def canonical_positive(vector, ordering=None):
     """Primitive integer representative of the line through `vector`,
     oriented positively (default ordering when possible, else first nonzero
-    coordinate positive).  Returns (line, scale) with vector == scale * line.
+    coordinate positive).  Returns (line, scale) with vector == scale * line:
+    the line is a tuple of ints, and the scale an int when `vector` is
+    integral, else a Fraction.
     """
-    from math import gcd, lcm
-
     if all(not c for c in vector):
         raise ValueError("zero vector has no direction")
-    denoms = lcm(*[Fraction(c).denominator for c in vector])
-    ints = [int(Fraction(c) * denoms) for c in vector]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
+    # ints and Fractions both carry numerator and denominator
+    denom = lcm(*[c.denominator for c in vector])
+    ints = [c.numerator * (denom // c.denominator) for c in vector]
+    g = gcd(*ints)
     ints = [c // g for c in ints]
     sign = 0
     if ordering is not None:
@@ -146,8 +149,9 @@ def canonical_positive(vector, ordering=None):
             if c:
                 sign = 1 if c > 0 else -1
                 break
-    line = tuple(Fraction(c * sign) for c in ints)
-    scale = Fraction(g * sign, denoms)
+    line = tuple(c * sign for c in ints)
+    # g and denom are coprime, as denom is the least common denominator
+    scale = g * sign if denom == 1 else Fraction(g * sign, denom)
     return line, scale
 
 
@@ -160,7 +164,7 @@ class GroupData:
         self.roots = tuple(vec(r) for r in roots)
         self.root_set = frozenset(self.roots)
         self.root_index = {r: i for i, r in enumerate(self.roots)}
-        self.gram = tuple(tuple(Fraction(c) for c in row) for row in gram) if gram is not None else None
+        self.gram = tuple(vec(row) for row in gram) if gram is not None else None
         self.rank = rank if rank is not None else dim
         for r in self.roots:
             if len(r) != dim:
@@ -183,7 +187,7 @@ class GroupData:
             raise ValueError("cannot reflect in an isotropic vector %r" % (alpha,))
         perm = []
         for r in self.roots:
-            n = 2 * self.pairing(r, alpha) / norm
+            n = _exact(Fraction(2 * self.pairing(r, alpha)) / norm)
             try:
                 perm.append(self.root_index[tuple(a - n * b for a, b in zip(r, alpha))])
             except KeyError:
@@ -470,7 +474,7 @@ def group_from_doc(doc):
     if isinstance(doc, dict):
         dim = doc["dim"]
         gram = doc.get("gram")
-        return GroupData(doc.get("label", "custom"), dim, [vec(r) for r in doc["roots"]], gram=gram)
+        return GroupData(doc.get("label", "custom"), dim, doc["roots"], gram=gram)
     raise ValueError("group description must be a name or a {roots, dim} object")
 
 
@@ -480,5 +484,5 @@ def space_from_doc(doc):
     Vector entries may be integers or exact rationals written as "p/q".
     """
     group = group_from_doc(doc["group"])
-    sub = SubgroupData(group, [vec(r) for r in doc.get("subgroup_roots", [])], label=doc.get("subgroup_label", "H"))
+    sub = SubgroupData(group, doc.get("subgroup_roots", []), label=doc.get("subgroup_label", "H"))
     return group, sub

@@ -19,7 +19,6 @@ from .rootdata import (
     dot,
     space_from_doc,
     vec,
-    vec_add,
     vec_neg,
     weyl_group,
 )
@@ -78,6 +77,7 @@ class HomogeneousSpace:
         self._wh = None
         self._cosets = None
         self._summands = None
+        self._summand_chern = None
         self._root_images = None
         self._line_signs = None
         self._line_sign_masks = None
@@ -117,7 +117,7 @@ class HomogeneousSpace:
             lines = tuple(zip(self.comp_root_indices, self._comp_scales))
             self._root_images = tuple(
                 tuple(
-                    roots[rep.perm[k]] if scale == 1 else tuple(c / scale for c in roots[rep.perm[k]])
+                    roots[rep.perm[k]] if scale == 1 else vec(Fraction(c) / scale for c in roots[rep.perm[k]])
                     for k, scale in lines
                 )
                 for rep in self.cosets.representatives
@@ -148,6 +148,21 @@ class HomogeneousSpace:
         if self._summands is None:
             self._summands = self._compute_summands()
         return self._summands
+
+    @property
+    def summand_chern(self):
+        """summand_chern[k] = the sum of orientation * line over summand k:
+        its contribution to the first Chern vector under the sign +1."""
+        if self._summand_chern is None:
+            dim = self.group.dim
+            self._summand_chern = tuple(
+                tuple(
+                    sum(o * self.comp_roots[li][i] for li, o in zip(sm.line_indices, sm.orientation))
+                    for i in range(dim)
+                )
+                for sm in self.summands
+            )
+        return self._summand_chern
 
     def _compute_summands(self):
         roots = self.group.roots
@@ -278,11 +293,13 @@ def enumerate_structures(space, cap=STRUCTURE_CAP):
 
 
 def first_chern(structure):
-    """First Chern class as a weight vector: sum of the structure roots."""
-    total = (Fraction(0),) * structure.space.group.dim
-    for r in structure.roots:
-        total = vec_add(total, r)
-    return total
+    """First Chern class as a weight vector: the sum of the structure roots,
+    formed as the signed sum of the space's per-summand vectors."""
+    total = [0] * structure.space.group.dim
+    for sign, c1 in zip(structure.summand_signs, structure.space.summand_chern):
+        for i, c in enumerate(c1):
+            total[i] += sign * c
+    return tuple(total)
 
 
 def find_su_structures(space, cap=STRUCTURE_CAP):
@@ -294,7 +311,7 @@ def c1_divisibility(structure, n):
     """Is every coordinate of c_1 divisible by n (in the weight lattice)?"""
     if n <= 0:
         raise ValueError("divisor must be positive")
-    return all((c / n).denominator == 1 for c in first_chern(structure))
+    return all(c % n == 0 for c in first_chern(structure))
 
 
 def is_integrable(structure):

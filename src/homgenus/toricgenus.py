@@ -147,7 +147,7 @@ def _f_factor(line, scale, cutoff, power):
     return MultiPoly.sum(
         [MultiPoly.const(1)]
         + [
-            MultiPoly(("a%d" % i, "t"), {(1, i): Fraction(scale) ** i}) * power(line, i)
+            MultiPoly(("a%d" % i, "t"), {(1, i): scale**i}) * power(line, i)
             for i in range(1, cutoff + 1)
         ]
     )
@@ -306,7 +306,7 @@ def s_number(structure, omega):
             acc = {}
             for _, coeff, cw in members:
                 for line, scale in cw:
-                    acc[line] = acc.get(line, 0) + coeff * Fraction(scale) ** m
+                    acc[line] = acc.get(line, 0) + coeff * scale**m
             return MultiPoly.sum(power(line, m) * c for line, c in acc.items())
 
     else:
@@ -365,7 +365,7 @@ def _block_partition(space):
                 if i != j:
                     r = [0] * n
                     r[i], r[j] = 1, -1
-                    expect.add(tuple(Fraction(c) for c in r))
+                    expect.add(tuple(r))
     if expect != set(sub_roots):
         return None
     return block_list
@@ -497,6 +497,8 @@ def restricted_genus_hp(n=2, which="sp-flag", max_index=3):
     """
     if n != 2:
         raise ValueError("only n = 2 is implemented; general n is out of scope")
+    if max_index < 0:
+        raise ValueError("max_index must be >= 0, got %d" % max_index)
     if which == "sp-flag":
         s1 = _odd_component("x1", max_index)
         s2 = _odd_component("x2", max_index)

@@ -451,7 +451,7 @@ def _c18():
     ok_ord = True
     for name in ("S6", "CP3", "U3-flag", "G42", "Sp2-flag"):
         space = catalog_entry(name).space()
-        alt = Ordering(tuple(Fraction(p) for p in _alt_weights(space.group.dim)))
+        alt = Ordering(_alt_weights(space.group.dim))
         for s in enumerate_structures(space):
             if chi_y_genus(s) != chi_y_genus(s, ordering=alt):
                 ok_ord = False

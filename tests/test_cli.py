@@ -140,12 +140,13 @@ def test_genus_signature(capsys):
     assert json.loads(out)["result"]["value"] == 2
 
 
-def test_nongeneric_ordering_is_a_math_error(capsys):
-    code, _, err = run(
-        capsys, "genus", "chi-y", "--space", "U3-flag", "--ordering", "1,1,1"
-    )
-    assert code == 2
-    assert "not generic" in err
+def test_nongeneric_ordering_is_a_usage_error(capsys):
+    # a functional that vanishes on a root of the group is bad input
+    for space, ordering in (("U3-flag", "1,1,1"), ("G42", "1,1,1,1")):
+        code, out, err = run(capsys, "genus", "chi-y", "--space", space, "--ordering", ordering)
+        assert code == 1
+        assert out == ""
+        assert "not generic" in err
 
 
 def test_ordering_length_checked(capsys):
@@ -192,6 +193,19 @@ def test_rigidity_independence(capsys):
     assert json.loads(out)["result"]["independent"] is True
 
 
+def test_rigidity_independence_needs_a_sample(capsys):
+    # zero sample points would make "independent: True" vacuous
+    for samples in ("0", "-3"):
+        code, out, err = run(
+            capsys,
+            "rigidity", "independence", "--space", "CP3",
+            "--series", "u/(1+u^2)", "--samples", samples,
+        )
+        assert code == 1
+        assert out == ""
+        assert "--samples" in err
+
+
 def test_rigidity_certify(capsys):
     code, out, _ = run(
         capsys, "rigidity", "certify", "--space", "U3-flag", "--series", "u/(1+u^2)", "--json"
@@ -233,6 +247,13 @@ def test_hp_restricted(capsys):
     code, out, _ = run(capsys, "hp", "restricted", "--which", "cp-odd", "--json")
     assert code == 0
     assert json.loads(out)["result"]["coefficients"]["1"] == "16*a3"
+
+
+def test_hp_restricted_negative_max_index_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "hp", "restricted", "--max-index", "-1")
+    assert code == 1
+    assert out == ""
+    assert "--max-index" in err
 
 
 def test_space_as_json_literal(capsys):

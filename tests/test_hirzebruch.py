@@ -156,6 +156,13 @@ def test_structure_independence_of_stable_presets():
         assert len(set(row)) == 1
 
 
+def test_structure_independence_needs_a_sample():
+    structures = [_std("CP3")]
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="at least one sample"):
+            structure_independence(structures, parse_rational("u/(1+u^2)"), samples=samples)
+
+
 def test_certify_odd_rigidity_u3_flag():
     out = certify_odd_rigidity(_std("U3-flag"), f=parse_rational("u/(1+u^2)"))
     assert out["verdict"] == "certified zero"

@@ -206,6 +206,8 @@ def test_restricted_scope_guards():
         restricted_genus_hp(n=3)
     with pytest.raises(ValueError, match="sp-flag"):
         restricted_genus_hp(n=2, which="bogus")
+    with pytest.raises(ValueError, match="max_index must be >= 0"):
+        restricted_genus_hp(n=2, max_index=-1)
 
 
 def test_hp2_obstruction_search():
