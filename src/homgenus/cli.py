@@ -39,6 +39,7 @@ from .structures import (
 )
 from .toricgenus import (
     _normalize_omega,
+    certified,
     chern_dold_genus,
     hp_obstruction_search,
     restricted_genus_hp,
@@ -244,7 +245,7 @@ def cmd_genus_class(ns):
     structure = _resolve_structure(ns, entry, space)
     cutoff = ns.cutoff if ns.cutoff is not None else space.n
     ge = chern_dold_genus(structure, cutoff=cutoff)
-    doc = {"cutoff": cutoff, "lower_terms_vanish": ge.lower_terms_vanish()}
+    doc = {"cutoff": cutoff, "lower_terms_vanish": ge.lower_terms_vanish(), "route": ge.route}
     if cutoff >= space.n:
         cls = ge.bordism_class()
         doc["class"] = cls.to_text()
@@ -267,8 +268,9 @@ def cmd_genus_s(ns):
         raise UsageError("--omega: %s" % exc)
     structure = _resolve_structure(ns, entry, space)
     value = s_number(structure, omega)
+    route = "point" if certified(structure) else "symbolic"
     return {
-        "result": {"omega": list(omega), "value": value},
+        "result": {"omega": list(omega), "value": value, "route": route},
         "plain": "s_%s = %d" % (ns.omega, value),
         "csv": [["omega", "value"], [ns.omega, value]],
     }
@@ -398,13 +400,14 @@ def cmd_fibration_check(ns):
     entry, base_space = _resolve_space(ns)
     base = _resolve_structure(ns, entry, base_space)
     h_group = base_space.subgroup.as_group()
-    if ns.fiber_roots:
-        roots = json.loads(ns.fiber_roots)
-    else:
-        roots = []
-    fiber_space = HomogeneousSpace(
-        h_group, SubgroupData(h_group, roots, label="K"), label="%s/K" % h_group.label
-    )
+    try:
+        roots = json.loads(ns.fiber_roots) if ns.fiber_roots else []
+        fiber_space = HomogeneousSpace(
+            h_group, SubgroupData(h_group, roots, label="K"), label="%s/K" % h_group.label
+        )
+        fiber_space.cosets  # building the cosets checks closure under reflections
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UsageError("invalid --fiber-roots: %s" % exc)
     fsigns = ns.fiber or "standard"
     if fsigns in ("standard", "all-plus"):
         fiber = InvariantStructure(fiber_space, (1,) * len(fiber_space.summands))

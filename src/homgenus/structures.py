@@ -7,6 +7,7 @@ stable tangential structure is a per-fixed-point sign table refining that.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from .rootdata import (
@@ -79,8 +80,10 @@ class HomogeneousSpace:
         self._summands = None
         self._summand_chern = None
         self._root_images = None
+        self._image_values = None
         self._line_signs = None
         self._line_sign_masks = None
+        self._residues_cancel = None
 
     def __repr__(self):
         return "HomogeneousSpace(%s)" % self.label
@@ -125,6 +128,15 @@ class HomogeneousSpace:
         return self._root_images
 
     @property
+    def image_values(self):
+        """image_values[w][l] = <coset_root_images[w][l], v>, v the
+        ordering's functional: the point route evaluates every weight at v."""
+        if self._image_values is None:
+            v = self.ordering.v
+            self._image_values = tuple(tuple(dot(img, v) for img in row) for row in self.coset_root_images)
+        return self._image_values
+
+    @property
     def line_signs(self):
         """line_signs[w][l] = ordering sign of coset_root_images[w][l]; every
         structure on the space reuses the same table."""
@@ -142,6 +154,28 @@ class HomogeneousSpace:
                 sum(1 << l for l, s in enumerate(row) if s < 0) for row in self.line_signs
             )
         return self._line_sign_masks
+
+    @property
+    def residues_cancel(self):
+        """The residue-pairing certificate for every invariant structure at
+        once.  Under summand signs sigma a line's weights are sigma times the
+        reference weights orientation * image, so grouping by summand labels
+        as well makes each group's residue sigma times the reference one."""
+        if self._residues_cancel is None:
+            labels = [0] * self.n
+            orient = [0] * self.n
+            for k, sm in enumerate(self.summands):
+                for li, o in zip(sm.line_indices, sm.orientation):
+                    labels[li], orient[li] = k, o
+            points = [
+                (1, [tuple(o * c for c in img) for o, img in zip(orient, row)], labels)
+                for row in self.coset_root_images
+            ]
+            # a self-conjugate summand admits no invariant structure at all
+            self._residues_cancel = not any(sm.self_conjugate for sm in self.summands) and residues_cancel(
+                points, self.ordering
+            )
+        return self._residues_cancel
 
     @property
     def summands(self):
@@ -373,8 +407,60 @@ class FixedPoint:
         return "FixedPoint(%d, sign=%+d, weights=%s)" % (self.index, self.sign, list(self.weights))
 
 
-def fixed_points(structure):
-    """Fixed-point localization data for an invariant or stable structure.
+def residues_cancel(points, ordering):
+    """The residue-pairing certificate (Goresky-Kottwitz-MacPherson) that the
+    localization sum over `points` has no pole.
+
+    `points` is a list of (sign, weights, labels), one label per weight.  The
+    sum of sign * g(weights) / prod(weights), for any symmetric polynomial g,
+    has at most a simple pole along each weight line l.  Its residue there is
+    the sum, over the points with a weight c * l, of sign / c times
+    g(0, others) / prod(others), the other weights taken modulo l.  Points
+    whose other weights agree modulo l, as a multiset of (label, weight),
+    share that term; when sign / c sums to zero in every such group, for
+    every line, the sum is a polynomial.  The lines must also not vanish at
+    the ordering's functional, where the point route evaluates.  Raises
+    ValueError when two weights of one point share a line.
+    """
+    canonical = {}
+    by_line = {}
+    for sign, ws, labels in points:
+        cw = []
+        for w in ws:
+            c = canonical.get(w)
+            if c is None:
+                c = canonical[w] = canonical_positive(w, ordering)
+            cw.append(c)
+        if len({line for line, _ in cw}) != len(cw):
+            raise ValueError("two isotropy weights at one fixed point share a line")
+        for j, (line, scale) in enumerate(cw):
+            by_line.setdefault(line, []).append((Fraction(sign, scale), j, ws, labels))
+    for line, members in by_line.items():
+        if not dot(line, ordering.v):
+            return False
+        # w -> l_i * w - w_i * l kills exactly the multiples of l
+        i = next(k for k, c in enumerate(line) if c)
+        reduced = {}
+        groups = {}
+        for coeff, j, ws, labels in members:
+            others = []
+            for m, w in enumerate(ws):
+                if m != j:
+                    r = reduced.get(w)
+                    if r is None:
+                        r = reduced[w] = tuple(line[i] * c - w[i] * lc for c, lc in zip(w, line))
+                    others.append((labels[m], r))
+            others.sort()
+            key = (labels[j], tuple(others))
+            groups[key] = groups.get(key, 0) + coeff
+        if any(groups.values()):
+            return False
+    return True
+
+
+def point_signs(structure):
+    """(sign, line signs) at each fixed point: the point's weights are its
+    line signs times the space's coset root images.
 
     For a stable structure the per-point sign is the product of that point's
     table entries -- the sign RELATIVE to the reference invariant structure.
@@ -384,26 +470,19 @@ def fixed_points(structure):
     data, which is what makes them structure-independent for odd kernels.
     """
     if isinstance(structure, InvariantStructure):
-        space = structure.space
-        eps = structure.eps
-        images = space.coset_root_images
-        return [
-            FixedPoint(i, rep, [tuple(e * c for c in img) for e, img in zip(eps, images[i])], 1)
-            for i, rep in enumerate(space.cosets.representatives)
-        ]
+        return [(1, structure.eps)] * structure.space.euler_characteristic
     if isinstance(structure, StableStructure):
-        space = structure.space
         base_eps = structure.base.eps
-        images = space.coset_root_images
-        out = []
-        for i, rep in enumerate(space.cosets.representatives):
-            row = structure.table[i]
-            weights = [
-                tuple(s * e * c for c in img) for s, e, img in zip(row, base_eps, images[i])
-            ]
-            sign = 1
-            for s in row:
-                sign *= s
-            out.append(FixedPoint(i, rep, weights, sign))
-        return out
+        return [(math.prod(row), tuple(s * e for s, e in zip(row, base_eps))) for row in structure.table]
     raise TypeError("expected an InvariantStructure or StableStructure")
+
+
+def fixed_points(structure):
+    """Fixed-point localization data for an invariant or stable structure,
+    with the signs of `point_signs`."""
+    space = structure.space
+    images = space.coset_root_images
+    return [
+        FixedPoint(i, rep, [tuple(e * c for c in img) for e, img in zip(eps, images[i])], sign)
+        for i, (rep, (sign, eps)) in enumerate(zip(space.cosets.representatives, point_signs(structure)))
+    ]

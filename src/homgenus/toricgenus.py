@@ -5,13 +5,19 @@ summing over the fixed points (Weyl cosets), each point contributes
 
     sign(p) * prod_j f(t * <Lambda_j(p), x>) / <Lambda_j(p), x>,
 
-with f(z) = 1 + a_1 z + a_2 z^2 + ...  We clear to the common denominator
-D = product of the distinct weight lines, do the division exactly, and read
-off t-coefficients: everything below t^n vanishes for a genuine structure
-and the t^n coefficient, which is free of the x's, is the bordism class.
-Characteristic numbers s_omega replace the full product of f-factors by the
-single a^omega coefficient, which keeps the arithmetic small even on large
-flag manifolds.
+with f(z) = 1 + a_1 z + a_2 z^2 + ...  Everything below t^n vanishes for a
+genuine structure and the t^n coefficient, which is free of the x's, is the
+bordism class.  Characteristic numbers s_omega keep only the a^omega
+coefficient of the f-product.
+
+Two routes compute these.  The symbolic route clears the sum to the common
+denominator D = product of the distinct weight lines, divides exactly and
+reads off t-coefficients.  The point route first proves, by the residue
+pairing of `structures.residues_cancel`, that the sum has no pole: it is
+then a polynomial in x, homogeneous of degree l - n in its t^l part, so its
+lower terms vanish and the class and every s_omega are constants, exactly
+their value at one integer point x0 where no weight vanishes.  A structure
+the certificate does not cover takes the symbolic route.
 """
 
 import itertools
@@ -26,6 +32,8 @@ from .structures import (
     SubgroupData,
     fixed_points,
     make_space,
+    point_signs,
+    residues_cancel,
 )
 
 
@@ -178,23 +186,139 @@ def localized_numerator(points, ordering, cutoff, fiber_forms=None):
     return _localize(points, ordering, group_term)
 
 
-class GenusExpansion:
-    """The localized genus, cleared of denominators and divided out exactly."""
+def certified(structure):
+    """Does the residue-pairing certificate prove the structure's fixed-point
+    sum free of poles?  An invariant structure reads its space's certificate,
+    which holds for every sign choice at once; a stable structure is checked
+    on its own points.  Raises ValueError when two weights of one fixed point
+    share a line."""
+    if isinstance(structure, InvariantStructure):
+        return structure.space.residues_cancel
+    points = [(fp.sign, fp.weights, (0,) * len(fp.weights)) for fp in fixed_points(structure)]
+    return residues_cancel(points, structure.space.ordering)
 
-    def __init__(self, structure, cutoff, form, label=None):
+
+def _down_set(cap, room, part=1):
+    """The multi-indices k <= cap with sum_i i * k_i <= room (k_i counts the
+    parts i), the zero index first."""
+    if part > len(cap):
+        return [()]
+    return [
+        (c,) + rest
+        for c in range(min(cap[part - 1], room // part) + 1)
+        for rest in _down_set(cap, room - c * part, part + 1)
+    ]
+
+
+def _point_sums(structure, keys, targets):
+    """sum_p sign(p) * [a^k] prod_j f(v_j) / prod_j v_j for each k in
+    `targets`, exactly, with v_j the point's weights at x0, the ordering's
+    functional (`fixed_points` evaluated there, without building a weight).
+
+    `keys` is a down-set of multi-indices holding `targets`, zero first.  At
+    each point one int pass per weight v adds a part i, times v^i, to every
+    key below the top, the heaviest keys first so that each weight gives at
+    most one part.
+    """
+    rows = [
+        (sign, [e * v for e, v in zip(eps, row)])
+        for (sign, eps), row in zip(point_signs(structure), structure.space.image_values)
+    ]
+    # the summand is homogeneous of degree 0 in the v's, so clearing a
+    # rational entry's denominators from all of them changes nothing
+    d = math.lcm(*(v.denominator for _, vs in rows for v in vs))
+    if d > 1:
+        rows = [(sign, [int(v * d) for v in vs]) for sign, vs in rows]
+    weight = {k: sum(i * c for i, c in enumerate(k, 1)) for k in keys}
+    index = {k: j for j, k in enumerate(keys)}
+    steps = []
+    for k in sorted(keys, key=weight.get, reverse=True):
+        for i in range(len(k)):
+            up = index.get(k[:i] + (k[i] + 1,) + k[i + 1 :])
+            if up is not None:
+                steps.append((index[k], i + 1, up))
+    parts = sorted({i for _, i, _ in steps})
+    pw = [0] * (max(parts, default=0) + 1)
+    picks = [index[k] for k in targets]
+    terms = []
+    for sign, values in rows:
+        acc = [1] + [0] * (len(keys) - 1)
+        for v in values:
+            for i in parts:
+                pw[i] = v**i
+            for src, i, dst in steps:
+                c = acc[src]
+                if c:
+                    acc[dst] += c * pw[i]
+        terms.append((sign, math.prod(values), [acc[j] for j in picks]))
+    den = math.lcm(*(e for _, e, _ in terms))
+    nums = [0] * len(picks)
+    for sign, e, got in terms:
+        q = sign * (den // e)
+        for j, c in enumerate(got):
+            nums[j] += q * c
+    orientation = getattr(structure, "global_sign", 1)
+    return [Fraction(orientation * c, den) for c in nums]
+
+
+def _point_class(structure):
+    """The bordism class of a certified structure, from the point route."""
+    n = structure.space.n
+    keys = _down_set((n,) * n, n)
+    top = [k for k in keys if sum(i * c for i, c in enumerate(k, 1)) == n]
+    names = tuple("a%d" % i for i in range(1, n + 1))
+    return MultiPoly(names, dict(zip(top, _point_sums(structure, keys, top)))).restrict_vars()
+
+
+def _symbolic_form(structure, cutoff):
+    """The expansion to t^cutoff, cleared of denominators and divided out."""
+    # fixed_points hands back signs relative to the reference structure; the
+    # expansion is an invariant of the oriented manifold, so the orientation
+    # sign comes back in here.
+    orientation = getattr(structure, "global_sign", 1)
+    points = [(orientation * fp.sign, fp.weights) for fp in fixed_points(structure)]
+    return _divide_lines(*localized_numerator(points, structure.space.ordering, cutoff))
+
+
+class GenusExpansion:
+    """The localized genus of a structure, to t^cutoff.
+
+    `form` is the expansion cleared of denominators and divided out exactly.
+    An expansion given its form, or of a structure the certificate does not
+    cover, reads everything from the form (route "symbolic"); the latter
+    builds it here, so that a pole raises at once.  Otherwise (route
+    "point") the class comes from the point route, the lower terms vanish
+    by the certificate, and the form is built when first read (below t^n it
+    is zero).
+    """
+
+    def __init__(self, structure, cutoff, form=None, label=None):
+        if form is None and not certified(structure):
+            form = _symbolic_form(structure, cutoff)
         self.structure = structure
         self.cutoff = cutoff
-        self.form = form
+        self._form = form
         self.label = label
+        self.route = "symbolic" if form is not None else "point"
 
     def __repr__(self):
         return "GenusExpansion(%s, cutoff=%d)" % (self.label or "?", self.cutoff)
+
+    @property
+    def form(self):
+        if self._form is None:
+            # below t^n the certificate proves every term zero
+            below = self.cutoff < self.structure.space.n
+            self._form = MultiPoly.zero() if below else _symbolic_form(self.structure, self.cutoff)
+        return self._form
 
     def coefficient(self, l):
         """Coefficient of t^l, a polynomial in the x's and a's."""
         return self.form.coefficient_of("t", l)
 
     def lower_terms_vanish(self):
+        if self.route == "point":
+            return True
         n = self.structure.space.n
         return all(self.coefficient(l).is_zero() for l in range(min(n, self.cutoff + 1)))
 
@@ -203,6 +327,8 @@ class GenusExpansion:
         n = self.structure.space.n
         if self.cutoff < n:
             raise ValueError("expansion cutoff %d is below the dimension %d" % (self.cutoff, n))
+        if self.route == "point":
+            return _point_class(self.structure)
         cls = self.coefficient(n).restrict_vars()
         if any(v[0] == "x" for v in cls.vars):
             raise ArithmeticError(
@@ -223,14 +349,7 @@ def chern_dold_genus(structure, cutoff=None):
         cutoff = space.n
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0, got %d" % cutoff)
-    # fixed_points hands back signs relative to the reference structure; the
-    # expansion is an invariant of the oriented manifold, so the orientation
-    # sign comes back in here.
-    orientation = getattr(structure, "global_sign", 1)
-    fps = fixed_points(structure)
-    points = [(orientation * fp.sign, fp.weights) for fp in fps]
-    form = _divide_lines(*localized_numerator(points, space.ordering, cutoff))
-    return GenusExpansion(structure, cutoff, form, label=space.label)
+    return GenusExpansion(structure, cutoff, label=space.label)
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +406,28 @@ def _f_omega(pairs, omega, powers):
 def s_number(structure, omega):
     """The characteristic number s_omega, an exact integer.
 
-    Computed from the fixed-point sum: the a^omega coefficient of each local
-    contribution is f_omega(transported weights) over the product of the
-    weights; cleared to the common line denominator and divided exactly, the
-    sum collapses to a constant.  For a one-part omega, f_omega is the power
-    sum of the weights, so a group of points is one rational coefficient per
-    line.
+    A certified structure takes the point route.  Otherwise the a^omega
+    coefficient of each local contribution is f_omega(transported weights)
+    over the product of the weights; cleared to the common line denominator
+    and divided exactly, the sum must collapse to a constant.  For a one-part
+    omega, f_omega is the power sum of the weights, so a group of points is
+    one rational coefficient per line.
     """
     space = structure.space
     omega = _normalize_omega(omega, space.n)
+    if certified(structure):
+        keys = _down_set(omega, space.n)
+        (value,) = _point_sums(structure, keys, [omega])
+    else:
+        value = _symbolic_s_number(structure, omega)
+    if value.denominator != 1:
+        raise ArithmeticError("s_omega value is not an integer: %s" % value)
+    return int(value)
+
+
+def _symbolic_s_number(structure, omega):
+    space = structure.space
     parts = [(i + 1, k) for i, k in enumerate(omega) if k]
-    orientation = getattr(structure, "global_sign", 1)
     points = [(fp.sign, fp.weights) for fp in fixed_points(structure)]
     if len(parts) == 1 and parts[0][1] == 1:
         m = parts[0][0]
@@ -318,10 +448,7 @@ def s_number(structure, omega):
     total = _divide_lines(*_localize(points, space.ordering, group_term))
     if not total.is_constant():
         raise ArithmeticError("s_omega did not collapse to a constant: %s" % total.to_text())
-    value = total.constant_value() * orientation
-    if value.denominator != 1:
-        raise ArithmeticError("s_omega value is not an integer: %s" % value)
-    return int(value)
+    return total.constant_value() * getattr(structure, "global_sign", 1)
 
 
 def top_s(structure):

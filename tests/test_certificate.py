@@ -1,0 +1,140 @@
+"""The residue-pairing certificate and the point route it licenses.
+
+Soundness: a certified input has a pole-free sum, so the symbolic route
+must succeed on it with the same class and s-numbers; an input on which the
+symbolic route raises must not be certified; an uncertified input takes the
+symbolic route and raises what it raises."""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from homgenus.catalog import catalog_entry, catalog_list, catalog_space
+from homgenus.structures import InvariantStructure, StableStructure, enumerate_structures
+from homgenus.toricgenus import (
+    GenusExpansion,
+    _symbolic_form,
+    _symbolic_s_number,
+    certified,
+    chern_dold_genus,
+    s_number,
+)
+
+
+def _omegas(n):
+    return [
+        omega
+        for omega in itertools.product(*(range(n // (i + 1) + 1) for i in range(n)))
+        if sum((i + 1) * k for i, k in enumerate(omega)) == n
+    ]
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the ArithmeticError it raises."""
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def _symbolic_class(s):
+    ge = GenusExpansion(s, s.space.n, _symbolic_form(s, s.space.n))
+    return ge.lower_terms_vanish(), ge.bordism_class()
+
+
+def _s_symbolic(s, omega):
+    value = _symbolic_s_number(s, omega)
+    if value.denominator != 1:
+        raise ArithmeticError("not an integer")
+    return int(value)
+
+
+def check_sound(s, omegas=None):
+    n = s.space.n
+    cert = certified(s)
+    symbolic = _outcome(_symbolic_class, s)
+    ge = _outcome(chern_dold_genus, s)
+    if isinstance(symbolic, type):
+        # the symbolic route raised: no certificate, and the same error
+        assert not cert
+        assert (ge if isinstance(ge, type) else _outcome(ge.bordism_class)) is symbolic
+    else:
+        low, cls = symbolic
+        if cert:
+            assert low
+        assert ge.route == ("point" if cert else "symbolic")
+        assert ge.lower_terms_vanish() == low
+        assert ge.bordism_class() == cls
+    for omega in _omegas(n) if omegas is None else omegas:
+        want = _outcome(_s_symbolic, s, omega)
+        if cert:
+            assert not isinstance(want, type)
+        assert _outcome(s_number, s, omega) == want
+
+
+def test_every_catalog_invariant_structure_is_certified():
+    for name in catalog_list():
+        space = catalog_space(name)
+        if enumerate_structures(space):
+            assert space.residues_cancel, name
+
+
+@pytest.mark.parametrize(
+    "name", ["S6", "CP1", "CP2", "CP3", "U3-flag", "G42", "U4-T2xU2", "Sp2-flag", "CP3-sp", "G52", "U4-flag", "G2-flag"]
+)
+def test_catalog_structures_are_sound(name):
+    structures = enumerate_structures(catalog_space(name))
+    # a full symbolic class on an n=6 space takes a good part of a second
+    cap = 1 if catalog_space(name).n > 5 else 4
+    for s in random.Random(name).sample(structures, min(cap, len(structures))):
+        check_sound(s, _omegas(s.space.n)[:3])
+
+
+@pytest.mark.parametrize("preset", sorted(catalog_entry("CP3").stable_presets))
+def test_cp3_presets_are_sound(preset):
+    s = catalog_entry("CP3").stable_structure(preset)
+    assert certified(s)
+    check_sound(s)
+
+
+@pytest.mark.parametrize("name", ["CP2", "S6"])
+def test_certificate_is_exact_on_every_small_table(name):
+    # each of the 64 sign tables: certified exactly when the symbolic route
+    # goes through, since these small sums leave no other way to cancel
+    space = catalog_space(name)
+    base = InvariantStructure(space, (1,) * len(space.summands))
+    rows, n = len(space.cosets), space.n
+    certified_count = 0
+    for bits in itertools.product((1, -1), repeat=rows * n):
+        s = StableStructure(space, base, [bits[i * n : (i + 1) * n] for i in range(rows)])
+        cert = certified(s)
+        certified_count += cert
+        assert cert == (not isinstance(_outcome(_symbolic_class, s), type))
+    assert certified_count == {"CP2": 8, "S6": 10}[name]
+
+
+@st.composite
+def stable_tables(draw, names=("CP3", "U3-flag")):
+    """A stable sign table: another invariant structure's signs relative to
+    the standard one (certified), a few entries of it flipped (usually not),
+    or a table drawn at random."""
+    space = catalog_space(draw(st.sampled_from(names)))
+    base = InvariantStructure(space, (1,) * len(space.summands))
+    rows, n = len(space.cosets), space.n
+    if draw(st.booleans()):
+        other = draw(st.sampled_from(enumerate_structures(space)))
+        table = [[a * b for a, b in zip(other.eps, base.eps)] for _ in range(rows)]
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, n - 1))
+            table[i][j] = -table[i][j]
+    else:
+        table = [draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)) for _ in range(rows)]
+    return StableStructure(space, base, table, draw(st.sampled_from((1, -1))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(stable_tables())
+def test_stable_tables_are_sound(s):
+    check_sound(s)

@@ -64,6 +64,16 @@ def test_genus_class_json(capsys):
     doc = json.loads(out)
     assert doc["result"]["class"] == "2*a1^3 - 6*a1*a2 + 6*a3"
     assert doc["result"]["lower_terms_vanish"] is True
+    assert doc["result"]["route"] == "point"
+
+
+def test_genus_class_below_the_dimension_is_zero_by_the_certificate(capsys):
+    code, out, _ = run(capsys, "genus", "class", "--space", "U5-flag", "--cutoff", "9", "--json")
+    assert code == 0
+    doc = json.loads(out)["result"]
+    assert doc["form"] == "0"
+    assert doc["lower_terms_vanish"] is True
+    assert doc["route"] == "point"
 
 
 def test_negative_cutoff_is_usage_error(capsys):
@@ -95,6 +105,7 @@ def test_genus_s_number(capsys):
     )
     assert code == 0
     assert json.loads(out)["result"]["value"] == 80
+    assert json.loads(out)["result"]["route"] == "point"
 
 
 def test_genus_s_requires_omega(capsys):
@@ -235,6 +246,18 @@ def test_fibration_check(capsys):
     )
     assert code == 0
     assert json.loads(out)["result"]["match"] is True
+
+
+@pytest.mark.parametrize(
+    "roots",
+    ["[[0,1,-1,0", "[[0,1,-1,0]]", "[[5,1,-1,0],[-5,-1,1,0]]"],
+    ids=["malformed-json", "not-closed-under-negation", "not-a-root-of-H"],
+)
+def test_fibration_check_bad_fiber_roots_is_usage_error(capsys, roots):
+    code, out, err = run(capsys, "fibration", "check", "--space", "CP3", "--fiber-roots", roots)
+    assert code == 1
+    assert out == ""
+    assert "--fiber-roots" in err
 
 
 def test_hp_obstruction(capsys):
