@@ -424,6 +424,7 @@ def cmd_fibration_check(ns):
         "total_signs": tw.structure.to_signs(),
         "cutoff": tw.cutoff,
         "match": match,
+        "route": direct.form_route,
     }
     if tw.cutoff >= tw.structure.space.n:
         doc["class"] = tw.bordism_class().to_text()

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .cobordism import evaluate_class, specialize_genus, tanh_series, todd_series
 from .exactalg import MultiPoly, RationalFn, TruncatedSeries
 from .rootdata import dot
-from .structures import InvariantStructure, StableStructure, fixed_points
+from .structures import fixed_points
 from .toricgenus import chern_dold_genus
 
 
@@ -22,29 +22,15 @@ def point_index(weights, ordering):
 
 
 def _index_counts(structure, ordering=None):
-    """{index: signed number of fixed points with that index}, in ints."""
-    space = structure.space
-    counts = {}
-    if ordering is None and isinstance(structure, InvariantStructure):
-        # e * s < 0 exactly where one of the two signs is negative
-        eps_mask = sum(1 << l for l, e in enumerate(structure.eps) if e < 0)
-        for mask in space.line_sign_masks:
-            ind = (eps_mask ^ mask).bit_count()
-            counts[ind] = counts.get(ind, 0) + 1
-    elif ordering is None and isinstance(structure, StableStructure):
-        base_eps = structure.base.eps
-        for trow, srow in zip(structure.table, space.line_signs):
-            ind = sum(1 for t, b, s in zip(trow, base_eps, srow) if t * b * s < 0)
-            sgn = structure.global_sign
-            for t in trow:
-                sgn *= t
-            counts[ind] = counts.get(ind, 0) + sgn
-    else:
-        ordering = ordering or space.ordering
-        orientation = getattr(structure, "global_sign", 1)
-        for fp in fixed_points(structure):
-            ind = point_index(fp.weights, ordering)
-            counts[ind] = counts.get(ind, 0) + orientation * fp.sign
+    """counts[ind] = signed number of fixed points with index ind, for ind
+    = 0..n, in ints; the structure keeps the counts for its space's own
+    ordering."""
+    if ordering is None:
+        return structure.index_counts
+    counts = [0] * (structure.space.n + 1)
+    orientation = getattr(structure, "global_sign", 1)
+    for fp in fixed_points(structure):
+        counts[point_index(fp.weights, ordering)] += orientation * fp.sign
     return counts
 
 
@@ -56,13 +42,13 @@ def chi_y_genus(structure, ordering=None):
     property tests compare it against the cached default-ordering path.
     """
     counts = _index_counts(structure, ordering)
-    terms = {(ind,): Fraction(c * (-1) ** ind) for ind, c in counts.items() if c}
+    terms = {(ind,): Fraction(c * (-1) ** ind) for ind, c in enumerate(counts) if c}
     return MultiPoly(("y",), terms)
 
 
 def _chi_y_at(structure, y):
     """chi_y evaluated at the integer y, an integer."""
-    return sum(c * (-y) ** ind for ind, c in _index_counts(structure).items())
+    return sum(c * (-y) ** ind for ind, c in enumerate(structure.index_counts))
 
 
 def signature(structure):

@@ -254,7 +254,7 @@ def space_from_json(doc, label=None):
 class InvariantStructure:
     """An invariant almost complex structure: a sign per isotropy summand."""
 
-    __slots__ = ("space", "summand_signs", "_eps")
+    __slots__ = ("space", "summand_signs", "_eps", "_index_counts")
 
     def __init__(self, space, summand_signs):
         if len(summand_signs) != len(space.summands):
@@ -273,11 +273,26 @@ class InvariantStructure:
             for li, ori in zip(sm.line_indices, sm.orientation):
                 eps[li] = sign * ori
         self._eps = tuple(eps)
+        self._index_counts = None
 
     @property
     def eps(self):
         """Sign on each complementary root line, in comp_roots order."""
         return self._eps
+
+    @property
+    def index_counts(self):
+        """counts[ind] = number of fixed points with ind weights on the
+        negative side of the space's ordering, ind = 0..n; counted on first
+        use.  The list is the structure's own: read it, do not change it."""
+        if self._index_counts is None:
+            # e * s < 0 exactly where one of the two signs is negative
+            eps_mask = sum(1 << l for l, e in enumerate(self._eps) if e < 0)
+            counts = [0] * (self.space.n + 1)
+            for mask in self.space.line_sign_masks:
+                counts[(eps_mask ^ mask).bit_count()] += 1
+            self._index_counts = counts
+        return self._index_counts
 
     @property
     def roots(self):
@@ -367,7 +382,7 @@ class StableStructure:
     """A stable tangential structure: per-fixed-point signs over a reference
     invariant structure, plus a global orientation sign."""
 
-    __slots__ = ("space", "base", "table", "global_sign", "name")
+    __slots__ = ("space", "base", "table", "global_sign", "name", "_index_counts")
 
     def __init__(self, space, base, table, global_sign=1, name=None):
         self.space = space
@@ -387,6 +402,22 @@ class StableStructure:
             raise ValueError("global sign must be +1 or -1")
         self.global_sign = global_sign
         self.name = name
+        self._index_counts = None
+
+    @property
+    def index_counts(self):
+        """counts[ind] = signed number of fixed points with ind weights on
+        the negative side of the space's ordering, ind = 0..n; counted on
+        first use.  The list is the structure's own: read it, do not change
+        it."""
+        if self._index_counts is None:
+            base_eps = self.base.eps
+            counts = [0] * (self.space.n + 1)
+            for trow, srow in zip(self.table, self.space.line_signs):
+                ind = sum(1 for t, b, s in zip(trow, base_eps, srow) if t * b * s < 0)
+                counts[ind] += self.global_sign * math.prod(trow)
+            self._index_counts = counts
+        return self._index_counts
 
     def __repr__(self):
         return "StableStructure(%s%s)" % (self.space.label, ", " + self.name if self.name else "")

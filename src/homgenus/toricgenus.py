@@ -151,14 +151,20 @@ def _divide_lines(numerator, lines):
 
 
 def _f_factor(line, scale, cutoff, power):
-    """f(t * scale * line) truncated at t^cutoff, with f = 1 + sum a_i z^i."""
-    return MultiPoly.sum(
-        [MultiPoly.const(1)]
-        + [
-            MultiPoly(("a%d" % i, "t"), {(1, i): scale**i}) * power(line, i)
-            for i in range(1, cutoff + 1)
-        ]
-    )
+    """f(t * scale * line) truncated at t^cutoff, with f = 1 + sum a_i z^i,
+    in one dict: the term a_i t^i scale^i c x^e for each term c x^e of the
+    line's i-th power."""
+    if cutoff < 1:
+        return MultiPoly.const(1)
+    # the canonical order puts the line's x's first, then a1..a_cutoff, then t
+    vs = power(line, 1).vars + tuple("a%d" % i for i in range(1, cutoff + 1)) + ("t",)
+    terms = {(0,) * len(vs): Fraction(1)}
+    for i in range(1, cutoff + 1):
+        at = (0,) * (i - 1) + (1,) + (0,) * (cutoff - i) + (i,)
+        c = scale**i
+        for e, k in power(line, i).terms.items():
+            terms[e + at] = k * c
+    return MultiPoly._from_clean(vs, terms)
 
 
 def localized_numerator(points, ordering, cutoff, fiber_forms=None):
@@ -288,8 +294,9 @@ class GenusExpansion:
     cover, reads everything from the form (route "symbolic"); the latter
     builds it here, so that a pole raises at once.  Otherwise (route
     "point") the class comes from the point route, the lower terms vanish
-    by the certificate, and the form is built when first read (below t^n it
-    is zero).
+    by the certificate, and the form is built when first read: zero below
+    t^n, the class times t^n at cutoff n, and only past t^n symbolically
+    (`form_route`).
     """
 
     def __init__(self, structure, cutoff, form=None, label=None):
@@ -307,10 +314,21 @@ class GenusExpansion:
     @property
     def form(self):
         if self._form is None:
-            # below t^n the certificate proves every term zero
-            below = self.cutoff < self.structure.space.n
-            self._form = MultiPoly.zero() if below else _symbolic_form(self.structure, self.cutoff)
+            # the certificate proves every term below t^n zero and the t^n
+            # term the constant class; past t^n only the symbolic route gives them
+            n = self.structure.space.n
+            if self.cutoff < n:
+                self._form = MultiPoly.zero()
+            elif self.cutoff == n:
+                self._form = _point_class(self.structure) * MultiPoly(("t",), {(n,): 1})
+            else:
+                self._form = _symbolic_form(self.structure, self.cutoff)
         return self._form
+
+    @property
+    def form_route(self):
+        """The route `form` is read from: "symbolic" past t^n."""
+        return "symbolic" if self.cutoff > self.structure.space.n else self.route
 
     def coefficient(self, l):
         """Coefficient of t^l, a polynomial in the x's and a's."""
@@ -675,9 +693,11 @@ def hp_obstruction_search(n=2):
     for j = 2, 3 with free signs.  For each of the 16 assignments we form the
     localization numerator over the three fixed points and test the t^l
     coefficients for l < 4 (all of which vanish on a genuine structure).
-    Every assignment fails; the report records, per assignment, the first
-    nonvanishing order and a rational witness value, plus the sign relations
-    that characterize surviving the t^1 test.
+    The numerator is first formed to t^1 only, and again to t^3 only when
+    its t^0 and t^1 terms vanish: the t-truncated chain is exact, so both
+    give the same low terms.  Every assignment fails; the report records,
+    per assignment, the first nonvanishing order and a rational witness
+    value, plus the sign relations that characterize surviving the t^1 test.
     """
     if n != 2:
         raise ValueError("only n = 2 is implemented; general n is out of scope")
@@ -710,10 +730,12 @@ def hp_obstruction_search(n=2):
         for i in range(len(reps)):
             weights = [tuple(s * c for c in img) for s, img in zip(signs_by_line, images[i])]
             points.append((1, weights))
-        numerator, _ = localized_numerator(points, space.ordering, 3)
         first_bad = None
         witness = None
         for l in range(4):
+            if l in (0, 2):
+                # to t^1 first; only a row whose t^0 and t^1 terms vanish goes on to t^3
+                numerator, _ = localized_numerator(points, space.ordering, l + 1)
             coeff = numerator.coefficient_of("t", l)
             if not coeff.is_zero():
                 first_bad = l

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homgenus.catalog import catalog_entry, catalog_list, catalog_space
-from homgenus.structures import InvariantStructure, StableStructure, enumerate_structures
+from homgenus.structures import InvariantStructure, StableStructure, enumerate_structures, space_from_json
 from homgenus.toricgenus import (
     GenusExpansion,
     _symbolic_form,
@@ -21,6 +21,7 @@ from homgenus.toricgenus import (
     chern_dold_genus,
     s_number,
 )
+from test_lattice import SCALED
 
 
 def _omegas(n):
@@ -90,6 +91,43 @@ def test_catalog_structures_are_sound(name):
     cap = 1 if catalog_space(name).n > 5 else 4
     for s in random.Random(name).sample(structures, min(cap, len(structures))):
         check_sound(s, _omegas(s.space.n)[:3])
+
+
+def _cutoff_n_cases():
+    """(id, structure) for up to 8 certified structures per catalog space
+    with n <= 6, the CP3 presets and the scaled U(3) JSON spaces (rational
+    root entries)."""
+    cases = []
+    for name in catalog_list():
+        space = catalog_space(name)
+        if space.n <= 6:
+            structures = [s for s in enumerate_structures(space) if certified(s)]
+            sample = random.Random(name).sample(structures, min(8, len(structures)))
+            cases += [("%s:%s" % (name, s.to_signs()), s) for s in sample]
+    entry = catalog_entry("CP3")
+    cases += [("CP3:%s" % p, entry.stable_structure(p)) for p in sorted(entry.stable_presets)]
+    for name, doc in sorted(SCALED.items()):
+        cases += [("%s:%s" % (name, s.to_signs()), s) for s in enumerate_structures(space_from_json(doc))]
+    return cases
+
+
+CUTOFF_N_CASES = _cutoff_n_cases()
+
+
+@pytest.mark.parametrize("s", [s for _, s in CUTOFF_N_CASES], ids=[i for i, _ in CUTOFF_N_CASES])
+def test_cutoff_n_form_is_the_symbolic_form(s):
+    n = s.space.n
+    ge = chern_dold_genus(s)
+    assert ge.route == ge.form_route == "point"
+    want = _symbolic_form(s, n)
+    assert ge.form == want
+    # past t^n the form is symbolic again and agrees with the point form
+    # below; on an n = 6 space that costs up to a second, so once per space
+    first = next(t for _, t in CUTOFF_N_CASES if t.space is s.space)
+    if n <= 5 or s is first:
+        above = chern_dold_genus(s, n + 1)
+        assert above.route == "point" and above.form_route == "symbolic"
+        assert above.form.truncate_var("t", n) == want
 
 
 @pytest.mark.parametrize("preset", sorted(catalog_entry("CP3").stable_presets))

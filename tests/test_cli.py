@@ -248,6 +248,18 @@ def test_fibration_check(capsys):
     assert json.loads(out)["result"]["match"] is True
 
 
+@pytest.mark.parametrize("cutoff, route", [("3", "point"), ("4", "symbolic")])
+def test_fibration_check_reports_the_direct_route(capsys, cutoff, route):
+    # U(3)/T is certified: its form comes from the point route at t^n only
+    code, out, _ = run(capsys, "fibration", "check", "--space", "CP2", "--cutoff", cutoff, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["schema"] == "homgenus/2"
+    assert doc["result"]["route"] == route
+    assert doc["result"]["match"] is True
+    assert doc["result"]["class"] == "6*a1^3 + 6*a1*a2 - 6*a3"
+
+
 @pytest.mark.parametrize(
     "roots",
     ["[[0,1,-1,0", "[[0,1,-1,0]]", "[[5,1,-1,0],[-5,-1,1,0]]"],

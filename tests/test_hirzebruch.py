@@ -21,7 +21,7 @@ from homgenus.hirzebruch import (
     todd_of_class,
 )
 from homgenus.rootdata import Ordering
-from homgenus.structures import InvariantStructure, enumerate_structures, parse_signs
+from homgenus.structures import HomogeneousSpace, InvariantStructure, enumerate_structures, parse_signs
 from homgenus.toricgenus import chern_dold_genus
 
 
@@ -68,6 +68,25 @@ def test_chi_y_specializations_are_its_values():
         assert signature(s) == chi.evaluate({"y": Fraction(1)})
         assert todd_genus(s) == chi.evaluate({"y": Fraction(0)})
         assert euler_number(s) == chi.evaluate({"y": Fraction(-1)})
+
+
+@pytest.mark.parametrize("which", ["invariant", "stable"])
+def test_one_index_count_serves_every_specialization(monkeypatch, which):
+    # the default-ordering count reads the space's sign table once
+    reads = []
+    attr = "line_sign_masks" if which == "invariant" else "line_signs"
+    table = getattr(HomogeneousSpace, attr)
+    monkeypatch.setattr(HomogeneousSpace, attr, property(lambda sp: reads.append(1) or table.fget(sp)))
+    if which == "invariant":
+        s = parse_signs(catalog_space("U4-flag"), "+-+--+")
+    else:
+        s = catalog_entry("CP3").stable_structure("cp3-e11-minus")
+    got = (chi_y_genus(s), signature(s), todd_genus(s), euler_number(s))
+    assert len(reads) == 1
+    # the same values as a count on the space's ordering passed explicitly
+    chi = chi_y_genus(s, ordering=s.space.ordering)
+    assert got == (chi, chi.evaluate({"y": 1}), chi.evaluate({"y": 0}), chi.evaluate({"y": -1}))
+    assert len(reads) == 1
 
 
 def test_chi_y_independent_of_ordering():

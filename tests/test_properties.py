@@ -18,7 +18,7 @@ from homgenus.exactalg import (
 from homgenus.hirzebruch import chi_y_genus, euler_number, signature
 from homgenus.rootdata import Ordering, canonical_positive
 from homgenus.structures import InvariantStructure, enumerate_structures, fixed_points
-from homgenus.toricgenus import localized_numerator
+from homgenus.toricgenus import _f_factor, localized_numerator
 from series_reference import series_reversion
 
 
@@ -295,3 +295,42 @@ def test_localized_numerator_matches_full_products(name):
     want, want_lines = _reference_numerator(points, space.ordering, space.n)
     assert got_lines == want_lines
     assert same(got, want)
+
+
+def _reference_f_factor(line, scale, cutoff, power):
+    """f(t * scale * line) to t^cutoff as a sum of one product per order."""
+    return MultiPoly.sum(
+        [MultiPoly.const(1)]
+        + [
+            MultiPoly(("a%d" % i, "t"), {(1, i): scale**i}) * power(line, i)
+            for i in range(1, cutoff + 1)
+        ]
+    )
+
+
+def _line_powers(line):
+    """power(line, i) = <line, x>^i, memoized as `_localize` does."""
+    p = [MultiPoly.const(1), MultiPoly.linear_form(["x%d" % (i + 1) for i in range(len(line))], line)]
+
+    def power(_, i):
+        while len(p) <= i:
+            p.append(p[-1] * p[1])
+        return p[i]
+
+    return power
+
+
+line_vectors = st.one_of(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=1, max_size=4),
+).filter(any)
+
+
+@settings(max_examples=200, deadline=None)
+@given(line_vectors, st.sampled_from((1, -1, 2, -2, Fraction(1, 2))), st.integers(0, 7))
+def test_f_factor_matches_sum_of_products(line, scale, cutoff):
+    line = tuple(line)
+    power = _line_powers(line)
+    got = _f_factor(line, scale, cutoff, power)
+    assert same(got, _reference_f_factor(line, scale, cutoff, power))
+    assert all(type(c) is Fraction for c in got.terms.values())

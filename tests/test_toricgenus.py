@@ -1,6 +1,8 @@
 """Bordism classes, s-numbers, restricted expansions over the quaternionic base."""
 
+import hashlib
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -235,3 +237,38 @@ def test_hp2_obstruction_search():
         {"eps2": 1, "eps3": -1, "delta2": 1, "delta3": -1},
         {"eps2": -1, "eps3": 1, "delta2": -1, "delta3": 1},
     ]
+
+
+# (eps2, eps3, delta2, delta3, first nonvanishing order, witness) per row
+HP2_ROWS = [
+    (1, 1, 1, 1, 1, 8),
+    (1, 1, 1, -1, 1, -6),
+    (1, 1, -1, 1, 1, 2),
+    (1, 1, -1, -1, 1, -4),
+    (1, -1, 1, 1, 1, -2),
+    (1, -1, 1, -1, 3, -28),
+    (1, -1, -1, 1, 1, -8),
+    (1, -1, -1, -1, 1, 10),
+    (-1, 1, 1, 1, 1, -10),
+    (-1, 1, 1, -1, 1, 8),
+    (-1, 1, -1, 1, 3, 28),
+    (-1, 1, -1, -1, 1, 2),
+    (-1, -1, 1, 1, 1, 4),
+    (-1, -1, 1, -1, 1, -2),
+    (-1, -1, -1, 1, 1, 6),
+    (-1, -1, -1, -1, 1, -8),
+]
+
+
+def test_hp2_obstruction_report_is_frozen():
+    res = hp_obstruction_search(n=2)
+    got = [
+        tuple(r["assignment"][k] for k in ("eps2", "eps3", "delta2", "delta3"))
+        + (r["first_nonvanishing_order"], r["witness"])
+        for r in res["rows"]
+    ]
+    assert got == HP2_ROWS
+    assert all(type(r["witness"]) is Fraction for r in res["rows"])
+    # the whole report, relations and survivors included
+    text = json.dumps(res, sort_keys=True, default=str)
+    assert hashlib.sha1(text.encode()).hexdigest() == "44ae4af76f1eb2b5c39c8e699038b0a903909d0b"
