@@ -6,7 +6,10 @@ alphabet a_i via x/exp(x) = 1 + a_1 x + a_2 x^2 + ...  The group law is
 F(u, v) = exp(g(u) + g(v)).  All series are truncated at the weighted degree
 matching a fixed u-degree cutoff D: a term u^i v^j b_omega is homogeneous of
 weight 2(i+j) - 1, so weighted cutoff 2D - 1 keeps exactly the u-degrees
-through D.
+through D.  The truncation happens as terms are formed: series products,
+composition and substitution (`MultiPoly.product` and `MultiPoly.subs` with
+a cutoff) never build a term above it, which is exact because no weight is
+negative and weights add under multiplication, homogeneous input or not.
 
 The exponential and both dictionaries are closed forms by Lagrange
 inversion (Stanley, Enumerative Combinatorics II, 5.4): each coefficient is
@@ -79,13 +82,15 @@ class FormalGroupLaw:
         return "FormalGroupLaw(degree=%d)" % self.degree
 
     def add(self, s, t):
-        """F(s, t) by simultaneous substitution (capture-free)."""
+        """F(s, t) by simultaneous substitution (capture-free), truncated at
+        the least of the three cutoffs as its terms are formed: no power of
+        s or t and no term of the law above that cutoff is ever built."""
         if isinstance(s, MultiPoly):
             s = TruncatedSeries(s, self.cutoff)
         if isinstance(t, MultiPoly):
             t = TruncatedSeries(t, self.cutoff)
         c = min(self.cutoff, s.cutoff, t.cutoff)
-        body = self.law.body.subs({"u1": s.body, "u2": t.body})
+        body = self.law.body.subs({"u1": s.body, "u2": t.body}, cutoff=c)
         return TruncatedSeries(body, c)
 
     @cached_property

@@ -22,7 +22,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from operator import itemgetter, lshift
+from operator import itemgetter, mul
 
 _VAR_RE = re.compile(r"^([a-z]+?)(\d*)$")
 
@@ -74,10 +74,11 @@ class PoleCancellationError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
-def _by_exponent(terms, shift, mask, cutoff):
-    """(t, key, coeff) for packed (key, coeff) pairs, with t the bit field at
-    shift/mask, sorted by t; a cutoff drops the terms with t above it."""
-    out = [((k >> shift) & mask, k, c) for k, c in terms]
+def _by_weight(terms, shift, cutoff):
+    """(w, key, coeff) for packed (key, coeff) pairs, with w the key's top
+    field from bit `shift` up, sorted by w; a cutoff drops the terms with w
+    above it."""
+    out = [(k >> shift, k, c) for k, c in terms]
     if cutoff is not None:
         out = [r for r in out if r[0] <= cutoff]
     out.sort(key=itemgetter(0))
@@ -159,16 +160,12 @@ class MultiPoly:
         return self.terms.get((0,) * len(self.vars), Fraction(0)) if self.vars else self.terms.get((), Fraction(0))
 
     def _weights(self):
+        # looked up once per call by each caller, not once per term
         return tuple(var_weight(v) for v in self.vars)
 
-    def term_weight(self, exps):
-        w = self._weights()
-        return sum(e * wi for e, wi in zip(exps, w))
-
     def weighted_degree(self):
-        if not self.terms:
-            return -1
-        return max(self.term_weight(e) for e in self.terms)
+        w = self._weights()
+        return max((sum(map(mul, e, w)) for e in self.terms), default=-1)
 
     def degree_in(self, name):
         if name not in self.vars:
@@ -274,12 +271,16 @@ class MultiPoly:
     def mul_truncated(self, other, name, cutoff):
         """``(self * other).truncate_var(name, cutoff)``, without forming the
         products whose exponent of `name` exceeds cutoff."""
-        return MultiPoly.product((self, other), name, cutoff)
+        return MultiPoly.product((self, other), {name: 1}, cutoff)
 
     @classmethod
-    def product(cls, factors, name=None, cutoff=None):
+    def product(cls, factors, weights=None, cutoff=None):
         """Exact product of `factors`, on packed integer monomials; with a
-        cutoff, ``truncate_var(name, cutoff)`` of it.
+        cutoff, only its terms of weighted degree at most the cutoff.
+
+        `weights` maps a variable to a non-negative int weight, 0 for a
+        variable it does not name; None means `var_weight` (the grading of
+        ``truncate_weight``), and ``{name: 1}`` gives ``truncate_var``.
 
         Each exponent tuple becomes one int, a bit field per variable wide
         enough for the sum of the factors' largest exponents in that
@@ -287,10 +288,11 @@ class MultiPoly:
         between fields.  Coefficients are scaled to ints over the lcm of each
         factor's denominators.  The running product stays a dict of packed
         ints, so each factor is packed once and each output term becomes a
-        Fraction once.  With a cutoff, both sides of every step are sorted by
-        the exponent of `name` and only pairs whose exponents sum to at most
-        the cutoff are formed; dropping a term early loses nothing, since
-        exponents only grow.
+        Fraction once.  With a cutoff, a spare top field above the exponents
+        carries each term's weighted degree, which adds under multiplication
+        like the exponents do.  Both sides of every step are sorted by it and
+        only pairs whose degrees sum to at most the cutoff are formed;
+        dropping a term early loses nothing, since no weight is negative.
         """
         factors = list(factors)
         vs = factors[0].vars if factors else ()
@@ -302,25 +304,31 @@ class MultiPoly:
                 return cls._from_clean(vs, {})
             for v, column in zip(p.vars, zip(*p.terms)):
                 top[v] += max(column)
-        shift_of = {}
+        scale_of = {}
         fields = []
         shift = 0
         for v in reversed(vs):
             width = top[v].bit_length()
-            shift_of[v] = shift
+            scale_of[v] = 1 << shift
             fields.append((shift, (1 << width) - 1))
             shift += width
         fields.reverse()
-        truncating = cutoff is not None and name in vs
-        t_shift, t_mask = fields[vs.index(name)] if truncating else (0, 0)
+        truncating = cutoff is not None
+        if truncating:
+            for v in vs:
+                w = var_weight(v) if weights is None else weights.get(v, 0)
+                if w < 0:
+                    raise ValueError("weight of %r must be >= 0, got %r" % (v, w))
+                scale_of[v] += w << shift
 
         def packed(p):
             # each factor packs from its own variable positions, so none is
-            # first remapped onto the union variables
-            shifts = [shift_of[v] for v in p.vars]
+            # first remapped onto the union variables; a term's packed weight
+            # is the dot product of its exponents with the weights
+            scales = [scale_of[v] for v in p.vars]
             den = math.lcm(*(c.denominator for c in p.terms.values()))
-            terms = [(sum(map(lshift, e, shifts)), c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
-            return _by_exponent(terms, t_shift, t_mask, cutoff if truncating else None), den
+            terms = [(sum(map(mul, e, scales)), c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
+            return _by_weight(terms, shift, cutoff), den
 
         cur, den = packed(factors[0]) if factors else ([(0, 0, 1)], 1)
         for p in factors[1:]:
@@ -329,17 +337,17 @@ class MultiPoly:
             pa = cur
             if len(pa) > len(pb):
                 pa, pb = pb, pa
-            b_exps = [t for t, _, _ in pb]
+            b_weights = [w for w, _, _ in pb]
             b_terms = [(k, c) for _, k, c in pb]
             acc = {}
             get = acc.get
-            for t1, group in groupby(pa, key=itemgetter(0)):
-                inner = b_terms[: bisect_right(b_exps, cutoff - t1)] if truncating else b_terms
+            for w1, group in groupby(pa, key=itemgetter(0)):
+                inner = b_terms[: bisect_right(b_weights, cutoff - w1)] if truncating else b_terms
                 for _, k1, c1 in group:
                     for k2, c2 in inner:
                         k = k1 + k2
                         acc[k] = get(k, 0) + c1 * c2
-            cur = _by_exponent([kc for kc in acc.items() if kc[1]], t_shift, t_mask, None)
+            cur = _by_weight([kc for kc in acc.items() if kc[1]], shift, None)
             del acc  # freed before the next step or the output is built
         out = {}
         while cur:
@@ -382,7 +390,8 @@ class MultiPoly:
 
     def truncate_weight(self, cutoff):
         """Drop terms of weighted degree > cutoff."""
-        return MultiPoly(self.vars, {e: c for e, c in self.terms.items() if self.term_weight(e) <= cutoff})
+        w = self._weights()
+        return MultiPoly._from_clean(self.vars, {e: c for e, c in self.terms.items() if sum(map(mul, e, w)) <= cutoff})
 
     def truncate_var(self, name, cutoff):
         """Drop terms whose exponent of `name` exceeds cutoff."""
@@ -405,28 +414,45 @@ class MultiPoly:
 
     # -- substitution / evaluation -----------------------------------------
 
-    def subs(self, mapping):
-        """Substitute variables by polynomials (or rationals).  Exact."""
-        images = {}
+    def subs(self, mapping, cutoff=None):
+        """Substitute variables by polynomials (or rationals), all at once.
+
+        Exact.  With a cutoff, the result is
+        ``subs(mapping).truncate_weight(cutoff)``, built without forming a
+        term above the cutoff: the powers of each image are truncated
+        products, and each term is one truncated product of its factors.
+        """
+        powers = {}
         for v, img in mapping.items():
             if isinstance(img, (int, Fraction, str)):
                 img = MultiPoly.const(_as_fraction(img))
-            images[v] = img
+            powers[v] = {1: img}
+
+        def power(v, n):
+            memo = powers[v]
+            if n not in memo:
+                if n - 1 in memo:
+                    memo[n] = MultiPoly.product((memo[n - 1], memo[1]), cutoff=cutoff)
+                else:
+                    half = power(v, n // 2)
+                    odd = (memo[1],) if n % 2 else ()
+                    memo[n] = MultiPoly.product((half, half) + odd, cutoff=cutoff)
+            return memo[n]
+
         terms = []
-        pow_cache = {}
         for e, c in self.terms.items():
-            term = MultiPoly.const(c)
+            factors = []
+            kept, exps = [], []
             for v, ei in zip(self.vars, e):
                 if not ei:
                     continue
-                if v in images:
-                    key = (v, ei)
-                    if key not in pow_cache:
-                        pow_cache[key] = images[v] ** ei
-                    term = term * pow_cache[key]
+                if v in powers:
+                    factors.append(power(v, ei))
                 else:
-                    term = term * MultiPoly((v,), {(ei,): 1})
-            terms.append(term)
+                    kept.append(v)
+                    exps.append(ei)
+            factors.append(MultiPoly._from_clean(tuple(kept), {tuple(exps): c}))
+            terms.append(MultiPoly.product(factors, cutoff=cutoff))
         return MultiPoly.sum(terms)
 
     def evaluate(self, point):
@@ -446,7 +472,8 @@ class MultiPoly:
     def _sorted_terms(self):
         # graded-lex, highest first: (weight, exponent tuple) descending
         p = self.restrict_vars()
-        return p.vars, sorted(p.terms.items(), key=lambda ec: (p.term_weight(ec[0]), ec[0]), reverse=True)
+        w = p._weights()
+        return p.vars, sorted(p.terms.items(), key=lambda ec: (sum(map(mul, ec[0], w)), ec[0]), reverse=True)
 
     def to_text(self):
         vs, items = self._sorted_terms()
@@ -493,12 +520,8 @@ class MultiPoly:
 
 def _lead(poly):
     """Leading (exps, coeff) under graded-lex; poly must be nonzero."""
-    best = None
-    for e in poly.terms:
-        k = (poly.term_weight(e), e)
-        if best is None or k > best[0]:
-            best = (k, e)
-    e = best[1]
+    w = poly._weights()
+    e = max(poly.terms, key=lambda e: (sum(map(mul, e, w)), e))
     return e, poly.terms[e]
 
 
@@ -743,7 +766,7 @@ class TruncatedSeries:
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries(self.body * other, self.cutoff)
         c = min(self.cutoff, other.cutoff)
-        return TruncatedSeries((self.body * other.body).truncate_weight(c), c)
+        return TruncatedSeries(MultiPoly.product((self.body, other.body), cutoff=c), c)
 
     __rmul__ = __mul__
 
@@ -874,6 +897,16 @@ def _as_ratfn(v):
     return RationalFn.from_poly(MultiPoly.const(_as_fraction(v)))
 
 
+# A parsed power base^N is refused when N, or the degree N * deg(base) it
+# would reach, exceeds this cap; both are known before the power is formed.
+MAX_EXPONENT = 256
+
+
+def _degree(r):
+    """The largest total degree of a term of r's numerator or denominator."""
+    return max((sum(e) for p in (r.num, r.den) for e in p.terms), default=0)
+
+
 def _eval_node(node):
     if isinstance(node, ast.Expression):
         return _eval_node(node.body)
@@ -897,7 +930,10 @@ def _eval_node(node):
             base = _eval_node(node.left)
             if not isinstance(node.right, ast.Constant) or not isinstance(node.right.value, int):
                 raise ValueError("exponent must be an integer literal")
-            return base ** node.right.value
+            n = node.right.value
+            if n > MAX_EXPONENT or n * _degree(base) > MAX_EXPONENT:
+                raise ValueError("power of degree above %d (exponent %d)" % (MAX_EXPONENT, n))
+            return base ** n
         left = _eval_node(node.left)
         right = _eval_node(node.right)
         if isinstance(op, ast.Add):
@@ -913,7 +949,10 @@ def _eval_node(node):
 
 
 def parse_rational(text):
-    """Parse e.g. "u/(1+u^2)" into a RationalFn.  `^` means power."""
+    """Parse e.g. "u/(1+u^2)" into a RationalFn.  `^` means power.
+
+    Exponents are integer literals; a power whose exponent or degree exceeds
+    ``MAX_EXPONENT`` raises ValueError before it is formed."""
     cooked = text.replace("^", "**")
     try:
         tree = ast.parse(cooked, mode="eval")

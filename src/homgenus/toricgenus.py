@@ -186,7 +186,7 @@ def localized_numerator(points, ordering, cutoff, fiber_forms=None):
             factors = [MultiPoly.const(coeff)] + [f_factors[pair] for pair in cw]
             if fiber_forms is not None:
                 factors.append(fiber_forms[k])
-            terms.append(MultiPoly.product(factors, "t", cutoff))
+            terms.append(MultiPoly.product(factors, {"t": 1}, cutoff))
         return MultiPoly.sum(terms)
 
     return _localize(points, ordering, group_term)

@@ -194,6 +194,16 @@ def test_rigidity_bad_series_is_usage_error(capsys):
     assert code == 1
 
 
+def test_rigidity_series_power_above_cap_is_usage_error(capsys):
+    code, out, err = run(
+        capsys,
+        "rigidity", "eval", "--space", "CP1", "--series", "u/(1+u)^100000", "--at", "2,1",
+    )
+    assert code == 1
+    assert out == ""
+    assert "power of degree above" in err
+
+
 def test_rigidity_independence(capsys):
     code, out, _ = run(
         capsys,

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from homgenus.cobordism import (
     a_in_terms_of_b,
@@ -20,7 +21,7 @@ from homgenus.cobordism import (
     tanh_series,
     todd_series,
 )
-from homgenus.exactalg import MultiPoly, parse_poly
+from homgenus.exactalg import MultiPoly, TruncatedSeries, parse_poly
 from series_reference import series_a_in_terms_of_b, series_b_in_terms_of_a, series_exp
 
 
@@ -56,6 +57,61 @@ def test_inverse():
     fgl = formal_group_law(4)
     assert fgl.add(MultiPoly.variable("u1"), fgl.inverse.body).body.is_zero()
     assert formal_group_law(3).inverse.body == parse_poly("-u1 - 2*u1^2*b1 - 4*u1^3*b1^2")
+
+
+def _old_add(fgl, s, t):
+    """F(s, t) by the untruncated substitution, truncated afterwards."""
+    if isinstance(s, MultiPoly):
+        s = TruncatedSeries(s, fgl.cutoff)
+    if isinstance(t, MultiPoly):
+        t = TruncatedSeries(t, fgl.cutoff)
+    body = fgl.law.body.subs({"u1": s.body, "u2": t.body})
+    return TruncatedSeries(body, min(fgl.cutoff, s.cutoff, t.cutoff))
+
+
+@st.composite
+def series_args(draw):
+    """A MultiPoly or a TruncatedSeries of any cutoff, neither homogeneous
+    nor free of a constant term in general (e.g. u1^2 + b1*u1)."""
+    p = MultiPoly.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        c = draw(st.fractions(min_value=-5, max_value=5, max_denominator=4))
+        name = draw(st.sampled_from(("u1", "u2", "u3", "b1", "b2", "a1")))
+        p = p + MultiPoly.variable(name, c) ** draw(st.integers(0, 3)) * MultiPoly.variable("u1") ** draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        return TruncatedSeries(p, draw(st.integers(0, 8)))
+    return p
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), series_args(), series_args())
+@example(4, parse_poly("u1^2 + b1*u1"), parse_poly("u2 - 2*u3^2 + 1"))
+def test_add_matches_untruncated_substitution(degree, s, t):
+    fgl = formal_group_law(degree)
+    got = fgl.add(s, t)
+    want = _old_add(fgl, s, t)
+    assert got.cutoff == want.cutoff
+    assert (got.body.vars, got.body.terms) == (want.body.vars, want.body.terms)
+
+
+def test_associativity_degree_five_matches_untruncated_substitution():
+    fgl = formal_group_law(5)
+    law = fgl.law.body
+    u1, u2, u3 = (MultiPoly.variable(v) for v in ("u1", "u2", "u3"))
+    left = fgl.add(law, u3).body
+    assert left == fgl.add(u1, law.subs({"u1": u2, "u2": u3})).body
+    want = _old_add(fgl, law, u3).body
+    assert (left.vars, left.terms) == (want.vars, want.terms)
+    assert len(left.terms) == 146
+
+
+def test_inverse_degree_five_frozen():
+    fgl = formal_group_law(5)
+    assert fgl.inverse.body.to_text() == (
+        "-40*u1^5*b1^4 + 36*u1^5*b1^2*b2 - 12*u1^5*b1*b3 - 12*u1^4*b1^3"
+        " + 6*u1^4*b1*b2 - 2*u1^4*b3 - 4*u1^3*b1^2 - 2*u1^2*b1 - u1"
+    )
+    assert fgl.add(MultiPoly.variable("u1"), fgl.inverse).body.is_zero()
 
 
 def test_log_and_exp_frozen():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from homgenus.exactalg import (
+    MAX_EXPONENT,
     MultiPoly,
     PoleCancellationError,
     RationalFn,
@@ -199,6 +200,14 @@ def test_rational_is_polynomial():
 def test_parse_rational_rejects_floats():
     with pytest.raises(ValueError):
         parse_rational("0.5*u")
+
+
+def test_parse_rational_caps_powers():
+    assert parse_rational("u^%d" % MAX_EXPONENT).is_polynomial()
+    # each is refused before its power is formed
+    for text in ("(1+u)^100000", "2^1000000000", "((1+u)^200)^2", "1/(u^2 + 1)^200"):
+        with pytest.raises(ValueError, match="power of degree above"):
+            parse_rational(text)
 
 
 def test_rational_from_poly():

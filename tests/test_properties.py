@@ -14,6 +14,7 @@ from homgenus.exactalg import (
     exact_divide,
     parse_poly,
     var_key,
+    var_weight,
 )
 from homgenus.hirzebruch import chi_y_genus, euler_number, signature
 from homgenus.rootdata import Ordering, canonical_positive
@@ -197,11 +198,11 @@ exponents = st.one_of(st.integers(0, 3), st.integers(0, 3), st.integers(60, 5000
 
 
 @st.composite
-def kernel_polys(draw, pool=("x1", "x2", "a1", "t", "y")):
+def kernel_polys(draw, pool=("x1", "x2", "a1", "t", "y"), exps=exponents, max_terms=6):
     names = draw(st.lists(st.sampled_from(pool), unique=True, max_size=4))
     terms = {}
-    for _ in range(draw(st.integers(0, 6))):
-        terms[tuple(draw(exponents) for _ in names)] = draw(mixed_fractions)
+    for _ in range(draw(st.integers(0, max_terms))):
+        terms[tuple(draw(exps) for _ in names)] = draw(mixed_fractions)
     return MultiPoly(tuple(names), terms)
 
 
@@ -239,7 +240,77 @@ def test_chained_product_matches_folded_reference(ps, cutoff):
     want = reduce(naive_product, ps, MultiPoly.const(1))
     if cutoff is not None:
         want = want.truncate_var("t", cutoff)
-    assert same(MultiPoly.product(ps, "t", cutoff), want)
+    assert same(MultiPoly.product(ps, {"t": 1}, cutoff), want)
+
+
+def degrees(p, weights):
+    """The weighted degree under `weights` (absent: 0) of each term of p."""
+    w = [weights.get(v, 0) for v in p.vars]
+    return {e: sum(i * j for i, j in zip(e, w)) for e in p.terms}
+
+
+def truncate_by(p, weights, cutoff):
+    """The terms of p of weighted degree at most cutoff, one term at a time."""
+    d = degrees(p, weights)
+    return MultiPoly(p.vars, {e: c for e, c in p.terms.items() if d[e] <= cutoff})
+
+
+def cutoff_near(data, p, weights):
+    """Mostly the degree of one of p's terms or one less, so that a term on
+    the boundary is kept or dropped; otherwise any cutoff."""
+    near = sorted({max(0, d - k) for d in degrees(p, weights).values() for k in (0, 1)})
+    if near and data.draw(st.integers(0, 3)):
+        return data.draw(st.sampled_from(near))
+    return data.draw(st.integers(0, 12000))
+
+
+weight_maps = st.dictionaries(st.sampled_from(("x1", "x2", "a1", "t", "y")), st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(kernel_polys(), max_size=4), weight_maps, st.data())
+def test_weighted_product_matches_product_then_truncate(ps, weights, data):
+    full = MultiPoly.product(ps)
+    graded = {v: var_weight(v) for v in full.vars}
+    c = cutoff_near(data, full, graded)
+    assert same(MultiPoly.product(ps, cutoff=c), full.truncate_weight(c))
+    assert same(MultiPoly.product(ps, weights=graded, cutoff=c), full.truncate_weight(c))
+    c = cutoff_near(data, full, {"t": 1})
+    assert same(MultiPoly.product(ps, weights={"t": 1}, cutoff=c), full.truncate_var("t", c))
+    c = cutoff_near(data, full, weights)
+    assert same(MultiPoly.product(ps, weights=weights, cutoff=c), truncate_by(full, weights, c))
+
+
+def test_weighted_product_rejects_negative_weights():
+    with pytest.raises(ValueError, match="weight"):
+        MultiPoly.product((parse_poly("x1 + t"), parse_poly("t")), weights={"t": -1}, cutoff=2)
+
+
+@st.composite
+def subs_cases(draw):
+    """(p, mapping), with images of every shape: polynomials, constants,
+    zero, and images naming p's own variables.  A variable that p raises to a
+    wide exponent maps to one term at most, so that the untruncated
+    reference stays small."""
+    p = draw(kernel_polys())
+    mapping = {}
+    for i, v in enumerate(p.vars):
+        kind = draw(st.sampled_from(("keep", "poly", "const")))
+        if kind == "const":
+            mapping[v] = draw(st.integers(-3, 3))
+        elif kind == "poly":
+            wide = max((e[i] for e in p.terms), default=0) > 3
+            mapping[v] = draw(kernel_polys(exps=exponents if wide else st.integers(0, 3), max_terms=1 if wide else 4))
+    return p, mapping
+
+
+@settings(max_examples=200, deadline=None)
+@given(subs_cases(), st.data())
+def test_truncated_subs_matches_subs_then_truncate(case, data):
+    p, mapping = case
+    full = p.subs(mapping)
+    c = cutoff_near(data, full, {v: var_weight(v) for v in full.vars})
+    assert same(p.subs(mapping, cutoff=c), full.truncate_weight(c))
 
 
 @settings(max_examples=200, deadline=None)
