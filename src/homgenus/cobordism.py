@@ -95,12 +95,8 @@ class FormalGroupLaw:
 
     @cached_property
     def inverse(self):
-        """iota(u) with F(u, iota(u)) = 0."""
-        u = TruncatedSeries(MultiPoly.variable("u1"), self.cutoff)
-        iota = -u
-        for _ in range(self.degree):
-            iota = iota - self.add(u, iota)
-        return iota
+        """iota(u) with F(u, iota(u)) = 0: exp(-g(u)), one composition."""
+        return self.exp.compose("x1", -self.log)
 
 
 _FGL_CACHE = {}

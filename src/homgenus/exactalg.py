@@ -268,11 +268,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def mul_truncated(self, other, name, cutoff):
-        """``(self * other).truncate_var(name, cutoff)``, without forming the
-        products whose exponent of `name` exceeds cutoff."""
-        return MultiPoly.product((self, other), {name: 1}, cutoff)
-
     @classmethod
     def product(cls, factors, weights=None, cutoff=None):
         """Exact product of `factors`, on packed integer monomials; with a

@@ -362,13 +362,6 @@ class WeylGroup:
             raise ValueError("matrix does not lie in the enumerated Weyl group")
         return el
 
-    def contains_matrix(self, m):
-        try:
-            self.element_of_matrix(m)
-        except ValueError:
-            return False
-        return True
-
 
 def weyl_group(group, ordering=None, cap=WEYL_CAP):
     return WeylGroup(group, group.simple_roots(ordering), cap=cap, label=group.label)
@@ -410,33 +403,40 @@ class SubgroupData:
 class CosetSpace:
     """Left cosets w W_H in W_G, one representative each.
 
-    `wh` is the subgroup's Weyl group built over the same root list as `wg`.
-    The representative is the element with the shortest word (ties broken
-    lexicographically), i.e. the first member of the coset in BFS order.
-    The number of cosets is the Euler characteristic of G/H.
+    `h_simple` are the simple roots of H under `ordering`, the ordering that
+    also picks the simple roots of `wg`.  Each coset has a unique element of
+    minimal length, the one that maps every simple root of H to a positive
+    root (Deodhar, Arch. Math. 53, 1989; Dyer, J. Algebra 135, 1990).  It is
+    the coset's first member in BFS order, so its word is also the
+    lexicographically least among the shortest; it is the representative.
+    W_H itself is never enumerated.  The number of cosets is the Euler
+    characteristic of G/H.
     """
 
-    def __init__(self, wg, wh):
+    def __init__(self, wg, h_simple, ordering):
         self.wg = wg
-        self.wh_perms = tuple(e.perm for e in wh.elements)
+        group = wg.group
+        positive = [ordering.sign(r) > 0 for r in group.roots]
+        h_roots = [group.root_index[a] for a in h_simple]
+        h_gens = [group.reflection_perm(a) for a in h_simple]
         reps = []
-        key_to_index = {}
+        index = {}
         for el in wg.elements:
-            k = self.coset_key(el.perm)
-            if k not in key_to_index:
-                key_to_index[k] = len(reps)
+            p = el.perm
+            k = next((j for j, a in enumerate(h_roots) if not positive[p[a]]), None)
+            if k is None:
+                index[p] = len(reps)
                 reps.append(el)
+            else:
+                # w(a) < 0 makes w s_a shorter than w, so it is indexed already
+                index[p] = index[compose(p, h_gens[k])]
         self.representatives = tuple(reps)
-        self._key_to_index = key_to_index
-
-    def coset_key(self, perm):
-        """The least permutation in the coset perm W_H."""
-        return min(compose(perm, h) for h in self.wh_perms)
+        self._index = index
 
     def index_of(self, perm):
         """Index of the coset containing the element with this permutation."""
         try:
-            return self._key_to_index[self.coset_key(perm)]
+            return self._index[perm]
         except KeyError:
             raise ValueError("permutation does not lie in the enumerated Weyl group") from None
 

@@ -9,6 +9,7 @@ stable tangential structure is a per-fixed-point sign table refining that.
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from .rootdata import (
     CosetSpace,
@@ -74,67 +75,60 @@ class HomogeneousSpace:
         # comp_roots[l] == group.roots[comp_root_indices[l]] / _comp_scales[l]
         self.comp_root_indices = tuple(along[line][0] for line in self.comp_roots)
         self._comp_scales = tuple(along[line][1] for line in self.comp_roots)
-        self._weyl = None
-        self._wh = None
-        self._cosets = None
-        self._summands = None
-        self._summand_chern = None
-        self._root_images = None
-        self._image_values = None
         self._line_signs = None
         self._line_sign_masks = None
-        self._residues_cancel = None
 
     def __repr__(self):
         return "HomogeneousSpace(%s)" % self.label
 
-    @property
+    @cached_property
     def weyl(self):
-        if self._weyl is None:
-            self._weyl = weyl_group(self.group, self.ordering)
-        return self._weyl
+        return weyl_group(self.group, self.ordering)
 
-    @property
+    @cached_property
+    def subgroup_simple(self):
+        """The simple roots of H under the space's ordering."""
+        return self.subgroup.simple_roots(self.ordering)
+
+    @cached_property
+    def subgroup_reflections(self):
+        """The simple reflections of H, as permutations of the ambient
+        group's root list: they generate W_H, which is never enumerated."""
+        return tuple(self.group.reflection_perm(a) for a in self.subgroup_simple)
+
+    @cached_property
     def subgroup_weyl(self):
-        """W_H, as permutations of the ambient group's root list."""
-        if self._wh is None:
-            simple = self.subgroup.simple_roots(self.ordering)
-            self._wh = WeylGroup(self.group, simple, label=self.subgroup.label)
-        return self._wh
+        """W_H, as permutations of the ambient group's root list; built on
+        demand for inspection and tests, never by the library itself."""
+        return WeylGroup(self.group, self.subgroup_simple, label=self.subgroup.label)
 
-    @property
+    @cached_property
     def cosets(self):
-        if self._cosets is None:
-            self._cosets = CosetSpace(self.weyl, self.subgroup_weyl)
-        return self._cosets
+        return CosetSpace(self.weyl, self.subgroup_simple, self.ordering)
 
     @property
     def euler_characteristic(self):
         return len(self.cosets)
 
-    @property
+    @cached_property
     def coset_root_images(self):
         """coset_root_images[w][l] = (coset rep w) applied to comp_roots[l]."""
-        if self._root_images is None:
-            roots = self.group.roots
-            lines = tuple(zip(self.comp_root_indices, self._comp_scales))
-            self._root_images = tuple(
-                tuple(
-                    roots[rep.perm[k]] if scale == 1 else vec(Fraction(c) / scale for c in roots[rep.perm[k]])
-                    for k, scale in lines
-                )
-                for rep in self.cosets.representatives
+        roots = self.group.roots
+        lines = tuple(zip(self.comp_root_indices, self._comp_scales))
+        return tuple(
+            tuple(
+                roots[rep.perm[k]] if scale == 1 else vec(Fraction(c) / scale for c in roots[rep.perm[k]])
+                for k, scale in lines
             )
-        return self._root_images
+            for rep in self.cosets.representatives
+        )
 
-    @property
+    @cached_property
     def image_values(self):
         """image_values[w][l] = <coset_root_images[w][l], v>, v the
         ordering's functional: the point route evaluates every weight at v."""
-        if self._image_values is None:
-            v = self.ordering.v
-            self._image_values = tuple(tuple(dot(img, v) for img in row) for row in self.coset_root_images)
-        return self._image_values
+        v = self.ordering.v
+        return tuple(tuple(dot(img, v) for img in row) for row in self.coset_root_images)
 
     @property
     def line_signs(self):
@@ -155,61 +149,60 @@ class HomogeneousSpace:
             )
         return self._line_sign_masks
 
-    @property
+    @cached_property
     def residues_cancel(self):
         """The residue-pairing certificate for every invariant structure at
         once.  Under summand signs sigma a line's weights are sigma times the
         reference weights orientation * image, so grouping by summand labels
         as well makes each group's residue sigma times the reference one."""
-        if self._residues_cancel is None:
-            labels = [0] * self.n
-            orient = [0] * self.n
-            for k, sm in enumerate(self.summands):
-                for li, o in zip(sm.line_indices, sm.orientation):
-                    labels[li], orient[li] = k, o
-            points = [
-                (1, [tuple(o * c for c in img) for o, img in zip(orient, row)], labels)
-                for row in self.coset_root_images
-            ]
-            # a self-conjugate summand admits no invariant structure at all
-            self._residues_cancel = not any(sm.self_conjugate for sm in self.summands) and residues_cancel(
-                points, self.ordering
-            )
-        return self._residues_cancel
+        labels = [0] * self.n
+        orient = [0] * self.n
+        for k, sm in enumerate(self.summands):
+            for li, o in zip(sm.line_indices, sm.orientation):
+                labels[li], orient[li] = k, o
+        points = [
+            (1, [tuple(o * c for c in img) for o, img in zip(orient, row)], labels)
+            for row in self.coset_root_images
+        ]
+        # a self-conjugate summand admits no invariant structure at all
+        return not any(sm.self_conjugate for sm in self.summands) and residues_cancel(points, self.ordering)
 
-    @property
-    def summands(self):
-        if self._summands is None:
-            self._summands = self._compute_summands()
-        return self._summands
-
-    @property
+    @cached_property
     def summand_chern(self):
         """summand_chern[k] = the sum of orientation * line over summand k:
         its contribution to the first Chern vector under the sign +1."""
-        if self._summand_chern is None:
-            dim = self.group.dim
-            self._summand_chern = tuple(
-                tuple(
-                    sum(o * self.comp_roots[li][i] for li, o in zip(sm.line_indices, sm.orientation))
-                    for i in range(dim)
-                )
-                for sm in self.summands
+        dim = self.group.dim
+        return tuple(
+            tuple(
+                sum(o * self.comp_roots[li][i] for li, o in zip(sm.line_indices, sm.orientation))
+                for i in range(dim)
             )
-        return self._summand_chern
+            for sm in self.summands
+        )
 
-    def _compute_summands(self):
+    @cached_property
+    def summands(self):
+        """The isotropy summands: the W_H-orbits of the signed complementary
+        roots, up to total sign, in the order of their first lines."""
         roots = self.group.roots
         root_index = self.group.root_index
         line_index = {r: i for i, r in enumerate(self.comp_roots)}
-        wh_perms = [e.perm for e in self.subgroup_weyl.elements]
+        gens = self.subgroup_reflections
         assigned = {}
         summands = []
         for i, k in enumerate(self.comp_root_indices):
             if i in assigned:
                 continue
-            # orbit of the signed root +rho_i under W_H, as root indices
-            orbit = {h[k] for h in wh_perms}
+            # orbit of the signed root +rho_i under W_H, as root indices: the
+            # closure of {k} under H's simple reflections
+            orbit = {k}
+            frontier = [k]
+            while frontier:
+                j = frontier.pop()
+                for g in gens:
+                    if g[j] not in orbit:
+                        orbit.add(g[j])
+                        frontier.append(g[j])
             self_conj = any(root_index[vec_neg(roots[j])] in orbit for j in orbit)
             orient = {}
             for j in orbit:
@@ -366,16 +359,18 @@ def c1_divisibility(structure, n):
 def is_integrable(structure):
     """Does some Weyl element move the structure roots into a positive system?
 
-    Exhaustive over the ambient Weyl group; exact.  The subgroup's positive
-    system can always be chosen compatibly afterwards, so this single check
-    settles integrability of the invariant structure.  An element whose image
-    of some structure root is not oriented by the ordering gives no verdict.
+    Exhaustive over the ambient Weyl group, by way of the coset
+    representatives: the structure roots are W_H-stable, so w and w h send
+    them to the same set.  Exact.  The subgroup's positive system can always
+    be chosen compatibly afterwards, so this single check settles
+    integrability of the invariant structure.  An element whose image of some
+    structure root is not oriented by the ordering gives no verdict.
     """
     space = structure.space
     v = space.ordering.v
     side = [dot(r, v) for r in space.group.roots]
     signed = tuple(zip(structure.eps, space.comp_root_indices))
-    return any(all(e * side[el.perm[k]] > 0 for e, k in signed) for el in space.weyl.elements)
+    return any(all(e * side[el.perm[k]] > 0 for e, k in signed) for el in space.cosets.representatives)
 
 
 class StableStructure:

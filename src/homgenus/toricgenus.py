@@ -25,13 +25,13 @@ import math
 from fractions import Fraction
 
 from .exactalg import MultiPoly, divided_difference, exact_divide, vandermonde, var_key
-from .rootdata import canonical_positive
+from .catalog import catalog_space
+from .rootdata import canonical_positive, vec_neg
 from .structures import (
     HomogeneousSpace,
     InvariantStructure,
     SubgroupData,
     fixed_points,
-    make_space,
     point_signs,
     residues_cancel,
 )
@@ -592,9 +592,13 @@ def twisted_product(base_structure, fiber_structure, cutoff=None):
         raise ValueError("cutoff must be >= 0, got %d" % cutoff)
     if fiber_space.group.root_set != base_space.subgroup.root_set:
         raise ValueError("fiber ambient group must be the base isotropy group")
-    base_roots = set(base_structure.roots)
-    for el in base_space.subgroup_weyl.elements:
-        if {tuple(el.apply(r)) for r in base_roots} != base_roots:
+    roots, root_index = base_space.group.roots, base_space.group.root_index
+    signed = {
+        k if e > 0 else root_index[vec_neg(roots[k])] for e, k in zip(base_structure.eps, base_space.comp_root_indices)
+    }
+    # invariance under the generators of W_H is invariance under W_H
+    for gen in base_space.subgroup_reflections:
+        if {gen[k] for k in signed} != signed:
             raise ValueError(
                 "base structure is not invariant under the isotropy Weyl group; "
                 "the fibration does not transport it"
@@ -701,14 +705,7 @@ def hp_obstruction_search(n=2):
     """
     if n != 2:
         raise ValueError("only n = 2 is implemented; general n is out of scope")
-    group_label = "Sp(3)"
-    space = make_space(
-        group_label,
-        [(2, 0, 0)]
-        + [(0, 2, 0), (0, 0, 2), (0, 1, 1), (0, 1, -1)],
-        label="HP2",
-        subgroup_label="Sp(1)xSp(2)",
-    )
+    space = catalog_space("HP2")
     # complementary lines in canonical order: x1-x2, x1-x3, x1+x3, x1+x2
     lines = space.comp_roots
     by_vec = {line: i for i, line in enumerate(lines)}

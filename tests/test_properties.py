@@ -231,7 +231,7 @@ def test_product_matches_naive_reference(pair):
 @given(kernel_pairs(), st.integers(0, 8))
 def test_truncated_product_matches_product_then_truncate(pair, cutoff):
     p, q = pair
-    assert same(p.mul_truncated(q, "t", cutoff), (p * q).truncate_var("t", cutoff))
+    assert same(MultiPoly.product((p, q), {"t": 1}, cutoff), (p * q).truncate_var("t", cutoff))
 
 
 @settings(max_examples=200, deadline=None)

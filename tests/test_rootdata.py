@@ -89,7 +89,7 @@ def test_weyl_identity_word_is_empty():
     words = [e.word for e in w]
     assert () in words
     ident = identity_matrix(3)
-    assert w.contains_matrix(ident)
+    assert w.element_of_matrix(ident).word == ()
 
 
 def test_weyl_elements_permute_roots():
@@ -165,7 +165,8 @@ def test_coset_index_of_matrix_rejects_stranger():
     # fixes every root (they sum to zero) but moves the centre: not in W
     with pytest.raises(ValueError):
         cs.index_of_matrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
-    assert not cs.wg.contains_matrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+    with pytest.raises(ValueError):
+        cs.wg.element_of_matrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
 
 
 def test_subgroup_closure_checked():
@@ -308,3 +309,34 @@ def test_cosets_by_root_permutations(case):
     for el in list(wg) + list(wh):
         for i, root in enumerate(roots):
             assert mat_vec(el.matrix, root) == roots[el.perm[i]]
+
+
+def _hp_space(n):
+    """HP^n = Sp(n+1)/(Sp(1) x Sp(n)), the Sp(1) on the first coordinate."""
+    sub_roots = [(2,) + (0,) * n]
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            for s in (1, -1) if j > i else (1,):
+                r = [0] * (n + 1)
+                r[i] += 1
+                r[j] += s
+                sub_roots.append(tuple(r))
+    return make_space("Sp(%d)" % (n + 1), sub_roots, label="HP%d" % n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_hp_cosets_are_minimal_representatives(n):
+    space = _hp_space(n)
+    roots, positive = space.group.roots, set(space.group.positive_roots(space.ordering))
+    reps = space.cosets.representatives
+    assert len(reps) == n + 1
+    for r in reps:
+        for a in space.subgroup_simple:
+            assert roots[r.perm[space.group.root_index[a]]] in positive
+    assert [sm.self_conjugate for sm in space.summands] == [True]
+    if n == 3:
+        # brute force: each representative's word is the shortest in its coset
+        wg = space.weyl
+        for r in reps:
+            coset = [wg.by_perm[compose(r.perm, h.perm)] for h in space.subgroup_weyl]
+            assert r.word == min((len(w.word), w.word) for w in coset)[1]

@@ -137,3 +137,32 @@ def test_stable_table_validation():
         StableStructure(cp3, std, ((1, 1),) * 4)
     with pytest.raises(ValueError, match="must be \\+1 or -1"):
         StableStructure(cp3, std, ((1, 1, 2),) * 4)
+
+
+def test_space_data_never_enumerates_subgroup_weyl(monkeypatch):
+    """Cosets, summands, integrability and the twisted product's invariance
+    check use only H's simple reflections."""
+    from homgenus.structures import HomogeneousSpace, SubgroupData, make_space
+    from homgenus.toricgenus import chern_dold_genus, twisted_product
+
+    def refuse(self):
+        raise AssertionError("W_H was enumerated")
+
+    monkeypatch.setattr(HomogeneousSpace, "subgroup_weyl", property(refuse))
+    for name in ("S6", "CP3", "G52", "U4-T2xU2", "HP2", "CP3-sp"):
+        entry = catalog_entry(name)
+        space = make_space(entry.group, entry.subgroup_roots, label=name)
+        assert len(space.cosets) == entry.expected["euler"]
+        assert space.summands
+        for s in enumerate_structures(space):
+            is_integrable(s)
+    # the inputs of the twisted-product check: fibrations over S6 and CP2
+    for name, cutoff in (("S6", 3), ("CP2", 3)):
+        entry = catalog_entry(name)
+        space = make_space(entry.group, entry.subgroup_roots, label=name)
+        base = InvariantStructure(space, (1,) * len(space.summands))
+        h = space.subgroup.as_group()
+        fiber_space = HomogeneousSpace(h, SubgroupData(h, ()))
+        fiber = InvariantStructure(fiber_space, (1,) * len(fiber_space.summands))
+        tw = twisted_product(base, fiber, cutoff=cutoff)
+        assert tw.form == chern_dold_genus(tw.structure, cutoff=cutoff).form
