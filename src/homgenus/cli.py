@@ -261,18 +261,19 @@ def cmd_genus_s(ns):
     entry, space = _resolve_space(ns)
     if not ns.omega:
         raise UsageError("--omega is required, e.g. --omega 1,0,0,0,1,0")
-    omega = _parse_int_tuple(ns.omega, "--omega")
     try:
-        _normalize_omega(omega, space.n)
+        omega = _normalize_omega(_parse_int_tuple(ns.omega, "--omega"), space.n)
     except ValueError as exc:
         raise UsageError("--omega: %s" % exc)
     structure = _resolve_structure(ns, entry, space)
     value = s_number(structure, omega)
     route = "point" if certified(structure) else "symbolic"
+    # label omega padded to the dimension: s_3 would read as the top number
+    label = ",".join(map(str, omega))
     return {
         "result": {"omega": list(omega), "value": value, "route": route},
-        "plain": "s_%s = %d" % (ns.omega, value),
-        "csv": [["omega", "value"], [ns.omega, value]],
+        "plain": "s_%s = %d" % (label, value),
+        "csv": [["omega", "value"], [label, value]],
     }
 
 
@@ -435,9 +436,11 @@ def cmd_fibration_check(ns):
 
 
 def cmd_hp_restricted(ns):
-    if ns.max_index < 0:
-        raise UsageError("--max-index must be >= 0, got %d" % ns.max_index)
-    out = restricted_genus_hp(2, ns.which, max_index=ns.max_index)
+    try:
+        out = restricted_genus_hp(2, ns.which, max_index=ns.max_index)
+    except ValueError as exc:
+        # the expansion's only inputs are --which (argparse checks it) and --max-index
+        raise UsageError("--max-index: %s" % exc)
     doc = _jsonable(
         {k: v for k, v in out.items() if k not in ("component",)}
     )

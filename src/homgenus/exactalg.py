@@ -894,6 +894,7 @@ def _as_ratfn(v):
 
 # A parsed power base^N is refused when N, or the degree N * deg(base) it
 # would reach, exceeds this cap; both are known before the power is formed.
+# `restricted_genus_hp` refuses a series that would reach past it too.
 MAX_EXPONENT = 256
 
 

@@ -45,10 +45,6 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def mat_vec(m, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
 def mat_mul(a, b):
     n = len(a)
     bt = tuple(zip(*b))
@@ -197,17 +193,6 @@ class GroupData:
                 ) from None
         return tuple(perm)
 
-    def perm_of_matrix(self, matrix):
-        """The permutation of the roots a matrix induces; ValueError when it
-        does not map the roots onto themselves."""
-        perm = []
-        for r in self.roots:
-            try:
-                perm.append(self.root_index[mat_vec(matrix, r)])
-            except KeyError:
-                raise ValueError("matrix does not permute the roots of %s" % self.label) from None
-        return tuple(perm)
-
     def positive_roots(self, ordering=None):
         ordering = ordering or default_ordering(self.dim)
         return tuple(r for r in self.roots if ordering.sign(r) > 0)
@@ -315,9 +300,6 @@ class WeylElement:
             self._matrix = mat_mul(self._parent.matrix, self._gen)
         return self._matrix
 
-    def apply(self, v):
-        return mat_vec(self.matrix, v)
-
 
 class WeylGroup:
     """Closure of the reflections in `simple_roots`, as permutations of the
@@ -345,7 +327,6 @@ class WeylGroup:
                         raise ValueError("Weyl group exceeds the cap of %d elements" % cap)
         # BFS with ascending generator index enumerates words in (length, lex) order
         self.elements = sorted(seen.values(), key=lambda e: (len(e.word), e.word))
-        self.by_perm = seen
         # generators[g] is the simple reflection that letter g of a word names
         self.generators = tuple(gen_perm for gen_perm, _ in gens)
 
@@ -354,13 +335,6 @@ class WeylGroup:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def element_of_matrix(self, m):
-        """The element whose matrix is m; ValueError when there is none."""
-        el = self.by_perm.get(self.group.perm_of_matrix(m))
-        if el is None or el.matrix != tuple(map(tuple, m)):
-            raise ValueError("matrix does not lie in the enumerated Weyl group")
-        return el
 
 
 def weyl_group(group, ordering=None, cap=WEYL_CAP):
@@ -439,9 +413,6 @@ class CosetSpace:
             return self._index[perm]
         except KeyError:
             raise ValueError("permutation does not lie in the enumerated Weyl group") from None
-
-    def index_of_matrix(self, matrix):
-        return self.index_of(self.wg.element_of_matrix(matrix).perm)
 
     @cached_property
     def action(self):

@@ -24,7 +24,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .exactalg import MultiPoly, divided_difference, exact_divide, vandermonde, var_key
+from .exactalg import MAX_EXPONENT, MultiPoly, divided_difference, exact_divide, vandermonde, var_key
 from .catalog import catalog_space
 from .rootdata import canonical_positive, vec_neg
 from .structures import (
@@ -100,49 +100,6 @@ def apply_weyl(poly, matrix):
     return poly.subs(mapping)
 
 
-def _localize(points, ordering, group_term):
-    """The one fixed-point sum behind every localization in this module.
-
-    `points` is a list of (sign, weights).  Returns (N, lines): N over the
-    product of the distinct weight lines is the sum over the points of sign
-    times the point's kernel over the product of its weights.  Points that
-    miss the same lines are summed first, by `group_term(members, power)`:
-    each member is (k, coeff, cw), the point's index, sign / prod(scales) and
-    (line, scale) pairs, and `power(line, i)` memoizes the line's form to
-    the i.  Each group's sum then multiplies its missing lines once.
-    """
-    # a sum meets each of the at most 2*|roots| signed weights at many points
-    distinct = dict.fromkeys(w for _, ws in points for w in ws)
-    canonical = {w: canonical_positive(w, ordering) for w in distinct}
-    lines = list(dict.fromkeys(line for line, _ in canonical.values()))
-    groups = {}
-    for k, (sign, ws) in enumerate(points):
-        cw = [canonical[w] for w in ws]
-        own = {line for line, _ in cw}
-        if len(own) != len(cw):
-            raise ValueError("two isotropy weights at one fixed point share a line")
-        coeff = Fraction(sign)
-        for _, scale in cw:
-            coeff /= scale
-        missing = tuple(line for line in lines if line not in own)
-        groups.setdefault(missing, []).append((k, coeff, cw))
-    powers = {}
-
-    def power(line, i):
-        p = powers.get(line)
-        if p is None:
-            p = powers[line] = [MultiPoly.const(1), _form_of(line)]
-        while len(p) <= i:
-            p.append(p[-1] * p[1])
-        return p[i]
-
-    terms = [
-        MultiPoly.product([power(line, 1) for line in missing] + [group_term(members, power)])
-        for missing, members in groups.items()
-    ]
-    return MultiPoly.sum(terms), lines
-
-
 def _divide_lines(numerator, lines):
     """numerator / prod(lines), exactly; a remainder is an uncancelled pole."""
     for line in lines:
@@ -168,28 +125,51 @@ def _f_factor(line, scale, cutoff, power):
 
 
 def localized_numerator(points, ordering, cutoff, fiber_forms=None):
-    """Common-denominator numerator of the localization sum.
+    """The one symbolic fixed-point sum, cleared to a common denominator.
 
-    `points` is a list of (sign, weights); returns (N, lines) where the sum
-    of sign/prod(weights)-type terms equals N / prod(lines) with the f-factor
-    expansion carried to t^cutoff.  `fiber_forms`, when given, multiplies the
-    point's term by an extra polynomial (used by twisted products).
+    `points` is a list of (sign, weights).  Returns (N, lines): N over the
+    product of the distinct weight lines is the sum over the points of sign
+    times prod_j f(t * w_j) / prod_j w_j, each f-factor carried to t^cutoff.
+    `fiber_forms`, when given, multiplies point k's term by fiber_forms[k]
+    (used by twisted products).  Points that miss the same lines are summed
+    first, and each group's sum then multiplies its missing lines once.
     """
+    # a sum meets each of the at most 2*|roots| signed weights at many points
+    distinct = dict.fromkeys(w for _, ws in points for w in ws)
+    canonical = {w: canonical_positive(w, ordering) for w in distinct}
+    lines = list(dict.fromkeys(line for line, _ in canonical.values()))
+    powers = {}
+
+    def power(line, i):
+        p = powers.get(line)
+        if p is None:
+            p = powers[line] = [MultiPoly.const(1), _form_of(line)]
+        while len(p) <= i:
+            p.append(p[-1] * p[1])
+        return p[i]
+
     f_factors = {}
-
-    def group_term(members, power):
-        terms = []
-        for k, coeff, cw in members:
-            for pair in cw:
-                if pair not in f_factors:
-                    f_factors[pair] = _f_factor(*pair, cutoff, power)
-            factors = [MultiPoly.const(coeff)] + [f_factors[pair] for pair in cw]
-            if fiber_forms is not None:
-                factors.append(fiber_forms[k])
-            terms.append(MultiPoly.product(factors, {"t": 1}, cutoff))
-        return MultiPoly.sum(terms)
-
-    return _localize(points, ordering, group_term)
+    groups = {}
+    for k, (sign, ws) in enumerate(points):
+        cw = [canonical[w] for w in ws]
+        own = {line for line, _ in cw}
+        if len(own) != len(cw):
+            raise ValueError("two isotropy weights at one fixed point share a line")
+        coeff = Fraction(sign)
+        for pair in cw:
+            coeff /= pair[1]
+            if pair not in f_factors:
+                f_factors[pair] = _f_factor(*pair, cutoff, power)
+        factors = [MultiPoly.const(coeff)] + [f_factors[pair] for pair in cw]
+        if fiber_forms is not None:
+            factors.append(fiber_forms[k])
+        missing = tuple(line for line in lines if line not in own)
+        groups.setdefault(missing, []).append(MultiPoly.product(factors, {"t": 1}, cutoff))
+    terms = [
+        MultiPoly.product([power(line, 1) for line in missing] + [MultiPoly.sum(group)])
+        for missing, group in groups.items()
+    ]
+    return MultiPoly.sum(terms), lines
 
 
 def certified(structure):
@@ -389,84 +369,25 @@ def _normalize_omega(omega, n):
     return omega
 
 
-def _f_omega(pairs, omega, powers):
-    """Coefficient of a^omega in prod_j f(scale_j * <line_j, x>), as a
-    polynomial in x, for the (line, scale) pairs of one point.
-
-    Incremental over the pairs, pruned to sub-multi-indices of omega.
-    `powers` memoizes (scale * line)^i by (line, scale) for one call.
-    """
-    support = [i + 1 for i, k in enumerate(omega) if k]
-    zero = tuple(0 for _ in omega)
-    state = {zero: MultiPoly.const(1)}
-    for pair in pairs:
-        p = powers.get(pair)
-        if p is None:
-            line, scale = pair
-            p = powers[pair] = [MultiPoly.const(1), _form_of(line) * scale]
-        new = dict(state)
-        for key, poly in state.items():
-            for i in support:
-                if key[i - 1] >= omega[i - 1]:
-                    continue
-                while len(p) <= i:
-                    p.append(p[-1] * p[1])
-                k2 = list(key)
-                k2[i - 1] += 1
-                k2 = tuple(k2)
-                add = poly * p[i]
-                cur = new.get(k2)
-                new[k2] = add if cur is None else cur + add
-        state = new
-    return state.get(tuple(omega), MultiPoly.zero())
-
-
 def s_number(structure, omega):
     """The characteristic number s_omega, an exact integer.
 
-    A certified structure takes the point route.  Otherwise the a^omega
-    coefficient of each local contribution is f_omega(transported weights)
-    over the product of the weights; cleared to the common line denominator
-    and divided exactly, the sum must collapse to a constant.  For a one-part
-    omega, f_omega is the power sum of the weights, so a group of points is
-    one rational coefficient per line.
+    A certified structure takes the point route over the down-set of omega.
+    Otherwise s_omega is the a^omega coefficient of the symbolic class, so it
+    raises exactly where `chern_dold_genus(structure).bordism_class()` does.
     """
     space = structure.space
     omega = _normalize_omega(omega, space.n)
     if certified(structure):
-        keys = _down_set(omega, space.n)
-        (value,) = _point_sums(structure, keys, [omega])
+        (value,) = _point_sums(structure, _down_set(omega, space.n), [omega])
     else:
-        value = _symbolic_s_number(structure, omega)
+        value = chern_dold_genus(structure).bordism_class()
+        for i, k in enumerate(omega, 1):
+            value = value.coefficient_of("a%d" % i, k)
+        value = value.constant_value()
     if value.denominator != 1:
         raise ArithmeticError("s_omega value is not an integer: %s" % value)
     return int(value)
-
-
-def _symbolic_s_number(structure, omega):
-    space = structure.space
-    parts = [(i + 1, k) for i, k in enumerate(omega) if k]
-    points = [(fp.sign, fp.weights) for fp in fixed_points(structure)]
-    if len(parts) == 1 and parts[0][1] == 1:
-        m = parts[0][0]
-
-        def group_term(members, power):
-            acc = {}
-            for _, coeff, cw in members:
-                for line, scale in cw:
-                    acc[line] = acc.get(line, 0) + coeff * scale**m
-            return MultiPoly.sum(power(line, m) * c for line, c in acc.items())
-
-    else:
-        scaled = {}
-
-        def group_term(members, power):
-            return MultiPoly.sum(_f_omega(cw, omega, scaled) * coeff for _, coeff, cw in members)
-
-    total = _divide_lines(*_localize(points, space.ordering, group_term))
-    if not total.is_constant():
-        raise ArithmeticError("s_omega did not collapse to a constant: %s" % total.to_text())
-    return total.constant_value() * getattr(structure, "global_sign", 1)
 
 
 def top_s(structure):
@@ -516,6 +437,39 @@ def _block_partition(space):
     return block_list
 
 
+def _f_omega(pairs, omega):
+    """Coefficient of a^omega in prod_j f(scale_j * <line_j, x>), as a
+    polynomial in x, for the (line, scale) pairs of one point.
+
+    Incremental over the pairs, pruned to sub-multi-indices of omega, with
+    (scale * line)^i memoized by (line, scale).
+    """
+    support = [i + 1 for i, k in enumerate(omega) if k]
+    zero = tuple(0 for _ in omega)
+    state = {zero: MultiPoly.const(1)}
+    powers = {}
+    for pair in pairs:
+        p = powers.get(pair)
+        if p is None:
+            line, scale = pair
+            p = powers[pair] = [MultiPoly.const(1), _form_of(line) * scale]
+        new = dict(state)
+        for key, poly in state.items():
+            for i in support:
+                if key[i - 1] >= omega[i - 1]:
+                    continue
+                while len(p) <= i:
+                    p.append(p[-1] * p[1])
+                k2 = list(key)
+                k2[i - 1] += 1
+                k2 = tuple(k2)
+                add = poly * p[i]
+                cur = new.get(k2)
+                new[k2] = add if cur is None else cur + add
+        state = new
+    return state.get(tuple(omega), MultiPoly.zero())
+
+
 def s_number_schur_route(structure, omega):
     """Type-A cross-check: s_omega via the divided-difference operator.
 
@@ -532,7 +486,7 @@ def s_number_schur_route(structure, omega):
     lam = Fraction(1)
     for e in structure.eps:
         lam *= e
-    arg = _f_omega([canonical_positive(r) for r in structure.roots], omega, {})
+    arg = _f_omega([canonical_positive(r) for r in structure.roots], omega)
     for b in blocks:
         arg = arg * vandermonde([names[i] for i in b])
         lam /= math.factorial(len(b))
@@ -648,6 +602,10 @@ def restricted_genus_hp(n=2, which="sp-flag", max_index=3):
         raise ValueError("only n = 2 is implemented; general n is out of scope")
     if max_index < 0:
         raise ValueError("max_index must be >= 0, got %d" % max_index)
+    if 2 * max_index + 1 > MAX_EXPONENT:
+        raise ValueError(
+            "max_index %d needs a%d, above the degree cap %d" % (max_index, 2 * max_index + 1, MAX_EXPONENT)
+        )
     if which == "sp-flag":
         s1 = _odd_component("x1", max_index)
         s2 = _odd_component("x2", max_index)

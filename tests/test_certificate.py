@@ -16,7 +16,6 @@ from homgenus.structures import InvariantStructure, StableStructure, enumerate_s
 from homgenus.toricgenus import (
     GenusExpansion,
     _symbolic_form,
-    _symbolic_s_number,
     certified,
     chern_dold_genus,
     s_number,
@@ -45,11 +44,22 @@ def _symbolic_class(s):
     return ge.lower_terms_vanish(), ge.bordism_class()
 
 
-def _s_symbolic(s, omega):
-    value = _symbolic_s_number(s, omega)
+def _s_symbolic(cls, omega):
+    """The a^omega coefficient of a class, as an integer."""
+    for i, k in enumerate(omega, 1):
+        cls = cls.coefficient_of("a%d" % i, k)
+    value = cls.constant_value()
     if value.denominator != 1:
         raise ArithmeticError("not an integer")
     return int(value)
+
+
+def _s_outcomes(s, symbolic, omegas):
+    """For each omega, s_number's outcome and the one the symbolic class
+    (or the error it raised) gives."""
+    for omega in omegas:
+        want = symbolic if isinstance(symbolic, type) else _outcome(_s_symbolic, symbolic[1], omega)
+        yield _outcome(s_number, s, omega), want
 
 
 def check_sound(s, omegas=None):
@@ -68,11 +78,10 @@ def check_sound(s, omegas=None):
         assert ge.route == ("point" if cert else "symbolic")
         assert ge.lower_terms_vanish() == low
         assert ge.bordism_class() == cls
-    for omega in _omegas(n) if omegas is None else omegas:
-        want = _outcome(_s_symbolic, s, omega)
+    for got, want in _s_outcomes(s, symbolic, _omegas(n) if omegas is None else omegas):
         if cert:
             assert not isinstance(want, type)
-        assert _outcome(s_number, s, omega) == want
+        assert got == want
 
 
 def test_every_catalog_invariant_structure_is_certified():
@@ -140,7 +149,8 @@ def test_cp3_presets_are_sound(preset):
 @pytest.mark.parametrize("name", ["CP2", "S6"])
 def test_certificate_is_exact_on_every_small_table(name):
     # each of the 64 sign tables: certified exactly when the symbolic route
-    # goes through, since these small sums leave no other way to cancel
+    # goes through, since these small sums leave no other way to cancel; and
+    # every s-number is the class's coefficient, or raises what the class raises
     space = catalog_space(name)
     base = InvariantStructure(space, (1,) * len(space.summands))
     rows, n = len(space.cosets), space.n
@@ -149,7 +159,10 @@ def test_certificate_is_exact_on_every_small_table(name):
         s = StableStructure(space, base, [bits[i * n : (i + 1) * n] for i in range(rows)])
         cert = certified(s)
         certified_count += cert
-        assert cert == (not isinstance(_outcome(_symbolic_class, s), type))
+        symbolic = _outcome(_symbolic_class, s)
+        assert cert == (not isinstance(symbolic, type))
+        for got, want in _s_outcomes(s, symbolic, _omegas(n)):
+            assert got == want
     assert certified_count == {"CP2": 8, "S6": 10}[name]
 
 

@@ -108,6 +108,19 @@ def test_genus_s_number(capsys):
     assert json.loads(out)["result"]["route"] == "point"
 
 
+@pytest.mark.parametrize("fmt", ["--plain", "--csv", "--json"])
+def test_genus_s_labels_the_padded_omega(capsys, fmt):
+    # --omega 3 is s_(3,0,0), the a1^3 coefficient, not the top number s_(0,0,1) = -6
+    code, out, _ = run(capsys, "genus", "s", "--space", "U3-flag", "--omega", "3", fmt)
+    assert code == 0
+    if fmt == "--plain":
+        assert out == "s_3,0,0 = 6\n"
+    elif fmt == "--csv":
+        assert list(csv.reader(io.StringIO(out))) == [["omega", "value"], ["3,0,0", "6"]]
+    else:
+        assert json.loads(out)["result"]["omega"] == [3, 0, 0]
+
+
 def test_genus_s_requires_omega(capsys):
     code, _, err = run(capsys, "genus", "s", "--space", "CP1")
     assert code == 1
@@ -299,6 +312,13 @@ def test_hp_restricted_negative_max_index_is_a_usage_error(capsys):
     assert code == 1
     assert out == ""
     assert "--max-index" in err
+
+
+def test_hp_restricted_max_index_above_the_degree_cap_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "hp", "restricted", "--max-index", "128")
+    assert code == 1
+    assert out == ""
+    assert "--max-index" in err and "degree cap 256" in err
 
 
 def test_space_as_json_literal(capsys):

@@ -380,7 +380,7 @@ def _reference_f_factor(line, scale, cutoff, power):
 
 
 def _line_powers(line):
-    """power(line, i) = <line, x>^i, memoized as `_localize` does."""
+    """power(line, i) = <line, x>^i, memoized as `localized_numerator` does."""
     p = [MultiPoly.const(1), MultiPoly.linear_form(["x%d" % (i + 1) for i in range(len(line))], line)]
 
     def power(_, i):

@@ -18,14 +18,16 @@ from homgenus.rootdata import (
     gram_pairing,
     group_from_doc,
     identity_matrix,
-    mat_mul,
-    mat_vec,
     reflection_matrix,
     vec_add,
     vec_neg,
     weyl_group,
 )
 from homgenus.structures import HomogeneousSpace, make_space
+
+
+def mat_vec(m, v):
+    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
 def test_builtin_group_root_counts():
@@ -88,15 +90,15 @@ def test_weyl_identity_word_is_empty():
     w = weyl_group(build_group("U(3)"))
     words = [e.word for e in w]
     assert () in words
-    ident = identity_matrix(3)
-    assert w.element_of_matrix(ident).word == ()
+    assert w.elements[0].word == ()
+    assert w.elements[0].matrix == identity_matrix(3)
 
 
 def test_weyl_elements_permute_roots():
     g = build_group("Sp(2)")
     roots = set(g.roots)
     for e in weyl_group(g):
-        assert {e.apply(r) for r in roots} == roots
+        assert {mat_vec(e.matrix, r) for r in roots} == roots
 
 
 def test_reflection_is_involutive():
@@ -155,18 +157,15 @@ def test_coset_counts():
     assert len(cs.representatives) == 4
 
 
-def test_coset_index_of_matrix_rejects_stranger():
+def test_coset_index_of_rejects_stranger():
     u3 = build_group("U(3)")
     torus = SubgroupData(u3, ())
     cs = HomogeneousSpace(u3, torus).cosets
     assert len(cs.representatives) == 6
-    with pytest.raises(ValueError):
-        cs.index_of_matrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
-    # fixes every root (they sum to zero) but moves the centre: not in W
-    with pytest.raises(ValueError):
-        cs.index_of_matrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
-    with pytest.raises(ValueError):
-        cs.wg.element_of_matrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+    # -1 permutes the roots of U(3), but W = S_3 does not contain it
+    minus_one = tuple(u3.root_index[vec_neg(r)] for r in u3.roots)
+    with pytest.raises(ValueError, match="does not lie in the enumerated Weyl group"):
+        cs.index_of(minus_one)
 
 
 def test_subgroup_closure_checked():
@@ -304,7 +303,7 @@ def test_cosets_by_root_permutations(case):
 
     for i, r in enumerate(reps):
         for h in wh:
-            assert cosets.index_of_matrix(mat_mul(r.matrix, h.matrix)) == i
+            assert cosets.index_of(compose(r.perm, h.perm)) == i
 
     for el in list(wg) + list(wh):
         for i, root in enumerate(roots):
@@ -336,7 +335,7 @@ def test_hp_cosets_are_minimal_representatives(n):
     assert [sm.self_conjugate for sm in space.summands] == [True]
     if n == 3:
         # brute force: each representative's word is the shortest in its coset
-        wg = space.weyl
+        by_perm = {w.perm: w for w in space.weyl}
         for r in reps:
-            coset = [wg.by_perm[compose(r.perm, h.perm)] for h in space.subgroup_weyl]
+            coset = [by_perm[compose(r.perm, h.perm)] for h in space.subgroup_weyl]
             assert r.word == min((len(w.word), w.word) for w in coset)[1]

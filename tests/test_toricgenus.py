@@ -213,6 +213,11 @@ def test_restricted_scope_guards():
         restricted_genus_hp(n=2, which="bogus")
     with pytest.raises(ValueError, match="max_index must be >= 0"):
         restricted_genus_hp(n=2, max_index=-1)
+    # a_(2*max_index+1) past the degree cap is refused before any series is formed
+    with pytest.raises(ValueError, match="above the degree cap 256"):
+        restricted_genus_hp(n=2, max_index=128)
+    with pytest.raises(ValueError, match="above the degree cap 256"):
+        restricted_genus_hp(n=2, which="cp-odd", max_index=10**9)
 
 
 def test_hp2_obstruction_search():
