@@ -13,10 +13,11 @@ import json
 import os
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from .catalog import catalog_entry, catalog_list
-from .exactalg import MultiPoly, PoleCancellationError, parse_rational
+from .exactalg import MAX_EXPONENT, MultiPoly, PoleCancellationError, parse_rational
 from .hirzebruch import (
     certify_odd_rigidity,
     chi_y_genus,
@@ -48,7 +49,7 @@ from .toricgenus import (
 )
 
 SCHEMA = "homgenus/2"
-EXIT_OK, EXIT_USAGE, EXIT_MATH, EXIT_ACCEPT = 0, 1, 2, 3
+EXIT_OK, EXIT_USAGE, EXIT_MATH, EXIT_ACCEPT, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 class UsageError(Exception):
@@ -606,8 +607,9 @@ def main(argv=None):
         if not getattr(ns, "func", None):
             parser.print_help(sys.stderr)
             return EXIT_USAGE
-        if getattr(ns, "cutoff", None) is not None and ns.cutoff < 0:
-            raise UsageError("--cutoff must be >= 0, got %d" % ns.cutoff)
+        cutoff = getattr(ns, "cutoff", None)
+        if cutoff is not None and not 0 <= cutoff <= MAX_EXPONENT:
+            raise UsageError("--cutoff must be between 0 and %d, got %d" % (MAX_EXPONENT, cutoff))
         out = ns.func(ns)
         name = ns.command + (" " + ns.subcommand if getattr(ns, "subcommand", None) else "")
         _emit(ns, name, out, started)
@@ -624,9 +626,11 @@ def main(argv=None):
         return EXIT_MATH
     except SystemExit:
         raise
-    except Exception as exc:  # pragma: no cover - unexpected
+    except Exception as exc:
+        # a bug, not a property of the input: keep the traceback for the report
+        traceback.print_exc()
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return EXIT_MATH
+        return EXIT_INTERNAL
 
 
 def run():

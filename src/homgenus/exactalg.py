@@ -451,16 +451,30 @@ class MultiPoly:
         return MultiPoly.sum(terms)
 
     def evaluate(self, point):
-        """Evaluate at a dict name -> Fraction.  Every variable must be set."""
-        total = Fraction(0)
-        vals = {v: _as_fraction(point[v]) for v in self.vars}
+        """Evaluate at a dict name -> rational, exactly, as a Fraction.
+        Every variable must be set.
+
+        The sum is taken in ints: each coefficient is scaled to the lcm of
+        the coefficient denominators, and a variable of degree D set to p/q
+        enters a term with exponent e as p^e * q^(D-e), so the whole sum
+        shares the denominator lcm * prod q^D and one Fraction is built."""
+        vals = [_as_fraction(point[v]) for v in self.vars]
+        if not self.terms:
+            return Fraction(0)
+        lcm = math.lcm(*(c.denominator for c in self.terms.values()))
+        den = lcm
+        powers = []
+        for val, column in zip(vals, zip(*self.terms)):
+            p, q, deg = val.numerator, val.denominator, max(column)
+            den *= q**deg
+            powers.append({e: p**e * q ** (deg - e) for e in set(column)})
+        total = 0
         for e, c in self.terms.items():
-            prod = c
-            for v, ei in zip(self.vars, e):
-                if ei:
-                    prod *= vals[v] ** ei
-            total += prod
-        return total
+            t = c.numerator * (lcm // c.denominator)
+            for pw, ei in zip(powers, e):
+                t *= pw[ei]
+            total += t
+        return Fraction(total, den)
 
     # -- serialization -----------------------------------------------------
 
@@ -476,25 +490,14 @@ class MultiPoly:
             return "0"
         parts = []
         for e, c in items:
-            factors = []
-            for v, ei in zip(vs, e):
-                if ei == 1:
-                    factors.append(v)
-                elif ei > 1:
-                    factors.append("%s^%d" % (v, ei))
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = str(mag) + "*" + "*".join(factors)
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += " %s %s" % (sign, body)
-        return text
+            mono = "*".join([v if ei == 1 else "%s^%d" % (v, ei) for v, ei in zip(vs, e) if ei])
+            # sign and magnitude straight from the ints, not Fraction arithmetic
+            num, den = c.numerator, c.denominator
+            mag = str(abs(num)) if den == 1 else "%d/%d" % (abs(num), den)
+            parts.append(" - " if num < 0 else " + ")
+            parts.append(mag if not mono else mono if mag == "1" else mag + "*" + mono)
+        # the leading separator becomes a bare minus sign, or nothing
+        return ("-" if parts[0] == " - " else "") + "".join(parts)[3:]
 
     def to_json(self):
         vs, items = self._sorted_terms()
@@ -894,7 +897,8 @@ def _as_ratfn(v):
 
 # A parsed power base^N is refused when N, or the degree N * deg(base) it
 # would reach, exceeds this cap; both are known before the power is formed.
-# `restricted_genus_hp` refuses a series that would reach past it too.
+# `restricted_genus_hp` refuses a series that would reach past it too, and
+# `chern_dold_genus` and `twisted_product` a t-cutoff above it.
 MAX_EXPONENT = 256
 
 

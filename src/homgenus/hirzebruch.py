@@ -42,8 +42,8 @@ def chi_y_genus(structure, ordering=None):
     property tests compare it against the cached default-ordering path.
     """
     counts = _index_counts(structure, ordering)
-    terms = {(ind,): Fraction(c * (-1) ** ind) for ind, c in enumerate(counts) if c}
-    return MultiPoly(("y",), terms)
+    terms = {(ind,): Fraction(-c if ind % 2 else c) for ind, c in enumerate(counts) if c}
+    return MultiPoly._from_clean(("y",), terms)
 
 
 def _chi_y_at(structure, y):
@@ -118,16 +118,20 @@ def rigidity_eval(structure, f, point):
         raise TypeError("rigidity_eval needs an exact rational genus kernel")
     var = _genus_variable(f)
     point = tuple(Fraction(c) for c in point)
+    # a sum meets at most 2 * |roots| distinct weights, each many times
+    kernel = {}
     total = Fraction(0)
     for fp in fixed_points(structure):
         prod = Fraction(1)
         for w in fp.weights:
-            arg = dot(w, point)
-            if arg == 0:
-                raise ValueError("weight %s pairs to zero with the sample point" % (tuple(w),))
-            val = f.evaluate({var: arg})
-            if val == 0:
-                raise ValueError("genus kernel vanishes at weight %s" % (tuple(w),))
+            val = kernel.get(w)
+            if val is None:
+                arg = dot(w, point)
+                if arg == 0:
+                    raise ValueError("weight %s pairs to zero with the sample point" % (tuple(w),))
+                val = kernel[w] = f.evaluate({var: arg})
+                if val == 0:
+                    raise ValueError("genus kernel vanishes at weight %s" % (tuple(w),))
             prod *= val
         total += Fraction(fp.sign) / prod
     return total
@@ -137,30 +141,26 @@ def _sample_point(dim, rng):
     return tuple(Fraction(rng.randint(-19, 19), rng.randint(1, 7)) for _ in range(dim))
 
 
+def _kernel_defined(f, var, arg):
+    """Is arg nonzero and, for a rational kernel f, f(arg) defined and nonzero?"""
+    if arg == 0:
+        return False
+    if not isinstance(f, RationalFn):
+        return True
+    try:
+        return f.evaluate({var: arg}) != 0
+    except ZeroDivisionError:
+        return False
+
+
 def _admissible_point(structure, f, rng, tries=200):
     space = structure.space
     var = _genus_variable(f) if isinstance(f, RationalFn) else "u"
-    fps = fixed_points(structure)
+    # each distinct weight is tested once per point, however many points share it
+    weights = {w for fp in fixed_points(structure) for w in fp.weights}
     for _ in range(tries):
         pt = _sample_point(space.group.dim, rng)
-        ok = True
-        for fp in fps:
-            for w in fp.weights:
-                arg = dot(w, pt)
-                if arg == 0:
-                    ok = False
-                    break
-                if isinstance(f, RationalFn):
-                    try:
-                        if f.evaluate({var: arg}) == 0:
-                            ok = False
-                            break
-                    except ZeroDivisionError:
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
+        if all(_kernel_defined(f, var, dot(w, pt)) for w in weights):
             return pt
     raise RuntimeError("could not find an admissible sample point")
 

@@ -247,7 +247,7 @@ def space_from_json(doc, label=None):
 class InvariantStructure:
     """An invariant almost complex structure: a sign per isotropy summand."""
 
-    __slots__ = ("space", "summand_signs", "_eps", "_index_counts")
+    __slots__ = ("space", "summand_signs", "_eps", "_index_counts", "_symbolic_class")
 
     def __init__(self, space, summand_signs):
         if len(summand_signs) != len(space.summands):
@@ -267,6 +267,7 @@ class InvariantStructure:
                 eps[li] = sign * ori
         self._eps = tuple(eps)
         self._index_counts = None
+        self._symbolic_class = None  # filled by toricgenus.s_number
 
     @property
     def eps(self):
@@ -377,7 +378,7 @@ class StableStructure:
     """A stable tangential structure: per-fixed-point signs over a reference
     invariant structure, plus a global orientation sign."""
 
-    __slots__ = ("space", "base", "table", "global_sign", "name", "_index_counts")
+    __slots__ = ("space", "base", "table", "global_sign", "name", "_index_counts", "_symbolic_class")
 
     def __init__(self, space, base, table, global_sign=1, name=None):
         self.space = space
@@ -398,6 +399,7 @@ class StableStructure:
         self.global_sign = global_sign
         self.name = name
         self._index_counts = None
+        self._symbolic_class = None  # filled by toricgenus.s_number
 
     @property
     def index_counts(self):

@@ -340,13 +340,20 @@ class GenusExpansion:
         return self.cutoff == other.cutoff and self.form == other.form
 
 
+def _check_cutoff(cutoff):
+    """Refuse a t-cutoff below 0 or above MAX_EXPONENT before any work."""
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0, got %d" % cutoff)
+    if cutoff > MAX_EXPONENT:
+        raise ValueError("cutoff must be <= %d, got %d" % (MAX_EXPONENT, cutoff))
+
+
 def chern_dold_genus(structure, cutoff=None):
     """Localized genus expansion of an invariant or stable structure."""
     space = structure.space
     if cutoff is None:
         cutoff = space.n
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0, got %d" % cutoff)
+    _check_cutoff(cutoff)
     return GenusExpansion(structure, cutoff, label=space.label)
 
 
@@ -369,6 +376,22 @@ def _normalize_omega(omega, n):
     return omega
 
 
+def _symbolic_class(structure):
+    """`chern_dold_genus(structure).bordism_class()`, built once per
+    structure and kept on it; a class that raised an ArithmeticError raises
+    that error again on every later call."""
+    cls = structure._symbolic_class
+    if cls is None:
+        try:
+            cls = chern_dold_genus(structure).bordism_class()
+        except ArithmeticError as exc:
+            cls = exc
+        structure._symbolic_class = cls
+    if isinstance(cls, ArithmeticError):
+        raise cls.with_traceback(None)
+    return cls
+
+
 def s_number(structure, omega):
     """The characteristic number s_omega, an exact integer.
 
@@ -381,7 +404,7 @@ def s_number(structure, omega):
     if certified(structure):
         (value,) = _point_sums(structure, _down_set(omega, space.n), [omega])
     else:
-        value = chern_dold_genus(structure).bordism_class()
+        value = _symbolic_class(structure)
         for i, k in enumerate(omega, 1):
             value = value.coefficient_of("a%d" % i, k)
         value = value.constant_value()
@@ -542,8 +565,8 @@ def twisted_product(base_structure, fiber_structure, cutoff=None):
     """
     base_space = base_structure.space
     fiber_space = fiber_structure.space
-    if cutoff is not None and cutoff < 0:
-        raise ValueError("cutoff must be >= 0, got %d" % cutoff)
+    if cutoff is not None:
+        _check_cutoff(cutoff)
     if fiber_space.group.root_set != base_space.subgroup.root_set:
         raise ValueError("fiber ambient group must be the base isotropy group")
     roots, root_index = base_space.group.roots, base_space.group.root_index

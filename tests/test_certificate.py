@@ -11,6 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import homgenus.toricgenus
 from homgenus.catalog import catalog_entry, catalog_list, catalog_space
 from homgenus.structures import InvariantStructure, StableStructure, enumerate_structures, space_from_json
 from homgenus.toricgenus import (
@@ -164,6 +165,25 @@ def test_certificate_is_exact_on_every_small_table(name):
         for got, want in _s_outcomes(s, symbolic, _omegas(n)):
             assert got == want
     assert certified_count == {"CP2": 8, "S6": 10}[name]
+
+
+def test_uncovered_table_builds_its_class_once(monkeypatch):
+    # the standard structure's table with one sign flipped: no certificate,
+    # and a class that raises, so every s-number raises the same error type
+    space = catalog_space("U4-T2xU2")
+    base = InvariantStructure(space, (1,) * len(space.summands))
+    table = [[1] * space.n for _ in range(len(space.cosets))]
+    table[6][0] = -1
+    s, fresh = (StableStructure(space, base, table) for _ in range(2))
+    assert not certified(s)
+    want = _outcome(lambda: chern_dold_genus(fresh).bordism_class())
+    calls = []
+    numerator = homgenus.toricgenus.localized_numerator
+    monkeypatch.setattr(homgenus.toricgenus, "localized_numerator", lambda *a: calls.append(1) or numerator(*a))
+    omegas = _omegas(space.n)
+    assert len(omegas) == 7
+    assert [_outcome(s_number, s, omega) for omega in omegas] == [want] * 7
+    assert len(calls) == 1
 
 
 @st.composite

@@ -9,6 +9,7 @@ import subprocess
 import pytest
 
 from homgenus.cli import main
+import homgenus.cli
 import homgenus.verification
 
 
@@ -81,6 +82,25 @@ def test_negative_cutoff_is_usage_error(capsys):
     assert code == 1
     assert out == ""
     assert "--cutoff" in err
+
+
+@pytest.mark.parametrize("command", [("genus", "class"), ("fibration", "check")])
+def test_cutoff_above_the_degree_cap_is_usage_error(capsys, command):
+    code, out, err = run(capsys, *command, "--space", "CP2", "--cutoff", "257", "--json")
+    assert code == 1
+    assert out == ""
+    assert "--cutoff must be between 0 and 256" in err
+
+
+def test_internal_error_exits_4(capsys, monkeypatch):
+    def broken(ns):
+        raise RuntimeError("kaput")
+
+    monkeypatch.setattr(homgenus.cli, "cmd_genus_todd", broken)
+    code, out, err = run(capsys, "genus", "todd", "--space", "CP2")
+    assert code == 4
+    assert out == ""
+    assert "internal error: RuntimeError: kaput" in err
 
 
 def test_sign_string_length_is_usage_error(capsys):

@@ -72,6 +72,12 @@ def test_negative_cutoff_rejected():
         twisted_product(_std(s6), _std(_full_flag_fiber(s6)), cutoff=-1)
 
 
+def test_cutoff_above_the_degree_cap_rejected_first():
+    # refused before the fiber is even checked against the base
+    with pytest.raises(ValueError, match="cutoff must be <= 256"):
+        twisted_product(_std(catalog_space("S6")), _std(catalog_space("CP1")), cutoff=257)
+
+
 def test_fiber_group_must_match_isotropy():
     base = _std(catalog_space("S6"))
     stranger = _std(catalog_space("CP1"))

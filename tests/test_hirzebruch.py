@@ -1,6 +1,7 @@
 """chi_y, signature, Todd genus, rigidity functionals."""
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from homgenus.catalog import catalog_entry, catalog_list, catalog_space
 from homgenus.cobordism import tanh_series, todd_series
 from homgenus.exactalg import parse_poly, parse_rational
 from homgenus.hirzebruch import (
+    _admissible_point,
     certify_odd_rigidity,
     chi_y_genus,
     euler_number,
@@ -23,6 +25,7 @@ from homgenus.hirzebruch import (
 from homgenus.rootdata import Ordering
 from homgenus.structures import HomogeneousSpace, InvariantStructure, enumerate_structures, parse_signs
 from homgenus.toricgenus import chern_dold_genus
+from series_reference import admissible_point_reference, rigidity_eval_reference
 
 
 def _std(name):
@@ -160,6 +163,50 @@ def test_rigidity_eval_error_paths():
         rigidity_eval(_std("CP1"), parse_rational("u - u^2"), (2, 1))
     with pytest.raises(ZeroDivisionError):
         rigidity_eval(_std("CP1"), parse_rational("u^2/(1+u)"), (2, 1))
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", [n for n in catalog_list() if enumerate_structures(catalog_space(n))])
+@pytest.mark.parametrize("kernel", ["u/(1+u^2)", "u/(1-u)", "u*(2-u)/(3-u)^2"])
+def test_rigidity_eval_matches_the_fraction_reference(name, kernel):
+    # seeded admissible points, and points where a weight pairs to zero or
+    # meets a pole or zero of the kernel: each kernel value is read from the
+    # memo after its first weight, and every error names the same weight
+    f = parse_rational(kernel)
+    structures = enumerate_structures(catalog_space(name))
+    for s in random.Random(name + kernel).sample(structures, min(3, len(structures))):
+        dim = s.space.group.dim
+        points = [(1,) * dim, tuple(range(dim)), (3,) + (0,) * (dim - 1)]
+        for seed in range(2):
+            pt = _admissible_point(s, f, random.Random(seed))
+            assert pt == admissible_point_reference(s, f, random.Random(seed))
+            points.append(pt)
+        for pt in points:
+            got = _outcome(rigidity_eval, s, f, pt)
+            assert got == _outcome(rigidity_eval_reference, s, f, pt)
+
+
+# sha1 over "name signs chi_y signature todd", one line per invariant
+# structure of every catalog space (1208 lines)
+PINNED_GENERA = "c620bf5c063fb5f161923673227055693e763f61"
+
+
+def test_every_catalog_genus_is_pinned():
+    rows = []
+    for name in catalog_list():
+        for s in enumerate_structures(catalog_space(name)):
+            chi = chi_y_genus(s)
+            assert all(type(c) is Fraction for c in chi.terms.values())
+            rows.append("%s %s %s %d %d" % (name, s.to_signs(), chi.to_text(), signature(s), todd_genus(s)))
+    assert len(rows) == 1208
+    assert hashlib.sha1("\n".join(rows).encode()).hexdigest() == PINNED_GENERA
 
 
 def test_structure_independence_of_stable_presets():

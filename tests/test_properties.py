@@ -20,7 +20,7 @@ from homgenus.hirzebruch import chi_y_genus, euler_number, signature
 from homgenus.rootdata import Ordering, canonical_positive
 from homgenus.structures import InvariantStructure, enumerate_structures, fixed_points
 from homgenus.toricgenus import _f_factor, localized_numerator
-from series_reference import series_reversion
+from series_reference import evaluate_reference, series_reversion, to_text_reference
 
 
 fractions = st.fractions(
@@ -217,6 +217,31 @@ def kernel_pairs(draw):
     else:
         q = draw(kernel_polys())
     return p, q
+
+
+point_values = st.one_of(st.integers(-7, 7), mixed_fractions, st.just(0), st.just(Fraction(-1, 3)))
+eval_polys = st.one_of(
+    kernel_polys(exps=st.integers(0, 9)),
+    kernel_polys(exps=st.integers(0, 9), max_terms=1),  # zero, or one term
+    st.builds(MultiPoly.const, mixed_fractions),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(eval_polys, st.data())
+def test_evaluate_matches_fraction_reference(p, data):
+    point = {v: data.draw(point_values) for v in ("x1", "x2", "a1", "t", "y")}
+    got = p.evaluate(point)
+    assert type(got) is Fraction
+    assert got == evaluate_reference(p, point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(kernel_polys(), eval_polys))
+def test_text_matches_fraction_formatter(p):
+    assert p.to_text() == to_text_reference(p)
+    vs, items = p._sorted_terms()
+    assert p.to_json() == {"vars": list(vs), "terms": [{"exps": list(e), "coeff": str(c)} for e, c in items]}
 
 
 @settings(max_examples=300, deadline=None)

@@ -78,6 +78,11 @@ def test_negative_cutoff_rejected():
         chern_dold_genus(_std("S6"), cutoff=-1)
 
 
+def test_cutoff_above_the_degree_cap_rejected():
+    with pytest.raises(ValueError, match="cutoff must be <= 256"):
+        chern_dold_genus(_std("S6"), cutoff=257)
+
+
 def test_stable_preset_null():
     ss = catalog_entry("CP3").stable_structure("cp3-null")
     cls = chern_dold_genus(ss).bordism_class()
