@@ -401,6 +401,9 @@ def cmd_su_find(ns):
 def cmd_fibration_check(ns):
     entry, base_space = _resolve_space(ns)
     base = _resolve_structure(ns, entry, base_space)
+    if not isinstance(base, InvariantStructure):
+        # twisted_product raises ValueError on it too, which would read as exit 2
+        raise UsageError("--structure %s is a stable preset; a fibration needs an invariant base structure" % ns.structure)
     h_group = base_space.subgroup.as_group()
     try:
         roots = json.loads(ns.fiber_roots) if ns.fiber_roots else []

@@ -22,9 +22,19 @@ the certificate does not cover takes the symbolic route.
 
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
+from operator import mul
 
-from .exactalg import MAX_EXPONENT, MultiPoly, divided_difference, exact_divide, vandermonde, var_key
+from .exactalg import (
+    MAX_EXPONENT,
+    MultiPoly,
+    PoleCancellationError,
+    divided_difference,
+    exact_divide,
+    vandermonde,
+    var_key,
+)
 from .catalog import catalog_space
 from .rootdata import canonical_positive, vec_neg
 from .structures import (
@@ -100,28 +110,218 @@ def apply_weyl(poly, matrix):
     return poly.subs(mapping)
 
 
-def _divide_lines(numerator, lines):
-    """numerator / prod(lines), exactly; a remainder is an uncancelled pole."""
-    for line in lines:
-        numerator = exact_divide(numerator, _form_of(line), "localization sum has uncancelled pole")
-    return numerator
+_POLE = "localization sum has uncancelled pole"
 
 
-def _f_factor(line, scale, cutoff, power):
-    """f(t * scale * line) truncated at t^cutoff, with f = 1 + sum a_i z^i,
-    in one dict: the term a_i t^i scale^i c x^e for each term c x^e of the
-    line's i-th power."""
-    if cutoff < 1:
-        return MultiPoly.const(1)
-    # the canonical order puts the line's x's first, then a1..a_cutoff, then t
-    vs = power(line, 1).vars + tuple("a%d" % i for i in range(1, cutoff + 1)) + ("t",)
-    terms = {(0,) * len(vs): Fraction(1)}
-    for i in range(1, cutoff + 1):
-        at = (0,) * (i - 1) + (1,) + (0,) * (cutoff - i) + (i,)
-        c = scale**i
-        for e, k in power(line, i).terms.items():
-            terms[e + at] = k * c
-    return MultiPoly._from_clean(vs, terms)
+class _Packing:
+    """The packed-int layout of the symbolic sum.
+
+    A monomial in x1..x_dim, a1..a_cutoff and t is one int with a bit field
+    per variable, t in the top field, so that `key >> t_shift` is its
+    t-degree and sorting keys sorts by t-degree.  Each field is as wide as
+    the bound given for its exponent; every term the sum and the divisions
+    form stays within the bounds, so adding keys never carries between
+    fields.
+    """
+
+    def __init__(self, dim, cutoff, x_degree, a_degrees):
+        names = ["x%d" % (j + 1) for j in range(dim)] + ["a%d" % i for i in range(1, cutoff + 1)]
+        widths = [x_degree.bit_length()] * dim + [b.bit_length() for b in a_degrees]
+        self.fields = []
+        shift = 0
+        for name, width in zip(names, widths):
+            self.fields.append((name, shift, (1 << width) - 1))
+            shift += width
+        self.t_shift = shift
+        self.x_mask = (1 << x_degree.bit_length()) - 1
+        self.unit = {name: 1 << s for name, s, _ in self.fields}
+        self.unit["t"] = 1 << shift
+
+    def line(self, line):
+        """<line, x> as (key, coefficient) pairs, its first coordinate first."""
+        return [(self.unit["x%d" % (j + 1)], c) for j, c in enumerate(line) if c]
+
+    def pack(self, poly):
+        """(terms, den): poly as ints over the lcm of its denominators."""
+        if any(v not in self.unit for v in poly.vars):
+            raise ValueError("fiber form has variables outside the x's, the a's to the cutoff and t")
+        units = [self.unit[v] for v in poly.vars]
+        den = math.lcm(*(c.denominator for c in poly.terms.values()))
+        return {sum(map(mul, e, units)): c.numerator * (den // c.denominator) for e, c in poly.terms.items()}, den
+
+    def unpack(self, terms, den, used=None):
+        """The MultiPoly terms / den, the only place the sum forms
+        Fractions.  Its variables are those with a nonzero field in `used`,
+        by default the OR of the keys: the variables its terms use."""
+        if used is None:
+            used = 0
+            for k in terms:
+                used |= k
+        fields = [(name, s, m) for name, s, m in self.fields if used >> s & m]
+        ts = self.t_shift
+        if used >> ts:
+            fields.append(("t", ts, -1))
+        out = {tuple([k >> s & m for _, s, m in fields]): Fraction(c, den) for k, c in terms.items()}
+        return MultiPoly._from_clean(tuple(name for name, _, _ in fields), out)
+
+
+def _by_degree(terms, ts, cutoff):
+    """upto[r]: the (key, coefficient) pairs of t-degree at most r, r <= cutoff."""
+    items = sorted(terms.items())
+    keys = [k for k, _ in items]
+    return [items[: bisect_left(keys, (r + 1) << ts)] for r in range(cutoff + 1)]
+
+
+def _times(run, upto, ts, cutoff):
+    """run times a factor given as `_by_degree` lists, to t^cutoff; pairs
+    past the cutoff are never formed."""
+    acc = {}
+    get = acc.get
+    for k1, c1 in run.items():
+        if c1:
+            for k2, c2 in upto[cutoff - (k1 >> ts)]:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+    return acc
+
+
+def _times_line(poly, line_terms):
+    """poly times a packed linear form."""
+    acc = {}
+    get = acc.get
+    for step, c in line_terms:
+        for k, v in poly.items():
+            k += step
+            acc[k] = get(k, 0) + c * v
+    return acc
+
+
+def _packed_sum(points, ordering, cutoff, fiber_forms):
+    """The symbolic fixed-point sum in the packed layout.
+
+    Returns (terms, den, lines, packing, factor_vars), terms / den being the
+    numerator over the product of `lines` and factor_vars the OR of the
+    keys of every factor, whose fields name the variables the numerator's
+    factors carry.  Every factor is ints: a scale p/q enters
+    f(t * (p/q) * line) as the terms a_i t^i p^i q^(cutoff-i) line^i over
+    q^cutoff, a fiber form over the lcm of its denominators, and each
+    point's remaining rational, sign * prod q / (prod p * prod q^cutoff *
+    fiber denominator), is scaled to an int over den, the lcm of those
+    over the points.
+    """
+    # a sum meets each of the at most 2*|roots| signed weights at many points
+    distinct = dict.fromkeys(w for _, ws in points for w in ws)
+    canonical = {w: canonical_positive(w, ordering) for w in distinct}
+    lines = list(dict.fromkeys(line for line, _ in canonical.values()))
+    # exponent bounds: the missing lines and the f-chain (x-degree equal to
+    # its t-degree, a_i with t^i) bound the x's and a's; a fiber form adds its own
+    fiber_x, fiber_a = 0, [0] * cutoff
+    for form in fiber_forms or ():
+        xs = [i for i, v in enumerate(form.vars) if v[0] == "x"]
+        fiber_x = max(fiber_x, max((sum(e[i] for i in xs) for e in form.terms), default=0))
+        for v, column in zip(form.vars, zip(*form.terms)):
+            if v[0] == "a" and int(v[1:]) <= cutoff:
+                fiber_a[int(v[1:]) - 1] = max(fiber_a[int(v[1:]) - 1], max(column))
+    packing = _Packing(
+        len(ordering.v), cutoff, len(lines) + cutoff + fiber_x, [cutoff // i + b for i, b in enumerate(fiber_a, 1)]
+    )
+    ts = packing.t_shift
+    line_terms = {line: packing.line(line) for line in lines}
+    fibers = [packing.pack(form) for form in fiber_forms] if fiber_forms is not None else None
+    factor_vars = sum(packing.unit[v] for v in {v for form in fiber_forms or () for v in form.vars})
+
+    # each point's rational as an int over one denominator, before any product
+    rows = []
+    for k, (sign, ws) in enumerate(points):
+        cw = [canonical[w] for w in ws]
+        own = {line for line, _ in cw}
+        if len(own) != len(cw):
+            raise ValueError("two isotropy weights at one fixed point share a line")
+        num, den = sign, 1
+        for _, scale in cw:
+            num *= scale.denominator
+            den *= scale.numerator * scale.denominator**cutoff
+        if fibers is not None:
+            den *= fibers[k][1]
+        g = math.gcd(num, den) * (1 if den > 0 else -1)
+        rows.append((num // g, den // g, cw, tuple(line for line in lines if line not in own)))
+    common = math.lcm(*(den for _, den, _, _ in rows))
+
+    powers = {line: [{0: 1}] for line in lines}
+    f_factors = {}
+
+    def f_factor(pair):
+        line, scale = pair
+        p, q = scale.numerator, scale.denominator
+        pw = powers[line]
+        terms = {0: q**cutoff}
+        for i in range(1, cutoff + 1):
+            if len(pw) <= i:
+                pw.append(_times_line(pw[-1], line_terms[line]))
+            at, c = packing.unit["a%d" % i] + (i << ts), p**i * q ** (cutoff - i)
+            for key, v in pw[i].items():
+                terms[at + key] = c * v
+        return _by_degree(terms, ts, cutoff)
+
+    groups = {}
+    for k, (num, den, cw, missing) in enumerate(rows):
+        run = {0: num * (common // den)}
+        for pair in cw:
+            if pair not in f_factors:
+                f_factors[pair] = f_factor(pair)
+                for key, _ in f_factors[pair][-1]:
+                    factor_vars |= key
+            run = _times(run, f_factors[pair], ts, cutoff)
+        if fibers is not None:
+            run = _times(run, _by_degree(fibers[k][0], ts, cutoff), ts, cutoff)
+        acc = groups.setdefault(missing, {})
+        get = acc.get
+        for key, c in run.items():
+            acc[key] = get(key, 0) + c
+    total = {}
+    get = total.get
+    for missing, acc in groups.items():
+        for line in missing:
+            acc = _times_line(acc, line_terms[line])
+            factor_vars |= sum(step for step, _ in line_terms[line])
+        for key, c in acc.items():
+            total[key] = get(key, 0) + c
+    return {k: c for k, c in total.items() if c}, common, lines, packing, factor_vars
+
+
+def _divide_line(terms, line, packing):
+    """terms / <line, x> on packed keys, by synthetic division on the line's
+    first nonzero coordinate x_p, from the top power of x_p down.
+
+    The terms are integral and the line is a primitive integer vector, so
+    by Gauss's lemma an exact quotient is integral: a division by the pivot
+    coefficient that leaves a remainder, or a term left with no x_p, means
+    the sum has an uncancelled pole.
+    """
+    (unit, lead), *rest = packing.line(line)
+    shift, mask = unit.bit_length() - 1, packing.x_mask
+    buckets = {}
+    for k, c in terms.items():
+        buckets.setdefault(k >> shift & mask, {})[k] = c
+    quotient = {}
+    for e in range(max(buckets, default=0), 0, -1):
+        cur = buckets.pop(e, None)
+        if cur is None:
+            continue
+        below = buckets.setdefault(e - 1, {})
+        get = below.get
+        for k, c in cur.items():
+            if c:
+                qc, r = divmod(c, lead)
+                if r:
+                    raise PoleCancellationError(_POLE)
+                k -= unit
+                quotient[k] = qc
+                for step, l in rest:
+                    below[k + step] = get(k + step, 0) - l * qc
+    if any(buckets.get(0, {}).values()):
+        raise PoleCancellationError(_POLE)
+    return quotient
 
 
 def localized_numerator(points, ordering, cutoff, fiber_forms=None):
@@ -134,42 +334,17 @@ def localized_numerator(points, ordering, cutoff, fiber_forms=None):
     (used by twisted products).  Points that miss the same lines are summed
     first, and each group's sum then multiplies its missing lines once.
     """
-    # a sum meets each of the at most 2*|roots| signed weights at many points
-    distinct = dict.fromkeys(w for _, ws in points for w in ws)
-    canonical = {w: canonical_positive(w, ordering) for w in distinct}
-    lines = list(dict.fromkeys(line for line, _ in canonical.values()))
-    powers = {}
+    terms, den, lines, packing, factor_vars = _packed_sum(points, ordering, cutoff, fiber_forms)
+    return packing.unpack(terms, den, factor_vars), lines
 
-    def power(line, i):
-        p = powers.get(line)
-        if p is None:
-            p = powers[line] = [MultiPoly.const(1), _form_of(line)]
-        while len(p) <= i:
-            p.append(p[-1] * p[1])
-        return p[i]
 
-    f_factors = {}
-    groups = {}
-    for k, (sign, ws) in enumerate(points):
-        cw = [canonical[w] for w in ws]
-        own = {line for line, _ in cw}
-        if len(own) != len(cw):
-            raise ValueError("two isotropy weights at one fixed point share a line")
-        coeff = Fraction(sign)
-        for pair in cw:
-            coeff /= pair[1]
-            if pair not in f_factors:
-                f_factors[pair] = _f_factor(*pair, cutoff, power)
-        factors = [MultiPoly.const(coeff)] + [f_factors[pair] for pair in cw]
-        if fiber_forms is not None:
-            factors.append(fiber_forms[k])
-        missing = tuple(line for line in lines if line not in own)
-        groups.setdefault(missing, []).append(MultiPoly.product(factors, {"t": 1}, cutoff))
-    terms = [
-        MultiPoly.product([power(line, 1) for line in missing] + [MultiPoly.sum(group)])
-        for missing, group in groups.items()
-    ]
-    return MultiPoly.sum(terms), lines
+def _localized_form(points, ordering, cutoff, fiber_forms=None):
+    """`localized_numerator`'s N divided by its lines, exactly, in the
+    packed layout; raises PoleCancellationError on an uncancelled pole."""
+    terms, den, lines, packing, _ = _packed_sum(points, ordering, cutoff, fiber_forms)
+    for line in lines:
+        terms = _divide_line(terms, line, packing)
+    return packing.unpack(terms, den)
 
 
 def certified(structure):
@@ -263,7 +438,7 @@ def _symbolic_form(structure, cutoff):
     # sign comes back in here.
     orientation = getattr(structure, "global_sign", 1)
     points = [(orientation * fp.sign, fp.weights) for fp in fixed_points(structure)]
-    return _divide_lines(*localized_numerator(points, structure.space.ordering, cutoff))
+    return _localized_form(points, structure.space.ordering, cutoff)
 
 
 class GenusExpansion:
@@ -567,6 +742,8 @@ def twisted_product(base_structure, fiber_structure, cutoff=None):
     fiber_space = fiber_structure.space
     if cutoff is not None:
         _check_cutoff(cutoff)
+    if not (isinstance(base_structure, InvariantStructure) and isinstance(fiber_structure, InvariantStructure)):
+        raise ValueError("a twisted product needs invariant base and fiber structures, not stable ones")
     if fiber_space.group.root_set != base_space.subgroup.root_set:
         raise ValueError("fiber ambient group must be the base isotropy group")
     roots, root_index = base_space.group.roots, base_space.group.root_index
@@ -588,7 +765,7 @@ def twisted_product(base_structure, fiber_structure, cutoff=None):
     fps = fixed_points(base_structure)
     points = [(fp.sign, fp.weights) for fp in fps]
     fiber_forms = [apply_weyl(fiber_form, fp.rep.matrix) for fp in fps]
-    form = _divide_lines(*localized_numerator(points, base_space.ordering, cutoff, fiber_forms=fiber_forms))
+    form = _localized_form(points, base_space.ordering, cutoff, fiber_forms)
     return GenusExpansion(combined, cutoff, form, label=total_space.label + " (twisted)")
 
 

@@ -5,8 +5,11 @@ the a <-> b dictionaries by Lagrange inversion.  The series functions here
 compute the same things by reverting truncated power series with a
 fixed-point iteration.  `MultiPoly.evaluate` and `to_text` work on the ints
 inside each Fraction, and `rigidity_eval` evaluates the kernel once per
-distinct weight; the functions at the end do each in plain Fraction
-arithmetic, one term or one weight at a time.  Tests compare the two.
+distinct weight; the functions after the series do each in plain Fraction
+arithmetic, one term or one weight at a time.  The symbolic localization
+sum and its divisions run on packed ints over one denominator; the
+functions at the end build it from `MultiPoly` products and divide it by
+`exact_divide`, one line at a time.  Tests compare the two.
 """
 
 from fractions import Fraction
@@ -14,7 +17,7 @@ from fractions import Fraction
 from homgenus.cobordism import formal_group_law
 from homgenus.exactalg import MultiPoly, RationalFn, TruncatedSeries, exact_divide
 from homgenus.hirzebruch import _genus_variable, _sample_point
-from homgenus.rootdata import dot
+from homgenus.rootdata import canonical_positive, dot
 from homgenus.structures import fixed_points
 
 
@@ -170,3 +173,72 @@ def admissible_point_reference(structure, f, rng, tries=200):
         if ok:
             return pt
     raise RuntimeError("could not find an admissible sample point")
+
+
+def _form_of(vector):
+    return MultiPoly.linear_form(["x%d" % (i + 1) for i in range(len(vector))], vector)
+
+
+def divide_lines_reference(numerator, lines):
+    """numerator / prod(lines), exactly; a remainder is an uncancelled pole."""
+    for line in lines:
+        numerator = exact_divide(numerator, _form_of(line), "localization sum has uncancelled pole")
+    return numerator
+
+
+def f_factor_reference(line, scale, cutoff, power):
+    """f(t * scale * line) truncated at t^cutoff, with f = 1 + sum a_i z^i,
+    in one dict: the term a_i t^i scale^i c x^e for each term c x^e of the
+    line's i-th power."""
+    if cutoff < 1:
+        return MultiPoly.const(1)
+    # the canonical order puts the line's x's first, then a1..a_cutoff, then t
+    vs = power(line, 1).vars + tuple("a%d" % i for i in range(1, cutoff + 1)) + ("t",)
+    terms = {(0,) * len(vs): Fraction(1)}
+    for i in range(1, cutoff + 1):
+        at = (0,) * (i - 1) + (1,) + (0,) * (cutoff - i) + (i,)
+        c = scale**i
+        for e, k in power(line, i).terms.items():
+            terms[e + at] = k * c
+    return MultiPoly._from_clean(vs, terms)
+
+
+def localized_numerator_reference(points, ordering, cutoff, fiber_forms=None):
+    """toricgenus.localized_numerator on `MultiPoly`s: each point's sign /
+    prod(scales), f-factors and fiber form as one truncated product, the
+    points grouped by the lines they miss."""
+    distinct = dict.fromkeys(w for _, ws in points for w in ws)
+    canonical = {w: canonical_positive(w, ordering) for w in distinct}
+    lines = list(dict.fromkeys(line for line, _ in canonical.values()))
+    powers = {}
+
+    def power(line, i):
+        p = powers.get(line)
+        if p is None:
+            p = powers[line] = [MultiPoly.const(1), _form_of(line)]
+        while len(p) <= i:
+            p.append(p[-1] * p[1])
+        return p[i]
+
+    f_factors = {}
+    groups = {}
+    for k, (sign, ws) in enumerate(points):
+        cw = [canonical[w] for w in ws]
+        own = {line for line, _ in cw}
+        if len(own) != len(cw):
+            raise ValueError("two isotropy weights at one fixed point share a line")
+        coeff = Fraction(sign)
+        for pair in cw:
+            coeff /= pair[1]
+            if pair not in f_factors:
+                f_factors[pair] = f_factor_reference(*pair, cutoff, power)
+        factors = [MultiPoly.const(coeff)] + [f_factors[pair] for pair in cw]
+        if fiber_forms is not None:
+            factors.append(fiber_forms[k])
+        missing = tuple(line for line in lines if line not in own)
+        groups.setdefault(missing, []).append(MultiPoly.product(factors, {"t": 1}, cutoff))
+    terms = [
+        MultiPoly.product([power(line, 1) for line in missing] + [MultiPoly.sum(group)])
+        for missing, group in groups.items()
+    ]
+    return MultiPoly.sum(terms), lines

@@ -315,6 +315,13 @@ def test_fibration_check_bad_fiber_roots_is_usage_error(capsys, roots):
     assert "--fiber-roots" in err
 
 
+def test_fibration_check_stable_base_is_usage_error(capsys):
+    code, out, err = run(capsys, "fibration", "check", "--space", "CP3", "--structure", "cp3-null")
+    assert code == 1
+    assert out == ""
+    assert "stable preset" in err
+
+
 def test_hp_obstruction(capsys):
     code, out, _ = run(capsys, "hp", "obstruction", "--json")
     assert code == 0

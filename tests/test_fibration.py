@@ -2,7 +2,7 @@
 
 import pytest
 
-from homgenus.catalog import catalog_space
+from homgenus.catalog import catalog_entry, catalog_space
 from homgenus.rootdata import SubgroupData
 from homgenus.structures import HomogeneousSpace, InvariantStructure
 from homgenus.toricgenus import chern_dold_genus, combine_structures, twisted_product
@@ -85,3 +85,14 @@ def test_fiber_group_must_match_isotropy():
         twisted_product(base, stranger, cutoff=3)
     with pytest.raises(ValueError, match="isotropy"):
         combine_structures(base, stranger)
+
+
+def test_stable_structures_are_rejected():
+    entry = catalog_entry("CP3")
+    base = _std(entry.space())
+    stable = entry.stable_structure("cp3-null")
+    fiber = _std(_full_flag_fiber(base.space))
+    with pytest.raises(ValueError, match="invariant base and fiber"):
+        twisted_product(stable, fiber)
+    with pytest.raises(ValueError, match="invariant base and fiber"):
+        twisted_product(base, stable)

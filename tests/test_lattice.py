@@ -8,8 +8,9 @@ import pytest
 from homgenus.catalog import catalog_list, catalog_space
 from homgenus.hirzebruch import chi_y_genus
 from homgenus.rootdata import canonical_positive
-from homgenus.structures import InvariantStructure, fixed_points, space_from_json
-from homgenus.toricgenus import chern_dold_genus, s_number
+from homgenus.structures import InvariantStructure, enumerate_structures, fixed_points, space_from_json
+from homgenus.toricgenus import _symbolic_form, chern_dold_genus, s_number
+from series_reference import divide_lines_reference, localized_numerator_reference
 
 
 def _is_exact(x):
@@ -75,3 +76,14 @@ def test_scaled_root_system_gives_the_u3_flag_invariants(name):
     assert s_number(std, (0, 0, 1)) == -6
     for signs in ((1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1)):
         assert chi_y_genus(InvariantStructure(space, signs)) == chi_y_genus(InvariantStructure(ref, signs))
+
+
+@pytest.mark.parametrize("name", sorted(SCALED))
+def test_scaled_symbolic_forms_match_the_fraction_engine(name):
+    # a rational scale p/q is cleared per f-factor as p^i q^(cutoff-i) over q^cutoff
+    space = _space(name)
+    for s in enumerate_structures(space):
+        points = [(fp.sign, fp.weights) for fp in fixed_points(s)]
+        for cutoff in (space.n, space.n + 1):
+            want = divide_lines_reference(*localized_numerator_reference(points, space.ordering, cutoff))
+            assert _symbolic_form(s, cutoff) == want

@@ -17,10 +17,30 @@ from homgenus.exactalg import (
     var_weight,
 )
 from homgenus.hirzebruch import chi_y_genus, euler_number, signature
-from homgenus.rootdata import Ordering, canonical_positive
-from homgenus.structures import InvariantStructure, enumerate_structures, fixed_points
-from homgenus.toricgenus import _f_factor, localized_numerator
-from series_reference import evaluate_reference, series_reversion, to_text_reference
+from homgenus.rootdata import Ordering, SubgroupData, canonical_positive
+from homgenus.structures import (
+    HomogeneousSpace,
+    InvariantStructure,
+    StableStructure,
+    enumerate_structures,
+    fixed_points,
+)
+from homgenus.toricgenus import (
+    _localized_form,
+    _symbolic_form,
+    apply_weyl,
+    chern_dold_genus,
+    localized_numerator,
+    twisted_product,
+)
+from series_reference import (
+    divide_lines_reference,
+    evaluate_reference,
+    f_factor_reference,
+    localized_numerator_reference,
+    series_reversion,
+    to_text_reference,
+)
 
 
 fractions = st.fractions(
@@ -427,6 +447,74 @@ line_vectors = st.one_of(
 def test_f_factor_matches_sum_of_products(line, scale, cutoff):
     line = tuple(line)
     power = _line_powers(line)
-    got = _f_factor(line, scale, cutoff, power)
+    got = f_factor_reference(line, scale, cutoff, power)
     assert same(got, _reference_f_factor(line, scale, cutoff, power))
     assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def sign_tables(draw):
+    """An invariant structure (certified), the standard structure's table
+    with a few entries flipped (rarely certified), or a random table."""
+    space = catalog_space(draw(st.sampled_from(("CP2", "S6", "CP3", "U3-flag"))))
+    kind = draw(st.sampled_from(("invariant", "flipped", "random")))
+    if kind == "invariant":
+        return draw(st.sampled_from(enumerate_structures(space)))
+    base = InvariantStructure(space, (1,) * len(space.summands))
+    rows, n = len(space.cosets), space.n
+    if kind == "flipped":
+        table = [[1] * n for _ in range(rows)]
+        for _ in range(draw(st.integers(1, 2))):
+            i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, n - 1))
+            table[i][j] = -table[i][j]
+    else:
+        table = [draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)) for _ in range(rows)]
+    return StableStructure(space, base, table, draw(st.sampled_from((1, -1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sign_tables(), st.integers(0, 2), st.sampled_from((1, -1, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2))))
+def test_symbolic_sum_matches_the_fraction_engine(s, extra, factor):
+    cutoff = s.space.n + extra
+    orientation = getattr(s, "global_sign", 1)
+    points = [(orientation * fp.sign, fp.weights) for fp in fixed_points(s)]
+    num, lines = localized_numerator_reference(points, s.space.ordering, cutoff)
+    assert localized_numerator(points, s.space.ordering, cutoff) == (num, lines)
+    assert _outcome(_symbolic_form, s, cutoff) == _outcome(divide_lines_reference, num, lines)
+    # every weight times one rational factor: scales p/q with q > 1 on every line
+    points = [(sign, tuple(tuple(factor * c for c in w) for w in ws)) for sign, ws in points]
+    num, lines = localized_numerator_reference(points, s.space.ordering, cutoff)
+    assert localized_numerator(points, s.space.ordering, cutoff) == (num, lines)
+    got = _outcome(_localized_form, points, s.space.ordering, cutoff)
+    assert got == _outcome(divide_lines_reference, num, lines)
+
+
+def _twisted_reference(base, fiber, cutoff):
+    """twisted_product(base, fiber, cutoff).form on the Fraction engine."""
+    fiber_form = chern_dold_genus(fiber, cutoff).form
+    fps = fixed_points(base)
+    points = [(fp.sign, fp.weights) for fp in fps]
+    forms = [apply_weyl(fiber_form, fp.rep.matrix) for fp in fps]
+    return divide_lines_reference(*localized_numerator_reference(points, base.space.ordering, cutoff, forms))
+
+
+@pytest.mark.parametrize(
+    "name, bsign, fsign, cutoff",
+    [("S6", 1, 1, 6)] + [("CP2", b, f, c) for b in (1, -1) for f in (1, -1) for c in (3, 4)],
+)
+def test_twisted_products_match_the_fraction_engine(name, bsign, fsign, cutoff):
+    # the twisted products of reproduction check 13, whose sums carry fiber forms
+    space = catalog_space(name)
+    base = InvariantStructure(space, (bsign,) * len(space.summands))
+    h = space.subgroup.as_group()
+    fiber_space = HomogeneousSpace(h, SubgroupData(h, ()), label="H/T")
+    fiber = InvariantStructure(fiber_space, (fsign,) * len(fiber_space.summands))
+    assert twisted_product(base, fiber, cutoff).form == _twisted_reference(base, fiber, cutoff)

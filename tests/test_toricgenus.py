@@ -11,10 +11,14 @@ import pytest
 
 from homgenus.catalog import catalog_entry, catalog_space
 from homgenus.cobordism import basis_convert
-from homgenus.exactalg import parse_poly
+from homgenus.exactalg import MultiPoly, PoleCancellationError, parse_poly
 from homgenus.rootdata import default_ordering
-from homgenus.structures import InvariantStructure, parse_signs
+from homgenus.structures import InvariantStructure, fixed_points, parse_signs, space_from_json
 from homgenus.toricgenus import (
+    _Packing,
+    _divide_line,
+    _localized_form,
+    _symbolic_form,
     chern_dold_genus,
     hp_obstruction_search,
     localized_numerator,
@@ -187,6 +191,34 @@ def test_omega_validation():
 def test_localized_numerator_rejects_shared_lines():
     with pytest.raises(ValueError, match="share a line"):
         localized_numerator([(1, ((1, -1, 0), (2, -2, 0)))], default_ordering(3), 2)
+
+
+def test_space_without_lines_has_the_constant_form():
+    # H = G: one fixed point with no weights, so no line and no x in any term
+    space = space_from_json({"group": "U(2)", "subgroup_roots": [[1, -1], [-1, 1]]})
+    s = InvariantStructure(space, ())
+    points = [(fp.sign, fp.weights) for fp in fixed_points(s)]
+    assert points == [(1, ())]
+    for cutoff in (0, 1, 2):
+        assert localized_numerator(points, space.ordering, cutoff) == (MultiPoly.const(1), [])
+        assert _symbolic_form(s, cutoff) == MultiPoly.const(1)
+
+
+def test_cancelling_numerator_is_zero_without_a_pole():
+    weights = ((1, -1, 0), (0, 1, -1))
+    points = [(1, weights), (-1, weights)]
+    assert localized_numerator(points, default_ordering(3), 3) == (MultiPoly.zero(), list(weights))
+    assert _localized_form(points, default_ordering(3), 3) == MultiPoly.zero()
+
+
+def test_inexact_pivot_division_is_a_pole():
+    # (3*x1 - x2) / (2*x1 - x2): the pivot division 3 / 2 leaves a remainder;
+    # rounding it away would leave nothing without x1 and hide the pole
+    packing = _Packing(2, 0, 1, [])
+    terms = {packing.unit["x1"]: 3, packing.unit["x2"]: -1}
+    with pytest.raises(PoleCancellationError, match="uncancelled pole"):
+        _divide_line(terms, (2, -1), packing)
+    assert _divide_line({packing.unit["x1"]: 4, packing.unit["x2"]: -2}, (2, -1), packing) == {0: 2}
 
 
 def test_restricted_sp_flag_table():
