@@ -6,7 +6,7 @@ sign presets.  Entries serialize to plain JSON and back.
 """
 
 from .rootdata import vec
-from .structures import InvariantStructure, StableStructure, make_space
+from .structures import StableStructure, make_space
 
 
 class CatalogEntry:
@@ -26,7 +26,7 @@ class CatalogEntry:
 
     def standard_structure(self):
         sp = self.space()
-        return InvariantStructure(sp, (1,) * len(sp.summands))
+        return sp.structure((1,) * len(sp.summands))
 
     def stable_structure(self, preset):
         table, global_sign = self.stable_presets[preset]

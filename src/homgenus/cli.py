@@ -27,7 +27,7 @@ from .hirzebruch import (
     structure_independence,
     todd_genus,
 )
-from .rootdata import Ordering, dot
+from .rootdata import InputError, Ordering, dot
 from .structures import (
     HomogeneousSpace,
     InvariantStructure,
@@ -120,7 +120,7 @@ def _space_from_json_text(text):
 def _resolve_structure(ns, entry, space):
     text = getattr(ns, "structure", None) or "standard"
     if text in ("standard", "all-plus"):
-        return InvariantStructure(space, (1,) * len(space.summands))
+        return space.structure((1,) * len(space.summands))
     if entry is not None and text in entry.stable_presets:
         return entry.stable_structure(text)
     if set(text) <= {"+", "-"}:
@@ -415,7 +415,7 @@ def cmd_fibration_check(ns):
         raise UsageError("invalid --fiber-roots: %s" % exc)
     fsigns = ns.fiber or "standard"
     if fsigns in ("standard", "all-plus"):
-        fiber = InvariantStructure(fiber_space, (1,) * len(fiber_space.summands))
+        fiber = fiber_space.structure((1,) * len(fiber_space.summands))
     elif set(fsigns) <= {"+", "-"}:
         fiber = parse_signs(fiber_space, fsigns)
     else:
@@ -623,6 +623,10 @@ def main(argv=None):
         return EXIT_OK
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
+    except InputError as exc:
+        # a ValueError, but one about the input, not the mathematics
+        print("input error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except (PoleCancellationError, ArithmeticError, ValueError, KeyError) as exc:
         print("mathematical failure: %s" % exc, file=sys.stderr)

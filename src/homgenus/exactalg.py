@@ -457,11 +457,23 @@ class MultiPoly:
         The sum is taken in ints: each coefficient is scaled to the lcm of
         the coefficient denominators, and a variable of degree D set to p/q
         enters a term with exponent e as p^e * q^(D-e), so the whole sum
-        shares the denominator lcm * prod q^D and one Fraction is built."""
+        shares the denominator lcm * prod q^D and one Fraction is built.
+        A polynomial in one variable runs Horner's scheme on those ints."""
         vals = [_as_fraction(point[v]) for v in self.vars]
         if not self.terms:
             return Fraction(0)
         lcm = math.lcm(*(c.denominator for c in self.terms.values()))
+        if len(vals) == 1:
+            p, q = vals[0].numerator, vals[0].denominator
+            coeffs = [0] * (max(self.terms)[0] + 1)
+            for (e,), c in self.terms.items():
+                coeffs[e] = c.numerator * (lcm // c.denominator)
+            # after the step for exponent e, total = sum_{f >= e} c_f p^(f-e) q^(deg-f)
+            total, qpow = 0, 1
+            for c in reversed(coeffs):
+                total = total * p + c * qpow
+                qpow *= q
+            return Fraction(total, lcm * q ** (len(coeffs) - 1))
         den = lcm
         powers = []
         for val, column in zip(vals, zip(*self.terms)):
@@ -485,7 +497,11 @@ class MultiPoly:
         return p.vars, sorted(p.terms.items(), key=lambda ec: (sum(map(mul, ec[0], w)), ec[0]), reverse=True)
 
     def to_text(self):
-        vs, items = self._sorted_terms()
+        if len(self.vars) == 1:
+            # graded-lex on one variable is exponent order, whatever its weight
+            vs, items = self.vars, sorted(self.terms.items(), reverse=True)
+        else:
+            vs, items = self._sorted_terms()
         if not items:
             return "0"
         parts = []

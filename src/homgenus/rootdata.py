@@ -20,8 +20,14 @@ from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
 WEYL_CAP = 100000
+
+
+class InputError(ValueError):
+    """The input asks for something malformed or too large to run, as
+    opposed to a mathematical failure; the command line exits 1 on it."""
 
 
 def vec(values):
@@ -42,7 +48,7 @@ def vec_neg(u):
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def mat_mul(a, b):
@@ -171,21 +177,28 @@ class GroupData:
     def __repr__(self):
         return "GroupData(%s)" % self.label
 
-    def pairing(self, u, v):
-        return gram_pairing(u, v, self.gram)
-
     def reflection_perm(self, alpha):
         """The reflection in alpha as a permutation of the roots: entry i is
-        the index of s_alpha(roots[i])."""
+        the index of s_alpha(roots[i]).  Each Cartan number
+        2 B(r, alpha) / B(alpha, alpha) is an int quotient on an integral
+        lattice; a Fraction only where the lattice holds a genuine rational."""
         alpha = vec(alpha)
-        norm = self.pairing(alpha, alpha)
+        # B(r, alpha) = <r, G alpha>, so the Gram matrix enters once
+        galpha = alpha if self.gram is None else tuple(dot(row, alpha) for row in self.gram)
+        norm = dot(alpha, galpha)
         if not norm:
             raise ValueError("cannot reflect in an isotropic vector %r" % (alpha,))
         perm = []
         for r in self.roots:
-            n = _exact(Fraction(2 * self.pairing(r, alpha)) / norm)
+            twice = 2 * dot(r, galpha)
+            if type(twice) is int and type(norm) is int:
+                n, rem = divmod(twice, norm)
+                if rem:
+                    n = Fraction(twice, norm)
+            else:
+                n = _exact(Fraction(twice) / norm)
             try:
-                perm.append(self.root_index[tuple(a - n * b for a, b in zip(r, alpha))])
+                perm.append(self.root_index[tuple(a - n * b for a, b in zip(r, alpha)) if n else r])
             except KeyError:
                 raise ValueError(
                     "the reflection in (%s) does not permute the roots of %s"
@@ -279,17 +292,17 @@ class WeylElement:
     """One Weyl group element: a permutation of the root list and its word.
 
     ``perm[i]`` is the index of the image of ``roots[i]``.  The matrix is
-    built on first use, as the parent element's matrix times the generator
-    that extends the parent's word."""
+    built on first use, as the parent element's matrix times the matrix of
+    the generator that extends the parent's word (its last letter)."""
 
-    __slots__ = ("perm", "word", "_parent", "_gen", "_matrix")
+    __slots__ = ("perm", "word", "_weyl", "_parent", "_matrix")
 
-    def __init__(self, perm, word, parent=None, gen=None, matrix=None):
+    def __init__(self, perm, word, weyl, parent=None):
         self.perm = perm
         self.word = word
+        self._weyl = weyl
         self._parent = parent
-        self._gen = gen
-        self._matrix = matrix
+        self._matrix = None
 
     def __repr__(self):
         return "WeylElement(word=%s)" % (self.word,)
@@ -297,7 +310,10 @@ class WeylElement:
     @property
     def matrix(self):
         if self._matrix is None:
-            self._matrix = mat_mul(self._parent.matrix, self._gen)
+            if self._parent is None:
+                self._matrix = identity_matrix(self._weyl.group.dim)
+            else:
+                self._matrix = mat_mul(self._parent.matrix, self._weyl.generator_matrix(self.word[-1]))
         return self._matrix
 
 
@@ -306,29 +322,40 @@ class WeylGroup:
     root list of `group`, with BFS-minimal words.
 
     A subgroup's Weyl group is built over the ambient group, so its elements
-    permute the ambient root list and compose with the ambient elements."""
+    permute the ambient root list and compose with the ambient elements.
+    The generators' matrices are built when an element's matrix is first
+    read."""
 
     def __init__(self, group, simple_roots, cap=WEYL_CAP, label=""):
         self.group = group
         self.label = label
-        gens = [(group.reflection_perm(a), reflection_matrix(a, group.dim, group.gram)) for a in simple_roots]
-        ident = WeylElement(tuple(range(len(group.roots))), (), matrix=identity_matrix(group.dim))
+        self._simple_roots = tuple(simple_roots)
+        # generators[g] is the simple reflection that letter g of a word names
+        self.generators = tuple(group.reflection_perm(a) for a in self._simple_roots)
+        self._generator_matrices = [None] * len(self.generators)
+        ident = WeylElement(tuple(range(len(group.roots))), (), self)
         seen = {ident.perm: ident}
         queue = deque([ident])
         while queue:
             cur = queue.popleft()
-            for gi, (gen_perm, gen_matrix) in enumerate(gens):
+            for gi, gen_perm in enumerate(self.generators):
                 p = compose(cur.perm, gen_perm)
                 if p not in seen:
-                    el = WeylElement(p, cur.word + (gi,), cur, gen_matrix)
+                    el = WeylElement(p, cur.word + (gi,), self, cur)
                     seen[p] = el
                     queue.append(el)
                     if len(seen) > cap:
                         raise ValueError("Weyl group exceeds the cap of %d elements" % cap)
         # BFS with ascending generator index enumerates words in (length, lex) order
         self.elements = sorted(seen.values(), key=lambda e: (len(e.word), e.word))
-        # generators[g] is the simple reflection that letter g of a word names
-        self.generators = tuple(gen_perm for gen_perm, _ in gens)
+
+    def generator_matrix(self, g):
+        """The matrix of the simple reflection that letter g names."""
+        m = self._generator_matrices[g]
+        if m is None:
+            group = self.group
+            m = self._generator_matrices[g] = reflection_matrix(self._simple_roots[g], group.dim, group.gram)
+        return m
 
     def __len__(self):
         return len(self.elements)

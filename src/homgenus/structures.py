@@ -13,6 +13,7 @@ from functools import cached_property
 
 from .rootdata import (
     CosetSpace,
+    InputError,
     SubgroupData,
     WeylGroup,
     build_group,
@@ -77,9 +78,97 @@ class HomogeneousSpace:
         self._comp_scales = tuple(along[line][1] for line in self.comp_roots)
         self._line_signs = None
         self._line_sign_masks = None
+        self._structures = {}  # summand signs -> the one InvariantStructure
+        self._count_vectors = {}  # packed index counts -> the interned tuple
 
     def __repr__(self):
         return "HomogeneousSpace(%s)" % self.label
+
+    def structure(self, signs):
+        """The invariant structure with these summand signs: built and
+        validated on the first request, the same object on every later one."""
+        signs = tuple(signs)
+        j = self._structures.get(signs)
+        if j is None:
+            j = self._structures[signs] = InvariantStructure(self, signs)
+        return j
+
+    @cached_property
+    def _inventory(self):
+        """Every invariant structure, in itertools.product order of the
+        summand signs, with the index counts of all of them from one batched
+        pass; empty when a summand is self-conjugate.  Unbounded:
+        enumerate_structures checks the cap before reading it."""
+        if any(sm.self_conjugate for sm in self.summands):
+            return ()
+        choices = ((1, -1),) * len(self.summands)
+        inventory = []
+        for signs, counts in zip(itertools.product(*choices), self._count_indices(choices)):
+            j = self.structure(signs)
+            j._index_counts = counts
+            inventory.append(j)
+        return tuple(inventory)
+
+    @cached_property
+    def _su_inventory(self):
+        """The structures of the inventory whose first Chern class vanishes."""
+        return tuple(j for j in self._inventory if not any(first_chern(j)))
+
+    @cached_property
+    def _index_groups(self):
+        """(sizes, groups) for _count_indices: the number of lines of each
+        summand, and the fixed points grouped by (a_1, ..., a_s), with a_k
+        the number of lines of summand k whose reference weight
+        orientation * image is negative at the point, mapped to the size of
+        the group."""
+        negative = sum(
+            1 << li for sm in self.summands for li, o in zip(sm.line_indices, sm.orientation) if o < 0
+        )
+        summand_masks = [sum(1 << li for li in sm.line_indices) for sm in self.summands]
+        groups = {}
+        for mask in self.line_sign_masks:
+            mask ^= negative
+            key = tuple((mask & sm).bit_count() for sm in summand_masks)
+            groups[key] = groups.get(key, 0) + 1
+        return tuple(len(sm) for sm in self.summands), groups
+
+    def _count_indices(self, choices):
+        """The index counts of the structures whose summand signs range over
+        `choices` (one tuple of signs per summand), in itertools.product
+        order.
+
+        Under signs sigma, a point's index is the sum over the summands k of
+        a_k where sigma_k = +1 and |S_k| - a_k where sigma_k = -1.  A
+        depth-first pass over the summands carries, for each group of points
+        that agree on the summands still to come, the polynomial
+        sum_p y^(index so far) packed in one int, one bit field per power of
+        y.  A field holds at most the number of fixed points, so adding
+        never carries.  Equal vectors are one interned tuple."""
+        sizes, groups = self._index_groups
+        width = len(self.cosets).bit_length()
+        field = (1 << width) - 1
+        shifts = range(0, (self.n + 1) * width, width)
+        vectors = self._count_vectors
+        out = []
+
+        def walk(k, groups):
+            if k == len(sizes):
+                packed = groups[()]
+                counts = vectors.get(packed)
+                if counts is None:
+                    counts = vectors[packed] = tuple(packed >> sh & field for sh in shifts)
+                out.append(counts)
+                return
+            size = sizes[k]
+            for sign in choices[k]:
+                nxt = {}
+                for key, packed in groups.items():
+                    rest = key[1:]
+                    nxt[rest] = nxt.get(rest, 0) + (packed << (key[0] if sign > 0 else size - key[0]) * width)
+                walk(k + 1, nxt)
+
+        walk(0, groups)
+        return out
 
     @cached_property
     def weyl(self):
@@ -245,60 +334,61 @@ def space_from_json(doc, label=None):
 
 
 class InvariantStructure:
-    """An invariant almost complex structure: a sign per isotropy summand."""
+    """An invariant almost complex structure: a sign per isotropy summand.
+
+    `space.structure(signs)` hands out the space's one structure per sign
+    tuple; calling the class directly builds an equal, separate object."""
 
     __slots__ = ("space", "summand_signs", "_eps", "_index_counts", "_symbolic_class")
 
     def __init__(self, space, summand_signs):
         if len(summand_signs) != len(space.summands):
-            raise ValueError(
+            raise InputError(
                 "expected %d summand signs, got %d" % (len(space.summands), len(summand_signs))
             )
         for s, sm in zip(summand_signs, space.summands):
             if s not in (1, -1):
-                raise ValueError("signs must be +1 or -1")
+                raise InputError("signs must be +1 or -1")
             if sm.self_conjugate:
                 raise ValueError("summand %s is self-conjugate; no invariant structure exists" % (sm,))
         self.space = space
         self.summand_signs = tuple(summand_signs)
-        eps = [0] * space.n
-        for sign, sm in zip(self.summand_signs, space.summands):
-            for li, ori in zip(sm.line_indices, sm.orientation):
-                eps[li] = sign * ori
-        self._eps = tuple(eps)
+        self._eps = None
         self._index_counts = None
         self._symbolic_class = None  # filled by toricgenus.s_number
 
     @property
     def eps(self):
         """Sign on each complementary root line, in comp_roots order."""
+        if self._eps is None:
+            eps = [0] * self.space.n
+            for sign, sm in zip(self.summand_signs, self.space.summands):
+                for li, ori in zip(sm.line_indices, sm.orientation):
+                    eps[li] = sign * ori
+            self._eps = tuple(eps)
         return self._eps
 
     @property
     def index_counts(self):
         """counts[ind] = number of fixed points with ind weights on the
-        negative side of the space's ordering, ind = 0..n; counted on first
-        use.  The list is the structure's own: read it, do not change it."""
+        negative side of the space's ordering, ind = 0..n, as a tuple the
+        space interns: structures with equal counts share it.  Counted with
+        the space's inventory, or on first use."""
         if self._index_counts is None:
-            # e * s < 0 exactly where one of the two signs is negative
-            eps_mask = sum(1 << l for l, e in enumerate(self._eps) if e < 0)
-            counts = [0] * (self.space.n + 1)
-            for mask in self.space.line_sign_masks:
-                counts[(eps_mask ^ mask).bit_count()] += 1
-            self._index_counts = counts
+            (self._index_counts,) = self.space._count_indices(tuple((s,) for s in self.summand_signs))
         return self._index_counts
 
     @property
     def roots(self):
         """The structure's weight roots eps_l * rho_l, in comp_roots order."""
         sp = self.space
-        return tuple(tuple(e * c for c in r) for e, r in zip(self._eps, sp.comp_roots))
+        return tuple(tuple(e * c for c in r) for e, r in zip(self.eps, sp.comp_roots))
 
     def to_signs(self):
         return "".join("+" if s > 0 else "-" for s in self.summand_signs)
 
     def conjugate(self):
-        return InvariantStructure(self.space, tuple(-s for s in self.summand_signs))
+        return self.space.structure(-s for s in self.summand_signs)
 
     def __eq__(self, other):
         return (
@@ -317,22 +407,28 @@ class InvariantStructure:
 def parse_signs(space, text):
     text = text.strip()
     if set(text) - set("+-"):
-        raise ValueError("sign string may only contain '+' and '-': %r" % (text,))
-    return InvariantStructure(space, tuple(1 if c == "+" else -1 for c in text))
+        raise InputError("sign string may only contain '+' and '-': %r" % (text,))
+    return space.structure(1 if c == "+" else -1 for c in text)
+
+
+def _check_cap(space, cap):
+    """Refuse an inventory of more than 2^cap structures before any is built;
+    a space with a self-conjugate summand has none, whatever its size."""
+    s = len(space.summands)
+    if s > cap and not any(sm.self_conjugate for sm in space.summands):
+        raise InputError("too many summands (%d) for exhaustive enumeration; cap is %d" % (s, cap))
 
 
 def enumerate_structures(space, cap=STRUCTURE_CAP):
-    """All invariant almost complex structures (2^s sign choices).
+    """All invariant almost complex structures (2^s sign choices), as a
+    fresh list of the space's own structure objects in itertools.product
+    order.
 
     Returns [] when some summand is conjugation-invariant, in which case no
     invariant structure exists at all.
     """
-    if any(sm.self_conjugate for sm in space.summands):
-        return []
-    s = len(space.summands)
-    if s > cap:
-        raise ValueError("too many summands (%d) for exhaustive enumeration; cap is %d" % (s, cap))
-    return [InvariantStructure(space, signs) for signs in itertools.product((1, -1), repeat=s)]
+    _check_cap(space, cap)
+    return list(space._inventory)
 
 
 def first_chern(structure):
@@ -346,8 +442,10 @@ def first_chern(structure):
 
 
 def find_su_structures(space, cap=STRUCTURE_CAP):
-    """Invariant structures with vanishing first Chern class."""
-    return [j for j in enumerate_structures(space, cap) if not any(first_chern(j))]
+    """Invariant structures with vanishing first Chern class, found once per
+    space."""
+    _check_cap(space, cap)
+    return list(space._su_inventory)
 
 
 def c1_divisibility(structure, n):
@@ -404,16 +502,15 @@ class StableStructure:
     @property
     def index_counts(self):
         """counts[ind] = signed number of fixed points with ind weights on
-        the negative side of the space's ordering, ind = 0..n; counted on
-        first use.  The list is the structure's own: read it, do not change
-        it."""
+        the negative side of the space's ordering, ind = 0..n, as a tuple;
+        counted on first use."""
         if self._index_counts is None:
             base_eps = self.base.eps
             counts = [0] * (self.space.n + 1)
             for trow, srow in zip(self.table, self.space.line_signs):
                 ind = sum(1 for t, b, s in zip(trow, base_eps, srow) if t * b * s < 0)
                 counts[ind] += self.global_sign * math.prod(trow)
-            self._index_counts = counts
+            self._index_counts = tuple(counts)
         return self._index_counts
 
     def __repr__(self):

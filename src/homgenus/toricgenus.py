@@ -728,7 +728,7 @@ def combine_structures(base_structure, fiber_structure, total_space=None):
         if len(sm_signs) != 1:
             raise ValueError("combined signs are not constant on an isotropy summand")
         signs.append(sm_signs.pop())
-    return InvariantStructure(total_space, tuple(signs))
+    return total_space.structure(signs)
 
 
 def twisted_product(base_structure, fiber_structure, cutoff=None):

@@ -22,7 +22,7 @@ from .hirzebruch import (
     todd_genus,
 )
 from .rootdata import Ordering
-from .structures import InvariantStructure, enumerate_structures, find_su_structures, is_integrable
+from .structures import enumerate_structures, find_su_structures, is_integrable
 from .toricgenus import (
     _symbolic_form,
     certified,
@@ -160,7 +160,7 @@ def _c6():
     n5 = 0
     for code in picks:
         signs = tuple(1 if code >> i & 1 else -1 for i in range(k))
-        v = top_s(InvariantStructure(space5, signs))
+        v = top_s(space5.structure(signs))
         n5 += 1
         if v != 0:
             bad.append((signs, v))
@@ -300,7 +300,7 @@ def _c13():
     base = s6.standard_structure()
     h_group = base.space.subgroup.as_group()
     fiber_space = HomogeneousSpace(h_group, SubgroupData(h_group, ()), label="A2-long/T2")
-    fiber = InvariantStructure(fiber_space, (1,) * len(fiber_space.summands))
+    fiber = fiber_space.structure((1,) * len(fiber_space.summands))
     tw = twisted_product(base, fiber, cutoff=6)
     direct = chern_dold_genus(tw.structure, cutoff=6)
     prod_form = (chern_dold_genus(base, cutoff=6).form * chern_dold_genus(fiber, cutoff=6).form).truncate_var(
@@ -314,8 +314,8 @@ def _c13():
     fiber_space2 = HomogeneousSpace(h2, SubgroupData(h2, ()), label="U1xU2/T3")
     for bsign in (1, -1):
         for fsign in (1, -1):
-            b = InvariantStructure(cp2.space(), (bsign,))
-            fb = InvariantStructure(fiber_space2, (fsign,) * len(fiber_space2.summands))
+            b = cp2.space().structure((bsign,))
+            fb = fiber_space2.structure((fsign,) * len(fiber_space2.summands))
             tw2 = twisted_product(b, fb, cutoff=3)
             ok2 = ok2 and tw2.form == chern_dold_genus(tw2.structure, cutoff=3).form
     return (

@@ -170,6 +170,15 @@ def test_json_roots_not_closed_under_reflections_is_usage_error(capsys):
     assert "does not permute the roots" in err
 
 
+def test_too_many_summands_is_usage_error(capsys):
+    # U(7)/T has 21 summands, one above the enumeration cap
+    doc = json.dumps({"group": "U(7)", "subgroup_roots": []})
+    code, out, err = run(capsys, "space", "info", "--space", doc)
+    assert code == 1
+    assert out == ""
+    assert "too many summands (21)" in err
+
+
 def test_genus_chi_y_plain(capsys):
     code, out, _ = run(
         capsys, "genus", "chi-y", "--space", "CP3", "--structure", "cp3-e11-minus"

@@ -23,7 +23,13 @@ from homgenus.hirzebruch import (
     todd_of_class,
 )
 from homgenus.rootdata import Ordering
-from homgenus.structures import HomogeneousSpace, InvariantStructure, enumerate_structures, parse_signs
+from homgenus.structures import (
+    HomogeneousSpace,
+    InvariantStructure,
+    enumerate_structures,
+    make_space,
+    parse_signs,
+)
 from homgenus.toricgenus import chern_dold_genus
 from series_reference import admissible_point_reference, rigidity_eval_reference
 
@@ -81,7 +87,8 @@ def test_one_index_count_serves_every_specialization(monkeypatch, which):
     table = getattr(HomogeneousSpace, attr)
     monkeypatch.setattr(HomogeneousSpace, attr, property(lambda sp: reads.append(1) or table.fget(sp)))
     if which == "invariant":
-        s = parse_signs(catalog_space("U4-flag"), "+-+--+")
+        # a space of its own: the catalog's U4-flag keeps its structures' counts
+        s = parse_signs(make_space("U(4)", label="U4-flag"), "+-+--+")
     else:
         s = catalog_entry("CP3").stable_structure("cp3-e11-minus")
     got = (chi_y_genus(s), signature(s), todd_genus(s), euler_number(s))

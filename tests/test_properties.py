@@ -518,3 +518,33 @@ def test_twisted_products_match_the_fraction_engine(name, bsign, fsign, cutoff):
     fiber_space = HomogeneousSpace(h, SubgroupData(h, ()), label="H/T")
     fiber = InvariantStructure(fiber_space, (fsign,) * len(fiber_space.summands))
     assert twisted_product(base, fiber, cutoff).form == _twisted_reference(base, fiber, cutoff)
+
+
+@st.composite
+def univariate_polys(draw):
+    """A polynomial in one variable, with rational coefficients and a zero or
+    nonzero constant term."""
+    name = draw(st.sampled_from(("y", "t", "x1", "a2")))
+    terms = {(e,): draw(mixed_fractions) for e in draw(st.lists(st.integers(1, 12), max_size=6))}
+    terms[(0,)] = draw(st.one_of(st.just(Fraction(0)), mixed_fractions))
+    return MultiPoly((name,), terms)
+
+
+def _with_unused_variable(p):
+    """p over two variables, the second unused (so the general evaluate and
+    to_text paths run), and that second variable."""
+    (name,) = p.vars
+    other = "x2" if name != "x2" else "x3"
+    return MultiPoly((name, other), {e + (0,): c for e, c in p.terms.items()}), other
+
+
+@settings(max_examples=300, deadline=None)
+@given(univariate_polys(), st.one_of(point_values, st.fractions(max_denominator=10**6)))
+def test_univariate_fast_paths_match_the_general_path(p, value):
+    general, other = _with_unused_variable(p)
+    assert len(general.vars) == 2
+    (name,) = p.vars
+    got = p.evaluate({name: value})
+    assert type(got) is Fraction
+    assert got == general.evaluate({name: value, other: 5}) == evaluate_reference(p, {name: value})
+    assert p.to_text() == general.to_text() == to_text_reference(p)

@@ -18,6 +18,7 @@ from homgenus.rootdata import (
     gram_pairing,
     group_from_doc,
     identity_matrix,
+    mat_mul,
     reflection_matrix,
     vec_add,
     vec_neg,
@@ -99,6 +100,40 @@ def test_weyl_elements_permute_roots():
     roots = set(g.roots)
     for e in weyl_group(g):
         assert {mat_vec(e.matrix, r) for r in roots} == roots
+
+
+def test_generator_matrices_are_built_on_first_read():
+    wg = weyl_group(build_group("U(4)"))
+    assert wg._generator_matrices == [None, None, None]
+    el = next(e for e in wg if e.word == (0, 1, 0))
+    m = el.matrix
+    assert [g is not None for g in wg._generator_matrices] == [True, True, False]
+    r0, r1, _ = (reflection_matrix(a, 4) for a in build_group("U(4)").simple_roots())
+    assert m == mat_mul(mat_mul(r0, r1), r0)
+
+
+def _reflection_perm_reference(group, alpha):
+    """The reflection in alpha as a root permutation, in Fractions."""
+    norm = Fraction(gram_pairing(alpha, alpha, group.gram))
+    perm = []
+    for r in group.roots:
+        n = 2 * Fraction(gram_pairing(r, alpha, group.gram)) / norm
+        perm.append(group.root_index[tuple(a - n * b for a, b in zip(r, alpha))])
+    return tuple(perm)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [build_group(g) for g in ("U(4)", "SU(3)", "Sp(3)", "SO(7)", "SO(8)", "G2")]
+    + [
+        group_from_doc({"dim": 3, "roots": [[str(Fraction(c, 2)) for c in r] for r in build_group("U(3)").roots]}),
+        group_from_doc({"dim": 2, "roots": [[2, 0], [-2, 0], [0, 2], [0, -2]], "gram": [["1/2", 0], [0, 3]]}),
+    ],
+    ids=lambda g: g.label,
+)
+def test_reflection_perm_matches_the_fraction_reference(group):
+    for alpha in group.roots:
+        assert group.reflection_perm(alpha) == _reflection_perm_reference(group, alpha)
 
 
 def test_reflection_is_involutive():

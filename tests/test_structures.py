@@ -2,8 +2,11 @@
 
 import pytest
 
-from homgenus.catalog import catalog_entry, catalog_space
+from homgenus.catalog import catalog_entry, catalog_list, catalog_space
+from homgenus.hirzebruch import _index_counts, chi_y_genus
+from homgenus.rootdata import InputError
 from homgenus.structures import (
+    STRUCTURE_CAP,
     InvariantStructure,
     StableStructure,
     c1_divisibility,
@@ -12,7 +15,9 @@ from homgenus.structures import (
     first_chern,
     fixed_points,
     is_integrable,
+    make_space,
     parse_signs,
+    space_from_json,
 )
 
 
@@ -90,9 +95,90 @@ def test_parse_signs_validation():
         parse_signs(u3, "+0+")
 
 
+def test_bad_signs_are_input_errors():
+    u3 = catalog_space("U3-flag")
+    for call in (
+        lambda: parse_signs(u3, "++"),
+        lambda: parse_signs(u3, "+0+"),
+        lambda: u3.structure((1, 2, 1)),
+        lambda: InvariantStructure(u3, (1, 1)),
+    ):
+        with pytest.raises(InputError):
+            call()
+    assert issubclass(InputError, ValueError)
+
+
 def test_conjugate_flips_all_signs():
     u3 = catalog_space("U3-flag")
     assert parse_signs(u3, "+-+").conjugate().to_signs() == "-+-"
+    assert parse_signs(u3, "+-+").conjugate() is parse_signs(u3, "-+-")
+
+
+def test_space_builds_each_structure_once():
+    space = catalog_space("U4-flag")
+    first = enumerate_structures(space)
+    second = enumerate_structures(space)
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second)) and len(first) == len(second) == 64
+    assert [j.to_signs() for j in first] == [
+        "".join("+" if c == "0" else "-" for c in format(code, "06b")) for code in range(64)
+    ]
+    for j in first:
+        assert parse_signs(space, j.to_signs()) is j
+        assert space.structure(j.summand_signs) is j
+    # the standard structure and the SU list are the inventory's objects too
+    u3 = catalog_space("U3-flag")
+    assert catalog_entry("U3-flag").standard_structure() is enumerate_structures(u3)[0]
+    su = find_su_structures(u3)
+    assert su == find_su_structures(u3) and all(j is parse_signs(u3, j.to_signs()) for j in su)
+
+
+def test_cap_is_checked_before_any_structure_is_built():
+    space = make_space("U(7)")
+    assert len(space.summands) == 21 > STRUCTURE_CAP
+    for call in (enumerate_structures, find_su_structures):
+        with pytest.raises(InputError, match="too many summands \\(21\\)"):
+            call(space)
+    assert not space._structures and "_inventory" not in space.__dict__
+    # a self-conjugate summand means no structures, whatever the cap
+    assert enumerate_structures(catalog_space("HP2"), cap=0) == []
+
+
+# U(5)/(U(2) x U(1) x U(2)) and Sp(3)/(Sp(1) x T2): summands of 2 and 4 lines
+# (S6 in the catalog has a summand whose lines take both orientations)
+MULTI_LINE = {
+    "U5-blocks": {
+        "group": "U(5)",
+        "subgroup_roots": [[1, -1, 0, 0, 0], [-1, 1, 0, 0, 0], [0, 0, 0, 1, -1], [0, 0, 0, -1, 1]],
+    },
+    "Sp3-Sp1": {"group": "Sp(3)", "subgroup_roots": [[2, 0, 0], [-2, 0, 0]]},
+}
+
+
+def _counting_spaces():
+    spaces = [catalog_space(name) for name in catalog_list()]
+    return spaces + [space_from_json(doc, label=name) for name, doc in MULTI_LINE.items()]
+
+
+@pytest.mark.parametrize("space", _counting_spaces(), ids=lambda sp: sp.label)
+def test_batched_counts_match_the_recount(space):
+    structures = enumerate_structures(space)
+    shared = {}
+    for j in structures:
+        counts = j.index_counts
+        assert counts == _index_counts(j, space.ordering)
+        assert sum(counts) == space.euler_characteristic
+        # the one-structure pass gives the same interned vector
+        assert InvariantStructure(space, j.summand_signs).index_counts is counts
+        chi = chi_y_genus(j)
+        assert chi == chi_y_genus(j, ordering=space.ordering)
+        assert shared.setdefault(counts, chi) is chi
+    if space.label in MULTI_LINE:
+        assert max(len(sm) for sm in space.summands) > 1
+    if space.label == "S6":
+        assert set(space.summands[0].orientation) == {1, -1}
+    if space.label == "U5-flag":
+        assert len(structures) == 1024 and len(shared) == 9
 
 
 def test_summand_line_indices():
