@@ -8,7 +8,6 @@ certificates are combinatorial pairings of the fixed points, not numerics.
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 
 from .cobordism import evaluate_class, specialize_genus, tanh_series, todd_series
 from .exactalg import MultiPoly, RationalFn, TruncatedSeries
@@ -22,12 +21,10 @@ def point_index(weights, ordering):
     return sum(1 for w in weights if ordering.sign(w) < 0)
 
 
-def _index_counts(structure, ordering=None):
-    """counts[ind] = signed number of fixed points with index ind, for ind
-    = 0..n, as a tuple of ints; the structure keeps the counts for its
-    space's own ordering."""
-    if ordering is None:
-        return structure.index_counts
+def _index_counts(structure, ordering):
+    """counts[ind] = signed number of fixed points with index ind under
+    `ordering`, for ind = 0..n, as a tuple of ints, counted afresh; the
+    structure keeps the counts for its space's own ordering."""
     counts = [0] * (structure.space.n + 1)
     orientation = getattr(structure, "global_sign", 1)
     for fp in fixed_points(structure):
@@ -35,8 +32,6 @@ def _index_counts(structure, ordering=None):
     return tuple(counts)
 
 
-# a pure function of the counts; the bound keeps many spaces from growing it
-@lru_cache(maxsize=1024)
 def _chi_y_of_counts(counts):
     terms = {(ind,): Fraction(-c if ind % 2 else c) for ind, c in enumerate(counts) if c}
     return MultiPoly._from_clean(("y",), terms)
@@ -45,13 +40,21 @@ def _chi_y_of_counts(counts):
 def chi_y_genus(structure, ordering=None):
     """The chi_y polynomial: sum over fixed points of sign(p) (-y)^{ind(p)}.
 
-    One polynomial is shared by every structure with the same index counts;
-    like every MultiPoly it is not to be changed.  The value does not depend
-    on the choice of generic ordering; the general path recomputes weight
-    signs for whatever ordering is passed, and the property tests compare it
-    against the cached default-ordering path.
+    For the space's own ordering the space keeps one polynomial per index
+    count vector, shared by every structure with those counts; like every
+    MultiPoly it is not to be changed.  The value does not depend on the
+    choice of generic ordering; the general path recomputes weight signs for
+    whatever ordering is passed, and the property tests compare it against
+    the cached default-ordering path.
     """
-    return _chi_y_of_counts(_index_counts(structure, ordering))
+    if ordering is not None:
+        return _chi_y_of_counts(_index_counts(structure, ordering))
+    counts = structure.index_counts
+    shared = structure.space._chi_y_polys
+    chi = shared.get(counts)
+    if chi is None:
+        chi = shared[counts] = _chi_y_of_counts(counts)
+    return chi
 
 
 def _chi_y_at(structure, y):

@@ -80,6 +80,7 @@ class HomogeneousSpace:
         self._line_sign_masks = None
         self._structures = {}  # summand signs -> the one InvariantStructure
         self._count_vectors = {}  # packed index counts -> the interned tuple
+        self._chi_y_polys = {}  # index counts -> the one chi_y polynomial (hirzebruch.chi_y_genus)
 
     def __repr__(self):
         return "HomogeneousSpace(%s)" % self.label
@@ -353,19 +354,17 @@ class InvariantStructure:
                 raise ValueError("summand %s is self-conjugate; no invariant structure exists" % (sm,))
         self.space = space
         self.summand_signs = tuple(summand_signs)
-        self._eps = None
+        eps = [0] * space.n
+        for sign, sm in zip(self.summand_signs, space.summands):
+            for li, ori in zip(sm.line_indices, sm.orientation):
+                eps[li] = sign * ori
+        self._eps = tuple(eps)
         self._index_counts = None
         self._symbolic_class = None  # filled by toricgenus.s_number
 
     @property
     def eps(self):
         """Sign on each complementary root line, in comp_roots order."""
-        if self._eps is None:
-            eps = [0] * self.space.n
-            for sign, sm in zip(self.summand_signs, self.space.summands):
-                for li, ori in zip(sm.line_indices, sm.orientation):
-                    eps[li] = sign * ori
-            self._eps = tuple(eps)
         return self._eps
 
     @property
@@ -382,7 +381,7 @@ class InvariantStructure:
     def roots(self):
         """The structure's weight roots eps_l * rho_l, in comp_roots order."""
         sp = self.space
-        return tuple(tuple(e * c for c in r) for e, r in zip(self.eps, sp.comp_roots))
+        return tuple(tuple(e * c for c in r) for e, r in zip(self._eps, sp.comp_roots))
 
     def to_signs(self):
         return "".join("+" if s > 0 else "-" for s in self.summand_signs)

@@ -172,6 +172,7 @@ def test_batched_counts_match_the_recount(space):
         assert InvariantStructure(space, j.summand_signs).index_counts is counts
         chi = chi_y_genus(j)
         assert chi == chi_y_genus(j, ordering=space.ordering)
+        # the space keeps one chi_y polynomial per interned count vector
         assert shared.setdefault(counts, chi) is chi
     if space.label in MULTI_LINE:
         assert max(len(sm) for sm in space.summands) > 1
