@@ -354,17 +354,20 @@ class InvariantStructure:
                 raise ValueError("summand %s is self-conjugate; no invariant structure exists" % (sm,))
         self.space = space
         self.summand_signs = tuple(summand_signs)
-        eps = [0] * space.n
-        for sign, sm in zip(self.summand_signs, space.summands):
-            for li, ori in zip(sm.line_indices, sm.orientation):
-                eps[li] = sign * ori
-        self._eps = tuple(eps)
+        self._eps = None
         self._index_counts = None
         self._symbolic_class = None  # filled by toricgenus.s_number
 
     @property
     def eps(self):
-        """Sign on each complementary root line, in comp_roots order."""
+        """Sign on each complementary root line, in comp_roots order; built
+        on first read, which the inventory's structures mostly never make."""
+        if self._eps is None:
+            eps = [0] * self.space.n
+            for sign, sm in zip(self.summand_signs, self.space.summands):
+                for li, ori in zip(sm.line_indices, sm.orientation):
+                    eps[li] = sign * ori
+            self._eps = tuple(eps)
         return self._eps
 
     @property
@@ -381,7 +384,7 @@ class InvariantStructure:
     def roots(self):
         """The structure's weight roots eps_l * rho_l, in comp_roots order."""
         sp = self.space
-        return tuple(tuple(e * c for c in r) for e, r in zip(self._eps, sp.comp_roots))
+        return tuple(tuple(e * c for c in r) for e, r in zip(self.eps, sp.comp_roots))
 
     def to_signs(self):
         return "".join("+" if s > 0 else "-" for s in self.summand_signs)
