@@ -7,9 +7,8 @@ faithfully on its roots (Humphreys, Reflection Groups and Coxeter Groups,
 1.10; Casselman, Machine calculations in Weyl groups, 1994), so each element
 is stored as a permutation of the group's root list, together with a word in
 the simple reflections; breadth-first closure guarantees the word is one of
-minimal length and lexicographically least among those.  The d x d matrix of
-an element, acting on column vectors, is built only when asked for, with
-integer entries wherever they are integral.
+minimal length and lexicographically least among those.  Elements act on
+roots, and on weights built from them, through the permutation alone.
 
 Supported named groups: U(n), SU(n), Sp(n), SO(n), G2, and tori (U(1), Tn)
 which contribute no roots.
@@ -51,16 +50,6 @@ def dot(u, v):
     return sum(map(mul, u, v))
 
 
-def mat_mul(a, b):
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(a[i][k] * bt[j][k] for k in range(n)) for j in range(n)) for i in range(n))
-
-
-def identity_matrix(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def _exact(x):
     """x as an int when it is integral, else as a Fraction."""
     if isinstance(x, int):
@@ -72,31 +61,6 @@ def _exact(x):
 def compose(p, q):
     """The permutation p o q: apply q first, then p."""
     return tuple(map(p.__getitem__, q))
-
-
-def gram_pairing(u, v, gram=None):
-    """Invariant inner product B(u, v); plain dot when gram is None."""
-    if gram is None:
-        return dot(u, v)
-    return sum(u[i] * gram[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
-
-
-def reflection_matrix(alpha, dim, gram=None):
-    """Matrix of the reflection s_alpha(v) = v - 2 B(v,alpha)/B(alpha,alpha) alpha.
-
-    Entries are ints where integral: for a root of a crystallographic system
-    they are Cartan integers, with or without a Gram matrix."""
-    denom = gram_pairing(alpha, alpha, gram)
-    if not denom:
-        raise ValueError("cannot reflect in an isotropic vector %r" % (alpha,))
-    if gram is None:
-        galpha = alpha
-    else:
-        galpha = tuple(sum(gram[j][k] * alpha[k] for k in range(dim)) for j in range(dim))
-    return tuple(
-        tuple(_exact((1 if i == j else 0) - Fraction(2 * galpha[j] * alpha[i]) / denom) for j in range(dim))
-        for i in range(dim)
-    )
 
 
 class Ordering:
@@ -289,32 +253,18 @@ def build_group(spec):
 
 
 class WeylElement:
-    """One Weyl group element: a permutation of the root list and its word.
+    """One Weyl group element: a permutation of the root list and a word in
+    the simple reflections.  ``perm[i]`` is the index of the image of
+    ``roots[i]``; the word, applied right to left, moves the same roots."""
 
-    ``perm[i]`` is the index of the image of ``roots[i]``.  The matrix is
-    built on first use, as the parent element's matrix times the matrix of
-    the generator that extends the parent's word (its last letter)."""
+    __slots__ = ("perm", "word")
 
-    __slots__ = ("perm", "word", "_weyl", "_parent", "_matrix")
-
-    def __init__(self, perm, word, weyl, parent=None):
+    def __init__(self, perm, word):
         self.perm = perm
         self.word = word
-        self._weyl = weyl
-        self._parent = parent
-        self._matrix = None
 
     def __repr__(self):
         return "WeylElement(word=%s)" % (self.word,)
-
-    @property
-    def matrix(self):
-        if self._matrix is None:
-            if self._parent is None:
-                self._matrix = identity_matrix(self._weyl.group.dim)
-            else:
-                self._matrix = mat_mul(self._parent.matrix, self._weyl.generator_matrix(self.word[-1]))
-        return self._matrix
 
 
 class WeylGroup:
@@ -322,18 +272,14 @@ class WeylGroup:
     root list of `group`, with BFS-minimal words.
 
     A subgroup's Weyl group is built over the ambient group, so its elements
-    permute the ambient root list and compose with the ambient elements.
-    The generators' matrices are built when an element's matrix is first
-    read."""
+    permute the ambient root list and compose with the ambient elements."""
 
     def __init__(self, group, simple_roots, cap=WEYL_CAP, label=""):
         self.group = group
         self.label = label
-        self._simple_roots = tuple(simple_roots)
         # generators[g] is the simple reflection that letter g of a word names
-        self.generators = tuple(group.reflection_perm(a) for a in self._simple_roots)
-        self._generator_matrices = [None] * len(self.generators)
-        ident = WeylElement(tuple(range(len(group.roots))), (), self)
+        self.generators = tuple(group.reflection_perm(a) for a in simple_roots)
+        ident = WeylElement(tuple(range(len(group.roots))), ())
         seen = {ident.perm: ident}
         queue = deque([ident])
         while queue:
@@ -341,21 +287,13 @@ class WeylGroup:
             for gi, gen_perm in enumerate(self.generators):
                 p = compose(cur.perm, gen_perm)
                 if p not in seen:
-                    el = WeylElement(p, cur.word + (gi,), self, cur)
+                    el = WeylElement(p, cur.word + (gi,))
                     seen[p] = el
                     queue.append(el)
                     if len(seen) > cap:
                         raise ValueError("Weyl group exceeds the cap of %d elements" % cap)
         # BFS with ascending generator index enumerates words in (length, lex) order
         self.elements = sorted(seen.values(), key=lambda e: (len(e.word), e.word))
-
-    def generator_matrix(self, g):
-        """The matrix of the simple reflection that letter g names."""
-        m = self._generator_matrices[g]
-        if m is None:
-            group = self.group
-            m = self._generator_matrices[g] = reflection_matrix(self._simple_roots[g], group.dim, group.gram)
-        return m
 
     def __len__(self):
         return len(self.elements)

@@ -73,9 +73,9 @@ class HomogeneousSpace:
                 along[line] = (i, scale)
         self.comp_roots = tuple(sorted(along, key=_comp_sort_key))
         self.n = len(self.comp_roots)  # complex dimension of G/H
-        # comp_roots[l] == group.roots[comp_root_indices[l]] / _comp_scales[l]
+        # comp_roots[l] == group.roots[comp_root_indices[l]] / comp_scales[l]
         self.comp_root_indices = tuple(along[line][0] for line in self.comp_roots)
-        self._comp_scales = tuple(along[line][1] for line in self.comp_roots)
+        self.comp_scales = tuple(along[line][1] for line in self.comp_roots)
         self._line_signs = None
         self._line_sign_masks = None
         self._structures = {}  # summand signs -> the one InvariantStructure
@@ -204,7 +204,7 @@ class HomogeneousSpace:
     def coset_root_images(self):
         """coset_root_images[w][l] = (coset rep w) applied to comp_roots[l]."""
         roots = self.group.roots
-        lines = tuple(zip(self.comp_root_indices, self._comp_scales))
+        lines = tuple(zip(self.comp_root_indices, self.comp_scales))
         return tuple(
             tuple(
                 roots[rep.perm[k]] if scale == 1 else vec(Fraction(c) / scale for c in roots[rep.perm[k]])
@@ -347,11 +347,14 @@ class InvariantStructure:
             raise InputError(
                 "expected %d summand signs, got %d" % (len(space.summands), len(summand_signs))
             )
-        for s, sm in zip(summand_signs, space.summands):
+        for k, (s, sm) in enumerate(zip(summand_signs, space.summands)):
             if s not in (1, -1):
                 raise InputError("signs must be +1 or -1")
             if sm.self_conjugate:
-                raise ValueError("summand %s is self-conjugate; no invariant structure exists" % (sm,))
+                raise InputError(
+                    "%s has no invariant almost complex structure: isotropy summand %d of %d is self-conjugate"
+                    % (space.label, k + 1, len(space.summands))
+                )
         self.space = space
         self.summand_signs = tuple(summand_signs)
         self._eps = None

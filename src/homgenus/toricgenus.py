@@ -33,7 +33,6 @@ from .exactalg import (
     divided_difference,
     exact_divide,
     vandermonde,
-    var_key,
 )
 from .catalog import catalog_space
 from .rootdata import canonical_positive, vec_neg
@@ -51,63 +50,6 @@ def _form_of(vector):
     """The linear polynomial <vector, x> in variables x1..xd."""
     names = ["x%d" % (i + 1) for i in range(len(vector))]
     return MultiPoly.linear_form(names, vector)
-
-
-def apply_weyl(poly, matrix):
-    """Transport a polynomial in the x's by a Weyl matrix.
-
-    A form <r, x> goes to <M r, x>, i.e. the variable x_j is substituted by
-    the form whose coefficients are the j-th column of M.  Signed
-    permutation matrices take an exponent-shuffling fast path.
-    """
-    dim = len(matrix)
-    perm = {}
-    is_signed_perm = True
-    for j in range(dim):
-        nz = [(i, matrix[i][j]) for i in range(dim) if matrix[i][j]]
-        if len(nz) == 1 and nz[0][1] in (1, -1):
-            perm[j] = nz[0]
-        else:
-            is_signed_perm = False
-            break
-    xnames = [v for v in poly.vars if v[0] == "x" and v[1:].isdigit()]
-    if not xnames:
-        return poly
-    if is_signed_perm:
-        out = {}
-        vs = poly.vars
-        slots = {v: k for k, v in enumerate(vs)}
-        image_names = {"x%d" % (perm[int(v[1:]) - 1][0] + 1) for v in xnames}
-        new_vs = tuple(sorted(set(vs) - set(xnames) | image_names, key=var_key))
-        pos_new = {v: k for k, v in enumerate(new_vs)}
-        for e, c in poly.terms.items():
-            ne = [0] * len(new_vs)
-            coeff = c
-            for v, k in slots.items():
-                ei = e[k]
-                if not ei:
-                    continue
-                if v in xnames:
-                    i, s = perm[int(v[1:]) - 1]
-                    ne[pos_new["x%d" % (i + 1)]] += ei
-                    if s < 0 and ei % 2:
-                        coeff = -coeff
-                else:
-                    ne[pos_new[v]] += ei
-            key = tuple(ne)
-            acc = out.get(key, Fraction(0)) + coeff
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-        return MultiPoly(new_vs, out)
-    mapping = {}
-    for v in xnames:
-        j = int(v[1:]) - 1
-        mapping[v] = MultiPoly.linear_form(
-            ["x%d" % (i + 1) for i in range(dim)], [matrix[i][j] for i in range(dim)]
-        )
-    return poly.subs(mapping)
 
 
 _POLE = "localization sum has uncancelled pole"
@@ -735,8 +677,10 @@ def twisted_product(base_structure, fiber_structure, cutoff=None):
     """Genus of the total space of H/K -> G/K -> G/H from base and fiber data.
 
     Requires the base structure's signed root set to be invariant under the
-    isotropy Weyl group W_H; each base coset then transports the fiber's
-    expansion, and the base poles clear exactly as in the plain genus.
+    isotropy Weyl group W_H.  Each base fixed point p then carries the
+    fiber's fixed-point sum with every fiber weight moved by p's coset
+    representative, a root permutation; the base sum multiplies each point's
+    term by its fiber sum, and the base poles clear as in the plain genus.
     """
     base_space = base_structure.space
     fiber_space = fiber_structure.space
@@ -761,10 +705,21 @@ def twisted_product(base_structure, fiber_structure, cutoff=None):
     total_space = combined.space
     if cutoff is None:
         cutoff = total_space.n
-    fiber_form = chern_dold_genus(fiber_structure, cutoff).form
+    # the fiber's weight on line l at its point q is c = eps_l / scale_l times
+    # the root rep_q makes of line l's root: a root of H, kept as its index in G
+    h_roots = fiber_space.group.roots
+    lines = tuple(zip(fiber_structure.eps, fiber_space.comp_root_indices, fiber_space.comp_scales))
+    fiber_weights = [
+        [(e if s == 1 else Fraction(e) / s, root_index[h_roots[rep.perm[k]]]) for e, k, s in lines]
+        for rep in fiber_space.cosets.representatives
+    ]
     fps = fixed_points(base_structure)
+    fiber_forms = []
+    for fp in fps:
+        perm = fp.rep.perm
+        moved = [(1, [tuple(c * x for x in roots[perm[i]]) for c, i in ws]) for ws in fiber_weights]
+        fiber_forms.append(_localized_form(moved, base_space.ordering, cutoff))
     points = [(fp.sign, fp.weights) for fp in fps]
-    fiber_forms = [apply_weyl(fiber_form, fp.rep.matrix) for fp in fps]
     form = _localized_form(points, base_space.ordering, cutoff, fiber_forms)
     return GenusExpansion(combined, cutoff, form, label=total_space.label + " (twisted)")
 

@@ -9,7 +9,9 @@ distinct weight; the functions after the series do each in plain Fraction
 arithmetic, one term or one weight at a time.  The symbolic localization
 sum and its divisions run on packed ints over one denominator; the
 functions at the end build it from `MultiPoly` products and divide it by
-`exact_divide`, one line at a time.  Tests compare the two.
+`exact_divide`, one line at a time, and a Weyl element moves a vector by
+the Fraction reflections its word names, where the package reads the
+element's root permutation.  Tests compare the two.
 """
 
 from fractions import Fraction
@@ -175,6 +177,25 @@ def admissible_point_reference(structure, f, rng, tries=200):
     raise RuntimeError("could not find an admissible sample point")
 
 
+def gram_pairing(u, v, gram=None):
+    """Invariant inner product B(u, v); plain dot when gram is None."""
+    if gram is None:
+        return dot(u, v)
+    return sum(u[i] * gram[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
+
+
+def word_image(group, simple_roots, word, v):
+    """v moved by the Weyl element with this word: the reflections
+    s_a(v) = v - 2 B(v, a) / B(a, a) a in the simple roots its letters
+    name, in Fractions, the last letter first."""
+    v = tuple(map(Fraction, v))
+    for g in reversed(word):
+        a = simple_roots[g]
+        n = 2 * Fraction(gram_pairing(v, a, group.gram)) / gram_pairing(a, a, group.gram)
+        v = tuple(c - n * b for c, b in zip(v, a))
+    return v
+
+
 def _form_of(vector):
     return MultiPoly.linear_form(["x%d" % (i + 1) for i in range(len(vector))], vector)
 
@@ -203,10 +224,10 @@ def f_factor_reference(line, scale, cutoff, power):
     return MultiPoly._from_clean(vs, terms)
 
 
-def localized_numerator_reference(points, ordering, cutoff, fiber_forms=None):
+def localized_numerator_reference(points, ordering, cutoff):
     """toricgenus.localized_numerator on `MultiPoly`s: each point's sign /
-    prod(scales), f-factors and fiber form as one truncated product, the
-    points grouped by the lines they miss."""
+    prod(scales) and f-factors as one truncated product, the points grouped
+    by the lines they miss."""
     distinct = dict.fromkeys(w for _, ws in points for w in ws)
     canonical = {w: canonical_positive(w, ordering) for w in distinct}
     lines = list(dict.fromkeys(line for line, _ in canonical.values()))
@@ -222,7 +243,7 @@ def localized_numerator_reference(points, ordering, cutoff, fiber_forms=None):
 
     f_factors = {}
     groups = {}
-    for k, (sign, ws) in enumerate(points):
+    for sign, ws in points:
         cw = [canonical[w] for w in ws]
         own = {line for line, _ in cw}
         if len(own) != len(cw):
@@ -233,8 +254,6 @@ def localized_numerator_reference(points, ordering, cutoff, fiber_forms=None):
             if pair not in f_factors:
                 f_factors[pair] = f_factor_reference(*pair, cutoff, power)
         factors = [MultiPoly.const(coeff)] + [f_factors[pair] for pair in cw]
-        if fiber_forms is not None:
-            factors.append(fiber_forms[k])
         missing = tuple(line for line in lines if line not in own)
         groups.setdefault(missing, []).append(MultiPoly.product(factors, {"t": 1}, cutoff))
     terms = [

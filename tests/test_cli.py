@@ -202,6 +202,21 @@ def test_nongeneric_ordering_is_a_usage_error(capsys):
         assert "not generic" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("genus", "class"), ("genus", "chi-y"), ("fibration", "check")],
+    ids=lambda argv: " ".join(argv),
+)
+def test_space_without_invariant_structure_is_a_usage_error(capsys, argv):
+    # HP2's one isotropy summand is self-conjugate: asking for a structure on it is bad input
+    code, out, err = run(capsys, *argv, "--space", "HP2")
+    assert code == 1
+    assert out == ""
+    assert "HP2 has no invariant almost complex structure" in err
+    assert "self-conjugate" in err
+    assert "Summand(" not in err
+
+
 def test_ordering_length_checked(capsys):
     code, _, err = run(
         capsys, "genus", "chi-y", "--space", "U3-flag", "--ordering", "1,2"

@@ -28,8 +28,6 @@ from homgenus.structures import (
 from homgenus.toricgenus import (
     _localized_form,
     _symbolic_form,
-    apply_weyl,
-    chern_dold_genus,
     localized_numerator,
     twisted_product,
 )
@@ -40,6 +38,7 @@ from series_reference import (
     localized_numerator_reference,
     series_reversion,
     to_text_reference,
+    word_image,
 )
 
 
@@ -498,25 +497,45 @@ def test_symbolic_sum_matches_the_fraction_engine(s, extra, factor):
 
 
 def _twisted_reference(base, fiber, cutoff):
-    """twisted_product(base, fiber, cutoff).form on the Fraction engine."""
-    fiber_form = chern_dold_genus(fiber, cutoff).form
-    fps = fixed_points(base)
-    points = [(fp.sign, fp.weights) for fp in fps]
-    forms = [apply_weyl(fiber_form, fp.rep.matrix) for fp in fps]
-    return divide_lines_reference(*localized_numerator_reference(points, base.space.ordering, cutoff, forms))
+    """twisted_product(base, fiber, cutoff).form as the plain localization
+    sum over the pairs (base point p, fiber point q), on the Fraction engine:
+    a pair's weights are p's and q's, q's moved by p's representative along
+    its word."""
+    group, ordering = base.space.group, base.space.ordering
+    simple = group.simple_roots(ordering)
+    fiber_points = fixed_points(fiber)
+    points = [
+        (p.sign * q.sign, p.weights + tuple(word_image(group, simple, p.rep.word, w) for w in q.weights))
+        for p in fixed_points(base)
+        for q in fiber_points
+    ]
+    return divide_lines_reference(*localized_numerator_reference(points, ordering, cutoff))
+
+
+def _twisted_case(name, bsign, fsign, cutoff, fiber_roots=(), fiber=""):
+    label = "%s%s-%d-%d-%d" % (name, fiber, bsign, fsign, cutoff)
+    return pytest.param(name, bsign, fsign, cutoff, fiber_roots, id=label)
 
 
 @pytest.mark.parametrize(
-    "name, bsign, fsign, cutoff",
-    [("S6", 1, 1, 6)] + [("CP2", b, f, c) for b in (1, -1) for f in (1, -1) for c in (3, 4)],
+    "name, bsign, fsign, cutoff, fiber_roots",
+    # reproduction check 13's twisted products
+    [_twisted_case("S6", 1, 1, 6)]
+    + [_twisted_case("CP2", b, f, c) for b in (1, -1) for f in (1, -1) for c in (3, 4)]
+    # long roots 2e_i of scale 2, and multi-summand bases, at t^n and t^(n+1) of the total space
+    + [_twisted_case("CP3-sp", 1, 1, c) for c in (4, 5)]
+    + [_twisted_case("G42", 1, -1, c) for c in (6, 7)]
+    + [_twisted_case("U4-T2xU2", 1, 1, c) for c in (6, 7)]
+    + [_twisted_case("U4-T2xU2", -1, 1, 6)]
+    # the fiber U(1)xU(3)/(U(1)xU(1)xU(2)), as fibration check --fiber-roots builds it
+    + [_twisted_case("CP3", 1, 1, c, ((0, 0, 1, -1), (0, 0, -1, 1)), "/K") for c in (5, 6)],
 )
-def test_twisted_products_match_the_fraction_engine(name, bsign, fsign, cutoff):
-    # the twisted products of reproduction check 13, whose sums carry fiber forms
+def test_twisted_products_match_the_fraction_engine(name, bsign, fsign, cutoff, fiber_roots):
     space = catalog_space(name)
-    base = InvariantStructure(space, (bsign,) * len(space.summands))
+    base = space.structure((bsign,) * len(space.summands))
     h = space.subgroup.as_group()
-    fiber_space = HomogeneousSpace(h, SubgroupData(h, ()), label="H/T")
-    fiber = InvariantStructure(fiber_space, (fsign,) * len(fiber_space.summands))
+    fiber_space = HomogeneousSpace(h, SubgroupData(h, fiber_roots, label="K"), label="H/K")
+    fiber = fiber_space.structure((fsign,) * len(fiber_space.summands))
     assert twisted_product(base, fiber, cutoff).form == _twisted_reference(base, fiber, cutoff)
 
 

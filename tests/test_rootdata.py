@@ -15,20 +15,13 @@ from homgenus.rootdata import (
     canonical_positive,
     compose,
     default_ordering,
-    gram_pairing,
     group_from_doc,
-    identity_matrix,
-    mat_mul,
-    reflection_matrix,
     vec_add,
     vec_neg,
     weyl_group,
 )
 from homgenus.structures import HomogeneousSpace, make_space
-
-
-def mat_vec(m, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+from series_reference import gram_pairing, word_image
 
 
 def test_builtin_group_root_counts():
@@ -92,24 +85,33 @@ def test_weyl_identity_word_is_empty():
     words = [e.word for e in w]
     assert () in words
     assert w.elements[0].word == ()
-    assert w.elements[0].matrix == identity_matrix(3)
+    assert w.elements[0].perm == tuple(range(6))
 
 
-def test_weyl_elements_permute_roots():
-    g = build_group("Sp(2)")
-    roots = set(g.roots)
-    for e in weyl_group(g):
-        assert {mat_vec(e.matrix, r) for r in roots} == roots
+def _assert_words_match_perms(space):
+    """Each element of W and of W_H moves every root along its word, by
+    Fraction reflections, to the root its permutation names."""
+    roots = space.group.roots
+    for wg, simple in (
+        (space.weyl, space.group.simple_roots(space.ordering)),
+        (space.subgroup_weyl, space.subgroup_simple),
+    ):
+        for el in wg:
+            for i, root in enumerate(roots):
+                assert word_image(space.group, simple, el.word, root) == roots[el.perm[i]]
 
 
-def test_generator_matrices_are_built_on_first_read():
-    wg = weyl_group(build_group("U(4)"))
-    assert wg._generator_matrices == [None, None, None]
-    el = next(e for e in wg if e.word == (0, 1, 0))
-    m = el.matrix
-    assert [g is not None for g in wg._generator_matrices] == [True, True, False]
-    r0, r1, _ = (reflection_matrix(a, 4) for a in build_group("U(4)").simple_roots())
-    assert m == mat_mul(mat_mul(r0, r1), r0)
+@pytest.mark.parametrize(
+    "group, sub_roots",
+    [
+        ("U(4)", [(0, 0, 1, -1), (0, 0, -1, 1), (0, 1, -1, 0), (0, -1, 1, 0), (0, 1, 0, -1), (0, -1, 0, 1)]),
+        ("Sp(2)", [(0, 2), (0, -2)]),
+        ("SO(5)", [(1, 0), (-1, 0)]),
+        ("G2", [(1, -1), (-1, 1), (2, 1), (-2, -1), (1, 2), (-1, -2)]),
+    ],
+)
+def test_weyl_words_and_perms_agree(group, sub_roots):
+    _assert_words_match_perms(make_space(group, sub_roots))
 
 
 def _reflection_perm_reference(group, alpha):
@@ -139,11 +141,8 @@ def test_reflection_perm_matches_the_fraction_reference(group):
 def test_reflection_is_involutive():
     g2 = build_group("G2")
     for alpha in g2.roots:
-        m = reflection_matrix(alpha, g2.dim, gram=g2.gram)
-        assert mat_vec(m, mat_vec(m, (Fraction(5), Fraction(7)))) == (
-            Fraction(5),
-            Fraction(7),
-        )
+        p = g2.reflection_perm(alpha)
+        assert compose(p, p) == tuple(range(len(g2.roots)))
 
 
 def test_g2_has_two_root_lengths():
@@ -313,7 +312,6 @@ def _inverse(perm):
 def test_cosets_by_root_permutations(case):
     group, sub_roots = case
     space = make_space(group, sub_roots)
-    roots = space.group.roots
     wg, wh, cosets = space.weyl, space.subgroup_weyl, space.cosets
     reps = cosets.representatives
     assert len(wg) == len(wh) * len(cosets)
@@ -340,9 +338,7 @@ def test_cosets_by_root_permutations(case):
         for h in wh:
             assert cosets.index_of(compose(r.perm, h.perm)) == i
 
-    for el in list(wg) + list(wh):
-        for i, root in enumerate(roots):
-            assert mat_vec(el.matrix, root) == roots[el.perm[i]]
+    _assert_words_match_perms(space)
 
 
 def _hp_space(n):
