@@ -2,7 +2,7 @@
 
 Each entry records the ambient group, the isotropy root set, a couple of
 expected invariants (used by the reproduction harness), and optional stable
-sign presets.  Entries serialize to plain JSON and back.
+sign presets.
 """
 
 from .rootdata import vec
@@ -32,36 +32,6 @@ class CatalogEntry:
         table, global_sign = self.stable_presets[preset]
         base = self.standard_structure()
         return StableStructure(self.space(), base, table, global_sign, name=preset)
-
-    def to_json(self):
-        doc = {
-            "name": self.name,
-            "group": self.group,
-            "subgroup_roots": [[str(c) for c in r] for r in self.subgroup_roots],
-            "notes": self.notes,
-            "expected": {k: v for k, v in self.expected.items()},
-        }
-        if self.stable_presets:
-            doc["stable_presets"] = {
-                k: {"table": [list(r) for r in t], "global_sign": g}
-                for k, (t, g) in self.stable_presets.items()
-            }
-        return doc
-
-    @classmethod
-    def from_json(cls, doc):
-        presets = {
-            k: (tuple(tuple(r) for r in v["table"]), v["global_sign"])
-            for k, v in doc.get("stable_presets", {}).items()
-        }
-        return cls(
-            doc["name"],
-            doc["group"],
-            doc["subgroup_roots"],
-            doc.get("notes", ""),
-            expected=doc.get("expected"),
-            stable_presets=presets,
-        )
 
 
 def _u_block_roots(n, blocks):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .cobordism import evaluate_class, specialize_genus, tanh_series, todd_series
 from .exactalg import MultiPoly, RationalFn, TruncatedSeries
-from .rootdata import dot
+from .rootdata import InputError, dot
 from .structures import fixed_points
 from .toricgenus import chern_dold_genus
 
@@ -115,7 +115,7 @@ def _genus_variable(f):
     vs = [v for v in f.num.vars] + [v for v in f.den.vars]
     vs = sorted(set(vs))
     if len(vs) > 1:
-        raise ValueError("genus kernel must be a function of a single variable")
+        raise InputError("genus kernel must be a function of a single variable")
     return vs[0] if vs else "u"
 
 
@@ -238,12 +238,14 @@ def certify_odd_rigidity(structure, f=None, samples=3, seed=0):
     Success certifies the vanishing for every odd kernel at once.  With an
     exact odd rational kernel we also spot-check by sampled evaluation;
     with a truncated odd series we can only report consistency to the cutoff.
+    The search walks W, so a space with an even number of fixed points whose
+    W has more than COSET_CAP elements is refused (InputError).
     """
     space = structure.space
     fps = fixed_points(structure)
     result = {"verdict": None, "certificate": None, "samples": []}
     if isinstance(f, RationalFn) and not f.is_odd(_genus_variable(f)):
-        raise ValueError("the kernel is not odd; this certificate does not apply")
+        raise InputError("the kernel is not odd; this certificate does not apply")
     if len(fps) % 2 == 1:
         result["verdict"] = "not covered: odd number of fixed points"
     else:
@@ -275,7 +277,7 @@ def _find_pairing(structure, fps):
     weights and opposite signs in each pair; None when there is none."""
     cosets = structure.space.cosets
     n = len(cosets)
-    for t in structure.space.weyl.elements:
+    for t in structure.space.weyl:
         if not t.word:
             continue
         sigma = cosets.act(t.word)

@@ -6,8 +6,9 @@ when the natural coordinates are not orthonormal (G2).  A Weyl group acts
 faithfully on its roots (Humphreys, Reflection Groups and Coxeter Groups,
 1.10; Casselman, Machine calculations in Weyl groups, 1994), so each element
 is stored as a permutation of the group's root list, together with a word in
-the simple reflections; breadth-first closure guarantees the word is one of
-minimal length and lexicographically least among those.  Elements act on
+the simple reflections.  One breadth-first search (CosetSpace) builds the
+minimal representatives of the cosets W/W_H, and with H trivial the elements
+of W, each with its lexicographically least reduced word.  Elements act on
 roots, and on weights built from them, through the permutation alone.
 
 Supported named groups: U(n), SU(n), Sp(n), SO(n), G2, and tori (U(1), Tn)
@@ -15,13 +16,11 @@ which contribute no roots.
 """
 
 import re
-from collections import deque
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-WEYL_CAP = 100000
+COSET_CAP = 100000
 
 
 class InputError(ValueError):
@@ -132,11 +131,15 @@ class GroupData:
         self.root_index = {r: i for i, r in enumerate(self.roots)}
         self.gram = tuple(vec(row) for row in gram) if gram is not None else None
         self.rank = rank if rank is not None else dim
+        self._reflections = {}  # root -> its reflection, as a root permutation
         for r in self.roots:
             if len(r) != dim:
                 raise ValueError("root %r has wrong length for dim %d" % (r, dim))
             if vec_neg(r) not in self.root_set:
                 raise ValueError("root set not closed under negation at %r" % (r,))
+            # the coset search and the order by heights assume a reduced system
+            if tuple(2 * c for c in r) in self.root_set:
+                raise ValueError("root set is not reduced: %r and twice it are both roots" % (r,))
 
     def __repr__(self):
         return "GroupData(%s)" % self.label
@@ -145,8 +148,11 @@ class GroupData:
         """The reflection in alpha as a permutation of the roots: entry i is
         the index of s_alpha(roots[i]).  Each Cartan number
         2 B(r, alpha) / B(alpha, alpha) is an int quotient on an integral
-        lattice; a Fraction only where the lattice holds a genuine rational."""
+        lattice; a Fraction only where the lattice holds a genuine rational.
+        Built once per root: W, W_H and the cosets share them."""
         alpha = vec(alpha)
+        if alpha in self._reflections:
+            return self._reflections[alpha]
         # B(r, alpha) = <r, G alpha>, so the Gram matrix enters once
         galpha = alpha if self.gram is None else tuple(dot(row, alpha) for row in self.gram)
         norm = dot(alpha, galpha)
@@ -168,7 +174,8 @@ class GroupData:
                     "the reflection in (%s) does not permute the roots of %s"
                     % (", ".join(str(c) for c in alpha), self.label)
                 ) from None
-        return tuple(perm)
+        perm = self._reflections[alpha] = tuple(perm)
+        return perm
 
     def positive_roots(self, ordering=None):
         ordering = ordering or default_ordering(self.dim)
@@ -267,45 +274,6 @@ class WeylElement:
         return "WeylElement(word=%s)" % (self.word,)
 
 
-class WeylGroup:
-    """Closure of the reflections in `simple_roots`, as permutations of the
-    root list of `group`, with BFS-minimal words.
-
-    A subgroup's Weyl group is built over the ambient group, so its elements
-    permute the ambient root list and compose with the ambient elements."""
-
-    def __init__(self, group, simple_roots, cap=WEYL_CAP, label=""):
-        self.group = group
-        self.label = label
-        # generators[g] is the simple reflection that letter g of a word names
-        self.generators = tuple(group.reflection_perm(a) for a in simple_roots)
-        ident = WeylElement(tuple(range(len(group.roots))), ())
-        seen = {ident.perm: ident}
-        queue = deque([ident])
-        while queue:
-            cur = queue.popleft()
-            for gi, gen_perm in enumerate(self.generators):
-                p = compose(cur.perm, gen_perm)
-                if p not in seen:
-                    el = WeylElement(p, cur.word + (gi,))
-                    seen[p] = el
-                    queue.append(el)
-                    if len(seen) > cap:
-                        raise ValueError("Weyl group exceeds the cap of %d elements" % cap)
-        # BFS with ascending generator index enumerates words in (length, lex) order
-        self.elements = sorted(seen.values(), key=lambda e: (len(e.word), e.word))
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
-def weyl_group(group, ordering=None, cap=WEYL_CAP):
-    return WeylGroup(group, group.simple_roots(ordering), cap=cap, label=group.label)
-
-
 class SubgroupData:
     """A closed subgroup of maximal rank, presented by its root subset."""
 
@@ -339,54 +307,80 @@ class SubgroupData:
         return self.as_group().simple_roots(ordering)
 
 
-class CosetSpace:
-    """Left cosets w W_H in W_G, one representative each.
+def reflection_group_order(group, simple):
+    """The order of the group generated by the reflections in `simple`, a
+    simple system of a closed subsystem of the roots of `group`, read off the
+    root heights before any reflection is built.  Adding simple roots one at
+    a time reaches its positive roots level by level, n_k of them at height k;
+    exactly n_k exponents m_i are >= k (Kostant, Amer. J. Math. 81, 1959),
+    and the order is the product of the m_i + 1."""
+    level, height, order = set(simple), 1, 1
+    while level:
+        up = {vec_add(b, a) for b in level for a in simple} & group.root_set
+        order *= (height + 1) ** (len(level) - len(up))
+        level, height = up, height + 1
+    return order
 
-    `h_simple` are the simple roots of H under `ordering`, the ordering that
-    also picks the simple roots of `wg`.  Each coset has a unique element of
-    minimal length, the one that maps every simple root of H to a positive
-    root (Deodhar, Arch. Math. 53, 1989; Dyer, J. Algebra 135, 1990).  It is
-    the coset's first member in BFS order, so its word is also the
-    lexicographically least among the shortest; it is the representative.
-    W_H itself is never enumerated.  The number of cosets is the Euler
-    characteristic of G/H.
+
+class CosetSpace:
+    """Left cosets w W_H in W, one representative each, for W generated by
+    the reflections in `simple` and W_H by those in `h_simple`, both simple
+    systems under one ordering.  With `h_simple` empty the cosets are the
+    elements of W.
+
+    Each coset has a unique element of minimal length, the one that maps
+    every simple root of H to a positive root (Deodhar, Arch. Math. 53, 1989;
+    Dyer, J. Algebra 135, 1990); it is the representative.  Removing the
+    first letter of a minimal element's reduced word leaves a minimal
+    element, so a breadth-first search that multiplies on the left by the
+    simple reflections and keeps the minimal products reaches every
+    representative and no other element.  Level by level, with the
+    generators in the outer loop and the level's representatives in order in
+    the inner loop, the candidate words (g,) + rep.word come in lexicographic
+    order: each representative gets its least reduced word, and the
+    representatives come in (length, word) order.  The number of cosets is
+    the Euler characteristic of G/H; above COSET_CAP it is refused before
+    any reflection is built.
     """
 
-    def __init__(self, wg, h_simple, ordering):
-        self.wg = wg
-        group = wg.group
-        positive = [ordering.sign(r) > 0 for r in group.roots]
+    def __init__(self, group, simple, h_simple):
+        order, h_order = reflection_group_order(group, simple), reflection_group_order(group, h_simple)
+        if order // h_order > COSET_CAP:
+            raise InputError(
+                "%d cosets W/W_H, above the cap of %d (|W| = %d, |W_H| = %d)"
+                % (order // h_order, COSET_CAP, order, h_order)
+            )
+        gens = [group.reflection_perm(a) for a in simple]
+        # letter[k] = g when roots[k] is the simple root of s_g
+        letter = {group.root_index[a]: g for g, a in enumerate(simple)}
         h_roots = [group.root_index[a] for a in h_simple]
-        h_gens = [group.reflection_perm(a) for a in h_simple]
-        reps = []
-        index = {}
-        for el in wg.elements:
-            p = el.perm
-            k = next((j for j, a in enumerate(h_roots) if not positive[p[a]]), None)
-            if k is None:
-                index[p] = len(reps)
-                reps.append(el)
-            else:
-                # w(a) < 0 makes w s_a shorter than w, so it is indexed already
-                index[p] = index[compose(p, h_gens[k])]
+        ident = tuple(range(len(group.roots)))
+        reps, index = [WeylElement(ident, ())], {ident: 0}
+        # s_g permutes the positive roots other than its own simple root, so
+        # s_g rep_i is minimal unless rep_i maps a simple root of H to that
+        # root: blocked[i] holds those g
+        blocked = [{letter[a] for a in h_roots if a in letter}]
+        # action[g][i] is the index of the coset s_g rep_i W_H
+        action = [[] for _ in gens]
+        done = 0
+        while done < len(reps):
+            level = range(done, len(reps))
+            for g, (gen, row) in enumerate(zip(gens, action)):
+                for i in level:
+                    if g in blocked[i]:
+                        # s_g rep_i = rep_i s_a lies in coset i (Deodhar)
+                        row.append(i)
+                        continue
+                    p = compose(gen, reps[i].perm)
+                    j = index.get(p)
+                    if j is None:
+                        j = index[p] = len(reps)
+                        reps.append(WeylElement(p, (g,) + reps[i].word))
+                        blocked.append({letter[p[a]] for a in h_roots if p[a] in letter})
+                    row.append(j)
+            done = level.stop
         self.representatives = tuple(reps)
-        self._index = index
-
-    def index_of(self, perm):
-        """Index of the coset containing the element with this permutation."""
-        try:
-            return self._index[perm]
-        except KeyError:
-            raise ValueError("permutation does not lie in the enumerated Weyl group") from None
-
-    @cached_property
-    def action(self):
-        """Left action of the simple reflections on the cosets: action[g][i]
-        is the index of the coset s_g rep_i W_H, for each generator g of wg."""
-        return tuple(
-            tuple(self.index_of(compose(gen, rep.perm)) for rep in self.representatives)
-            for gen in self.wg.generators
-        )
+        self.action = tuple(map(tuple, action))
 
     def act(self, word):
         """The permutation of coset indices by which the element with this
@@ -398,6 +392,9 @@ class CosetSpace:
 
     def __len__(self):
         return len(self.representatives)
+
+    def __iter__(self):
+        return iter(self.representatives)
 
 
 # ---------------------------------------------------------------------------

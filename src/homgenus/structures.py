@@ -15,7 +15,6 @@ from .rootdata import (
     CosetSpace,
     InputError,
     SubgroupData,
-    WeylGroup,
     build_group,
     canonical_positive,
     default_ordering,
@@ -23,7 +22,6 @@ from .rootdata import (
     space_from_doc,
     vec,
     vec_neg,
-    weyl_group,
 )
 
 STRUCTURE_CAP = 20
@@ -76,8 +74,6 @@ class HomogeneousSpace:
         # comp_roots[l] == group.roots[comp_root_indices[l]] / comp_scales[l]
         self.comp_root_indices = tuple(along[line][0] for line in self.comp_roots)
         self.comp_scales = tuple(along[line][1] for line in self.comp_roots)
-        self._line_signs = None
-        self._line_sign_masks = None
         self._structures = {}  # summand signs -> the one InvariantStructure
         self._count_vectors = {}  # packed index counts -> the interned tuple
         self._chi_y_polys = {}  # index counts -> the one chi_y polynomial (hirzebruch.chi_y_genus)
@@ -172,8 +168,9 @@ class HomogeneousSpace:
         return out
 
     @cached_property
-    def weyl(self):
-        return weyl_group(self.group, self.ordering)
+    def simple_roots(self):
+        """The simple roots of G under the space's ordering."""
+        return self.group.simple_roots(self.ordering)
 
     @cached_property
     def subgroup_simple(self):
@@ -187,14 +184,19 @@ class HomogeneousSpace:
         return tuple(self.group.reflection_perm(a) for a in self.subgroup_simple)
 
     @cached_property
+    def weyl(self):
+        """W, in (length, word) order; only the rigidity certificate walks it."""
+        return CosetSpace(self.group, self.simple_roots, ())
+
+    @cached_property
     def subgroup_weyl(self):
         """W_H, as permutations of the ambient group's root list; built on
         demand for inspection and tests, never by the library itself."""
-        return WeylGroup(self.group, self.subgroup_simple, label=self.subgroup.label)
+        return CosetSpace(self.group, self.subgroup_simple, ())
 
     @cached_property
     def cosets(self):
-        return CosetSpace(self.weyl, self.subgroup_simple, self.ordering)
+        return CosetSpace(self.group, self.simple_roots, self.subgroup_simple)
 
     @property
     def euler_characteristic(self):
@@ -220,24 +222,16 @@ class HomogeneousSpace:
         v = self.ordering.v
         return tuple(tuple(dot(img, v) for img in row) for row in self.coset_root_images)
 
-    @property
+    @cached_property
     def line_signs(self):
         """line_signs[w][l] = ordering sign of coset_root_images[w][l]; every
         structure on the space reuses the same table."""
-        if self._line_signs is None:
-            self._line_signs = tuple(
-                tuple(self.ordering.sign(img) for img in row) for row in self.coset_root_images
-            )
-        return self._line_signs
+        return tuple(tuple(self.ordering.sign(img) for img in row) for row in self.coset_root_images)
 
-    @property
+    @cached_property
     def line_sign_masks(self):
         """One int per fixed point, with bit l set where line_signs[w][l] < 0."""
-        if self._line_sign_masks is None:
-            self._line_sign_masks = tuple(
-                sum(1 << l for l, s in enumerate(row) if s < 0) for row in self.line_signs
-            )
-        return self._line_sign_masks
+        return tuple(sum(1 << l for l, s in enumerate(row) if s < 0) for row in self.line_signs)
 
     @cached_property
     def residues_cancel(self):

@@ -1,10 +1,8 @@
 """The built-in space catalog."""
 
-import json
-
 import pytest
 
-from homgenus.catalog import CatalogEntry, catalog_entry, catalog_list, catalog_space
+from homgenus.catalog import catalog_entry, catalog_list, catalog_space
 from homgenus.structures import fixed_points
 
 
@@ -97,16 +95,6 @@ def test_preset_rows_follow_the_weights():
         for w, s in zip(ws, row):
             neg = next(j for j, c in enumerate(w) if c < 0)
             assert s == (-1 if neg == 0 else 1)
-
-
-def test_json_round_trip():
-    for name in ("CP3", "S6", "HP2"):
-        entry = catalog_entry(name)
-        doc = json.loads(json.dumps(entry.to_json()))
-        back = CatalogEntry.from_json(doc)
-        assert back.name == entry.name
-        assert back.space().euler_characteristic == entry.space().euler_characteristic
-        assert back.stable_presets == entry.stable_presets
 
 
 def test_hp2_notes_mention_the_obstruction():

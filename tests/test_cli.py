@@ -170,6 +170,15 @@ def test_json_roots_not_closed_under_reflections_is_usage_error(capsys):
     assert "does not permute the roots" in err
 
 
+def test_json_roots_not_reduced_is_usage_error(capsys):
+    # e1 and 2 e1 both roots: no compact group has them, and W/W_H would miscount
+    doc = json.dumps({"group": {"dim": 1, "roots": [[1], [-1], [2], [-2]]}, "subgroup_roots": [[2], [-2]]})
+    code, out, err = run(capsys, "space", "info", "--space", doc)
+    assert code == 1
+    assert out == ""
+    assert "not reduced" in err
+
+
 def test_too_many_summands_is_usage_error(capsys):
     # U(7)/T has 21 summands, one above the enumeration cap
     doc = json.dumps({"group": "U(7)", "subgroup_roots": []})
@@ -298,6 +307,41 @@ def test_rigidity_certify_finds_no_pairing_on_g622(capsys):
     result = json.loads(out)["result"]
     assert result["verdict"] == "not covered: no fixed-point pairing found"
     assert result["certificate"] is None
+
+
+def test_oversized_quotient_is_usage_error(capsys):
+    # U(12)/T has 12! = 479001600 cosets, refused before any is built
+    doc = json.dumps({"group": "U(12)", "subgroup_roots": []})
+    code, out, err = run(capsys, "space", "info", "--space", doc)
+    assert code == 1
+    assert out == ""
+    assert "479001600 cosets" in err
+
+
+def test_rigidity_certify_refuses_an_oversized_weyl_group(capsys):
+    # CP9 = U(10)/(U(1) x U(9)) has 10 cosets, but the certificate walks W, of order 10!
+    roots = [[0] + [1 if k == i else -1 if k == j else 0 for k in range(1, 10)]
+             for i in range(1, 10) for j in range(1, 10) if i != j]
+    doc = json.dumps({"group": "U(10)", "subgroup_roots": roots})
+    code, out, err = run(capsys, "rigidity", "certify", "--space", doc)
+    assert code == 1
+    assert out == ""
+    assert "3628800 cosets" in err
+
+
+@pytest.mark.parametrize("argv", [("eval", "--at", "2,1"), ("independence",)], ids=lambda argv: argv[0])
+def test_rigidity_kernel_of_two_variables_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "rigidity", argv[0], "--space", "CP1", "--series", "u*v", *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert "genus kernel must be a function of a single variable" in err
+
+
+def test_rigidity_certify_even_kernel_is_usage_error(capsys):
+    code, out, err = run(capsys, "rigidity", "certify", "--space", "U3-flag", "--series", "u^2")
+    assert code == 1
+    assert out == ""
+    assert "the kernel is not odd" in err
 
 
 def test_su_find(capsys):

@@ -85,7 +85,7 @@ def test_one_index_count_serves_every_specialization(monkeypatch, which):
     reads = []
     attr = "line_sign_masks" if which == "invariant" else "line_signs"
     table = getattr(HomogeneousSpace, attr)
-    monkeypatch.setattr(HomogeneousSpace, attr, property(lambda sp: reads.append(1) or table.fget(sp)))
+    monkeypatch.setattr(HomogeneousSpace, attr, property(lambda sp: reads.append(1) or table.func(sp)))
     if which == "invariant":
         # a space of its own: the catalog's U4-flag keeps its structures' counts
         s = parse_signs(make_space("U(4)", label="U4-flag"), "+-+--+")

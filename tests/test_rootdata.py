@@ -1,6 +1,7 @@
 """Root systems, Weyl groups, coset enumeration."""
 
 import hashlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 
 from homgenus.catalog import catalog_list, catalog_space
 from homgenus.rootdata import (
+    CosetSpace,
+    GroupData,
+    InputError,
     Ordering,
     SubgroupData,
     build_group,
@@ -16,9 +20,9 @@ from homgenus.rootdata import (
     compose,
     default_ordering,
     group_from_doc,
+    reflection_group_order,
     vec_add,
     vec_neg,
-    weyl_group,
 )
 from homgenus.structures import HomogeneousSpace, make_space
 from series_reference import gram_pairing, word_image
@@ -75,6 +79,12 @@ def test_simple_roots_u3():
     assert set(build_group("U(3)").simple_roots()) == {(1, -1, 0), (0, 1, -1)}
 
 
+def weyl_group(group):
+    """W of `group` under the default ordering: the cosets of the trivial
+    subgroup."""
+    return CosetSpace(group, group.simple_roots(default_ordering(group.dim)), ())
+
+
 def test_weyl_orders():
     for spec, order in (("U(3)", 6), ("U(4)", 24), ("Sp(2)", 8), ("SO(4)", 4), ("SO(5)", 8), ("G2", 12)):
         assert len(list(weyl_group(build_group(spec)))) == order
@@ -84,8 +94,8 @@ def test_weyl_identity_word_is_empty():
     w = weyl_group(build_group("U(3)"))
     words = [e.word for e in w]
     assert () in words
-    assert w.elements[0].word == ()
-    assert w.elements[0].perm == tuple(range(6))
+    assert w.representatives[0].word == ()
+    assert w.representatives[0].perm == tuple(range(6))
 
 
 def _assert_words_match_perms(space):
@@ -191,17 +201,6 @@ def test_coset_counts():
     assert len(cs.representatives) == 4
 
 
-def test_coset_index_of_rejects_stranger():
-    u3 = build_group("U(3)")
-    torus = SubgroupData(u3, ())
-    cs = HomogeneousSpace(u3, torus).cosets
-    assert len(cs.representatives) == 6
-    # -1 permutes the roots of U(3), but W = S_3 does not contain it
-    minus_one = tuple(u3.root_index[vec_neg(r)] for r in u3.roots)
-    with pytest.raises(ValueError, match="does not lie in the enumerated Weyl group"):
-        cs.index_of(minus_one)
-
-
 def test_subgroup_closure_checked():
     sp2 = build_group("Sp(2)")
     with pytest.raises(ValueError, match="not closed"):
@@ -253,6 +252,16 @@ CATALOG_COSET_WORDS = {
     "HP2": (3, "d77e22b735ebcffaacf7139866b9aeaee8b21df6"),
     "CP3-sp": (4, "e8bd5ebc473ee3e6fa6f991cb079aa2850e58c35"),
 }
+
+
+def test_reflection_group_order_counts_the_search():
+    # |W|, |W_H| and |W/W_H| read off the root heights, against the searches
+    for name in catalog_list():
+        space = catalog_space(name)
+        order = reflection_group_order(space.group, space.simple_roots)
+        h_order = reflection_group_order(space.group, space.subgroup_simple)
+        sizes = (len(space.weyl), len(space.subgroup_weyl), len(space.cosets))
+        assert sizes == (order, h_order, order // h_order), name
 
 
 def test_catalog_coset_words_are_frozen():
@@ -315,6 +324,8 @@ def test_cosets_by_root_permutations(case):
     wg, wh, cosets = space.weyl, space.subgroup_weyl, space.cosets
     reps = cosets.representatives
     assert len(wg) == len(wh) * len(cosets)
+    assert len(wg) == reflection_group_order(space.group, space.simple_roots)
+    assert len(wh) == reflection_group_order(space.group, space.subgroup_simple)
 
     # brute force: w lies in the coset of r exactly when r^-1 w is in W_H
     wh_perms = {h.perm for h in wh}
@@ -333,10 +344,6 @@ def test_cosets_by_root_permutations(case):
     coset_of = {w.perm: i for i, coset in enumerate(members) for w in coset}
     for w in wg:
         assert cosets.act(w.word) == tuple(coset_of[compose(w.perm, r.perm)] for r in reps)
-
-    for i, r in enumerate(reps):
-        for h in wh:
-            assert cosets.index_of(compose(r.perm, h.perm)) == i
 
     _assert_words_match_perms(space)
 
@@ -370,3 +377,41 @@ def test_hp_cosets_are_minimal_representatives(n):
         for r in reps:
             coset = [by_perm[compose(r.perm, h.perm)] for h in space.subgroup_weyl]
             assert r.word == min((len(w.word), w.word) for w in coset)[1]
+
+
+def _u_blocks_space(n, k):
+    """U(n)/(U(k) x U(n-k))."""
+    sub_roots = []
+    for block in (range(k), range(k, n)):
+        for i in block:
+            for j in block:
+                if i != j:
+                    r = [0] * n
+                    r[i], r[j] = 1, -1
+                    sub_roots.append(tuple(r))
+    return make_space("U(%d)" % n, sub_roots)
+
+
+@pytest.mark.parametrize(
+    "build, euler",
+    [(lambda: _hp_space(6), 7), (lambda: _u_blocks_space(10, 5), 252)],
+    ids=["HP6", "U10-U5xU5"],
+)
+def test_large_quotients_cost_their_cosets(build, euler):
+    # |W| is 2^7 7! and 10!, both above the cap: the search visits cosets only
+    start = time.perf_counter()
+    space = build()
+    assert len(space.cosets) == euler
+    assert space.summands
+    assert len(space.coset_root_images) == euler
+    assert time.perf_counter() - start < 1
+
+
+def test_oversized_quotient_refused_before_any_reflection(monkeypatch):
+    def refuse(self, alpha):
+        raise AssertionError("a reflection was built")
+
+    monkeypatch.setattr(GroupData, "reflection_perm", refuse)
+    # U(12)/T has 12! = 479001600 cosets
+    with pytest.raises(InputError, match="479001600 cosets"):
+        make_space("U(12)").cosets

@@ -253,3 +253,27 @@ def test_space_data_never_enumerates_subgroup_weyl(monkeypatch):
         fiber = InvariantStructure(fiber_space, (1,) * len(fiber_space.summands))
         tw = twisted_product(base, fiber, cutoff=cutoff)
         assert tw.form == chern_dold_genus(tw.structure, cutoff=cutoff).form
+
+
+def test_space_data_never_builds_weyl(monkeypatch):
+    """Cosets, summands, coset root images, the structure inventory, the
+    bordism class, the top s-number and chi_y never build W: only the
+    rigidity certificate walks it."""
+    from homgenus.structures import HomogeneousSpace
+    from homgenus.toricgenus import chern_dold_genus, top_s
+
+    def refuse(self):
+        raise AssertionError("W was built")
+
+    monkeypatch.setattr(HomogeneousSpace, "weyl", property(refuse))
+    for name in catalog_list():
+        entry = catalog_entry(name)
+        space = make_space(entry.group, entry.subgroup_roots, label=name)
+        assert len(space.cosets) == entry.expected["euler"]
+        assert space.summands and len(space.coset_root_images) == len(space.cosets)
+        inventory = enumerate_structures(space)
+        if inventory:
+            j = inventory[0]
+            chern_dold_genus(j).bordism_class()
+            top_s(j)
+            chi_y_genus(j)
