@@ -88,12 +88,14 @@ def _by_weight(terms, shift, cutoff):
 class MultiPoly:
     """Sparse multivariate polynomial over Fraction.
 
-    Immutable by convention: all operations return new instances.  ``vars``
-    is the tuple of variable names this polynomial mentions (kept in
-    canonical order), ``terms`` maps exponent tuples to nonzero Fractions.
+    Immutable: all operations return new instances, and nothing may change
+    ``vars`` or ``terms`` after construction, because the text and the
+    one-variable integer form are memoized on the object.  ``vars`` is the
+    tuple of variable names this polynomial mentions (kept in canonical
+    order), ``terms`` maps exponent tuples to nonzero Fractions.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_text", "_ints")
 
     def __init__(self, vars=(), terms=None):
         vars = tuple(vars)
@@ -120,6 +122,8 @@ class MultiPoly:
                 clean[ne] = clean.get(ne, Fraction(0)) + c
             clean = {e: c for e, c in clean.items() if c}
         self.terms = clean
+        self._text = None
+        self._ints = None
 
     # -- constructors ------------------------------------------------------
 
@@ -256,6 +260,8 @@ class MultiPoly:
         p = object.__new__(cls)
         p.vars = vs
         p.terms = terms
+        p._text = None
+        p._ints = None
         return p
 
     def __mul__(self, other):
@@ -458,22 +464,27 @@ class MultiPoly:
         the coefficient denominators, and a variable of degree D set to p/q
         enters a term with exponent e as p^e * q^(D-e), so the whole sum
         shares the denominator lcm * prod q^D and one Fraction is built.
-        A polynomial in one variable runs Horner's scheme on those ints."""
+        A polynomial in one variable keeps (lcm, scaled coefficients) after
+        its first evaluation and runs Horner's scheme on those ints."""
         vals = [_as_fraction(point[v]) for v in self.vars]
         if not self.terms:
             return Fraction(0)
-        lcm = math.lcm(*(c.denominator for c in self.terms.values()))
         if len(vals) == 1:
+            if self._ints is None:
+                lcm = math.lcm(*(c.denominator for c in self.terms.values()))
+                coeffs = [0] * (max(self.terms)[0] + 1)
+                for (e,), c in self.terms.items():
+                    coeffs[e] = c.numerator * (lcm // c.denominator)
+                self._ints = (lcm, tuple(coeffs))
+            lcm, coeffs = self._ints
             p, q = vals[0].numerator, vals[0].denominator
-            coeffs = [0] * (max(self.terms)[0] + 1)
-            for (e,), c in self.terms.items():
-                coeffs[e] = c.numerator * (lcm // c.denominator)
             # after the step for exponent e, total = sum_{f >= e} c_f p^(f-e) q^(deg-f)
             total, qpow = 0, 1
             for c in reversed(coeffs):
                 total = total * p + c * qpow
                 qpow *= q
             return Fraction(total, lcm * q ** (len(coeffs) - 1))
+        lcm = math.lcm(*(c.denominator for c in self.terms.values()))
         den = lcm
         powers = []
         for val, column in zip(vals, zip(*self.terms)):
@@ -497,6 +508,13 @@ class MultiPoly:
         return p.vars, sorted(p.terms.items(), key=lambda ec: (sum(map(mul, ec[0], w)), ec[0]), reverse=True)
 
     def to_text(self):
+        """The polynomial in graded-lex order, highest term first; built on
+        the first call and kept."""
+        if self._text is None:
+            self._text = self._to_text()
+        return self._text
+
+    def _to_text(self):
         if len(self.vars) == 1:
             # graded-lex on one variable is exponent order, whatever its weight
             vs, items = self.vars, sorted(self.terms.items(), reverse=True)

@@ -42,10 +42,11 @@ def chi_y_genus(structure, ordering=None):
 
     For the space's own ordering the space keeps one polynomial per index
     count vector, shared by every structure with those counts; like every
-    MultiPoly it is not to be changed.  The value does not depend on the
-    choice of generic ordering; the general path recomputes weight signs for
-    whatever ordering is passed, and the property tests compare it against
-    the cached default-ordering path.
+    MultiPoly it must not be changed, since it memoizes its text and its
+    integer form, so each is built once per count vector.  The value does
+    not depend on the choice of generic ordering; the general path
+    recomputes weight signs for whatever ordering is passed, and the
+    property tests compare it against the cached default-ordering path.
     """
     if ordering is not None:
         return _chi_y_of_counts(_index_counts(structure, ordering))
@@ -58,8 +59,14 @@ def chi_y_genus(structure, ordering=None):
 
 
 def _chi_y_at(structure, y):
-    """chi_y evaluated at the integer y, an integer."""
-    return sum(c * (-y) ** ind for ind, c in enumerate(structure.index_counts))
+    """chi_y evaluated at the integer y, an integer, worked out once per
+    (index counts, y) on the structure's space."""
+    counts = structure.index_counts
+    memo = structure.space._chi_y_values
+    value = memo.get((counts, y))
+    if value is None:
+        value = memo[counts, y] = sum(c * (-y) ** ind for ind, c in enumerate(counts))
+    return value
 
 
 def signature(structure):

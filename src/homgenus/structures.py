@@ -10,6 +10,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 
 from .rootdata import (
     CosetSpace,
@@ -77,6 +78,7 @@ class HomogeneousSpace:
         self._structures = {}  # summand signs -> the one InvariantStructure
         self._count_vectors = {}  # packed index counts -> the interned tuple
         self._chi_y_polys = {}  # index counts -> the one chi_y polynomial (hirzebruch.chi_y_genus)
+        self._chi_y_values = {}  # (index counts, y) -> chi_y at the integer y (hirzebruch._chi_y_at)
 
     def __repr__(self):
         return "HomogeneousSpace(%s)" % self.label
@@ -108,8 +110,19 @@ class HomogeneousSpace:
 
     @cached_property
     def _su_inventory(self):
-        """The structures of the inventory whose first Chern class vanishes."""
-        return tuple(j for j in self._inventory if not any(first_chern(j)))
+        """The structures of the inventory whose first Chern class vanishes.
+
+        The c1 vectors of all sign choices, in itertools.product order, come
+        from one pass over summand_chern: each summand doubles the list of
+        partial sums with +c1_k and -c1_k."""
+        if not self._inventory:
+            # no structures: a self-conjugate summand, which the cap lets past
+            return ()
+        sums = [(0,) * self.group.dim]
+        for c1 in self.summand_chern:
+            neg = tuple(-c for c in c1)
+            sums = [tuple(map(add, total, part)) for total in sums for part in (c1, neg)]
+        return tuple(j for j, total in zip(self._inventory, sums) if not any(total))
 
     @cached_property
     def _index_groups(self):

@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -462,6 +464,21 @@ def test_reproduce_crashing_check_is_a_failure_not_a_crash(capsys, monkeypatch):
     row = json.loads(out)["result"]["rows"][0]
     assert not row["passed"]
     assert "kaput" in row["computed"]
+
+
+def test_python_dash_m_runs_the_cli():
+    # runs from a source checkout, with no install: the package's parent on the path
+    src = os.path.dirname(os.path.dirname(homgenus.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "homgenus", "space", "list"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[0] == "S6"
 
 
 def test_console_script_installed():

@@ -16,7 +16,7 @@ from homgenus.exactalg import (
     parse_rational,
     vandermonde,
 )
-from series_reference import series_reversion
+from series_reference import evaluate_reference, series_reversion
 
 
 def test_ring_basics():
@@ -214,3 +214,38 @@ def test_rational_from_poly():
     r = RationalFn.from_poly(parse_poly("u^3"))
     assert r.is_odd()
     assert r.evaluate({"u": Fraction(2)}) == 8
+
+
+def _memo_cases():
+    """Polynomials from __init__ (parsed, built from a dict) and from the
+    unchecked constructor (a product, a subs result, a sum)."""
+    x1, x2 = MultiPoly.variable("x1"), MultiPoly.variable("x2")
+    parsed = parse_poly("3/2*x1^2*x2 - x2 + 1/3")
+    return [
+        parsed,
+        MultiPoly(("y",), {(0,): Fraction(2), (3,): Fraction(-5, 4)}),
+        (x1 + x2) * (x1 - x2 * 2),
+        parsed.subs({"x2": x1 + 1}),
+        MultiPoly.sum([parsed, x1 * x1]),
+        MultiPoly.zero(),
+    ]
+
+
+@pytest.mark.parametrize("p", _memo_cases(), ids=lambda p: p.to_text())
+def test_to_text_is_kept(p):
+    first = p.to_text()
+    assert p.to_text() is first
+    assert first == MultiPoly(p.vars, p.terms).to_text()
+
+
+def test_univariate_evaluate_after_the_integer_form_is_kept():
+    y = MultiPoly.variable("y")
+    for p in (
+        MultiPoly(("y",), {(0,): Fraction(2), (3,): Fraction(-5, 4), (4,): Fraction(1, 6)}),
+        (y - Fraction(1, 3)) * (y * 2 + 7) * y,
+        parse_poly("1 - y + y^2 - y^3").subs({"y": y * Fraction(3, 2)}),
+    ):
+        assert p.evaluate({"y": 1}) == evaluate_reference(p, {"y": 1})
+        assert p._ints is not None
+        for value in (Fraction(1, 2), Fraction(-7, 3), Fraction(22, 9), Fraction(-1, 5)):
+            assert p.evaluate({"y": value}) == evaluate_reference(p, {"y": value})

@@ -34,6 +34,33 @@ from homgenus.toricgenus import chern_dold_genus
 from series_reference import admissible_point_reference, rigidity_eval_reference
 
 
+def _fresh_space(name):
+    entry = catalog_entry(name)
+    return make_space(entry.group, entry.subgroup_roots, label=name)
+
+
+@pytest.mark.parametrize("memo_first", [True, False], ids=["memo-first", "poly-first"])
+@pytest.mark.parametrize("name", catalog_list())
+def test_genus_values_match_the_direct_sums(name, memo_first):
+    """signature, Todd and Euler (one value per count vector and y) and the
+    shared chi_y polynomial (its integer form kept) give the direct sum over
+    the index counts, whichever is read first on a fresh space."""
+    space = _fresh_space(name)
+    for s in enumerate_structures(space):
+        want = tuple(sum(c * (-y) ** i for i, c in enumerate(s.index_counts)) for y in (1, 0, -1))
+        chi = chi_y_genus(s)
+
+        def memo():
+            return signature(s), todd_genus(s), euler_number(s)
+
+        def poly():
+            return tuple(chi.evaluate({"y": y}) for y in (1, 0, -1))
+
+        for read in (memo, poly) if memo_first else (poly, memo):
+            assert read() == want
+    assert len(space._chi_y_values) == 3 * len(space._chi_y_polys)
+
+
 def _std(name):
     space = catalog_space(name)
     return InvariantStructure(space, (1,) * len(space.summands))

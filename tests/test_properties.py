@@ -558,8 +558,12 @@ def _with_unused_variable(p):
 
 
 @settings(max_examples=300, deadline=None)
-@given(univariate_polys(), st.one_of(point_values, st.fractions(max_denominator=10**6)))
-def test_univariate_fast_paths_match_the_general_path(p, value):
+@given(
+    univariate_polys(),
+    st.one_of(point_values, st.fractions(max_denominator=10**6)),
+    st.lists(st.fractions(max_denominator=40), max_size=3),
+)
+def test_univariate_fast_paths_match_the_general_path(p, value, later):
     general, other = _with_unused_variable(p)
     assert len(general.vars) == 2
     (name,) = p.vars
@@ -567,3 +571,6 @@ def test_univariate_fast_paths_match_the_general_path(p, value):
     assert type(got) is Fraction
     assert got == general.evaluate({name: value, other: 5}) == evaluate_reference(p, {name: value})
     assert p.to_text() == general.to_text() == to_text_reference(p)
+    # later points run on the integer form the first evaluation kept
+    for v in later:
+        assert p.evaluate({name: v}) == evaluate_reference(p, {name: v})

@@ -1,10 +1,11 @@
 """Invariant and stable structures, fixed-point data."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from homgenus.catalog import catalog_entry, catalog_list, catalog_space
 from homgenus.hirzebruch import _index_counts, chi_y_genus
-from homgenus.rootdata import InputError
+from homgenus.rootdata import InputError, build_group
 from homgenus.structures import (
     STRUCTURE_CAP,
     InvariantStructure,
@@ -19,6 +20,8 @@ from homgenus.structures import (
     parse_signs,
     space_from_json,
 )
+from test_lattice import SCALED
+from test_rootdata import _closed_subsystem
 
 
 def test_s6_structure_basics():
@@ -58,6 +61,42 @@ def test_su_inventory_u3_flag():
 def test_su_inventory_empty_cases():
     for name in ("CP1", "CP2", "CP3", "U4-flag", "U4-T2xU2"):
         assert find_su_structures(catalog_space(name)) == []
+
+
+def _su_reference(space):
+    return [j for j in enumerate_structures(space) if not any(first_chern(j))]
+
+
+@pytest.mark.parametrize(
+    "space",
+    [catalog_space(name) for name in catalog_list()] + [space_from_json(doc, label=n) for n, doc in sorted(SCALED.items())],
+    ids=lambda sp: sp.label,
+)
+def test_su_partial_sums_match_first_chern(space):
+    # the same structures, in the same itertools.product order
+    assert find_su_structures(space) == _su_reference(space)
+
+
+def test_su_inventory_counts():
+    counts = {name: len(find_su_structures(catalog_space(name))) for name in ("U5-flag", "G2-flag", "U3-flag", "S6")}
+    assert counts == {"U5-flag": 24, "G2-flag": 4, "U3-flag": 2, "S6": 2}
+
+
+@st.composite
+def closed_json_spaces(draw):
+    """A JSON space G/H, H spanned by a few roots of G and closed under
+    sign and sum, with n <= 6."""
+    group = build_group(draw(st.sampled_from(["U(2)", "U(3)", "U(4)", "U(5)", "Sp(2)", "Sp(3)", "G2"])))
+    roots = _closed_subsystem(group, draw(st.lists(st.sampled_from(group.roots), max_size=4)))
+    space = space_from_json({"group": group.label, "subgroup_roots": [list(r) for r in sorted(roots)]})
+    assume(space.n <= 6)
+    return space
+
+
+@settings(max_examples=40, deadline=None)
+@given(closed_json_spaces())
+def test_su_partial_sums_match_first_chern_on_random_subsystems(space):
+    assert find_su_structures(space) == _su_reference(space)
 
 
 def test_first_chern_cp3():
