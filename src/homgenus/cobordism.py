@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .exactalg import MultiPoly, RationalFn, TruncatedSeries, exact_divide
+from .exactalg import MultiPoly, PoleCancellationError, RationalFn, TruncatedSeries
 
 
 def _weighted_cutoff(degree):
@@ -172,35 +172,62 @@ def _single_series_var(vars_):
     return cands[0]
 
 
+def _quotient(num, den, degree):
+    """[x^0..x^degree] of num/den, for coefficient lists of Fractions
+    (missing entries are 0) with den[0] != 0, by the triangular recurrence
+    q_k = (num_k - sum_{j>=1} den_j q_{k-j}) / den_0."""
+    d0 = den[0]
+    if not d0:
+        raise ZeroDivisionError("series has zero constant term")
+    tail = [(j, c) for j, c in enumerate(den[1 : degree + 1], 1) if c]
+    q = []
+    for k in range(degree + 1):
+        s = num[k] if k < len(num) else Fraction(0)
+        for j, c in tail:
+            if j > k:
+                break
+            s -= c * q[k - j]
+        q.append(s / d0)
+    return q
+
+
+def _coefficients(poly, var, count):
+    """[var^0..var^(count-1)] of poly, as Fractions; each must be a number."""
+    i = poly.vars.index(var) if var in poly.vars else None
+    out = [Fraction(0)] * count
+    for e, c in poly.terms.items():
+        k = e[i] if i is not None else 0
+        if k < count:
+            if sum(e) != k:
+                raise ValueError("genus coefficients must be numbers, got %s" % poly.coefficient_of(var, k).to_text())
+            out[k] = c
+    return out
+
+
 def specialize_genus(f, degree):
     """Coefficient assignment {a_i: q_i} of the genus with f-series f.
 
-    q_i is the x^i coefficient of x/f(x).  `f` may be a RationalFn or a
-    TruncatedSeries in one variable; it must start u + O(u^2).
+    q_i is the x^i coefficient of x/f(x) = den(x) / (num(x)/x), one
+    power-series quotient.  `f` is a RationalFn num/den or a TruncatedSeries
+    num (den = 1) in one variable; it must start u + O(u^2), and a series
+    must hold the u^(degree+1) term that q_degree reads.
     """
-    x = MultiPoly.variable("x1")
     if isinstance(f, RationalFn):
-        var = _single_series_var(set(f.num.vars) | set(f.den.vars))
-        num = f.num.subs({var: x})
-        den = f.den.subs({var: x})
-        num_over_x = exact_divide(num, x, "genus series must vanish at the origin")
-        series = TruncatedSeries(den, degree) * TruncatedSeries(num_over_x, degree).invert()
+        num, den = f.num, f.den
+        var = _single_series_var(set(num.vars) | set(den.vars))
     elif isinstance(f, TruncatedSeries):
-        var = _single_series_var(f.body.vars)
-        body = f.body.subs({var: x})
-        num_over_x = exact_divide(body, x, "genus series must vanish at the origin")
-        series = TruncatedSeries(num_over_x, degree).invert()
+        if f.cutoff < degree + 1:
+            raise ValueError("series cutoff %d is below degree + 1 = %d" % (f.cutoff, degree + 1))
+        num, den = f.body, MultiPoly.const(1)
+        var = _single_series_var(num.vars)
     else:
         raise TypeError("f must be a RationalFn or TruncatedSeries")
-    if series.constant_term() != 1:
+    if not num.coefficient_of(var, 0).is_zero():
+        raise PoleCancellationError("genus series must vanish at the origin")
+    q = _quotient(_coefficients(den, var, degree + 1), _coefficients(num, var, degree + 2)[1:], degree)
+    if q[0] != 1:
         raise ValueError("genus series must start with the variable itself (f'(0) = 1)")
-    out = {}
-    for i in range(1, degree + 1):
-        c = series.body.coefficient_of("x1", i)
-        if not c.is_constant():
-            raise ValueError("genus coefficients must be numbers, got %s" % c.to_text())
-        out[i] = c.constant_value()
-    return out
+    return dict(enumerate(q[1:], 1))
 
 
 def evaluate_class(class_poly, assignment):
@@ -230,10 +257,11 @@ def todd_series(cutoff):
 
 
 def tanh_series(cutoff):
-    """f(u) = tanh(u), the signature."""
+    """f(u) = tanh(u) = sinh(u)/cosh(u), the signature."""
     fact = [Fraction(1)]
-    for k in range(1, cutoff + 2):
+    for k in range(1, cutoff + 1):
         fact.append(fact[-1] * k)
-    sinh = MultiPoly(("u1",), {(k,): 1 / fact[k] for k in range(1, cutoff + 1, 2)})
-    cosh = MultiPoly(("u1",), {(k,): 1 / fact[k] for k in range(0, cutoff + 1, 2)})
-    return TruncatedSeries(sinh, cutoff) * TruncatedSeries(cosh, cutoff).invert()
+    sinh = [1 / fact[k] if k % 2 else Fraction(0) for k in range(cutoff + 1)]
+    cosh = [Fraction(0) if k % 2 else 1 / fact[k] for k in range(cutoff + 1)]
+    q = _quotient(sinh, cosh, cutoff)
+    return TruncatedSeries(MultiPoly(("u1",), {(k,): c for k, c in enumerate(q)}), cutoff)

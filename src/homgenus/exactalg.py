@@ -775,10 +775,6 @@ class TruncatedSeries:
         self.body = body.truncate_weight(cutoff)
         self.cutoff = cutoff
 
-    @classmethod
-    def from_const(cls, c, cutoff):
-        return cls(MultiPoly.const(c), cutoff)
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries(self.body + other, self.cutoff)
@@ -813,19 +809,6 @@ class TruncatedSeries:
     def constant_term(self):
         p = self.body
         return p.terms.get((0,) * len(p.vars), Fraction(0))
-
-    def invert(self):
-        """Multiplicative inverse; constant term must be nonzero."""
-        c0 = self.constant_term()
-        if not c0:
-            raise ZeroDivisionError("series has zero constant term")
-        r = TruncatedSeries(MultiPoly.const(1 / c0), self.cutoff)
-        # Newton iteration r <- r(2 - s r); error valuation doubles each pass
-        k = 1
-        while k <= self.cutoff:
-            r = r * (TruncatedSeries.from_const(2, self.cutoff) - self * r)
-            k *= 2
-        return r
 
     def compose(self, name, inner):
         """Substitute variable `name` by the series `inner` (valuation >= 1)."""

@@ -84,6 +84,15 @@ def euler_number(structure):
     return _chi_y_at(structure, -1)
 
 
+def _class_degree(cls):
+    """The largest weight sum_i i * k_i of a term a^k of the class."""
+    degree = 0
+    for e in cls.terms:
+        w = sum(k * (int(v[1:]) if v[1:].isdigit() else 0) for v, k in zip(cls.vars, e) if v[0] == "a")
+        degree = max(degree, w)
+    return degree
+
+
 def genus_of_class(cls, genus_data, degree=None):
     """Evaluate a bordism class (polynomial in the a's) against a genus.
 
@@ -91,10 +100,7 @@ def genus_of_class(cls, genus_data, degree=None):
     an already-built {index: value} table.
     """
     if degree is None:
-        degree = 0
-        for e in cls.terms:
-            w = sum(k * (int(v[1:]) if v[1:].isdigit() else 0) for v, k in zip(cls.vars, e) if v[0] == "a")
-            degree = max(degree, w)
+        degree = _class_degree(cls)
     if isinstance(genus_data, dict):
         table = genus_data
     else:
@@ -104,13 +110,13 @@ def genus_of_class(cls, genus_data, degree=None):
 
 def todd_of_class(cls, degree=None):
     if degree is None:
-        return genus_of_class(cls, todd_series(2 * 16 + 1))
+        degree = _class_degree(cls)
     return genus_of_class(cls, todd_series(2 * degree + 1), degree)
 
 
 def signature_of_class(cls, degree=None):
     if degree is None:
-        return genus_of_class(cls, tanh_series(2 * 16 + 1))
+        degree = _class_degree(cls)
     return genus_of_class(cls, tanh_series(2 * degree + 1), degree)
 
 

@@ -1,17 +1,18 @@
 """Slow, direct references for the package's fast kernels.
 
 The package computes the exponential of the universal formal group law and
-the a <-> b dictionaries by Lagrange inversion.  The series functions here
-compute the same things by reverting truncated power series with a
-fixed-point iteration.  `MultiPoly.evaluate` and `to_text` work on the ints
-inside each Fraction, and `rigidity_eval` evaluates the kernel once per
-distinct weight; the functions after the series do each in plain Fraction
-arithmetic, one term or one weight at a time.  The symbolic localization
-sum and its divisions run on packed ints over one denominator; the
-functions at the end build it from `MultiPoly` products and divide it by
-`exact_divide`, one line at a time, and a Weyl element moves a vector by
-the Fraction reflections its word names, where the package reads the
-element's root permutation.  Tests compare the two.
+the a <-> b dictionaries by Lagrange inversion, and a genus table by one
+coefficient recurrence per quotient.  The series functions here compute the
+same things by reverting truncated power series with a fixed-point
+iteration and inverting them by Newton's iteration.  `MultiPoly.evaluate`
+and `to_text` work on the ints inside each Fraction, and `rigidity_eval`
+evaluates the kernel once per distinct weight; the functions after the
+series do each in plain Fraction arithmetic, one term or one weight at a
+time.  The symbolic localization sum and its divisions run on packed ints
+over one denominator; the functions at the end build it from `MultiPoly`
+products and divide it by `exact_divide`, one line at a time, and a Weyl
+element moves a vector by the Fraction reflections its word names, where
+the package reads the element's root permutation.  Tests compare the two.
 """
 
 from fractions import Fraction
@@ -21,6 +22,21 @@ from homgenus.exactalg import MultiPoly, RationalFn, TruncatedSeries, exact_divi
 from homgenus.hirzebruch import _genus_variable, _sample_point
 from homgenus.rootdata import canonical_positive, dot
 from homgenus.structures import fixed_points
+
+
+def invert_series(s):
+    """Multiplicative inverse of a TruncatedSeries by Newton iteration; the
+    constant term must be nonzero."""
+    c0 = s.constant_term()
+    if not c0:
+        raise ZeroDivisionError("series has zero constant term")
+    r = TruncatedSeries(MultiPoly.const(1 / c0), s.cutoff)
+    # Newton iteration r <- r(2 - s r); error valuation doubles each pass
+    k = 1
+    while k <= s.cutoff:
+        r = r * (TruncatedSeries(MultiPoly.const(2), s.cutoff) - s * r)
+        k *= 2
+    return r
 
 
 def series_reversion(series, in_var, out_var):
@@ -59,7 +75,7 @@ def series_a_in_terms_of_b(degree):
         exact_divide(exp.body, MultiPoly.variable("x1"), "exponential series lost its leading term"),
         2 * degree,
     )
-    quot = exp_over_x.invert()
+    quot = invert_series(exp_over_x)
     return {i: quot.body.coefficient_of("x1", i) for i in range(1, degree + 1)}
 
 
@@ -74,9 +90,25 @@ def series_b_in_terms_of_a(degree):
         e[f_vars.index("a%d" % i)] = 1
         terms[tuple(e)] = Fraction(1)
     f = TruncatedSeries(MultiPoly(f_vars, terms), cutoff)
-    ginv = TruncatedSeries(MultiPoly.variable("x1"), cutoff) * f.invert()
+    ginv = TruncatedSeries(MultiPoly.variable("x1"), cutoff) * invert_series(f)
     g = series_reversion(ginv, "x1", "u1")
     return {n: g.body.coefficient_of("u1", n + 1) for n in range(1, degree + 1)}
+
+
+def specialize_genus_reference(f, degree):
+    """{i: q_i} with q_i the x^i coefficient of x/f(x), by Newton inversion:
+    x/f = den * (num/x)^{-1} as truncated series in x1, for a RationalFn
+    num/den or a TruncatedSeries num (den = 1) in one variable u or x."""
+    x = MultiPoly.variable("x1")
+    if isinstance(f, RationalFn):
+        num, den = f.num, f.den
+    else:
+        num, den = f.body, MultiPoly.const(1)
+    (var,) = {v for v in num.vars + den.vars if v[0] in ("u", "x")}
+    num_over_x = exact_divide(num.subs({var: x}), x, "genus series must vanish at the origin")
+    series = TruncatedSeries(den.subs({var: x}), degree) * invert_series(TruncatedSeries(num_over_x, degree))
+    assert series.constant_term() == 1
+    return {i: series.body.coefficient_of("x1", i).constant_value() for i in range(1, degree + 1)}
 
 
 def evaluate_reference(poly, point):

@@ -7,21 +7,25 @@ symbolic route and raises what it raises."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import homgenus.toricgenus
 from homgenus.catalog import catalog_entry, catalog_list, catalog_space
+from homgenus.rootdata import build_group
 from homgenus.structures import InvariantStructure, StableStructure, enumerate_structures, space_from_json
 from homgenus.toricgenus import (
     GenusExpansion,
+    _point_class,
     _symbolic_form,
     certified,
     chern_dold_genus,
     s_number,
 )
 from test_lattice import SCALED
+from test_structures import closed_json_docs
 
 
 def _omegas(n):
@@ -209,3 +213,36 @@ def stable_tables(draw, names=("CP3", "U3-flag")):
 @given(stable_tables())
 def test_stable_tables_are_sound(s):
     check_sound(s)
+
+
+@st.composite
+def scaled_json_spaces(draw):
+    """A random closed JSON space G/H (`closed_json_docs`) with every root
+    of G and H multiplied by a rational, and 1 <= n <= 4."""
+    doc = draw(closed_json_docs(groups=("U(2)", "U(3)", "U(4)", "Sp(2)", "G2")))
+    factor = draw(st.sampled_from((Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), 3, -1)))
+    group = build_group(doc["group"])
+
+    def scale(r):
+        return [str(factor * c) for c in r]
+
+    scaled = {"label": "%s*%s" % (group.label, factor), "dim": group.dim, "roots": [scale(r) for r in group.roots]}
+    if group.gram is not None:
+        scaled["gram"] = [list(row) for row in group.gram]
+    space = space_from_json({"group": scaled, "subgroup_roots": [scale(r) for r in doc["subgroup_roots"]]})
+    assume(1 <= space.n <= 4)
+    return space
+
+
+@settings(max_examples=40, deadline=None)
+@given(scaled_json_spaces(), st.data())
+def test_point_route_matches_the_symbolic_form_on_scaled_json_spaces(space, data):
+    structures = enumerate_structures(space)
+    assume(structures)
+    s = data.draw(st.sampled_from(structures))
+    assert certified(s)
+    n = space.n
+    want = _symbolic_form(s, n).coefficient_of("t", n).restrict_vars()
+    assert _point_class(s) == want
+    for omega in _omegas(n):
+        assert s_number(s, omega) == _s_symbolic(want, omega)

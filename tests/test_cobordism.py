@@ -1,10 +1,13 @@
 """Formal group law, coefficient alphabets, genus specialization.
 
-sympy is used here as an independent oracle for the series reversions; the
-package itself never imports it.  `series_reference` is the second oracle:
-the closed-form dictionaries and exponential against series reversion.
+sympy is used here as an independent oracle for the series reversions and
+the Bernoulli numbers; the package itself never imports it.
+`series_reference` is the second oracle: the closed-form dictionaries and
+exponential against series reversion, and the genus tables of the
+coefficient recurrence against Newton inversion.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,8 +24,21 @@ from homgenus.cobordism import (
     tanh_series,
     todd_series,
 )
-from homgenus.exactalg import MultiPoly, TruncatedSeries, parse_poly
-from series_reference import series_a_in_terms_of_b, series_b_in_terms_of_a, series_exp
+from homgenus.exactalg import (
+    MultiPoly,
+    PoleCancellationError,
+    RationalFn,
+    TruncatedSeries,
+    parse_poly,
+    parse_rational,
+)
+from series_reference import (
+    invert_series,
+    series_a_in_terms_of_b,
+    series_b_in_terms_of_a,
+    series_exp,
+    specialize_genus_reference,
+)
 
 
 def test_law_degree_three_frozen():
@@ -245,6 +261,92 @@ def test_specialize_genus():
         2: Fraction(1, 12),
         3: Fraction(0),
     }
+
+
+# (f as a rational function, the same f as a series to u^5, the error, its text)
+REFUSALS = [
+    ("u + x", "u + x", ValueError, "one-variable series"),
+    ("u/(1+y*u)", "u - y*u^2 + y^2*u^3 - y^3*u^4 + y^4*u^5", ValueError, "must be numbers"),
+    ("1+u", "1 + u", PoleCancellationError, "vanish at the origin"),
+    ("2*u", "2*u", ValueError, "f'\\(0\\) = 1"),
+    ("u^2/(1+u)", "u^2 - u^3 + u^4 - u^5", ZeroDivisionError, "zero constant term"),
+]
+
+
+@pytest.mark.parametrize("rational, series, error, text", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_specialize_genus_refusals(rational, series, error, text):
+    for f in (parse_rational(rational), TruncatedSeries(parse_poly(series), 5)):
+        with pytest.raises(error, match=text):
+            specialize_genus(f, 4)
+
+
+def test_specialize_genus_refuses_a_series_too_short():
+    # tanh to u^3 says nothing of q_4 = -1/45 or q_6 = 2/945
+    with pytest.raises(ValueError, match="cutoff 3"):
+        specialize_genus(tanh_series(3), 6)
+    assert specialize_genus(tanh_series(7), 6) == specialize_genus(tanh_series(13), 6)
+    assert specialize_genus(tanh_series(7), 6)[4] == Fraction(-1, 45)
+
+
+_coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def genus_series(draw):
+    """(f, degree): a RationalFn num/den or a TruncatedSeries in one variable
+    with rational coefficients and f'(0) = 1, and a degree 1..16."""
+    degree = draw(st.integers(1, 16))
+    var = draw(st.sampled_from(("u", "u1", "x1")))
+
+    def poly(coeffs):
+        return MultiPoly((var,), {(k,): c for k, c in coeffs.items()})
+
+    lead = draw(_coefficients.filter(bool))
+    num = {1: lead}
+    for _ in range(draw(st.integers(0, 4))):
+        num[draw(st.integers(2, degree + 2))] = draw(_coefficients)
+    if draw(st.booleans()):
+        return TruncatedSeries(poly(num) * (1 / lead), draw(st.integers(degree + 1, degree + 4))), degree
+    den = {0: lead}
+    for _ in range(draw(st.integers(0, 4))):
+        den[draw(st.integers(1, degree + 1))] = draw(_coefficients)
+    return RationalFn(poly(num), poly(den)), degree
+
+
+@settings(max_examples=60, deadline=None)
+@given(genus_series())
+def test_specialize_genus_matches_newton_inversion(case):
+    f, degree = case
+    assert specialize_genus(f, degree) == specialize_genus_reference(f, degree)
+
+
+def _bernoulli_over_factorial(k):
+    r = sympy.bernoulli(k) / sympy.factorial(k)
+    return Fraction(int(r.p), int(r.q))
+
+
+def test_genus_tables_match_bernoulli_numbers():
+    # x/(1 - e^{-x}) = sum B_k x^k / k! with B_1 = +1/2, and
+    # x/tanh(x) = sum 2^{2k} B_{2k} x^{2k} / (2k)!, through x^32
+    todd = specialize_genus(todd_series(33), 32)
+    tanh = specialize_genus(tanh_series(33), 32)
+    assert todd[1] == Fraction(1, 2)
+    for k in range(2, 33):
+        if k % 2:
+            assert todd[k] == tanh[k] == 0
+        else:
+            assert todd[k] == _bernoulli_over_factorial(k)
+            assert tanh[k] == 2**k * _bernoulli_over_factorial(k)
+    assert tanh[1] == 0
+
+
+def test_tanh_series_matches_newton_inversion():
+    for cutoff in range(0, 34):
+        fact = [math.factorial(k) for k in range(cutoff + 1)]
+        sinh = MultiPoly(("u1",), {(k,): Fraction(1, fact[k]) for k in range(1, cutoff + 1, 2)})
+        cosh = MultiPoly(("u1",), {(k,): Fraction(1, fact[k]) for k in range(0, cutoff + 1, 2)})
+        want = TruncatedSeries(sinh, cutoff) * invert_series(TruncatedSeries(cosh, cutoff))
+        assert tanh_series(cutoff) == want
 
 
 def test_evaluate_class():

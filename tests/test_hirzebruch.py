@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from homgenus.catalog import catalog_entry, catalog_list, catalog_space
 from homgenus.cobordism import tanh_series, todd_series
@@ -165,6 +166,21 @@ def test_genus_of_class_routes():
     assert signature_of_class(cls3, 3) == 0
     cls2 = chern_dold_genus(_std("CP2")).bordism_class()
     assert signature_of_class(cls2, 2) == signature(_std("CP2")) == 1
+
+
+def test_class_genera_build_their_series_to_the_class_degree():
+    # x^34 of x/(1 - e^{-x}) is B_34/34!, and of x/tanh(x) 2^34 times that;
+    # a fixed u^33 series does not reach it
+    r = sympy.bernoulli(34) / sympy.factorial(34)
+    todd34 = Fraction(int(r.p), int(r.q))
+    a34 = parse_poly("a34")
+    assert todd_of_class(a34) == todd_of_class(a34, 34) == todd34
+    assert signature_of_class(a34) == signature_of_class(a34, 34) == 2**34 * todd34
+    with pytest.raises(ValueError, match="cutoff 33"):
+        genus_of_class(a34, todd_series(33))
+    mixed = parse_poly("a1*a35 - 2*a2^18")
+    assert todd_of_class(mixed) == todd_of_class(mixed, 36)
+    assert signature_of_class(mixed) == signature_of_class(mixed, 36)
 
 
 def test_class_route_matches_fixed_point_route():

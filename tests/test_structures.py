@@ -83,12 +83,18 @@ def test_su_inventory_counts():
 
 
 @st.composite
-def closed_json_spaces(draw):
-    """A JSON space G/H, H spanned by a few roots of G and closed under
-    sign and sum, with n <= 6."""
-    group = build_group(draw(st.sampled_from(["U(2)", "U(3)", "U(4)", "U(5)", "Sp(2)", "Sp(3)", "G2"])))
+def closed_json_docs(draw, groups=("U(2)", "U(3)", "U(4)", "U(5)", "Sp(2)", "Sp(3)", "G2")):
+    """The JSON document of a space G/H, H spanned by a few roots of G and
+    closed under sign and sum."""
+    group = build_group(draw(st.sampled_from(groups)))
     roots = _closed_subsystem(group, draw(st.lists(st.sampled_from(group.roots), max_size=4)))
-    space = space_from_json({"group": group.label, "subgroup_roots": [list(r) for r in sorted(roots)]})
+    return {"group": group.label, "subgroup_roots": [list(r) for r in sorted(roots)]}
+
+
+@st.composite
+def closed_json_spaces(draw):
+    """A random closed JSON space G/H (`closed_json_docs`) with n <= 6."""
+    space = space_from_json(draw(closed_json_docs()))
     assume(space.n <= 6)
     return space
 
