@@ -168,7 +168,7 @@ def basis_convert(poly, direction):
 def _single_series_var(vars_):
     cands = [v for v in vars_ if v[0] in ("u", "x")]
     if len(set(cands)) != 1:
-        raise ValueError("expected a one-variable series, got variables %r" % (vars_,))
+        raise ValueError("expected a one-variable series, got variables %r" % (sorted(vars_),))
     return cands[0]
 
 

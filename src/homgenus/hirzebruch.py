@@ -93,14 +93,24 @@ def _class_degree(cls):
     return degree
 
 
+def _degree(cls, degree):
+    """The class's degree, or an explicit degree, refused below it: the table
+    would stop short and every a_i past it would read as 0."""
+    least = _class_degree(cls)
+    if degree is None:
+        return least
+    if degree < least:
+        raise InputError("degree %d is below the degree %d of the class" % (degree, least))
+    return degree
+
+
 def genus_of_class(cls, genus_data, degree=None):
     """Evaluate a bordism class (polynomial in the a's) against a genus.
 
     genus_data may be a RationalFn or TruncatedSeries (specialized here), or
     an already-built {index: value} table.
     """
-    if degree is None:
-        degree = _class_degree(cls)
+    degree = _degree(cls, degree)
     if isinstance(genus_data, dict):
         table = genus_data
     else:
@@ -109,14 +119,12 @@ def genus_of_class(cls, genus_data, degree=None):
 
 
 def todd_of_class(cls, degree=None):
-    if degree is None:
-        degree = _class_degree(cls)
+    degree = _degree(cls, degree)
     return genus_of_class(cls, todd_series(2 * degree + 1), degree)
 
 
 def signature_of_class(cls, degree=None):
-    if degree is None:
-        degree = _class_degree(cls)
+    degree = _degree(cls, degree)
     return genus_of_class(cls, tanh_series(2 * degree + 1), degree)
 
 

@@ -351,11 +351,16 @@ class CosetSpace:
                 % (order // h_order, COSET_CAP, order, h_order)
             )
         gens = [group.reflection_perm(a) for a in simple]
+        basis = tuple(group.root_index[a] for a in simple)
         # letter[k] = g when roots[k] is the simple root of s_g
-        letter = {group.root_index[a]: g for g, a in enumerate(simple)}
+        letter = {k: g for g, k in enumerate(basis)}
         h_roots = [group.root_index[a] for a in h_simple]
         ident = tuple(range(len(group.roots)))
-        reps, index = [WeylElement(ident, ())], {ident: 0}
+        reps = [WeylElement(ident, ())]
+        # an element is fixed by its images of the simple roots (Casselman,
+        # Invent. Math. 116, 1994): images[i] holds rep_i's, as root indices,
+        # and keys the index; a product is composed only when it is kept
+        images, index = [basis], {basis: 0}
         # s_g permutes the positive roots other than its own simple root, so
         # s_g rep_i is minimal unless rep_i maps a simple root of H to that
         # root: blocked[i] holds those g
@@ -366,16 +371,19 @@ class CosetSpace:
         while done < len(reps):
             level = range(done, len(reps))
             for g, (gen, row) in enumerate(zip(gens, action)):
+                move = gen.__getitem__
                 for i in level:
                     if g in blocked[i]:
                         # s_g rep_i = rep_i s_a lies in coset i (Deodhar)
                         row.append(i)
                         continue
-                    p = compose(gen, reps[i].perm)
-                    j = index.get(p)
+                    key = tuple(map(move, images[i]))
+                    j = index.get(key)
                     if j is None:
-                        j = index[p] = len(reps)
+                        j = index[key] = len(reps)
+                        p = compose(gen, reps[i].perm)
                         reps.append(WeylElement(p, (g,) + reps[i].word))
+                        images.append(key)
                         blocked.append({letter[p[a]] for a in h_roots if p[a] in letter})
                     row.append(j)
             done = level.stop

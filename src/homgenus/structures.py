@@ -8,7 +8,6 @@ stable tangential structure is a per-fixed-point sign table refining that.
 
 import itertools
 import math
-from fractions import Fraction
 from functools import cached_property
 from operator import add
 
@@ -62,19 +61,18 @@ class HomogeneousSpace:
         self.subgroup = subgroup
         self.label = label or "%s/%s" % (group.label, subgroup.label)
         self.ordering = ordering or default_ordering(group.dim)
-        # line -> (index of the root of G that is a positive multiple of it, the multiple)
+        # line -> index of the root of G that is a positive multiple of it
         along = {}
         for i, r in enumerate(group.roots):
             if r in subgroup.root_set:
                 continue
             line, scale = canonical_positive(r, self.ordering)
             if scale > 0:
-                along[line] = (i, scale)
+                along[line] = i
         self.comp_roots = tuple(sorted(along, key=_comp_sort_key))
         self.n = len(self.comp_roots)  # complex dimension of G/H
-        # comp_roots[l] == group.roots[comp_root_indices[l]] / comp_scales[l]
-        self.comp_root_indices = tuple(along[line][0] for line in self.comp_roots)
-        self.comp_scales = tuple(along[line][1] for line in self.comp_roots)
+        # group.roots[comp_root_indices[l]] is the positive root on line comp_roots[l]
+        self.comp_root_indices = tuple(along[line] for line in self.comp_roots)
         self._structures = {}  # summand signs -> the one InvariantStructure
         self._count_vectors = {}  # packed index counts -> the interned tuple
         self._chi_y_polys = {}  # index counts -> the one chi_y polynomial (hirzebruch.chi_y_genus)
@@ -217,29 +215,42 @@ class HomogeneousSpace:
 
     @cached_property
     def coset_root_images(self):
-        """coset_root_images[w][l] = (coset rep w) applied to comp_roots[l]."""
+        """coset_root_images[w][l] = (coset rep w) applied to the positive
+        root of G on line comp_roots[l]: the tangent weight of line l at
+        fixed point w under the sign +1, a root of G."""
         roots = self.group.roots
-        lines = tuple(zip(self.comp_root_indices, self.comp_scales))
-        return tuple(
-            tuple(
-                roots[rep.perm[k]] if scale == 1 else vec(Fraction(c) / scale for c in roots[rep.perm[k]])
-                for k, scale in lines
-            )
-            for rep in self.cosets.representatives
-        )
+        ks = self.comp_root_indices
+        return tuple(tuple(roots[rep.perm[k]] for k in ks) for rep in self.cosets.representatives)
+
+    @cached_property
+    def root_values(self):
+        """root_values[i] = <roots[i], v>, v the ordering's functional, for
+        every root of G: an int wherever it is integral."""
+        v = self.ordering.v
+        return vec(dot(r, v) for r in self.group.roots)
 
     @cached_property
     def image_values(self):
-        """image_values[w][l] = <coset_root_images[w][l], v>, v the
-        ordering's functional: the point route evaluates every weight at v."""
-        v = self.ordering.v
-        return tuple(tuple(dot(img, v) for img in row) for row in self.coset_root_images)
+        """image_values[w][l] = <coset_root_images[w][l], v>, read through
+        the representative's root permutation: the point route evaluates
+        every weight at v."""
+        values = self.root_values
+        ks = self.comp_root_indices
+        return tuple(tuple(values[rep.perm[k]] for k in ks) for rep in self.cosets.representatives)
 
     @cached_property
     def line_signs(self):
         """line_signs[w][l] = ordering sign of coset_root_images[w][l]; every
         structure on the space reuses the same table."""
-        return tuple(tuple(self.ordering.sign(img) for img in row) for row in self.coset_root_images)
+        signs = [(x > 0) - (x < 0) for x in self.root_values]
+        ks = self.comp_root_indices
+        table = tuple(tuple(signs[rep.perm[k]] for k in ks) for rep in self.cosets.representatives)
+        if 0 in signs:
+            for row, images in zip(table, self.coset_root_images):
+                if 0 in row:
+                    # raises: the functional vanishes on this weight
+                    self.ordering.sign(images[row.index(0)])
+        return table
 
     @cached_property
     def line_sign_masks(self):
@@ -252,17 +263,20 @@ class HomogeneousSpace:
         once.  Under summand signs sigma a line's weights are sigma times the
         reference weights orientation * image, so grouping by summand labels
         as well makes each group's residue sigma times the reference one."""
-        labels = [0] * self.n
-        orient = [0] * self.n
+        # a self-conjugate summand admits no invariant structure at all
+        if any(sm.self_conjugate for sm in self.summands):
+            return False
+        # (summand k, roots[r]) has the id k * len(roots) + r; a line's
+        # reference weight is a root, and rep_w moves it to roots[rep_w.perm[r]]
+        roots, root_index = self.group.roots, self.group.root_index
+        cols = [None] * self.n
         for k, sm in enumerate(self.summands):
             for li, o in zip(sm.line_indices, sm.orientation):
-                labels[li], orient[li] = k, o
-        points = [
-            (1, [tuple(o * c for c in img) for o, img in zip(orient, row)], labels)
-            for row in self.coset_root_images
-        ]
-        # a self-conjugate summand admits no invariant structure at all
-        return not any(sm.self_conjugate for sm in self.summands) and residues_cancel(points, self.ordering)
+                r = self.comp_root_indices[li]
+                cols[li] = (k * len(roots), r if o > 0 else root_index[vec_neg(roots[r])])
+        rows = [(1, [base + rep.perm[r] for base, r in cols]) for rep in self.cosets.representatives]
+        pairs = [(k, r) for k in range(len(self.summands)) for r in roots]
+        return _residues_cancel(rows, pairs, self.ordering)
 
     @cached_property
     def summand_chern(self):
@@ -478,8 +492,7 @@ def is_integrable(structure):
     structure root is not oriented by the ordering gives no verdict.
     """
     space = structure.space
-    v = space.ordering.v
-    side = [dot(r, v) for r in space.group.roots]
+    side = space.root_values
     signed = tuple(zip(structure.eps, space.comp_root_indices))
     return any(all(e * side[el.perm[k]] > 0 for e, k in signed) for el in space.cosets.representatives)
 
@@ -559,38 +572,59 @@ def residues_cancel(points, ordering):
     the ordering's functional, where the point route evaluates.  Raises
     ValueError when two weights of one point share a line.
     """
-    canonical = {}
-    by_line = {}
+    ids = {}  # (label, weight) -> its id
+    rows = []
     for sign, ws, labels in points:
-        cw = []
-        for w in ws:
-            c = canonical.get(w)
-            if c is None:
-                c = canonical[w] = canonical_positive(w, ordering)
-            cw.append(c)
-        if len({line for line, _ in cw}) != len(cw):
+        rows.append((sign, [ids.setdefault(pair, len(ids)) for pair in zip(labels, ws)]))
+    return _residues_cancel(rows, list(ids), ordering)
+
+
+def _residues_cancel(rows, pairs, ordering):
+    """`residues_cancel` on interned weights: `rows` holds (sign, ids), one
+    id per weight, and pairs[id] is the (label, weight) it stands for.
+
+    On line l a weight reduces to its class modulo l, w -> l_i * w - w_i * l,
+    and each (label, class) gets a small int code.  A point with a weight on
+    l is keyed by the sorted codes of all its weights: the one on l reduces
+    to (its label, 0) and no other weight can, so the key holds the same
+    data as (label on l, multiset of the others).  sign / c is summed as the
+    int sign * q * (M // p), with c = p / q and M the lcm of the numerators."""
+    along = {}  # id -> (index of its line, scale)
+    lines = {}  # line -> its index
+    members = []  # members[index of l] = (sign, id on l, ids) per point with a weight on l
+    for sign, row in rows:
+        on = []
+        for k in row:
+            a = along.get(k)
+            if a is None:
+                line, scale = canonical_positive(pairs[k][1], ordering)
+                li = lines.setdefault(line, len(lines))
+                if li == len(members):
+                    members.append([])
+                a = along[k] = (li, scale)
+            on.append(a[0])
+        if len(set(on)) != len(on):
             raise ValueError("two isotropy weights at one fixed point share a line")
-        for j, (line, scale) in enumerate(cw):
-            by_line.setdefault(line, []).append((Fraction(sign, scale), j, ws, labels))
-    for line, members in by_line.items():
-        if not dot(line, ordering.v):
+        for li, k in zip(on, row):
+            members[li].append((sign, k, row))
+    big = math.lcm(*(abs(scale.numerator) for _, scale in along.values()))
+    coeff = {k: scale.denominator * (big // scale.numerator) for k, (_, scale) in along.items()}
+    v = ordering.v
+    for line, group in zip(lines, members):
+        if not dot(line, v):
             return False
-        # w -> l_i * w - w_i * l kills exactly the multiples of l
         i = next(k for k, c in enumerate(line) if c)
-        reduced = {}
-        groups = {}
-        for coeff, j, ws, labels in members:
-            others = []
-            for m, w in enumerate(ws):
-                if m != j:
-                    r = reduced.get(w)
-                    if r is None:
-                        r = reduced[w] = tuple(line[i] * c - w[i] * lc for c, lc in zip(w, line))
-                    others.append((labels[m], r))
-            others.sort()
-            key = (labels[j], tuple(others))
-            groups[key] = groups.get(key, 0) + coeff
-        if any(groups.values()):
+        classes = {}
+        code = [0] * len(pairs)
+        for k in along:
+            label, w = pairs[k]
+            cls = (label, tuple(line[i] * c - w[i] * lc for c, lc in zip(w, line)))
+            code[k] = classes.setdefault(cls, len(classes))
+        sums = {}
+        for sign, k, row in group:
+            key = tuple(sorted(map(code.__getitem__, row)))
+            sums[key] = sums.get(key, 0) + sign * coeff[k]
+        if any(sums.values()):
             return False
     return True
 

@@ -705,13 +705,12 @@ def twisted_product(base_structure, fiber_structure, cutoff=None):
     total_space = combined.space
     if cutoff is None:
         cutoff = total_space.n
-    # the fiber's weight on line l at its point q is c = eps_l / scale_l times
-    # the root rep_q makes of line l's root: a root of H, kept as its index in G
+    # the fiber's weight on line l at its point q is eps_l times the root
+    # rep_q makes of line l's root: a root of H, kept as its index in G
     h_roots = fiber_space.group.roots
-    lines = tuple(zip(fiber_structure.eps, fiber_space.comp_root_indices, fiber_space.comp_scales))
+    lines = tuple(zip(fiber_structure.eps, fiber_space.comp_root_indices))
     fiber_weights = [
-        [(e if s == 1 else Fraction(e) / s, root_index[h_roots[rep.perm[k]]]) for e, k, s in lines]
-        for rep in fiber_space.cosets.representatives
+        [(e, root_index[h_roots[rep.perm[k]]]) for e, k in lines] for rep in fiber_space.cosets.representatives
     ]
     fps = fixed_points(base_structure)
     fiber_forms = []

@@ -8,12 +8,16 @@ coefficient recurrence against Newton inversion.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+import homgenus
 from homgenus.cobordism import (
     a_in_terms_of_b,
     b_in_terms_of_a,
@@ -278,6 +282,25 @@ def test_specialize_genus_refusals(rational, series, error, text):
     for f in (parse_rational(rational), TruncatedSeries(parse_poly(series), 5)):
         with pytest.raises(error, match=text):
             specialize_genus(f, 4)
+
+
+def test_refusal_text_does_not_depend_on_the_hash_seed():
+    code = (
+        "from homgenus.cobordism import specialize_genus\n"
+        "from homgenus.exactalg import parse_rational\n"
+        "try:\n"
+        "    specialize_genus(parse_rational('u + x + u*x'), 4)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(homgenus.__file__))
+    texts = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        texts.append(proc.stdout)
+    assert texts[0] == texts[1] == "expected a one-variable series, got variables ['u', 'x']\n"
 
 
 def test_specialize_genus_refuses_a_series_too_short():

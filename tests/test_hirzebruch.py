@@ -23,7 +23,7 @@ from homgenus.hirzebruch import (
     todd_genus,
     todd_of_class,
 )
-from homgenus.rootdata import Ordering
+from homgenus.rootdata import InputError, Ordering
 from homgenus.structures import (
     HomogeneousSpace,
     InvariantStructure,
@@ -166,6 +166,20 @@ def test_genus_of_class_routes():
     assert signature_of_class(cls3, 3) == 0
     cls2 = chern_dold_genus(_std("CP2")).bordism_class()
     assert signature_of_class(cls2, 2) == signature(_std("CP2")) == 1
+
+
+def test_class_genera_refuse_a_degree_below_the_class():
+    # a table cut at a3 would read a4 as 0
+    a4 = parse_poly("a4")
+    assert todd_of_class(a4) == Fraction(-1, 720)
+    for fn, args in (
+        (todd_of_class, ()),
+        (signature_of_class, ()),
+        (genus_of_class, (todd_series(9),)),
+    ):
+        with pytest.raises(InputError, match="degree 3 is below the degree 4"):
+            fn(a4, *args, 3)
+    assert todd_of_class(a4, 5) == todd_of_class(a4)
 
 
 def test_class_genera_build_their_series_to_the_class_degree():
