@@ -163,7 +163,7 @@ def _resolve_series(ns, required=True):
         return None
     try:
         return parse_rational(raw)
-    except (ValueError, SyntaxError) as exc:
+    except (ValueError, SyntaxError, ZeroDivisionError) as exc:
         raise UsageError("could not parse --series: %s" % exc)
 
 
@@ -328,7 +328,10 @@ def cmd_rigidity_eval(ns):
     f = _resolve_series(ns)
     if not ns.at:
         raise UsageError("--at is required, e.g. --at 3,2,1,0")
-    point = _parse_int_tuple(ns.at, "--at")
+    try:
+        point = tuple(Fraction(p) for p in ns.at.replace(" ", "").split(",") if p != "")
+    except (ValueError, ZeroDivisionError):
+        raise UsageError("--at expects a comma-separated list of rationals, got %r" % ns.at)
     if len(point) != space.group.dim:
         raise UsageError("--at needs %d components" % space.group.dim)
     value = rigidity_eval(structure, f, point)
@@ -369,6 +372,8 @@ def cmd_rigidity_independence(ns):
         for s in enumerate_structures(space)[:8]:
             structures.append(s)
             names.append(s.to_signs())
+        if not structures:  # a self-conjugate summand, named by the InputError
+            space.structure((1,) * len(space.summands))
     out = structure_independence(structures, f, samples=ns.samples, seed=ns.seed or 0)
     doc = {
         "structures": names,

@@ -7,6 +7,7 @@ certificates are combinatorial pairings of the fixed points, not numerics.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from .cobordism import evaluate_class, specialize_genus, tanh_series, todd_series
@@ -173,27 +174,24 @@ def _sample_point(dim, rng):
     return tuple(Fraction(rng.randint(-19, 19), rng.randint(1, 7)) for _ in range(dim))
 
 
-def _kernel_defined(f, var, arg):
-    """Is arg nonzero and, for a rational kernel f, f(arg) defined and nonzero?"""
-    if arg == 0:
-        return False
-    if not isinstance(f, RationalFn):
-        return True
-    try:
-        return f.evaluate({var: arg}) != 0
-    except ZeroDivisionError:
-        return False
+SAMPLE_TRIES = 200
 
 
-def _admissible_point(structure, f, rng, tries=200):
-    space = structure.space
-    var = _genus_variable(f) if isinstance(f, RationalFn) else "u"
-    # each distinct weight is tested once per point, however many points share it
-    weights = {w for fp in fixed_points(structure) for w in fp.weights}
-    for _ in range(tries):
-        pt = _sample_point(space.group.dim, rng)
-        if all(_kernel_defined(f, var, dot(w, pt)) for w in weights):
-            return pt
+def _sample(structures, f, rng):
+    """(point, [rigidity_eval(s, f, point) for s in structures]) at the first
+    drawn point where every sum is defined.  A point where a weight pairs to
+    zero or meets a zero or pole of the kernel is drawn again, up to
+    SAMPLE_TRIES points; a kernel in two variables (InputError) or one that
+    is not a rational function (TypeError) raises at once."""
+    dim = structures[0].space.group.dim
+    for _ in range(SAMPLE_TRIES):
+        pt = _sample_point(dim, rng)
+        try:
+            return pt, [rigidity_eval(s, f, pt) for s in structures]
+        except InputError:
+            raise
+        except (ValueError, ZeroDivisionError):
+            continue
     raise RuntimeError("could not find an admissible sample point")
 
 
@@ -201,21 +199,17 @@ def structure_independence(structures, f, samples=5, seed=0):
     """Evaluate the same rigid functional on several structures at shared
     sample points; returns the table and whether every row came out equal.
 
-    All structures must live on the same space, so one admissible point
-    works for all of them (the weights agree up to sign and the kernels we
-    use are odd or even in each argument; rigidity_eval still re-raises on
-    a genuinely bad point)."""
+    All structures must live on the same space; each sample point is one
+    where every structure's sum is defined (`_sample`)."""
     rng = random.Random(seed)
     if not structures:
         raise ValueError("need at least one structure")
     if samples < 1:
         raise ValueError("need at least one sample point, got %d" % samples)
-    points = [_admissible_point(structures[0], f, rng) for _ in range(samples)]
-    values = []
-    for pt in points:
-        values.append([rigidity_eval(s, f, pt) for s in structures])
+    drawn = [_sample(structures, f, rng) for _ in range(samples)]
+    values = [row for _, row in drawn]
     independent = all(len(set(row)) == 1 for row in values)
-    return {"points": points, "values": values, "independent": independent}
+    return {"points": [pt for pt, _ in drawn], "values": values, "independent": independent}
 
 
 # ---------------------------------------------------------------------------
@@ -224,40 +218,26 @@ def structure_independence(structures, f, samples=5, seed=0):
 
 def _match_weights(wa, wb):
     """Match the multiset wb against +/- wa; return flip count or None."""
-    remaining = {}
-    for r in wb:
-        key = tuple(r)
-        remaining[key] = remaining.get(key, 0) + 1
-
-    def take(key):
-        c = remaining.get(key, 0)
-        if not c:
-            return False
-        if c == 1:
-            del remaining[key]
-        else:
-            remaining[key] = c - 1
-        return True
-
+    remaining = Counter(map(tuple, wb))
     flips = 0
-    for w in wa:
-        if take(tuple(w)):
-            continue
-        if take(tuple(-c for c in w)):
+    for w in map(tuple, wa):
+        if not remaining[w]:
+            w = tuple(-c for c in w)
+            if not remaining[w]:
+                return None
             flips += 1
-        else:
-            return None
-    return flips if not remaining else None
+        remaining[w] -= 1
+    return None if any(remaining.values()) else flips
 
 
-def certify_odd_rigidity(structure, f=None, samples=3, seed=0):
+def certify_odd_rigidity(structure, f=None, seed=0):
     """Try to certify that every odd genus kills this structure's sum.
 
     Searches for an element t of the ambient Weyl group whose left action
     pairs the fixed points off without fixed points, matching isotropy
     weights up to sign with the parity condition sign(p) + sign(q) (-1)^k = 0.
     Success certifies the vanishing for every odd kernel at once.  With an
-    exact odd rational kernel we also spot-check by sampled evaluation;
+    exact odd rational kernel we also spot-check at three sample points;
     with a truncated odd series we can only report consistency to the cutoff.
     The search walks W, so a space with an even number of fixed points whose
     W has more than COSET_CAP elements is refused (InputError).
@@ -278,9 +258,9 @@ def certify_odd_rigidity(structure, f=None, samples=3, seed=0):
             result["verdict"] = "not covered: no fixed-point pairing found"
     if isinstance(f, RationalFn):
         rng = random.Random(seed)
-        for _ in range(samples):
-            pt = _admissible_point(structure, f, rng)
-            result["samples"].append((pt, rigidity_eval(structure, f, pt)))
+        for _ in range(3):
+            pt, (value,) = _sample([structure], f, rng)
+            result["samples"].append((pt, value))
         if result["verdict"] == "certified zero":
             assert all(v == 0 for _, v in result["samples"])
     elif isinstance(f, TruncatedSeries):

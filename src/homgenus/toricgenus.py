@@ -46,12 +46,6 @@ from .structures import (
 )
 
 
-def _form_of(vector):
-    """The linear polynomial <vector, x> in variables x1..xd."""
-    names = ["x%d" % (i + 1) for i in range(len(vector))]
-    return MultiPoly.linear_form(names, vector)
-
-
 _POLE = "localization sum has uncancelled pole"
 
 
@@ -313,15 +307,31 @@ def _down_set(cap, room, part=1):
     ]
 
 
+def _steps(keys):
+    """(index, steps, parts) of a down-set `keys`, zero first: index[k] is k's
+    position, steps the (src, i, dst) moves adding a part i to key src, the
+    heaviest src first so that one pass per factor adds at most one part,
+    and parts the sizes i used (Macdonald, Symmetric Functions, I.6)."""
+    weight = {k: sum(i * c for i, c in enumerate(k, 1)) for k in keys}
+    index = {k: j for j, k in enumerate(keys)}
+    steps = []
+    for k in sorted(keys, key=weight.get, reverse=True):
+        for i in range(len(k)):
+            up = index.get(k[:i] + (k[i] + 1,) + k[i + 1 :])
+            if up is not None:
+                steps.append((index[k], i + 1, up))
+    parts = sorted({i for _, i, _ in steps})
+    return index, steps, parts
+
+
 def _point_sums(structure, keys, targets):
     """sum_p sign(p) * [a^k] prod_j f(v_j) / prod_j v_j for each k in
     `targets`, exactly, with v_j the point's weights at x0, the ordering's
     functional (`fixed_points` evaluated there, without building a weight).
 
     `keys` is a down-set of multi-indices holding `targets`, zero first.  At
-    each point one int pass per weight v adds a part i, times v^i, to every
-    key below the top, the heaviest keys first so that each weight gives at
-    most one part.
+    each point one int pass of `_steps(keys)` per weight v adds a part i,
+    times v^i, to every key below the top.
     """
     rows = [
         (sign, [e * v for e, v in zip(eps, row)])
@@ -332,15 +342,7 @@ def _point_sums(structure, keys, targets):
     d = math.lcm(*(v.denominator for _, vs in rows for v in vs))
     if d > 1:
         rows = [(sign, [int(v * d) for v in vs]) for sign, vs in rows]
-    weight = {k: sum(i * c for i, c in enumerate(k, 1)) for k in keys}
-    index = {k: j for j, k in enumerate(keys)}
-    steps = []
-    for k in sorted(keys, key=weight.get, reverse=True):
-        for i in range(len(k)):
-            up = index.get(k[:i] + (k[i] + 1,) + k[i + 1 :])
-            if up is not None:
-                steps.append((index[k], i + 1, up))
-    parts = sorted({i for _, i, _ in steps})
+    index, steps, parts = _steps(keys)
     pw = [0] * (max(parts, default=0) + 1)
     picks = [index[k] for k in targets]
     terms = []
@@ -539,75 +541,29 @@ def top_s(structure):
 
 def _block_partition(space):
     """For U(n)-type spaces with block-diagonal isotropy: list of blocks
-    (sorted tuples of coordinate indices), or None when not of that shape."""
+    (sorted tuples of coordinate indices), or None when not of that shape:
+    i joins the first block b with e_b[0] - e_i a subgroup root, and the
+    roots inside the blocks must be exactly the subgroup roots."""
     g = space.group
     if not (g.label.startswith("U(") or g.label.startswith("SU(")):
         return None
     n = g.dim
-    parent = list(range(n))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def diff(i, j):
+        return tuple((k == i) - (k == j) for k in range(n))
 
     sub_roots = set(space.subgroup.root_set)
-    for r in space.subgroup.root_set:
-        nz = [i for i, c in enumerate(r) if c]
-        if len(nz) != 2:
-            return None
-        i, j = nz
-        parent[find(i)] = find(j)
-    blocks = {}
+    blocks = []
     for i in range(n):
-        blocks.setdefault(find(i), []).append(i)
-    block_list = sorted((tuple(sorted(b)) for b in blocks.values()), key=lambda b: b[0])
-    # the subgroup roots must fill each block completely
-    expect = set()
-    for b in block_list:
-        for i in b:
-            for j in b:
-                if i != j:
-                    r = [0] * n
-                    r[i], r[j] = 1, -1
-                    expect.add(tuple(r))
-    if expect != set(sub_roots):
+        for b in blocks:
+            if diff(b[0], i) in sub_roots:
+                b.append(i)
+                break
+        else:
+            blocks.append([i])
+    if {diff(i, j) for b in blocks for i in b for j in b if i != j} != sub_roots:
         return None
-    return block_list
-
-
-def _f_omega(pairs, omega):
-    """Coefficient of a^omega in prod_j f(scale_j * <line_j, x>), as a
-    polynomial in x, for the (line, scale) pairs of one point.
-
-    Incremental over the pairs, pruned to sub-multi-indices of omega, with
-    (scale * line)^i memoized by (line, scale).
-    """
-    support = [i + 1 for i, k in enumerate(omega) if k]
-    zero = tuple(0 for _ in omega)
-    state = {zero: MultiPoly.const(1)}
-    powers = {}
-    for pair in pairs:
-        p = powers.get(pair)
-        if p is None:
-            line, scale = pair
-            p = powers[pair] = [MultiPoly.const(1), _form_of(line) * scale]
-        new = dict(state)
-        for key, poly in state.items():
-            for i in support:
-                if key[i - 1] >= omega[i - 1]:
-                    continue
-                while len(p) <= i:
-                    p.append(p[-1] * p[1])
-                k2 = list(key)
-                k2[i - 1] += 1
-                k2 = tuple(k2)
-                add = poly * p[i]
-                cur = new.get(k2)
-                new[k2] = add if cur is None else cur + add
-        state = new
-    return state.get(tuple(omega), MultiPoly.zero())
+    return [tuple(b) for b in blocks]
 
 
 def s_number_schur_route(structure, omega):
@@ -626,7 +582,17 @@ def s_number_schur_route(structure, omega):
     lam = Fraction(1)
     for e in structure.eps:
         lam *= e
-    arg = _f_omega([canonical_positive(r) for r in structure.roots], omega)
+    # f_omega = [a^omega] prod_j f(scale_j <line_j, x>), by the point route's steps
+    index, steps, parts = _steps(_down_set(omega, space.n))
+    acc = [MultiPoly.const(1)] + [MultiPoly.zero()] * (len(index) - 1)
+    for line, scale in map(canonical_positive, structure.roots):
+        pw = [MultiPoly.const(1), MultiPoly.linear_form(names, line) * scale]
+        for _ in range(2, max(parts, default=1) + 1):
+            pw.append(pw[-1] * pw[1])
+        for src, i, dst in steps:
+            if acc[src]:
+                acc[dst] = acc[dst] + acc[src] * pw[i]
+    arg = acc[index[omega]]
     for b in blocks:
         arg = arg * vandermonde([names[i] for i in b])
         lam /= math.factorial(len(b))

@@ -6,7 +6,10 @@ representative; `coset_search_reference` composes and hashes the full
 permutation of every candidate product.  The package's residue certificate
 groups interned weights by small-int codes and sums int coefficients;
 `residues_cancel_reference` groups the weight vectors themselves and sums
-Fractions.  Tests compare the two.
+Fractions.  The package finds the blocks of a block-diagonal subgroup of
+U(n) in one pass and matches two fixed points' weights on a Counter;
+`block_partition_reference` uses union-find and `match_weights_reference` a
+dict that drops spent weights.  Tests compare the two.
 """
 
 from fractions import Fraction
@@ -77,3 +80,72 @@ def residues_cancel_reference(points, ordering):
         if any(groups.values()):
             return False
     return True
+
+
+def block_partition_reference(space):
+    """toricgenus._block_partition by union-find over the subgroup roots,
+    each of which must have exactly two nonzero coordinates, the blocks then
+    checked to be filled by the subgroup roots."""
+    g = space.group
+    if not (g.label.startswith("U(") or g.label.startswith("SU(")):
+        return None
+    n = g.dim
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    sub_roots = set(space.subgroup.root_set)
+    for r in space.subgroup.root_set:
+        nz = [i for i, c in enumerate(r) if c]
+        if len(nz) != 2:
+            return None
+        i, j = nz
+        parent[find(i)] = find(j)
+    blocks = {}
+    for i in range(n):
+        blocks.setdefault(find(i), []).append(i)
+    block_list = sorted((tuple(sorted(b)) for b in blocks.values()), key=lambda b: b[0])
+    expect = set()
+    for b in block_list:
+        for i in b:
+            for j in b:
+                if i != j:
+                    r = [0] * n
+                    r[i], r[j] = 1, -1
+                    expect.add(tuple(r))
+    if expect != sub_roots:
+        return None
+    return block_list
+
+
+def match_weights_reference(wa, wb):
+    """hirzebruch._match_weights on a dict of counts that drops a weight
+    when its count reaches zero: the flip count, or None."""
+    remaining = {}
+    for r in wb:
+        key = tuple(r)
+        remaining[key] = remaining.get(key, 0) + 1
+
+    def take(key):
+        c = remaining.get(key, 0)
+        if not c:
+            return False
+        if c == 1:
+            del remaining[key]
+        else:
+            remaining[key] = c - 1
+        return True
+
+    flips = 0
+    for w in wa:
+        if take(tuple(w)):
+            continue
+        if take(tuple(-c for c in w)):
+            flips += 1
+        else:
+            return None
+    return flips if not remaining else None

@@ -12,7 +12,10 @@ time.  The symbolic localization sum and its divisions run on packed ints
 over one denominator; the functions at the end build it from `MultiPoly`
 products and divide it by `exact_divide`, one line at a time, and a Weyl
 element moves a vector by the Fraction reflections its word names, where
-the package reads the element's root permutation.  Tests compare the two.
+the package reads the element's root permutation.  The Schur route's a^omega
+coefficient runs the point route's step table over the down-set of omega;
+`f_omega_reference` copies a dict of sub-multi-indices once per factor.
+Tests compare the two.
 """
 
 from fractions import Fraction
@@ -293,3 +296,34 @@ def localized_numerator_reference(points, ordering, cutoff):
         for missing, group in groups.items()
     ]
     return MultiPoly.sum(terms), lines
+
+
+def f_omega_reference(pairs, omega):
+    """Coefficient of a^omega in prod_j f(scale_j * <line_j, x>), as a
+    polynomial in x, for the (line, scale) pairs of one point: a dict of
+    sub-multi-indices of omega copied and extended once per pair, where
+    toricgenus.s_number_schur_route runs the point route's step table."""
+    support = [i + 1 for i, k in enumerate(omega) if k]
+    zero = tuple(0 for _ in omega)
+    state = {zero: MultiPoly.const(1)}
+    powers = {}
+    for pair in pairs:
+        p = powers.get(pair)
+        if p is None:
+            line, scale = pair
+            p = powers[pair] = [MultiPoly.const(1), _form_of(line) * scale]
+        new = dict(state)
+        for key, poly in state.items():
+            for i in support:
+                if key[i - 1] >= omega[i - 1]:
+                    continue
+                while len(p) <= i:
+                    p.append(p[-1] * p[1])
+                k2 = list(key)
+                k2[i - 1] += 1
+                k2 = tuple(k2)
+                add = poly * p[i]
+                cur = new.get(k2)
+                new[k2] = add if cur is None else cur + add
+        state = new
+    return state.get(tuple(omega), MultiPoly.zero())

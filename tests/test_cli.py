@@ -8,9 +8,14 @@ import shutil
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import pytest
 
+from homgenus.catalog import catalog_space
 from homgenus.cli import main
+from homgenus.exactalg import parse_rational
+from homgenus.hirzebruch import rigidity_eval
 import homgenus.cli
 import homgenus.verification
 
@@ -337,6 +342,46 @@ def test_rigidity_kernel_of_two_variables_is_usage_error(capsys, argv):
     assert code == 1
     assert out == ""
     assert "genus kernel must be a function of a single variable" in err
+
+
+@pytest.mark.parametrize("space", ["HP1", "HP2"])
+def test_rigidity_independence_without_invariant_structure_is_a_usage_error(capsys, space):
+    code, out, err = run(capsys, "rigidity", "independence", "--space", space, "--series", "u/(1+u^2)")
+    assert code == 1
+    assert out == ""
+    assert "%s has no invariant almost complex structure" % space in err
+    assert "self-conjugate" in err
+
+
+@pytest.mark.parametrize("series", ["1/0", "u/(u-u)"])
+@pytest.mark.parametrize(
+    "argv", [("eval", "--at", "1,2,3,4"), ("certify",), ("independence",)], ids=lambda argv: argv[0]
+)
+def test_rigidity_kernel_with_zero_denominator_is_usage_error(capsys, argv, series):
+    code, out, err = run(capsys, "rigidity", argv[0], "--space", "CP3", "--series", series, *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert "could not parse --series: zero denominator" in err
+
+
+def test_rigidity_eval_at_a_rational_point(capsys):
+    code, out, _ = run(
+        capsys, "rigidity", "eval", "--space", "G42", "--series", "u/(1+u^2)", "--at", "1/2,1,0,3", "--json"
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    point = (Fraction(1, 2), 1, 0, 3)
+    want = rigidity_eval(catalog_space("G42").structure((1,)), parse_rational("u/(1+u^2)"), point)
+    assert result["point"] == ["1/2", 1, 0, 3]
+    assert Fraction(result["value"]) == want
+
+
+@pytest.mark.parametrize("at", ["1/2,x,0,3", "1/0,1,0,3", "1/2,1,0,3/"])
+def test_rigidity_eval_malformed_point_is_usage_error(capsys, at):
+    code, out, err = run(capsys, "rigidity", "eval", "--space", "G42", "--series", "u/(1+u^2)", "--at", at)
+    assert code == 1
+    assert out == ""
+    assert "--at" in err
 
 
 def test_rigidity_certify_even_kernel_is_usage_error(capsys):

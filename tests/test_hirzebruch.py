@@ -11,7 +11,8 @@ from homgenus.catalog import catalog_entry, catalog_list, catalog_space
 from homgenus.cobordism import tanh_series, todd_series
 from homgenus.exactalg import parse_poly, parse_rational
 from homgenus.hirzebruch import (
-    _admissible_point,
+    _sample,
+    _sample_point,
     certify_odd_rigidity,
     chi_y_genus,
     euler_number,
@@ -249,12 +250,23 @@ def test_rigidity_eval_matches_the_fraction_reference(name, kernel):
         dim = s.space.group.dim
         points = [(1,) * dim, tuple(range(dim)), (3,) + (0,) * (dim - 1)]
         for seed in range(2):
-            pt = _admissible_point(s, f, random.Random(seed))
+            pt = _sample([s], f, random.Random(seed))[0]
             assert pt == admissible_point_reference(s, f, random.Random(seed))
             points.append(pt)
         for pt in points:
             got = _outcome(rigidity_eval, s, f, pt)
             assert got == _outcome(rigidity_eval_reference, s, f, pt)
+
+
+@pytest.mark.parametrize("kernel, error", [(parse_rational("u*v"), InputError), (todd_series(5), TypeError)])
+def test_sample_refuses_a_bad_kernel_at_the_first_point(kernel, error):
+    # a kernel no point can fix raises on the first draw, not after SAMPLE_TRIES
+    s = _std("CP3")
+    rng, ref = random.Random(5), random.Random(5)
+    with pytest.raises(error):
+        _sample([s], kernel, rng)
+    _sample_point(s.space.group.dim, ref)
+    assert rng.getstate() == ref.getstate()
 
 
 # sha1 over "name signs chi_y signature todd", one line per invariant

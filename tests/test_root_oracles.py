@@ -1,17 +1,25 @@
-"""The keyed coset search and the interned residue certificate against the
-direct references in `rootdata_reference`: the same representatives, words
-and actions, and the same certificate verdicts."""
+"""The keyed coset search, the interned residue certificate, the one-pass
+block partition and the Counter weight matching against the direct
+references in `rootdata_reference`: the same representatives, words and
+actions, certificate verdicts, blocks and flip counts."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homgenus.catalog import catalog_entry, catalog_list, catalog_space
-from homgenus.rootdata import CosetSpace, Ordering
+from homgenus.hirzebruch import _match_weights
+from homgenus.rootdata import CosetSpace, Ordering, group_from_doc
 from homgenus.structures import InvariantStructure, fixed_points, make_space, residues_cancel, space_from_json
-from homgenus.toricgenus import certified
-from rootdata_reference import coset_search_reference, residues_cancel_reference
+from homgenus.toricgenus import _block_partition, certified
+from rootdata_reference import (
+    block_partition_reference,
+    coset_search_reference,
+    match_weights_reference,
+    residues_cancel_reference,
+)
 from test_certificate import stable_tables
 from test_lattice import SCALED
 from test_structures import closed_json_docs
@@ -146,3 +154,90 @@ def test_rational_scales_enter_as_sign_over_c():
     for fn in (residues_cancel, residues_cancel_reference):
         assert fn([point(*half), point(-1, 1)], ordering) is False
         assert fn([point(*half), point(*neg_half)], ordering) is True
+
+
+def _set_partitions(items):
+    """Every partition of the list `items` into blocks, each in item order."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for p in _set_partitions(rest):
+        yield [[first]] + p
+        for k in range(len(p)):
+            yield p[:k] + [[first] + p[k]] + p[k + 1 :]
+
+
+def _block_roots(n, blocks, scale=1):
+    """scale * (e_i - e_j) for i != j in one block."""
+    return [
+        tuple(scale if k == i else -scale if k == j else 0 for k in range(n))
+        for b in blocks
+        for i in b
+        for j in b
+        if i != j
+    ]
+
+
+def _labelled_u(label, dim, roots):
+    """A JSON group labelled `label` whose roots are not those of U(dim)."""
+    return group_from_doc({"label": label, "dim": dim, "roots": [list(r) for r in roots]})
+
+
+def _block_spaces():
+    """The catalog, U(n) over every set partition for n <= 5 and every
+    second one for n = 6, SU(n) for n <= 4, and groups labelled U(n) or
+    SU(n) whose roots are B2's, C3's or twice A2's."""
+    spaces = [catalog_space(name) for name in catalog_list()]
+    for group, n, step in [("U(%d)" % n, n, 1) for n in range(1, 6)] + [("U(6)", 6, 2)] + [
+        ("SU(%d)" % n, n, 1) for n in range(2, 5)
+    ]:
+        for blocks in list(_set_partitions(list(range(n))))[::step]:
+            spaces.append(make_space(group, _block_roots(n, blocks)))
+    b2 = [(1, 0), (0, 1), (1, 1), (1, -1)]
+    b2 = _labelled_u("U(2)", 2, b2 + [tuple(-c for c in r) for r in b2])
+    for sub in ([], [(1, -1)], [(1, 1)], [(1, 0)], [(1, -1), (1, 1)], b2.roots):
+        spaces.append(make_space(b2, sub))
+    c3 = _block_roots(3, [[0, 1, 2]])
+    c3 += [tuple(s * c for c in r) for s in (1, -1) for r in [(1, 1, 0), (1, 0, 1), (0, 1, 1)]]
+    c3 += [tuple(s * c for c in r) for s in (1, -1) for r in [(2, 0, 0), (0, 2, 0), (0, 0, 2)]]
+    c3 = _labelled_u("SU(3)", 3, c3)
+    for sub in ([], _block_roots(3, [[0, 1], [2]]), _block_roots(3, [[0, 1, 2]]), [(2, 0, 0)], [(1, 1, 0)]):
+        spaces.append(make_space(c3, sub))
+    twice = _labelled_u("U(3)", 3, _block_roots(3, [[0, 1, 2]], 2))
+    for blocks in _set_partitions([0, 1, 2]):
+        spaces.append(make_space(twice, _block_roots(3, blocks, 2)))
+    return spaces
+
+
+def test_block_partitions_match_the_reference():
+    spaces = _block_spaces()
+    found = [b for b in map(block_partition_reference, spaces) if b is not None]
+    assert len(spaces) == 231 and len(found) == 215
+    for space in spaces:
+        assert _block_partition(space) == block_partition_reference(space)
+
+
+def _signed(ws, flips):
+    return [tuple(-c for c in w) if f else w for w, f in zip(ws, flips)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), max_size=7), st.data())
+def test_weight_matching_matches_the_reference(wa, data):
+    """Both matchings on a multiset against a signed permutation of itself,
+    then with one weight dropped, added or changed."""
+    flips = data.draw(st.lists(st.booleans(), min_size=len(wa), max_size=len(wa)))
+    wb = data.draw(st.permutations(_signed(wa, flips)))
+    change = data.draw(st.sampled_from(["none", "drop", "add", "replace"]))
+    other = data.draw(st.tuples(*[st.integers(-2, 2)] * 3))
+    if change == "drop" and wb:
+        wb = wb[1:]
+    elif change == "add":
+        wb = wb + [other]
+    elif change == "replace" and wb:
+        wb = [other] + wb[1:]
+    got = _match_weights(wa, wb)
+    assert got == match_weights_reference(wa, wb)
+    if change == "none":
+        assert got is not None

@@ -11,12 +11,15 @@ import pytest
 
 from homgenus.catalog import catalog_entry, catalog_space
 from homgenus.cobordism import basis_convert
-from homgenus.exactalg import MultiPoly, PoleCancellationError, parse_poly
-from homgenus.rootdata import default_ordering
+from homgenus import toricgenus
+from homgenus.exactalg import MultiPoly, PoleCancellationError, divided_difference, parse_poly, vandermonde
+from homgenus.rootdata import canonical_positive, default_ordering
 from homgenus.structures import InvariantStructure, fixed_points, parse_signs, space_from_json
 from homgenus.toricgenus import (
     _Packing,
+    _block_partition,
     _divide_line,
+    _down_set,
     _localized_form,
     _symbolic_form,
     chern_dold_genus,
@@ -27,6 +30,7 @@ from homgenus.toricgenus import (
     s_number_schur_route,
     top_s,
 )
+from series_reference import f_omega_reference
 
 
 def _std(name):
@@ -170,6 +174,35 @@ def test_flag_mixed_s_numbers():
 def test_schur_route_agrees():
     assert s_number_schur_route(_std("G42"), (0, 0, 0, 1)) == -20
     assert s_number_schur_route(_std("CP2"), (0, 1)) == s_number(_std("CP2"), (0, 1)) == 3
+
+
+@pytest.mark.parametrize(
+    "name, signs", [("U3-flag", None), ("G42", None), ("G52", None), ("U4-flag", None), ("U4-flag", "+-+--+")]
+)
+def test_schur_f_omega_matches_the_reference(monkeypatch, name, signs):
+    """The polynomial the Schur route hands to the divided difference, f_omega
+    times the blocks' Vandermondes, against the dict-copying f_omega, on
+    every omega of weight n (on U4-flag these hold the mixed omegas of the
+    benchmark's genus sweep), and its value against the point route."""
+    space = catalog_space(name)
+    s = parse_signs(space, signs) if signs else _std(name)
+    seen = []
+
+    def spy(poly, names):
+        seen.append(poly)
+        return divided_difference(poly, names)
+
+    monkeypatch.setattr(toricgenus, "divided_difference", spy)
+    vander = MultiPoly.const(1)
+    for b in _block_partition(space):
+        vander = vander * vandermonde(["x%d" % (i + 1) for i in b])
+    pairs = [canonical_positive(r) for r in s.roots]
+    n = space.n
+    for omega in _down_set((n,) * n, n):
+        if sum(i * c for i, c in enumerate(omega, 1)) == n:
+            value = s_number_schur_route(s, omega)
+            assert seen.pop() == f_omega_reference(pairs, omega) * vander
+            assert value == s_number(s, omega)
 
 
 def test_top_s_on_flags():
