@@ -334,7 +334,14 @@ def cmd_rigidity_eval(ns):
         raise UsageError("--at expects a comma-separated list of rationals, got %r" % ns.at)
     if len(point) != space.group.dim:
         raise UsageError("--at needs %d components" % space.group.dim)
-    value = rigidity_eval(structure, f, point)
+    try:
+        value = rigidity_eval(structure, f, point)
+    except InputError:
+        raise
+    except (ValueError, ZeroDivisionError) as exc:
+        # the point is input: a weight that pairs to zero with it or meets a
+        # zero or pole of the kernel is named, as a usage error
+        raise UsageError("--at %s: %s" % (ns.at, exc))
     return {
         "result": {"point": list(point), "value": _jsonable(value)},
         "plain": "value at %s = %s" % (ns.at, value),
@@ -517,69 +524,76 @@ def cmd_reproduce(ns):
 # parser assembly
 
 
+# the flags a handler reads, each given only to the subcommands that read it
+_FLAGS = {
+    "space": {"help": "catalog name, JSON literal, or .json file"},
+    "structure": {"help": "'standard', a +/- sign string, or a stable preset name"},
+    "omega": {"help": "comma-separated multi-index for s-numbers"},
+    "series": {"help": "rational genus kernel, e.g. \"u/(1+u^2)\""},
+    "ordering": {"help": "comma-separated generic ordering vector"},
+    "cutoff": {"type": int, "help": "t-degree cutoff for expansions"},
+    "seed": {"type": int, "help": "seed for sampled evaluations"},
+}
+
+
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--space", help="catalog name, JSON literal, or .json file")
-    common.add_argument("--structure", help="'standard', a +/- sign string, or a stable preset name")
-    common.add_argument("--omega", help="comma-separated multi-index for s-numbers")
-    common.add_argument("--series", help="rational genus kernel, e.g. \"u/(1+u^2)\"")
-    common.add_argument("--ordering", help="comma-separated generic ordering vector")
-    common.add_argument("--cutoff", type=int, help="t-degree cutoff for expansions")
-    common.add_argument("--seed", type=int, help="seed for sampled evaluations")
-    fmt = common.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="machine-readable output")
-    fmt.add_argument("--csv", action="store_true", help="tabular output")
-    fmt.add_argument("--plain", action="store_true", help="human-readable output (default)")
+    fmt = argparse.ArgumentParser(add_help=False)
+    group = fmt.add_mutually_exclusive_group()
+    group.add_argument("--json", action="store_true", help="machine-readable output")
+    group.add_argument("--csv", action="store_true", help="tabular output")
+    group.add_argument("--plain", action="store_true", help="human-readable output (default)")
+
+    def command(subparsers, name, func, *flags, **kw):
+        cmd = subparsers.add_parser(name, parents=[fmt], **kw)
+        for flag in flags:
+            cmd.add_argument("--" + flag, **_FLAGS[flag])
+        cmd.set_defaults(func=func)
+        return cmd
 
     p = Parser(prog="homgenus", description="exact cobordism invariants of homogeneous spaces")
     sub = p.add_subparsers(dest="command")
 
     sp = sub.add_parser("space", parents=[], help="catalog access")
     spsub = sp.add_subparsers(dest="subcommand")
-    spsub.add_parser("list", parents=[common]).set_defaults(func=cmd_space_list)
-    spsub.add_parser("info", parents=[common]).set_defaults(func=cmd_space_info)
+    command(spsub, "list", cmd_space_list)
+    command(spsub, "info", cmd_space_info, "space")
 
     ge = sub.add_parser("genus", help="toric genus computations")
     gesub = ge.add_subparsers(dest="subcommand")
-    gesub.add_parser("class", parents=[common]).set_defaults(func=cmd_genus_class)
-    gesub.add_parser("s", parents=[common]).set_defaults(func=cmd_genus_s)
-    gesub.add_parser("chi-y", parents=[common]).set_defaults(func=cmd_genus_chi_y)
-    gesub.add_parser("signature", parents=[common]).set_defaults(func=cmd_genus_signature)
-    gesub.add_parser("todd", parents=[common]).set_defaults(func=cmd_genus_todd)
+    command(gesub, "class", cmd_genus_class, "space", "structure", "cutoff")
+    command(gesub, "s", cmd_genus_s, "space", "structure", "omega")
+    command(gesub, "chi-y", cmd_genus_chi_y, "space", "structure", "ordering")
+    command(gesub, "signature", cmd_genus_signature, "space", "structure")
+    command(gesub, "todd", cmd_genus_todd, "space", "structure")
 
     ri = sub.add_parser("rigidity", help="rigidity functionals")
     risub = ri.add_subparsers(dest="subcommand")
-    ev = risub.add_parser("eval", parents=[common])
+    ev = command(risub, "eval", cmd_rigidity_eval, "space", "structure", "series")
     ev.add_argument("--at", help="comma-separated rational sample point")
-    ev.set_defaults(func=cmd_rigidity_eval)
-    risub.add_parser("certify", parents=[common]).set_defaults(func=cmd_rigidity_certify)
-    ind = risub.add_parser("independence", parents=[common])
+    command(risub, "certify", cmd_rigidity_certify, "space", "structure", "series", "seed")
+    ind = command(risub, "independence", cmd_rigidity_independence, "space", "series", "seed")
     ind.add_argument("--samples", type=int, default=5)
-    ind.set_defaults(func=cmd_rigidity_independence)
 
     su = sub.add_parser("su", help="special-unitary structure inventory")
     susub = su.add_subparsers(dest="subcommand")
-    susub.add_parser("find", parents=[common]).set_defaults(func=cmd_su_find)
+    command(susub, "find", cmd_su_find, "space")
 
     fi = sub.add_parser("fibration", help="twisted products of fibrations")
     fisub = fi.add_subparsers(dest="subcommand")
-    fc = fisub.add_parser("check", parents=[common])
+    fc = command(fisub, "check", cmd_fibration_check, "space", "structure", "cutoff")
     fc.add_argument("--fiber", help="fiber structure signs ('standard' or +/- string)")
     fc.add_argument("--fiber-roots", dest="fiber_roots", help="JSON list of isotropy roots of the fiber")
-    fc.set_defaults(func=cmd_fibration_check)
 
     hp = sub.add_parser("hp", help="quaternionic base expansions and the obstruction")
     hpsub = hp.add_subparsers(dest="subcommand")
-    hr = hpsub.add_parser("restricted", parents=[common])
+    hr = command(hpsub, "restricted", cmd_hp_restricted)
     hr.add_argument("--which", choices=("sp-flag", "cp-odd"), default="sp-flag")
     hr.add_argument("--max-index", dest="max_index", type=int, default=3)
-    hr.set_defaults(func=cmd_hp_restricted)
-    hpsub.add_parser("obstruction", parents=[common]).set_defaults(func=cmd_hp_obstruction)
+    command(hpsub, "obstruction", cmd_hp_obstruction)
 
-    rep = sub.add_parser("reproduce", parents=[common], help="run the reproduction table")
+    rep = command(sub, "reproduce", cmd_reproduce, help="run the reproduction table")
     rep.add_argument("--section", type=int, action="append", help="restrict to a topic group")
     rep.add_argument("--id", type=int, action="append", help="restrict to specific check ids")
-    rep.set_defaults(func=cmd_reproduce)
 
     return p
 

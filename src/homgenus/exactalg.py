@@ -20,9 +20,9 @@ import math
 import re
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import groupby
-from operator import itemgetter, mul
+from operator import itemgetter, mul, or_
 
 _VAR_RE = re.compile(r"^([a-z]+?)(\d*)$")
 
@@ -83,6 +83,101 @@ def _by_weight(terms, shift, cutoff):
         out = [r for r in out if r[0] <= cutoff]
     out.sort(key=itemgetter(0))
     return out
+
+
+class Packing:
+    """The packed-int layout of monomials that products and exact divisions
+    run on.
+
+    `bounds` maps each variable, in canonical order, to a bound on its
+    exponent; a monomial becomes one int with a bit field per variable, the
+    first variable lowest, each field wide enough for its bound.  With
+    `weights` (a variable's weight, 0 when it is not named; none may be
+    negative), a top field above the others holds the monomial's weighted
+    degree, `key >> top`.  Adding keys multiplies monomials: exponents and
+    degrees add with no carry between fields as long as every exponent stays
+    within its bound.  `unit[v]` is the key of the variable v.
+    """
+
+    __slots__ = ("names", "fields", "top", "unit")
+
+    def __init__(self, bounds, weights=None):
+        self.names = tuple(bounds)
+        self.fields = fields = []
+        self.unit = unit = {}
+        shift = 0
+        for v, bound in bounds.items():
+            width = bound.bit_length()
+            fields.append((shift, (1 << width) - 1))
+            unit[v] = 1 << shift
+            shift += width
+        self.top = shift
+        if weights:
+            for v in unit:
+                w = weights.get(v, 0)
+                if w < 0:
+                    raise ValueError("weight of %r must be >= 0, got %r" % (v, w))
+                unit[v] += w << shift
+
+    def pack(self, poly):
+        """(terms, den): poly as (key, int) pairs over the lcm den of its
+        coefficient denominators.  Every variable of poly must be in the
+        layout (KeyError otherwise)."""
+        unit = self.unit
+        units = [unit[v] for v in poly.vars]
+        den = math.lcm(*(c.denominator for c in poly.terms.values()))
+        return [(sum(map(mul, e, units)), c.numerator * (den // c.denominator)) for e, c in poly.terms.items()], den
+
+    def unpack(self, terms, den, used=None):
+        """The MultiPoly of the (key, int) pairs `terms` over den.  Its
+        variables are all the layout's, or with `used` only those whose field
+        holds a nonzero bit of it (the OR of the keys gives the variables the
+        terms use)."""
+        names, fields = self.names, self.fields
+        if used is not None:
+            keep = [i for i, (s, m) in enumerate(fields) if used >> s & m]
+            names, fields = tuple(names[i] for i in keep), [fields[i] for i in keep]
+        out = {tuple([k >> s & m for s, m in fields]): Fraction(c, den) for k, c in terms}
+        return MultiPoly._from_clean(names, out)
+
+    def divide(self, terms, pivot, lead, rest, message):
+        """The exact quotient {key: int} of the (key, int) pairs `terms` by
+        lead * pivot + R, R given as (key, int) pairs `rest` free of the
+        variable `pivot`, by synthetic division from the top power of the
+        pivot down.
+
+        When the divisor is primitive (the gcd of lead and R's coefficients
+        is 1), Gauss's lemma makes an exact quotient of integral terms
+        integral: a pivot step that leaves a remainder on dividing by lead,
+        or a term left with no pivot, means the quotient over Q does not
+        exist, and raises PoleCancellationError(message).  The bounds must
+        hold every key the division forms, each quotient key plus each key
+        of R.
+        """
+        shift, mask = self.fields[self.names.index(pivot)]
+        unit = self.unit[pivot]
+        buckets = {}
+        for k, c in terms:
+            buckets.setdefault(k >> shift & mask, {})[k] = c
+        quotient = {}
+        for e in range(max(buckets, default=0), 0, -1):
+            cur = buckets.pop(e, None)
+            if cur is None:
+                continue
+            below = buckets.setdefault(e - 1, {})
+            get = below.get
+            for k, c in cur.items():
+                if c:
+                    qc, r = divmod(c, lead)
+                    if r:
+                        raise PoleCancellationError(message)
+                    k -= unit
+                    quotient[k] = qc
+                    for step, l in rest:
+                        below[k + step] = get(k + step, 0) - l * qc
+        if any(buckets.get(0, {}).values()):
+            raise PoleCancellationError(message)
+        return quotient
 
 
 class MultiPoly:
@@ -283,59 +378,39 @@ class MultiPoly:
         variable it does not name; None means `var_weight` (the grading of
         ``truncate_weight``), and ``{name: 1}`` gives ``truncate_var``.
 
-        Each exponent tuple becomes one int, a bit field per variable wide
-        enough for the sum of the factors' largest exponents in that
-        variable, so adding packed keys adds the exponents with no carry
-        between fields.  Coefficients are scaled to ints over the lcm of each
-        factor's denominators.  The running product stays a dict of packed
-        ints, so each factor is packed once and each output term becomes a
-        Fraction once.  With a cutoff, a spare top field above the exponents
-        carries each term's weighted degree, which adds under multiplication
-        like the exponents do.  Both sides of every step are sorted by it and
-        only pairs whose degrees sum to at most the cutoff are formed;
-        dropping a term early loses nothing, since no weight is negative.
+        Each factor is packed once on one `Packing`, a field per variable
+        wide enough for the sum of the factors' largest exponents in that
+        variable, with coefficients scaled to ints over the lcm of the
+        factor's denominators, and the running product stays packed ints,
+        so each output term becomes a Fraction once.  With a
+        cutoff, the layout's top field carries each term's weighted degree,
+        which adds under multiplication like the exponents do.  Both sides of
+        every step are sorted by it and only pairs whose degrees sum to at
+        most the cutoff are formed; dropping a term early loses nothing,
+        since no weight is negative.
         """
         factors = list(factors)
         vs = factors[0].vars if factors else ()
         if any(p.vars != vs for p in factors):
             vs = tuple(sorted({v for p in factors for v in p.vars}, key=var_key))
-        top = dict.fromkeys(vs, 0)
+        bounds = dict.fromkeys(vs, 0)
         for p in factors:
             if not p.terms:
                 return cls._from_clean(vs, {})
             for v, column in zip(p.vars, zip(*p.terms)):
-                top[v] += max(column)
-        scale_of = {}
-        fields = []
-        shift = 0
-        for v in reversed(vs):
-            width = top[v].bit_length()
-            scale_of[v] = 1 << shift
-            fields.append((shift, (1 << width) - 1))
-            shift += width
-        fields.reverse()
+                bounds[v] += max(column)
         truncating = cutoff is not None
+        if truncating and weights is None:
+            weights = {v: var_weight(v) for v in vs}
+        layout = Packing(bounds, weights if truncating else None)
+        shift = layout.top
+        terms, den = layout.pack(factors[0]) if factors else ([(0, 1)], 1)
         if truncating:
-            for v in vs:
-                w = var_weight(v) if weights is None else weights.get(v, 0)
-                if w < 0:
-                    raise ValueError("weight of %r must be >= 0, got %r" % (v, w))
-                scale_of[v] += w << shift
-
-        def packed(p):
-            # each factor packs from its own variable positions, so none is
-            # first remapped onto the union variables; a term's packed weight
-            # is the dot product of its exponents with the weights
-            scales = [scale_of[v] for v in p.vars]
-            den = math.lcm(*(c.denominator for c in p.terms.values()))
-            terms = [(sum(map(mul, e, scales)), c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
-            return _by_weight(terms, shift, cutoff), den
-
-        cur, den = packed(factors[0]) if factors else ([(0, 0, 1)], 1)
+            terms = [kc for kc in terms if kc[0] >> shift <= cutoff]
         for p in factors[1:]:
-            pb, den_b = packed(p)
+            pb, den_b = layout.pack(p)
+            pa, pb = _by_weight(terms, shift, None), _by_weight(pb, shift, cutoff)
             den *= den_b
-            pa = cur
             if len(pa) > len(pb):
                 pa, pb = pb, pa
             b_weights = [w for w, _, _ in pb]
@@ -348,13 +423,9 @@ class MultiPoly:
                     for k2, c2 in inner:
                         k = k1 + k2
                         acc[k] = get(k, 0) + c1 * c2
-            cur = _by_weight([kc for kc in acc.items() if kc[1]], shift, None)
-            del acc  # freed before the next step or the output is built
-        out = {}
-        while cur:
-            _, k, c = cur.pop()
-            out[tuple([(k >> s) & m for s, m in fields])] = Fraction(c, den)
-        return cls._from_clean(vs, out)
+            terms = [kc for kc in acc.items() if kc[1]]
+            del acc, pa, pb  # freed before the next step or the output is built
+        return layout.unpack(terms, den)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -557,83 +628,40 @@ def _lead(poly):
     return e, poly.terms[e]
 
 
-def _synthetic_divide(num_terms, den_terms, vs, message):
-    """Fast exact division when the divisor is c*x_i^e - d with d free of x_i.
-
-    Handles every divisor we actually produce (linear isotropy-weight forms,
-    differences of squares); returns None when the shape doesn't fit so the
-    caller can fall back to the generic reduction.
-    """
-    weights = tuple(var_weight(v) for v in vs)
-    de, dc = None, None
-    for e, c in den_terms.items():
-        k = (sum(ei * w for ei, w in zip(e, weights)), e)
-        if de is None or k > (sum(ei * w for ei, w in zip(de, weights)), de):
-            de, dc = e, c
-    pivots = [i for i, ei in enumerate(de) if ei]
-    if len(pivots) != 1:
-        return None
-    i = pivots[0]
-    e0 = de[i]
-    # d = (leading monomial) - den, i.e. den = dc*x_i^e0 - d; d must avoid x_i
-    d = {}
-    for e, c in den_terms.items():
-        if e == de:
-            continue
-        if e[i]:
-            return None
-        d[e[:i] + (0,) + e[i + 1:]] = -c
-    # bucket the numerator by x_i exponent
-    buckets = {}
-    m = 0
-    for e, c in num_terms.items():
-        k = e[i]
-        m = max(m, k)
-        buckets.setdefault(k, {})[e[:i] + (0,) + e[i + 1:]] = c
-    q = {}  # x_i exponent -> dict of remaining exponents
-    for k in range(m, -1, -1):
-        cur = dict(buckets.get(k, ()))
-        if d and k in q:
-            for e1, c1 in q[k].items():
-                for e2, c2 in d.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    s = cur.get(e, Fraction(0)) + c1 * c2
-                    if s:
-                        cur[e] = s
-                    elif e in cur:
-                        del cur[e]
-        if k >= e0:
-            if cur:
-                q[k - e0] = {e: c / dc for e, c in cur.items()}
-        elif cur:
-            raise PoleCancellationError(message)
-    out = {}
-    for k, terms in q.items():
-        for e, c in terms.items():
-            out[e[:i] + (k,) + e[i + 1:]] = c
-    return MultiPoly(vs, out).restrict_vars()
-
-
 def exact_divide(numerator, denominator, message="pole not cancelled"):
     """Divide exactly, raising PoleCancellationError on any remainder.
 
     Since we only ever divide by actual factors (products of linear forms
     coming from isotropy weights), a nonzero remainder means a localization
-    pole failed to cancel — hence the default error text.  Divisors of the
-    shape c*x_i^e - (terms without x_i) take a linear-time synthetic route;
-    anything else falls back to leading-term reduction in graded-lex order.
+    pole failed to cancel — hence the default error text.  A divisor whose
+    graded-lex leading term is c*x_p, with x_p in no other term, takes
+    `Packing.divide`: the numerator as ints over the lcm of its denominators,
+    divided by the divisor's primitive integer part, the quotient read back
+    over that lcm times the divisor's content.  Anything else falls back to
+    leading-term reduction in graded-lex order.
     """
     if denominator.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if numerator.is_zero():
         return MultiPoly.zero()
     ta, tb, vs = numerator._aligned(denominator)
-    fast = _synthetic_divide(ta, tb, vs, message)
-    if fast is not None:
-        return fast
-    num = MultiPoly(vs, ta)
-    den = MultiPoly(vs, tb)
+    num = MultiPoly._from_clean(vs, ta)
+    den = MultiPoly._from_clean(vs, tb)
     de, dc = _lead(den)
+    p = de.index(1) if sum(de) == 1 else None
+    if p is not None and sum(e[p] for e in tb) == 1:
+        # room for the divisor and every key the division forms: at most
+        # deg_p(N) steps down, each adding R's exponents
+        n_deg = [max(column) for column in zip(*ta)]
+        layout = Packing({v: a + (n_deg[p] + 1) * max(b) for v, a, b in zip(vs, n_deg, zip(*tb))})
+        terms, n_den = layout.pack(num)
+        d_terms, d_den = layout.pack(den)
+        g = math.gcd(*(c for _, c in d_terms))
+        unit = layout.unit[vs[p]]
+        lead = next(c for k, c in d_terms if k == unit) // g
+        rest = [(k, c // g) for k, c in d_terms if k != unit]
+        quotient = layout.divide(terms, vs[p], lead, rest, message)
+        return layout.unpack(((k, c * d_den) for k, c in quotient.items()), n_den * g, reduce(or_, quotient, 0))
     qterms = {}
     while not num.is_zero():
         ne, nc = _lead(num)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .cobordism import evaluate_class, specialize_genus, tanh_series, todd_series
 from .exactalg import MultiPoly, RationalFn, TruncatedSeries
 from .rootdata import InputError, dot
-from .structures import fixed_points
+from .structures import fixed_points, point_signs
 from .toricgenus import chern_dold_genus
 
 
@@ -146,27 +146,39 @@ def rigidity_eval(structure, f, point):
 
     f is a RationalFn in one variable with f(z)/z invertible at 0; the sum
     sum_p sign(p) / prod_j f(<Lambda_j(p), point>) is a single Fraction.
+    The weight on line l at a point is eps_l times the root its coset
+    representative makes of line l's root, read through the root
+    permutation, so no weight vector is built; a weight that pairs to zero
+    with the point, or meets a zero (ValueError) or a pole
+    (ZeroDivisionError) of the kernel, raises an error naming it.
     """
     if not isinstance(f, RationalFn):
         raise TypeError("rigidity_eval needs an exact rational genus kernel")
     var = _genus_variable(f)
     point = tuple(Fraction(c) for c in point)
-    # a sum meets at most 2 * |roots| distinct weights, each many times
+    space = structure.space
+    roots, ks = space.group.roots, space.comp_root_indices
+    # a sum meets at most 2 * |roots| distinct (sign, root) weights, each many times
     kernel = {}
     total = Fraction(0)
-    for fp in fixed_points(structure):
+    for rep, (sign, eps) in zip(space.cosets.representatives, point_signs(structure)):
         prod = Fraction(1)
-        for w in fp.weights:
-            val = kernel.get(w)
+        for e, k in zip(eps, ks):
+            r = rep.perm[k]
+            val = kernel.get((e, r))
             if val is None:
-                arg = dot(w, point)
+                arg = e * dot(roots[r], point)
+                w = tuple(e * c for c in roots[r])
                 if arg == 0:
-                    raise ValueError("weight %s pairs to zero with the sample point" % (tuple(w),))
-                val = kernel[w] = f.evaluate({var: arg})
+                    raise ValueError("weight %s pairs to zero with the sample point" % (w,))
+                try:
+                    val = kernel[e, r] = f.evaluate({var: arg})
+                except ZeroDivisionError:
+                    raise ZeroDivisionError("genus kernel has a pole at weight %s" % (w,)) from None
                 if val == 0:
-                    raise ValueError("genus kernel vanishes at weight %s" % (tuple(w),))
+                    raise ValueError("genus kernel vanishes at weight %s" % (w,))
             prod *= val
-        total += Fraction(fp.sign) / prod
+        total += Fraction(sign) / prod
     return total
 
 
@@ -262,7 +274,11 @@ def certify_odd_rigidity(structure, f=None, seed=0):
             pt, (value,) = _sample([structure], f, rng)
             result["samples"].append((pt, value))
         if result["verdict"] == "certified zero":
-            assert all(v == 0 for _, v in result["samples"])
+            for pt, v in result["samples"]:
+                if v != 0:
+                    raise ArithmeticError(
+                        "certified zero, but the sum at the sample point %s is %s" % (tuple(map(str, pt)), v)
+                    )
     elif isinstance(f, TruncatedSeries):
         cls = chern_dold_genus(structure).bordism_class()
         val = genus_of_class(cls, f, space.n)

@@ -24,12 +24,13 @@ import itertools
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import or_
 
 from .exactalg import (
     MAX_EXPONENT,
     MultiPoly,
-    PoleCancellationError,
+    Packing,
     divided_difference,
     exact_divide,
     vandermonde,
@@ -49,61 +50,10 @@ from .structures import (
 _POLE = "localization sum has uncancelled pole"
 
 
-class _Packing:
-    """The packed-int layout of the symbolic sum.
-
-    A monomial in x1..x_dim, a1..a_cutoff and t is one int with a bit field
-    per variable, t in the top field, so that `key >> t_shift` is its
-    t-degree and sorting keys sorts by t-degree.  Each field is as wide as
-    the bound given for its exponent; every term the sum and the divisions
-    form stays within the bounds, so adding keys never carries between
-    fields.
-    """
-
-    def __init__(self, dim, cutoff, x_degree, a_degrees):
-        names = ["x%d" % (j + 1) for j in range(dim)] + ["a%d" % i for i in range(1, cutoff + 1)]
-        widths = [x_degree.bit_length()] * dim + [b.bit_length() for b in a_degrees]
-        self.fields = []
-        shift = 0
-        for name, width in zip(names, widths):
-            self.fields.append((name, shift, (1 << width) - 1))
-            shift += width
-        self.t_shift = shift
-        self.x_mask = (1 << x_degree.bit_length()) - 1
-        self.unit = {name: 1 << s for name, s, _ in self.fields}
-        self.unit["t"] = 1 << shift
-
-    def line(self, line):
-        """<line, x> as (key, coefficient) pairs, its first coordinate first."""
-        return [(self.unit["x%d" % (j + 1)], c) for j, c in enumerate(line) if c]
-
-    def pack(self, poly):
-        """(terms, den): poly as ints over the lcm of its denominators."""
-        if any(v not in self.unit for v in poly.vars):
-            raise ValueError("fiber form has variables outside the x's, the a's to the cutoff and t")
-        units = [self.unit[v] for v in poly.vars]
-        den = math.lcm(*(c.denominator for c in poly.terms.values()))
-        return {sum(map(mul, e, units)): c.numerator * (den // c.denominator) for e, c in poly.terms.items()}, den
-
-    def unpack(self, terms, den, used=None):
-        """The MultiPoly terms / den, the only place the sum forms
-        Fractions.  Its variables are those with a nonzero field in `used`,
-        by default the OR of the keys: the variables its terms use."""
-        if used is None:
-            used = 0
-            for k in terms:
-                used |= k
-        fields = [(name, s, m) for name, s, m in self.fields if used >> s & m]
-        ts = self.t_shift
-        if used >> ts:
-            fields.append(("t", ts, -1))
-        out = {tuple([k >> s & m for _, s, m in fields]): Fraction(c, den) for k, c in terms.items()}
-        return MultiPoly._from_clean(tuple(name for name, _, _ in fields), out)
-
-
 def _by_degree(terms, ts, cutoff):
-    """upto[r]: the (key, coefficient) pairs of t-degree at most r, r <= cutoff."""
-    items = sorted(terms.items())
+    """upto[r]: the (key, coefficient) pairs `terms` of t-degree at most r,
+    r <= cutoff."""
+    items = sorted(terms)
     keys = [k for k, _ in items]
     return [items[: bisect_left(keys, (r + 1) << ts)] for r in range(cutoff + 1)]
 
@@ -133,12 +83,16 @@ def _times_line(poly, line_terms):
 
 
 def _packed_sum(points, ordering, cutoff, fiber_forms):
-    """The symbolic fixed-point sum in the packed layout.
+    """The symbolic fixed-point sum on one `Packing`.
 
-    Returns (terms, den, lines, packing, factor_vars), terms / den being the
-    numerator over the product of `lines` and factor_vars the OR of the
-    keys of every factor, whose fields name the variables the numerator's
-    factors carry.  Every factor is ints: a scale p/q enters
+    Returns (terms, den, line_terms, layout, factor_vars), terms / den
+    being the numerator over the product of the lines, line_terms mapping
+    each line to <line, x> as packed (key, coefficient) pairs, its first
+    coordinate first, and factor_vars the OR of the keys of every factor,
+    whose fields name the variables the numerator's factors carry.  The
+    layout has a field per x, per a_i to the cutoff and for t, and t's
+    weight in the top field, so `key >> layout.top` is a term's t-degree and
+    sorting keys sorts by it.  Every factor is ints: a scale p/q enters
     f(t * (p/q) * line) as the terms a_i t^i p^i q^(cutoff-i) line^i over
     q^cutoff, a fiber form over the lcm of its denominators, and each
     point's remaining rational, sign * prod q / (prod p * prod q^cutoff *
@@ -150,7 +104,8 @@ def _packed_sum(points, ordering, cutoff, fiber_forms):
     canonical = {w: canonical_positive(w, ordering) for w in distinct}
     lines = list(dict.fromkeys(line for line, _ in canonical.values()))
     # exponent bounds: the missing lines and the f-chain (x-degree equal to
-    # its t-degree, a_i with t^i) bound the x's and a's; a fiber form adds its own
+    # its t-degree, a_i with t^i) bound the x-degree and the a's, and a fiber
+    # form adds its own; a division by a line keeps each term's x-degree
     fiber_x, fiber_a = 0, [0] * cutoff
     for form in fiber_forms or ():
         xs = [i for i, v in enumerate(form.vars) if v[0] == "x"]
@@ -158,13 +113,14 @@ def _packed_sum(points, ordering, cutoff, fiber_forms):
         for v, column in zip(form.vars, zip(*form.terms)):
             if v[0] == "a" and int(v[1:]) <= cutoff:
                 fiber_a[int(v[1:]) - 1] = max(fiber_a[int(v[1:]) - 1], max(column))
-    packing = _Packing(
-        len(ordering.v), cutoff, len(lines) + cutoff + fiber_x, [cutoff // i + b for i, b in enumerate(fiber_a, 1)]
-    )
-    ts = packing.t_shift
-    line_terms = {line: packing.line(line) for line in lines}
-    fibers = [packing.pack(form) for form in fiber_forms] if fiber_forms is not None else None
-    factor_vars = sum(packing.unit[v] for v in {v for form in fiber_forms or () for v in form.vars})
+    bounds = dict.fromkeys(("x%d" % (j + 1) for j in range(len(ordering.v))), len(lines) + cutoff + fiber_x)
+    bounds.update(("a%d" % i, cutoff // i + b) for i, b in enumerate(fiber_a, 1))
+    bounds["t"] = cutoff
+    layout = Packing(bounds, {"t": 1})
+    ts, unit = layout.top, layout.unit
+    line_terms = {line: [(unit["x%d" % (j + 1)], c) for j, c in enumerate(line) if c] for line in lines}
+    fibers = [layout.pack(form) for form in fiber_forms] if fiber_forms is not None else None
+    factor_vars = sum(unit[v] for v in {v for form in fiber_forms or () for v in form.vars})
 
     # each point's rational as an int over one denominator, before any product
     rows = []
@@ -194,10 +150,10 @@ def _packed_sum(points, ordering, cutoff, fiber_forms):
         for i in range(1, cutoff + 1):
             if len(pw) <= i:
                 pw.append(_times_line(pw[-1], line_terms[line]))
-            at, c = packing.unit["a%d" % i] + (i << ts), p**i * q ** (cutoff - i)
+            at, c = unit["a%d" % i] + i * unit["t"], p**i * q ** (cutoff - i)
             for key, v in pw[i].items():
                 terms[at + key] = c * v
-        return _by_degree(terms, ts, cutoff)
+        return _by_degree(terms.items(), ts, cutoff)
 
     groups = {}
     for k, (num, den, cw, missing) in enumerate(rows):
@@ -222,42 +178,7 @@ def _packed_sum(points, ordering, cutoff, fiber_forms):
             factor_vars |= sum(step for step, _ in line_terms[line])
         for key, c in acc.items():
             total[key] = get(key, 0) + c
-    return {k: c for k, c in total.items() if c}, common, lines, packing, factor_vars
-
-
-def _divide_line(terms, line, packing):
-    """terms / <line, x> on packed keys, by synthetic division on the line's
-    first nonzero coordinate x_p, from the top power of x_p down.
-
-    The terms are integral and the line is a primitive integer vector, so
-    by Gauss's lemma an exact quotient is integral: a division by the pivot
-    coefficient that leaves a remainder, or a term left with no x_p, means
-    the sum has an uncancelled pole.
-    """
-    (unit, lead), *rest = packing.line(line)
-    shift, mask = unit.bit_length() - 1, packing.x_mask
-    buckets = {}
-    for k, c in terms.items():
-        buckets.setdefault(k >> shift & mask, {})[k] = c
-    quotient = {}
-    for e in range(max(buckets, default=0), 0, -1):
-        cur = buckets.pop(e, None)
-        if cur is None:
-            continue
-        below = buckets.setdefault(e - 1, {})
-        get = below.get
-        for k, c in cur.items():
-            if c:
-                qc, r = divmod(c, lead)
-                if r:
-                    raise PoleCancellationError(_POLE)
-                k -= unit
-                quotient[k] = qc
-                for step, l in rest:
-                    below[k + step] = get(k + step, 0) - l * qc
-    if any(buckets.get(0, {}).values()):
-        raise PoleCancellationError(_POLE)
-    return quotient
+    return {k: c for k, c in total.items() if c}, common, line_terms, layout, factor_vars
 
 
 def localized_numerator(points, ordering, cutoff, fiber_forms=None):
@@ -270,17 +191,20 @@ def localized_numerator(points, ordering, cutoff, fiber_forms=None):
     (used by twisted products).  Points that miss the same lines are summed
     first, and each group's sum then multiplies its missing lines once.
     """
-    terms, den, lines, packing, factor_vars = _packed_sum(points, ordering, cutoff, fiber_forms)
-    return packing.unpack(terms, den, factor_vars), lines
+    terms, den, line_terms, layout, factor_vars = _packed_sum(points, ordering, cutoff, fiber_forms)
+    return layout.unpack(terms.items(), den, factor_vars), list(line_terms)
 
 
 def _localized_form(points, ordering, cutoff, fiber_forms=None):
-    """`localized_numerator`'s N divided by its lines, exactly, in the
-    packed layout; raises PoleCancellationError on an uncancelled pole."""
-    terms, den, lines, packing, _ = _packed_sum(points, ordering, cutoff, fiber_forms)
-    for line in lines:
-        terms = _divide_line(terms, line, packing)
-    return packing.unpack(terms, den)
+    """`localized_numerator`'s N divided by its lines, exactly, on its
+    packed ints: each line is primitive, so `Packing.divide` by it on its
+    first nonzero coordinate raises PoleCancellationError on an uncancelled
+    pole."""
+    terms, den, line_terms, layout, _ = _packed_sum(points, ordering, cutoff, fiber_forms)
+    for line, ((_, lead), *rest) in line_terms.items():
+        pivot = "x%d" % (next(j for j, c in enumerate(line) if c) + 1)
+        terms = layout.divide(terms.items(), pivot, lead, rest, _POLE)
+    return layout.unpack(terms.items(), den, reduce(or_, terms, 0))
 
 
 def certified(structure):

@@ -10,8 +10,10 @@ evaluates the kernel once per distinct weight; the functions after the
 series do each in plain Fraction arithmetic, one term or one weight at a
 time.  The symbolic localization sum and its divisions run on packed ints
 over one denominator; the functions at the end build it from `MultiPoly`
-products and divide it by `exact_divide`, one line at a time, and a Weyl
-element moves a vector by the Fraction reflections its word names, where
+products and divide it by `exact_divide`, one line at a time.
+`exact_divide` divides by a linear pivot on packed ints;
+`synthetic_divide_reference` does it on Fraction terms and exponent tuples.
+A Weyl element moves a vector by the Fraction reflections its word names, where
 the package reads the element's root permutation.  The Schur route's a^omega
 coefficient runs the point route's step table over the down-set of omega;
 `f_omega_reference` copies a dict of sub-multi-indices once per factor.
@@ -21,7 +23,14 @@ Tests compare the two.
 from fractions import Fraction
 
 from homgenus.cobordism import formal_group_law
-from homgenus.exactalg import MultiPoly, RationalFn, TruncatedSeries, exact_divide
+from homgenus.exactalg import (
+    MultiPoly,
+    PoleCancellationError,
+    RationalFn,
+    TruncatedSeries,
+    exact_divide,
+    var_weight,
+)
 from homgenus.hirzebruch import _genus_variable, _sample_point
 from homgenus.rootdata import canonical_positive, dot
 from homgenus.structures import fixed_points
@@ -175,7 +184,10 @@ def rigidity_eval_reference(structure, f, point):
             arg = dot(w, point)
             if arg == 0:
                 raise ValueError("weight %s pairs to zero with the sample point" % (tuple(w),))
-            val = _kernel_reference(f, var, arg)
+            try:
+                val = _kernel_reference(f, var, arg)
+            except ZeroDivisionError:
+                raise ZeroDivisionError("genus kernel has a pole at weight %s" % (tuple(w),)) from None
             if val == 0:
                 raise ValueError("genus kernel vanishes at weight %s" % (tuple(w),))
             prod *= val
@@ -240,6 +252,60 @@ def divide_lines_reference(numerator, lines):
     for line in lines:
         numerator = exact_divide(numerator, _form_of(line), "localization sum has uncancelled pole")
     return numerator
+
+
+def synthetic_divide_reference(num_terms, den_terms, vs, message):
+    """num / den on exponent tuples over `vs`, in Fractions, when den is
+    c*x_i^e - d with c*x_i^e its graded-lex leading term and d free of x_i;
+    None for any other shape.  Buckets the numerator by the x_i exponent and
+    clears it from the top down; a bucket below x_i^e left nonzero raises
+    PoleCancellationError(message)."""
+    weights = tuple(var_weight(v) for v in vs)
+    de, dc = None, None
+    for e, c in den_terms.items():
+        k = (sum(ei * w for ei, w in zip(e, weights)), e)
+        if de is None or k > (sum(ei * w for ei, w in zip(de, weights)), de):
+            de, dc = e, c
+    pivots = [i for i, ei in enumerate(de) if ei]
+    if len(pivots) != 1:
+        return None
+    i = pivots[0]
+    e0 = de[i]
+    d = {}
+    for e, c in den_terms.items():
+        if e == de:
+            continue
+        if e[i]:
+            return None
+        d[e[:i] + (0,) + e[i + 1:]] = -c
+    buckets = {}
+    m = 0
+    for e, c in num_terms.items():
+        k = e[i]
+        m = max(m, k)
+        buckets.setdefault(k, {})[e[:i] + (0,) + e[i + 1:]] = c
+    q = {}
+    for k in range(m, -1, -1):
+        cur = dict(buckets.get(k, ()))
+        if d and k in q:
+            for e1, c1 in q[k].items():
+                for e2, c2 in d.items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    s = cur.get(e, Fraction(0)) + c1 * c2
+                    if s:
+                        cur[e] = s
+                    elif e in cur:
+                        del cur[e]
+        if k >= e0:
+            if cur:
+                q[k - e0] = {e: c / dc for e, c in cur.items()}
+        elif cur:
+            raise PoleCancellationError(message)
+    out = {}
+    for k, terms in q.items():
+        for e, c in terms.items():
+            out[e[:i] + (k,) + e[i + 1:]] = c
+    return MultiPoly(vs, out).restrict_vars()
 
 
 def f_factor_reference(line, scale, cutoff, power):

@@ -99,6 +99,36 @@ def test_cutoff_above_the_degree_cap_is_usage_error(capsys, command):
     assert "--cutoff must be between 0 and 256" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("genus", "todd", "--space", "CP2", "--ordering", "1,2,3"),
+        ("genus", "todd", "--space", "CP2", "--omega", "5"),
+        ("genus", "todd", "--space", "CP2", "--seed", "3"),
+        ("genus", "todd", "--space", "CP2", "--series", "x"),
+        ("space", "list", "--cutoff", "3"),
+        ("space", "list", "--structure", "zz"),
+        ("space", "info", "--space", "CP2", "--structure", "standard"),
+        ("genus", "class", "--space", "CP2", "--ordering", "1,2,3"),
+        ("genus", "s", "--space", "CP2", "--omega", "2", "--cutoff", "2"),
+        ("genus", "chi-y", "--space", "CP2", "--seed", "1"),
+        ("rigidity", "eval", "--space", "CP1", "--series", "u", "--at", "2,1", "--seed", "1"),
+        ("rigidity", "independence", "--space", "CP3", "--series", "u", "--structure", "+-"),
+        ("su", "find", "--space", "CP2", "--cutoff", "2"),
+        ("fibration", "check", "--space", "CP2", "--omega", "1,0"),
+        ("hp", "restricted", "--space", "CP2"),
+        ("hp", "obstruction", "--seed", "1"),
+        ("reproduce", "--id", "1", "--space", "CP2"),
+    ],
+    ids=lambda argv: " ".join(argv[:2]) + " " + next(a for a in reversed(argv) if a.startswith("--")),
+)
+def test_flag_the_command_does_not_read_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_internal_error_exits_4(capsys, monkeypatch):
     def broken(ns):
         raise RuntimeError("kaput")
@@ -250,13 +280,22 @@ def test_rigidity_eval(capsys):
     assert json.loads(out)["result"]["value"] == 80
 
 
-def test_rigidity_eval_pole_is_math_error(capsys):
-    code, _, err = run(
-        capsys,
-        "rigidity", "eval", "--space", "CP1", "--series", "u/(1+u^2)", "--at", "1,1",
-    )
-    assert code == 2
-    assert "pairs to zero" in err
+@pytest.mark.parametrize(
+    "space, series, at, named",
+    [
+        ("CP1", "u/(1+u^2)", "1,1", "weight (1, -1) pairs to zero"),
+        ("G42", "u/(1+u^2)", "1,1,0,0", "weight (1, -1, 0, 0) pairs to zero"),
+        ("G42", "u/(1-u)", "2,1,0,0", "genus kernel has a pole at weight (0, 1, -1, 0)"),
+    ],
+    ids=["CP1-zero-pairing", "G42-zero-pairing", "G42-kernel-pole"],
+)
+def test_rigidity_eval_bad_point_is_usage_error(capsys, space, series, at, named):
+    # the point is input: a weight pairing to zero with it, or meeting a
+    # pole of the kernel there, is bad input, and the message names the weight
+    code, out, err = run(capsys, "rigidity", "eval", "--space", space, "--series", series, "--at", at)
+    assert code == 1
+    assert out == ""
+    assert "usage error: --at %s: %s" % (at, named) in err
 
 
 def test_rigidity_bad_series_is_usage_error(capsys):

@@ -89,6 +89,11 @@ def test_exact_divide_cubic():
 def test_exact_divide_failure_raises():
     with pytest.raises(PoleCancellationError):
         exact_divide(parse_poly("x1^2 + x2^2"), parse_poly("x1 - x2"))
+    # the divisor's x2 is in no term of the numerator: the packed layout must
+    # still hold it and every key the pivot steps form
+    for num, den in (("2*x1 - 2*x3", "x1 + 2*x2 - x3"), ("x1^3 + 3*x1^2*x3", "x1 - x2 + 3*x3")):
+        with pytest.raises(PoleCancellationError):
+            exact_divide(parse_poly(num), parse_poly(den))
 
 
 def test_exact_divide_custom_message():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import homgenus.hirzebruch
 from homgenus.catalog import catalog_entry, catalog_list, catalog_space
 from homgenus.cobordism import tanh_series, todd_series
 from homgenus.exactalg import parse_poly, parse_rational
@@ -323,6 +324,14 @@ def test_certify_odd_rigidity_not_covered():
     assert out["verdict"] == "not covered: odd number of fixed points"
     # and indeed the functional is not zero there
     assert any(v != 0 for _, v in out["samples"])
+
+
+def test_certify_refuses_a_wrong_certificate(monkeypatch):
+    # a certificate handed to G42's standard structure, whose odd sums are
+    # not zero: the samples contradict it, and the check holds under -O too
+    monkeypatch.setattr(homgenus.hirzebruch, "_find_pairing", lambda s, fps: {"element": (0,), "pairs": []})
+    with pytest.raises(ArithmeticError, match="certified zero, but the sum at the sample point"):
+        certify_odd_rigidity(_std("G42"), f=parse_rational("u/(1+u^2)"))
 
 
 def test_certify_with_truncated_series():

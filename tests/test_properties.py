@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from homgenus.catalog import catalog_space
 from homgenus.exactalg import (
     MultiPoly,
+    PoleCancellationError,
     TruncatedSeries,
     exact_divide,
     parse_poly,
@@ -38,6 +39,7 @@ from series_reference import (
     invert_series,
     localized_numerator_reference,
     series_reversion,
+    synthetic_divide_reference,
     to_text_reference,
     word_image,
 )
@@ -73,6 +75,62 @@ def test_ring_axioms(a, b, c):
 def test_exact_divide_round_trip(a, b):
     assume(not b.is_zero())
     assert exact_divide(a * b, b) == a
+
+
+_DIVIDE_VARS = ("x1", "x2", "x3", "y")
+
+
+@st.composite
+def linear_divisors(draw):
+    """(pivot, lead * pivot + R) with rational coefficients.  R's monomials
+    are free of the pivot and rank below it in graded-lex order: a constant,
+    powers of y (weight 0), and the later x's, alone or times y; so the
+    pivot term leads."""
+    p = draw(st.integers(1, 3))
+    ys = [{"y": k} for k in range(3)]
+    monomials = ys + [dict(m, **{"x%d" % j: 1}) for j in range(p + 1, 4) for m in ys[:2]]
+    d = MultiPoly.variable("x%d" % p) * draw(fractions.filter(bool))
+    for m in draw(st.lists(st.sampled_from(monomials), max_size=4, unique_by=lambda m: tuple(sorted(m.items())))):
+        term = MultiPoly.const(draw(fractions.filter(bool)))
+        for v, k in m.items():
+            term = term * MultiPoly.variable(v) ** k
+        d = d + term
+    return "x%d" % p, d
+
+
+@settings(deadline=None)
+@given(linear_divisors(), polys(names=_DIVIDE_VARS, max_exp=2), st.data())
+def test_linear_exact_divide_matches_the_reference(divisor, q, data):
+    # an exact product divides back to q; adding c*m, free of the pivot,
+    # leaves a remainder: d has degree 1 in the pivot, so it divides no
+    # nonzero polynomial free of it
+    pivot, d = divisor
+    cases = [(d * q, q)]
+    c = data.draw(fractions.filter(bool))
+    m = MultiPoly.const(c)
+    for v in _DIVIDE_VARS:
+        if v != pivot:
+            m = m * MultiPoly.variable(v) ** data.draw(st.integers(0, 2))
+    cases.append((d * q + m, None))
+    for num, want in cases:
+        if num.is_zero():
+            continue
+        ta, tb, vs = num._aligned(d)
+        try:
+            ref = synthetic_divide_reference(ta, tb, vs, "caller's message")
+        except PoleCancellationError as exc:
+            ref = exc
+        try:
+            got = exact_divide(num, d, "caller's message")
+        except PoleCancellationError as exc:
+            got = exc
+        if want is None:
+            assert isinstance(ref, PoleCancellationError) and str(ref) == "caller's message"
+            assert isinstance(got, PoleCancellationError) and str(got) == "caller's message"
+        else:
+            assert ref == want
+            assert got == want
+            assert got.vars == ref.vars
 
 
 @given(polys())

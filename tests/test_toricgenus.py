@@ -12,13 +12,11 @@ import pytest
 from homgenus.catalog import catalog_entry, catalog_space
 from homgenus.cobordism import basis_convert
 from homgenus import toricgenus
-from homgenus.exactalg import MultiPoly, PoleCancellationError, divided_difference, parse_poly, vandermonde
+from homgenus.exactalg import MultiPoly, Packing, PoleCancellationError, divided_difference, parse_poly, vandermonde
 from homgenus.rootdata import canonical_positive, default_ordering
 from homgenus.structures import InvariantStructure, fixed_points, parse_signs, space_from_json
 from homgenus.toricgenus import (
-    _Packing,
     _block_partition,
-    _divide_line,
     _down_set,
     _localized_form,
     _symbolic_form,
@@ -247,11 +245,11 @@ def test_cancelling_numerator_is_zero_without_a_pole():
 def test_inexact_pivot_division_is_a_pole():
     # (3*x1 - x2) / (2*x1 - x2): the pivot division 3 / 2 leaves a remainder;
     # rounding it away would leave nothing without x1 and hide the pole
-    packing = _Packing(2, 0, 1, [])
-    terms = {packing.unit["x1"]: 3, packing.unit["x2"]: -1}
+    layout = Packing({"x1": 1, "x2": 1})
+    x1, x2 = layout.unit["x1"], layout.unit["x2"]
     with pytest.raises(PoleCancellationError, match="uncancelled pole"):
-        _divide_line(terms, (2, -1), packing)
-    assert _divide_line({packing.unit["x1"]: 4, packing.unit["x2"]: -2}, (2, -1), packing) == {0: 2}
+        layout.divide([(x1, 3), (x2, -1)], "x1", 2, [(x2, -1)], toricgenus._POLE)
+    assert layout.divide([(x1, 4), (x2, -2)], "x1", 2, [(x2, -1)], toricgenus._POLE) == {0: 2}
 
 
 def test_restricted_sp_flag_table():
