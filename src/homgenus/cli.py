@@ -21,7 +21,6 @@ from .exactalg import MAX_EXPONENT, MultiPoly, PoleCancellationError, parse_rati
 from .hirzebruch import (
     certify_odd_rigidity,
     chi_y_genus,
-    point_index,
     rigidity_eval,
     signature,
     structure_independence,
@@ -34,8 +33,8 @@ from .structures import (
     SubgroupData,
     enumerate_structures,
     find_su_structures,
-    fixed_points,
     parse_signs,
+    point_indices,
     space_from_json,
 )
 from .toricgenus import (
@@ -283,17 +282,10 @@ def cmd_genus_chi_y(ns):
     structure = _resolve_structure(ns, entry, space)
     ordering = _resolve_ordering(ns, space)
     chi = chi_y_genus(structure, ordering=ordering)
-    ordering = ordering or space.ordering
-    rows = []
-    for fp in fixed_points(structure):
-        rows.append(
-            {
-                "coset": fp.index,
-                "word": list(fp.rep.word),
-                "index": point_index(fp.weights, ordering),
-                "sign": fp.sign,
-            }
-        )
+    rows = [
+        {"coset": i, "word": list(rep.word), "index": index, "sign": sign}
+        for i, (rep, (sign, index)) in enumerate(zip(space.cosets, point_indices(structure, ordering)))
+    ]
     coeffs = [str(chi.coefficient_of("y", k).constant_value()) for k in range(space.n + 1)]
     doc = {"chi_y": chi.to_text() or "0", "coefficients": coeffs, "fixed_points": rows}
     plain = "chi_y = %s\ncoefficients: %s\n" % (doc["chi_y"], coeffs) + "\n".join(

@@ -92,9 +92,9 @@ class Packing:
     `bounds` maps each variable, in canonical order, to a bound on its
     exponent; a monomial becomes one int with a bit field per variable, the
     first variable lowest, each field wide enough for its bound.  With
-    `weights` (a variable's weight, 0 when it is not named; none may be
-    negative), a top field above the others holds the monomial's weighted
-    degree, `key >> top`.  Adding keys multiplies monomials: exponents and
+    `weights` (a variable's non-negative weight, 0 when it is not named), a
+    top field above the others holds the monomial's weighted degree,
+    `key >> top`.  Adding keys multiplies monomials: exponents and
     degrees add with no carry between fields as long as every exponent stays
     within its bound.  `unit[v]` is the key of the variable v.
     """
@@ -114,10 +114,7 @@ class Packing:
         self.top = shift
         if weights:
             for v in unit:
-                w = weights.get(v, 0)
-                if w < 0:
-                    raise ValueError("weight of %r must be >= 0, got %r" % (v, w))
-                unit[v] += w << shift
+                unit[v] += weights.get(v, 0) << shift
 
     def pack(self, poly):
         """(terms, den): poly as (key, int) pairs over the lcm den of its
@@ -370,13 +367,10 @@ class MultiPoly:
     __rmul__ = __mul__
 
     @classmethod
-    def product(cls, factors, weights=None, cutoff=None):
+    def product(cls, factors, cutoff=None):
         """Exact product of `factors`, on packed integer monomials; with a
-        cutoff, only its terms of weighted degree at most the cutoff.
-
-        `weights` maps a variable to a non-negative int weight, 0 for a
-        variable it does not name; None means `var_weight` (the grading of
-        ``truncate_weight``), and ``{name: 1}`` gives ``truncate_var``.
+        cutoff, only its terms of `var_weight` degree (the grading of
+        ``truncate_weight``) at most the cutoff.
 
         Each factor is packed once on one `Packing`, a field per variable
         wide enough for the sum of the factors' largest exponents in that
@@ -400,9 +394,7 @@ class MultiPoly:
             for v, column in zip(p.vars, zip(*p.terms)):
                 bounds[v] += max(column)
         truncating = cutoff is not None
-        if truncating and weights is None:
-            weights = {v: var_weight(v) for v in vs}
-        layout = Packing(bounds, weights if truncating else None)
+        layout = Packing(bounds, {v: var_weight(v) for v in vs} if truncating else None)
         shift = layout.top
         terms, den = layout.pack(factors[0]) if factors else ([(0, 1)], 1)
         if truncating:

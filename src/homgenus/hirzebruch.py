@@ -6,6 +6,7 @@ rational sample points into rational genus kernels, and the odd-genus
 certificates are combinatorial pairings of the fixed points, not numerics.
 """
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -13,24 +14,8 @@ from fractions import Fraction
 from .cobordism import evaluate_class, specialize_genus, tanh_series, todd_series
 from .exactalg import MultiPoly, RationalFn, TruncatedSeries
 from .rootdata import InputError, dot
-from .structures import fixed_points, point_signs
+from .structures import fixed_points, index_counts, point_signs
 from .toricgenus import chern_dold_genus
-
-
-def point_index(weights, ordering):
-    """Number of isotropy weights on the negative side of the ordering."""
-    return sum(1 for w in weights if ordering.sign(w) < 0)
-
-
-def _index_counts(structure, ordering):
-    """counts[ind] = signed number of fixed points with index ind under
-    `ordering`, for ind = 0..n, as a tuple of ints, counted afresh; the
-    structure keeps the counts for its space's own ordering."""
-    counts = [0] * (structure.space.n + 1)
-    orientation = getattr(structure, "global_sign", 1)
-    for fp in fixed_points(structure):
-        counts[point_index(fp.weights, ordering)] += orientation * fp.sign
-    return tuple(counts)
 
 
 def _chi_y_of_counts(counts):
@@ -45,12 +30,11 @@ def chi_y_genus(structure, ordering=None):
     count vector, shared by every structure with those counts; like every
     MultiPoly it must not be changed, since it memoizes its text and its
     integer form, so each is built once per count vector.  The value does
-    not depend on the choice of generic ordering; the general path
-    recomputes weight signs for whatever ordering is passed, and the
-    property tests compare it against the cached default-ordering path.
+    not depend on the choice of generic ordering; another ordering is
+    counted afresh (`structures.index_counts`).
     """
     if ordering is not None:
-        return _chi_y_of_counts(_index_counts(structure, ordering))
+        return _chi_y_of_counts(index_counts(structure, ordering))
     counts = structure.index_counts
     shared = structure.space._chi_y_polys
     chi = shared.get(counts)
@@ -146,25 +130,24 @@ def rigidity_eval(structure, f, point):
 
     f is a RationalFn in one variable with f(z)/z invertible at 0; the sum
     sum_p sign(p) / prod_j f(<Lambda_j(p), point>) is a single Fraction.
-    The weight on line l at a point is eps_l times the root its coset
-    representative makes of line l's root, read through the root
-    permutation, so no weight vector is built; a weight that pairs to zero
-    with the point, or meets a zero (ValueError) or a pole
-    (ZeroDivisionError) of the kernel, raises an error naming it.
+    The weight on line l at point p is eps_l * roots[point_roots[p][l]], so
+    no weight vector is built; a weight that pairs to zero with the point,
+    or meets a zero (ValueError) or a pole (ZeroDivisionError) of the
+    kernel, raises an error naming it.  Each point's product is an int
+    numerator and denominator, and the sum one Fraction over their lcm.
     """
     if not isinstance(f, RationalFn):
         raise TypeError("rigidity_eval needs an exact rational genus kernel")
     var = _genus_variable(f)
     point = tuple(Fraction(c) for c in point)
     space = structure.space
-    roots, ks = space.group.roots, space.comp_root_indices
+    roots = space.group.roots
     # a sum meets at most 2 * |roots| distinct (sign, root) weights, each many times
     kernel = {}
-    total = Fraction(0)
-    for rep, (sign, eps) in zip(space.cosets.representatives, point_signs(structure)):
-        prod = Fraction(1)
-        for e, k in zip(eps, ks):
-            r = rep.perm[k]
+    terms = []
+    for (sign, eps), row in zip(point_signs(structure), space.point_roots):
+        num = den = 1
+        for e, r in zip(eps, row):
             val = kernel.get((e, r))
             if val is None:
                 arg = e * dot(roots[r], point)
@@ -172,14 +155,17 @@ def rigidity_eval(structure, f, point):
                 if arg == 0:
                     raise ValueError("weight %s pairs to zero with the sample point" % (w,))
                 try:
-                    val = kernel[e, r] = f.evaluate({var: arg})
+                    value = f.evaluate({var: arg})
                 except ZeroDivisionError:
                     raise ZeroDivisionError("genus kernel has a pole at weight %s" % (w,)) from None
-                if val == 0:
+                if value == 0:
                     raise ValueError("genus kernel vanishes at weight %s" % (w,))
-            prod *= val
-        total += Fraction(sign) / prod
-    return total
+                val = kernel[e, r] = (value.numerator, value.denominator)
+            num *= val[0]
+            den *= val[1]
+        terms.append((sign * den, num))  # sign / (num / den)
+    common = math.lcm(*(num for _, num in terms))
+    return Fraction(sum(top * (common // num) for top, num in terms), common)
 
 
 def _sample_point(dim, rng):

@@ -132,14 +132,18 @@ class GroupData:
         self.gram = tuple(vec(row) for row in gram) if gram is not None else None
         self.rank = rank if rank is not None else dim
         self._reflections = {}  # root -> its reflection, as a root permutation
+        negation = []
         for r in self.roots:
             if len(r) != dim:
                 raise ValueError("root %r has wrong length for dim %d" % (r, dim))
-            if vec_neg(r) not in self.root_set:
+            neg = self.root_index.get(vec_neg(r))
+            if neg is None:
                 raise ValueError("root set not closed under negation at %r" % (r,))
             # the coset search and the order by heights assume a reduced system
             if tuple(2 * c for c in r) in self.root_set:
                 raise ValueError("root set is not reduced: %r and twice it are both roots" % (r,))
+            negation.append(neg)
+        self.negation = tuple(negation)  # negation[i] = index of -roots[i]
 
     def __repr__(self):
         return "GroupData(%s)" % self.label

@@ -56,11 +56,11 @@ class Summand:
 class HomogeneousSpace:
     """G/H with positive Euler characteristic, plus cached Weyl data."""
 
-    def __init__(self, group, subgroup, label=None, ordering=None):
+    def __init__(self, group, subgroup, label=None):
         self.group = group
         self.subgroup = subgroup
         self.label = label or "%s/%s" % (group.label, subgroup.label)
-        self.ordering = ordering or default_ordering(group.dim)
+        self.ordering = default_ordering(group.dim)
         # line -> index of the root of G that is a positive multiple of it
         along = {}
         for i, r in enumerate(group.roots):
@@ -214,13 +214,22 @@ class HomogeneousSpace:
         return len(self.cosets)
 
     @cached_property
-    def coset_root_images(self):
-        """coset_root_images[w][l] = (coset rep w) applied to the positive
-        root of G on line comp_roots[l]: the tangent weight of line l at
-        fixed point w under the sign +1, a root of G."""
-        roots = self.group.roots
+    def point_roots(self):
+        """point_roots[w][l] = the index of the root that coset rep w makes
+        of the positive root on line comp_roots[l]: the tangent weight of
+        line l at fixed point w under the sign +1.  Every weight table below
+        reads it."""
         ks = self.comp_root_indices
-        return tuple(tuple(roots[rep.perm[k]] for k in ks) for rep in self.cosets.representatives)
+        return tuple(tuple(map(rep.perm.__getitem__, ks)) for rep in self.cosets.representatives)
+
+    def _through_roots(self, per_root):
+        """The table per_root[point_roots[w][l]]."""
+        return tuple(tuple(map(per_root.__getitem__, row)) for row in self.point_roots)
+
+    @cached_property
+    def coset_root_images(self):
+        """coset_root_images[w][l] = roots[point_roots[w][l]], a root of G."""
+        return self._through_roots(self.group.roots)
 
     @cached_property
     def root_values(self):
@@ -231,26 +240,27 @@ class HomogeneousSpace:
 
     @cached_property
     def image_values(self):
-        """image_values[w][l] = <coset_root_images[w][l], v>, read through
-        the representative's root permutation: the point route evaluates
-        every weight at v."""
-        values = self.root_values
-        ks = self.comp_root_indices
-        return tuple(tuple(values[rep.perm[k]] for k in ks) for rep in self.cosets.representatives)
+        """image_values[w][l] = <coset_root_images[w][l], v>: the point
+        route evaluates every weight at v."""
+        return self._through_roots(self.root_values)
+
+    def sign_table(self, ordering):
+        """table[w][l] = the sign of coset_root_images[w][l] under
+        `ordering`; ValueError when the functional vanishes on one."""
+        signs = [(x > 0) - (x < 0) for x in (dot(r, ordering.v) for r in self.group.roots)]
+        table = self._through_roots(signs)
+        if 0 in signs:
+            for row, ids in zip(table, self.point_roots):
+                if 0 in row:
+                    # raises: the functional vanishes on this weight
+                    ordering.sign(self.group.roots[ids[row.index(0)]])
+        return table
 
     @cached_property
     def line_signs(self):
-        """line_signs[w][l] = ordering sign of coset_root_images[w][l]; every
-        structure on the space reuses the same table."""
-        signs = [(x > 0) - (x < 0) for x in self.root_values]
-        ks = self.comp_root_indices
-        table = tuple(tuple(signs[rep.perm[k]] for k in ks) for rep in self.cosets.representatives)
-        if 0 in signs:
-            for row, images in zip(table, self.coset_root_images):
-                if 0 in row:
-                    # raises: the functional vanishes on this weight
-                    self.ordering.sign(images[row.index(0)])
-        return table
+        """The sign table of the space's own ordering, which every structure
+        on the space reuses."""
+        return self.sign_table(self.ordering)
 
     @cached_property
     def line_sign_masks(self):
@@ -266,15 +276,14 @@ class HomogeneousSpace:
         # a self-conjugate summand admits no invariant structure at all
         if any(sm.self_conjugate for sm in self.summands):
             return False
-        # (summand k, roots[r]) has the id k * len(roots) + r; a line's
-        # reference weight is a root, and rep_w moves it to roots[rep_w.perm[r]]
-        roots, root_index = self.group.roots, self.group.root_index
+        # (summand k, roots[r]) has the id k * len(roots) + r, and a line's
+        # reference weight at w is roots[point_roots[w][l]] times its orientation
+        roots, neg = self.group.roots, self.group.negation
         cols = [None] * self.n
         for k, sm in enumerate(self.summands):
             for li, o in zip(sm.line_indices, sm.orientation):
-                r = self.comp_root_indices[li]
-                cols[li] = (k * len(roots), r if o > 0 else root_index[vec_neg(roots[r])])
-        rows = [(1, [base + rep.perm[r] for base, r in cols]) for rep in self.cosets.representatives]
+                cols[li] = (k * len(roots), neg if o < 0 else range(len(roots)))
+        rows = [(1, [base + signed[r] for (base, signed), r in zip(cols, row)]) for row in self.point_roots]
         pairs = [(k, r) for k in range(len(self.summands)) for r in roots]
         return _residues_cancel(rows, pairs, self.ordering)
 
@@ -295,8 +304,7 @@ class HomogeneousSpace:
     def summands(self):
         """The isotropy summands: the W_H-orbits of the signed complementary
         roots, up to total sign, in the order of their first lines."""
-        roots = self.group.roots
-        root_index = self.group.root_index
+        roots, neg = self.group.roots, self.group.negation
         line_index = {r: i for i, r in enumerate(self.comp_roots)}
         gens = self.subgroup_reflections
         assigned = {}
@@ -314,7 +322,7 @@ class HomogeneousSpace:
                     if g[j] not in orbit:
                         orbit.add(g[j])
                         frontier.append(g[j])
-            self_conj = any(root_index[vec_neg(roots[j])] in orbit for j in orbit)
+            self_conj = any(neg[j] in orbit for j in orbit)
             orient = {}
             for j in orbit:
                 line, scale = canonical_positive(roots[j], self.ordering)
@@ -362,6 +370,7 @@ class InvariantStructure:
     tuple; calling the class directly builds an equal, separate object."""
 
     __slots__ = ("space", "summand_signs", "_eps", "_index_counts", "_symbolic_class")
+    global_sign = 1  # the orientation a stable structure may reverse
 
     def __init__(self, space, summand_signs):
         if len(summand_signs) != len(space.summands):
@@ -491,10 +500,9 @@ def is_integrable(structure):
     integrability of the invariant structure.  An element whose image of some
     structure root is not oriented by the ordering gives no verdict.
     """
-    space = structure.space
-    side = space.root_values
-    signed = tuple(zip(structure.eps, space.comp_root_indices))
-    return any(all(e * side[el.perm[k]] > 0 for e, k in signed) for el in space.cosets.representatives)
+    side = structure.space.root_values
+    eps = structure.eps
+    return any(all(e * side[r] > 0 for e, r in zip(eps, row)) for row in structure.space.point_roots)
 
 
 class StableStructure:
@@ -526,16 +534,9 @@ class StableStructure:
 
     @property
     def index_counts(self):
-        """counts[ind] = signed number of fixed points with ind weights on
-        the negative side of the space's ordering, ind = 0..n, as a tuple;
-        counted on first use."""
+        """`index_counts(self)`, counted on first use."""
         if self._index_counts is None:
-            base_eps = self.base.eps
-            counts = [0] * (self.space.n + 1)
-            for trow, srow in zip(self.table, self.space.line_signs):
-                ind = sum(1 for t, b, s in zip(trow, base_eps, srow) if t * b * s < 0)
-                counts[ind] += self.global_sign * math.prod(trow)
-            self._index_counts = tuple(counts)
+            self._index_counts = index_counts(self)
         return self._index_counts
 
     def __repr__(self):
@@ -646,6 +647,29 @@ def point_signs(structure):
         base_eps = structure.base.eps
         return [(math.prod(row), tuple(s * e for s, e in zip(row, base_eps))) for row in structure.table]
     raise TypeError("expected an InvariantStructure or StableStructure")
+
+
+def point_indices(structure, ordering=None):
+    """(sign, index) at each fixed point: its `point_signs` sign and the
+    number of its weights on the negative side of `ordering`, by default
+    the space's own."""
+    space = structure.space
+    table = space.line_signs if ordering is None else space.sign_table(ordering)
+    return [
+        (sign, sum(1 for e, s in zip(eps, row) if e * s < 0))
+        for (sign, eps), row in zip(point_signs(structure), table)
+    ]
+
+
+def index_counts(structure, ordering=None):
+    """counts[ind] = the signed number of fixed points of index ind
+    (`point_indices`) times the global orientation, ind = 0..n, as a tuple.
+    An invariant structure keeps the batched count of its space's ordering
+    (`InvariantStructure.index_counts`)."""
+    counts = [0] * (structure.space.n + 1)
+    for sign, index in point_indices(structure, ordering):
+        counts[index] += structure.global_sign * sign
+    return tuple(counts)
 
 
 def fixed_points(structure):

@@ -36,14 +36,14 @@ from .exactalg import (
     vandermonde,
 )
 from .catalog import catalog_space
-from .rootdata import canonical_positive, vec_neg
+from .rootdata import canonical_positive
 from .structures import (
     HomogeneousSpace,
     InvariantStructure,
     SubgroupData,
+    _residues_cancel,
     fixed_points,
     point_signs,
-    residues_cancel,
 )
 
 
@@ -181,25 +181,24 @@ def _packed_sum(points, ordering, cutoff, fiber_forms):
     return {k: c for k, c in total.items() if c}, common, line_terms, layout, factor_vars
 
 
-def localized_numerator(points, ordering, cutoff, fiber_forms=None):
+def localized_numerator(points, ordering, cutoff):
     """The one symbolic fixed-point sum, cleared to a common denominator.
 
     `points` is a list of (sign, weights).  Returns (N, lines): N over the
     product of the distinct weight lines is the sum over the points of sign
     times prod_j f(t * w_j) / prod_j w_j, each f-factor carried to t^cutoff.
-    `fiber_forms`, when given, multiplies point k's term by fiber_forms[k]
-    (used by twisted products).  Points that miss the same lines are summed
-    first, and each group's sum then multiplies its missing lines once.
+    Points that miss the same lines are summed first, and each group's sum
+    then multiplies its missing lines once.
     """
-    terms, den, line_terms, layout, factor_vars = _packed_sum(points, ordering, cutoff, fiber_forms)
+    terms, den, line_terms, layout, factor_vars = _packed_sum(points, ordering, cutoff, None)
     return layout.unpack(terms.items(), den, factor_vars), list(line_terms)
 
 
 def _localized_form(points, ordering, cutoff, fiber_forms=None):
     """`localized_numerator`'s N divided by its lines, exactly, on its
-    packed ints: each line is primitive, so `Packing.divide` by it on its
-    first nonzero coordinate raises PoleCancellationError on an uncancelled
-    pole."""
+    packed ints, with point k's term times fiber_forms[k] when given: each
+    line is primitive, so `Packing.divide` by it on its first nonzero
+    coordinate raises PoleCancellationError on an uncancelled pole."""
     terms, den, line_terms, layout, _ = _packed_sum(points, ordering, cutoff, fiber_forms)
     for line, ((_, lead), *rest) in line_terms.items():
         pivot = "x%d" % (next(j for j, c in enumerate(line) if c) + 1)
@@ -211,12 +210,18 @@ def certified(structure):
     """Does the residue-pairing certificate prove the structure's fixed-point
     sum free of poles?  An invariant structure reads its space's certificate,
     which holds for every sign choice at once; a stable structure is checked
-    on its own points.  Raises ValueError when two weights of one fixed point
-    share a line."""
+    on its own points, the weight e * roots[r] having the id r or its
+    negation's.  Raises ValueError when two weights of one fixed point share
+    a line."""
+    space = structure.space
     if isinstance(structure, InvariantStructure):
-        return structure.space.residues_cancel
-    points = [(fp.sign, fp.weights, (0,) * len(fp.weights)) for fp in fixed_points(structure)]
-    return residues_cancel(points, structure.space.ordering)
+        return space.residues_cancel
+    neg = space.group.negation
+    rows = [
+        (sign, [r if e > 0 else neg[r] for e, r in zip(eps, row)])
+        for (sign, eps), row in zip(point_signs(structure), space.point_roots)
+    ]
+    return _residues_cancel(rows, [(0, r) for r in space.group.roots], space.ordering)
 
 
 def _down_set(cap, room, part=1):
@@ -286,8 +291,7 @@ def _point_sums(structure, keys, targets):
         q = sign * (den // e)
         for j, c in enumerate(got):
             nums[j] += q * c
-    orientation = getattr(structure, "global_sign", 1)
-    return [Fraction(orientation * c, den) for c in nums]
+    return [Fraction(structure.global_sign * c, den) for c in nums]
 
 
 def _point_class(structure):
@@ -304,8 +308,7 @@ def _symbolic_form(structure, cutoff):
     # fixed_points hands back signs relative to the reference structure; the
     # expansion is an invariant of the oriented manifold, so the orientation
     # sign comes back in here.
-    orientation = getattr(structure, "global_sign", 1)
-    points = [(orientation * fp.sign, fp.weights) for fp in fixed_points(structure)]
+    points = [(structure.global_sign * fp.sign, fp.weights) for fp in fixed_points(structure)]
     return _localized_form(points, structure.space.ordering, cutoff)
 
 
@@ -580,10 +583,8 @@ def twisted_product(base_structure, fiber_structure, cutoff=None):
         raise ValueError("a twisted product needs invariant base and fiber structures, not stable ones")
     if fiber_space.group.root_set != base_space.subgroup.root_set:
         raise ValueError("fiber ambient group must be the base isotropy group")
-    roots, root_index = base_space.group.roots, base_space.group.root_index
-    signed = {
-        k if e > 0 else root_index[vec_neg(roots[k])] for e, k in zip(base_structure.eps, base_space.comp_root_indices)
-    }
+    roots, neg = base_space.group.roots, base_space.group.negation
+    signed = {k if e > 0 else neg[k] for e, k in zip(base_structure.eps, base_space.comp_root_indices)}
     # invariance under the generators of W_H is invariance under W_H
     for gen in base_space.subgroup_reflections:
         if {gen[k] for k in signed} != signed:
@@ -595,12 +596,11 @@ def twisted_product(base_structure, fiber_structure, cutoff=None):
     total_space = combined.space
     if cutoff is None:
         cutoff = total_space.n
-    # the fiber's weight on line l at its point q is eps_l times the root
-    # rep_q makes of line l's root: a root of H, kept as its index in G
-    h_roots = fiber_space.group.roots
-    lines = tuple(zip(fiber_structure.eps, fiber_space.comp_root_indices))
+    # the fiber's weight on line l at its point q is eps_l times the root of
+    # H at point_roots[q][l], kept as its index in G
+    h_roots, root_index = fiber_space.group.roots, base_space.group.root_index
     fiber_weights = [
-        [(e, root_index[h_roots[rep.perm[k]]]) for e, k in lines] for rep in fiber_space.cosets.representatives
+        [(e, root_index[h_roots[r]]) for e, r in zip(fiber_structure.eps, row)] for row in fiber_space.point_roots
     ]
     fps = fixed_points(base_structure)
     fiber_forms = []

@@ -9,12 +9,18 @@ groups interned weights by small-int codes and sums int coefficients;
 Fractions.  The package finds the blocks of a block-diagonal subgroup of
 U(n) in one pass and matches two fixed points' weights on a Counter;
 `block_partition_reference` uses union-find and `match_weights_reference` a
-dict that drops spent weights.  Tests compare the two.
+dict that drops spent weights.  The package reads every tangent weight
+through one table of root indices, `HomogeneousSpace.point_roots`;
+`point_tables_reference` composes each representative's permutation with
+the line roots per table, `index_counts_reference` signs each weight vector
+of `fixed_points` with `Ordering.sign`, and `stable_certificate_reference`
+runs `residues_cancel` on those vectors.  Tests compare the two.
 """
 
 from fractions import Fraction
 
 from homgenus.rootdata import canonical_positive, compose, dot
+from homgenus.structures import fixed_points, residues_cancel
 
 
 def coset_search_reference(group, simple, h_simple):
@@ -149,3 +155,32 @@ def match_weights_reference(wa, wb):
         else:
             return None
     return flips if not remaining else None
+
+
+def point_tables_reference(space):
+    """(coset_root_images, image_values, line_signs) of `space`, each read
+    through rep.perm[comp_root_indices[l]] for every representative."""
+    roots, ks = space.group.roots, space.comp_root_indices
+    v = space.ordering.v
+    reps = space.cosets.representatives
+    images = tuple(tuple(roots[rep.perm[k]] for k in ks) for rep in reps)
+    values = tuple(tuple(dot(roots[rep.perm[k]], v) for k in ks) for rep in reps)
+    signs = tuple(tuple(space.ordering.sign(roots[rep.perm[k]]) for k in ks) for rep in reps)
+    return images, values, signs
+
+
+def index_counts_reference(structure, ordering):
+    """structures.index_counts: each fixed point's weights signed by
+    `ordering` one vector at a time, the point counted with its sign times
+    the global orientation."""
+    counts = [0] * (structure.space.n + 1)
+    for fp in fixed_points(structure):
+        counts[sum(1 for w in fp.weights if ordering.sign(w) < 0)] += structure.global_sign * fp.sign
+    return tuple(counts)
+
+
+def stable_certificate_reference(structure):
+    """toricgenus.certified on a stable structure: `residues_cancel` on the
+    weight vectors of `fixed_points`, every weight labelled 0."""
+    points = [(fp.sign, fp.weights, (0,) * len(fp.weights)) for fp in fixed_points(structure)]
+    return residues_cancel(points, structure.space.ordering)

@@ -356,7 +356,9 @@ def localized_numerator_reference(points, ordering, cutoff):
                 f_factors[pair] = f_factor_reference(*pair, cutoff, power)
         factors = [MultiPoly.const(coeff)] + [f_factors[pair] for pair in cw]
         missing = tuple(line for line in lines if line not in own)
-        groups.setdefault(missing, []).append(MultiPoly.product(factors, {"t": 1}, cutoff))
+        # a term a_i t^i x^e of an f-factor, |e| = i, has `var_weight` 3i, so
+        # the product truncated at weight 3 * cutoff is the one at t^cutoff
+        groups.setdefault(missing, []).append(MultiPoly.product(factors, 3 * cutoff))
     terms = [
         MultiPoly.product([power(line, 1) for line in missing] + [MultiPoly.sum(group)])
         for missing, group in groups.items()

@@ -334,7 +334,7 @@ def test_product_matches_naive_reference(pair):
 @given(kernel_pairs(), st.integers(0, 8))
 def test_truncated_product_matches_product_then_truncate(pair, cutoff):
     p, q = pair
-    assert same(MultiPoly.product((p, q), {"t": 1}, cutoff), (p * q).truncate_var("t", cutoff))
+    assert same(MultiPoly.product((p, q), cutoff), (p * q).truncate_weight(cutoff))
 
 
 @settings(max_examples=200, deadline=None)
@@ -342,20 +342,14 @@ def test_truncated_product_matches_product_then_truncate(pair, cutoff):
 def test_chained_product_matches_folded_reference(ps, cutoff):
     want = reduce(naive_product, ps, MultiPoly.const(1))
     if cutoff is not None:
-        want = want.truncate_var("t", cutoff)
-    assert same(MultiPoly.product(ps, {"t": 1}, cutoff), want)
+        want = want.truncate_weight(cutoff)
+    assert same(MultiPoly.product(ps, cutoff), want)
 
 
 def degrees(p, weights):
     """The weighted degree under `weights` (absent: 0) of each term of p."""
     w = [weights.get(v, 0) for v in p.vars]
     return {e: sum(i * j for i, j in zip(e, w)) for e in p.terms}
-
-
-def truncate_by(p, weights, cutoff):
-    """The terms of p of weighted degree at most cutoff, one term at a time."""
-    d = degrees(p, weights)
-    return MultiPoly(p.vars, {e: c for e, c in p.terms.items() if d[e] <= cutoff})
 
 
 def cutoff_near(data, p, weights):
@@ -367,26 +361,12 @@ def cutoff_near(data, p, weights):
     return data.draw(st.integers(0, 12000))
 
 
-weight_maps = st.dictionaries(st.sampled_from(("x1", "x2", "a1", "t", "y")), st.integers(0, 3))
-
-
 @settings(max_examples=200, deadline=None)
-@given(st.lists(kernel_polys(), max_size=4), weight_maps, st.data())
-def test_weighted_product_matches_product_then_truncate(ps, weights, data):
+@given(st.lists(kernel_polys(), max_size=4), st.data())
+def test_weighted_product_matches_product_then_truncate(ps, data):
     full = MultiPoly.product(ps)
-    graded = {v: var_weight(v) for v in full.vars}
-    c = cutoff_near(data, full, graded)
+    c = cutoff_near(data, full, {v: var_weight(v) for v in full.vars})
     assert same(MultiPoly.product(ps, cutoff=c), full.truncate_weight(c))
-    assert same(MultiPoly.product(ps, weights=graded, cutoff=c), full.truncate_weight(c))
-    c = cutoff_near(data, full, {"t": 1})
-    assert same(MultiPoly.product(ps, weights={"t": 1}, cutoff=c), full.truncate_var("t", c))
-    c = cutoff_near(data, full, weights)
-    assert same(MultiPoly.product(ps, weights=weights, cutoff=c), truncate_by(full, weights, c))
-
-
-def test_weighted_product_rejects_negative_weights():
-    with pytest.raises(ValueError, match="weight"):
-        MultiPoly.product((parse_poly("x1 + t"), parse_poly("t")), weights={"t": -1}, cutoff=2)
 
 
 @st.composite
