@@ -282,8 +282,9 @@ class HomogeneousSpace:
         cols = [None] * self.n
         for k, sm in enumerate(self.summands):
             for li, o in zip(sm.line_indices, sm.orientation):
-                cols[li] = (k * len(roots), neg if o < 0 else range(len(roots)))
-        rows = [(1, [base + signed[r] for (base, signed), r in zip(cols, row)]) for row in self.point_roots]
+                cols[li] = [k * len(roots) + r for r in (neg if o < 0 else range(len(roots)))]
+        # each id is one int object, which every row holding it shares
+        rows = [(1, [col[r] for col, r in zip(cols, row)]) for row in self.point_roots]
         pairs = [(k, r) for k in range(len(self.summands)) for r in roots]
         return _residues_cancel(rows, pairs, self.ordering)
 
@@ -592,26 +593,29 @@ def _residues_cancel(rows, pairs, ordering):
     int sign * q * (M // p), with c = p / q and M the lcm of the numerators."""
     along = {}  # id -> (index of its line, scale)
     lines = {}  # line -> its index
-    members = []  # members[index of l] = (sign, id on l, ids) per point with a weight on l
-    for sign, row in rows:
+    # for each point with a weight on line l, in step: its id on l and its index in rows
+    ids, at = [], []
+    for j, (_, row) in enumerate(rows):
         on = []
         for k in row:
             a = along.get(k)
             if a is None:
                 line, scale = canonical_positive(pairs[k][1], ordering)
                 li = lines.setdefault(line, len(lines))
-                if li == len(members):
-                    members.append([])
+                if li == len(ids):
+                    ids.append([])
+                    at.append([])
                 a = along[k] = (li, scale)
             on.append(a[0])
         if len(set(on)) != len(on):
             raise ValueError("two isotropy weights at one fixed point share a line")
         for li, k in zip(on, row):
-            members[li].append((sign, k, row))
+            ids[li].append(k)
+            at[li].append(j)
     big = math.lcm(*(abs(scale.numerator) for _, scale in along.values()))
     coeff = {k: scale.denominator * (big // scale.numerator) for k, (_, scale) in along.items()}
     v = ordering.v
-    for line, group in zip(lines, members):
+    for line, line_ids, line_at in zip(lines, ids, at):
         if not dot(line, v):
             return False
         i = next(k for k, c in enumerate(line) if c)
@@ -622,7 +626,8 @@ def _residues_cancel(rows, pairs, ordering):
             cls = (label, tuple(line[i] * c - w[i] * lc for c, lc in zip(w, line)))
             code[k] = classes.setdefault(cls, len(classes))
         sums = {}
-        for sign, k, row in group:
+        for k, j in zip(line_ids, line_at):
+            sign, row = rows[j]
             key = tuple(sorted(map(code.__getitem__, row)))
             sums[key] = sums.get(key, 0) + sign * coeff[k]
         if any(sums.values()):

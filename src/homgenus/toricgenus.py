@@ -27,16 +27,9 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
-from .exactalg import (
-    MAX_EXPONENT,
-    MultiPoly,
-    Packing,
-    divided_difference,
-    exact_divide,
-    vandermonde,
-)
+from .exactalg import MAX_EXPONENT, MultiPoly, Packing, exact_divide
 from .catalog import catalog_space
-from .rootdata import canonical_positive
+from .rootdata import InputError, canonical_positive
 from .structures import (
     HomogeneousSpace,
     InvariantStructure,
@@ -411,11 +404,9 @@ def _normalize_omega(omega, n):
     omega = tuple(int(k) for k in omega)
     if any(k < 0 for k in omega):
         raise ValueError("omega entries must be nonnegative")
-    if len(omega) < n:
-        omega = omega + (0,) * (n - len(omega))
-    if len(omega) > n and any(omega[n:]):
+    if any(omega[n:]):
         raise ValueError("omega has entries beyond the dimension")
-    omega = omega[:n]
+    omega = (omega + (0,) * n)[:n]
     weight = sum((i + 1) * k for i, k in enumerate(omega))
     if weight != n:
         raise ValueError("omega must have total weight %d, got %d" % (n, weight))
@@ -469,67 +460,76 @@ def top_s(structure):
 def _block_partition(space):
     """For U(n)-type spaces with block-diagonal isotropy: list of blocks
     (sorted tuples of coordinate indices), or None when not of that shape:
-    i joins the first block b with e_b[0] - e_i a subgroup root, and the
+    i joins the block of the least j with e_j - e_i a subgroup root, and the
     roots inside the blocks must be exactly the subgroup roots."""
     g = space.group
-    if not (g.label.startswith("U(") or g.label.startswith("SU(")):
+    if not g.label.startswith(("U(", "SU(")):
         return None
-    n = g.dim
-
-    def diff(i, j):
-        return tuple((k == i) - (k == j) for k in range(n))
-
+    diff = [[tuple((k == i) - (k == j) for k in range(g.dim)) for j in range(g.dim)] for i in range(g.dim)]
     sub_roots = set(space.subgroup.root_set)
-    blocks = []
-    for i in range(n):
-        for b in blocks:
-            if diff(b[0], i) in sub_roots:
-                b.append(i)
-                break
-        else:
-            blocks.append([i])
-    if {diff(i, j) for b in blocks for i in b for j in b if i != j} != sub_roots:
+    first = [next(j for j in range(i + 1) if j == i or diff[j][i] in sub_roots) for i in range(g.dim)]
+    blocks = [tuple(i for i, f in enumerate(first) if f == j) for j in sorted(set(first))]
+    if {diff[i][j] for b in blocks for i in b for j in b if i != j} != sub_roots:
         return None
-    return [tuple(b) for b in blocks]
+    return blocks
 
 
 def s_number_schur_route(structure, omega):
     """Type-A cross-check: s_omega via the divided-difference operator.
 
-    Valid for U(n)/(product of unitary blocks).  The answer is
-    (lambda / prod q_l!) . L( prod_blocks Vandermonde_block * f_omega ),
-    with lambda the product of the structure's signs.
+    Valid for an invariant structure on U(dim)/(product of unitary blocks):
+    s_omega = (lambda / prod q_b!) . L(prod_b Vandermonde_b * f_omega), with
+    lambda the product of the structure's signs, f_omega = [a^omega]
+    prod_j f(<r_j, x>) and L = d_{w0}.  The argument has the degree C(dim, 2)
+    of the staircase delta, so L of it is the sum of its coefficients at the
+    permutations of delta signed by their inversions (Macdonald, Notes on
+    Schubert Polynomials, ch. II).  Symbolic in x, on packed ints: f_omega
+    by the point route's step table, roots times the lcm D of their
+    coordinates' denominators, and the sum over D^n.
     """
+    if not isinstance(structure, InvariantStructure):
+        raise InputError("the divided-difference route needs an invariant structure")
     space = structure.space
     blocks = _block_partition(space)
     if blocks is None:
         raise ValueError("the divided-difference route needs a U(n)/(block product) space")
     omega = _normalize_omega(omega, space.n)
-    names = ["x%d" % (i + 1) for i in range(space.group.dim)]
-    lam = Fraction(1)
-    for e in structure.eps:
-        lam *= e
-    # f_omega = [a^omega] prod_j f(scale_j <line_j, x>), by the point route's steps
-    index, steps, parts = _steps(_down_set(omega, space.n))
-    acc = [MultiPoly.const(1)] + [MultiPoly.zero()] * (len(index) - 1)
-    for line, scale in map(canonical_positive, structure.roots):
-        pw = [MultiPoly.const(1), MultiPoly.linear_form(names, line) * scale]
-        for _ in range(2, max(parts, default=1) + 1):
-            pw.append(pw[-1] * pw[1])
-        for src, i, dst in steps:
-            if acc[src]:
-                acc[dst] = acc[dst] + acc[src] * pw[i]
-    arg = acc[index[omega]]
-    for b in blocks:
-        arg = arg * vandermonde([names[i] for i in b])
-        lam /= math.factorial(len(b))
-    res = divided_difference(arg, names)
-    if not res.is_constant():
+    dim, top = space.group.dim, math.comb(space.group.dim, 2)
+    if space.n + sum(math.comb(len(b), 2) for b in blocks) != top:
         raise ArithmeticError("divided difference did not produce a constant")
-    value = res.constant_value() * lam
-    if value.denominator != 1:
-        raise ArithmeticError("s_omega value is not an integer: %s" % value)
-    return int(value)
+    # a field holds its exponent plus 2^m - dim, so an exponent above dim - 1,
+    # which never reaches the staircase as exponents only grow, sets `dead`
+    m = (dim - 1).bit_length()
+    layout = Packing(dict.fromkeys(range(dim), top + 2**m - dim))
+    unit, bias = list(layout.unit.values()), (2**m - dim) * sum(layout.unit.values())
+    dead = sum((mask ^ (2**m - 1)) << s for s, mask in layout.fields)
+    d = math.lcm(*(c.denominator for r in structure.roots for c in r))
+    index, steps, parts = _steps(_down_set(omega, space.n))
+    acc = [{bias: 1}] + [{} for _ in range(len(index) - 1)]
+    for r in structure.roots:
+        pw, line = [{0: 1}], [(u, c.numerator * (d // c.denominator)) for u, c in zip(unit, r) if c]
+        for _ in range(max(parts)):
+            pw.append(_times_line(pw[-1], line))
+        for src, i, dst in steps:
+            out, get = acc[dst], acc[dst].get
+            for k2, c2 in pw[i].items():
+                for k1, c1 in acc[src].items():
+                    if not (k := k1 + k2) & dead:
+                        out[k] = get(k, 0) + c1 * c2
+    arg = acc[index[omega]]
+    for i, j in (pair for b in blocks for pair in itertools.combinations(b, 2)):
+        arg = _times_line(arg, [(unit[i], 1), (unit[j], -1)])
+    # (key, sign, exponents taken) of the permuted staircases: variable i takes
+    # an exponent v not taken yet, and each taken one below v is an inversion
+    stair = [(bias, 1, 0)]
+    for u in unit:
+        moves = [(v * u, 1 << v) for v in range(dim)]
+        stair = [(k + vu, s * (-1) ** (t % b).bit_count(), t | b) for k, s, t in stair for vu, b in moves if not t & b]
+    num = math.prod(structure.eps) * sum(s * arg.get(k, 0) for k, s, _ in stair)
+    den = d**space.n * math.prod(math.factorial(len(b)) for b in blocks)
+    if num % den:
+        raise ArithmeticError("s_omega value is not an integer: %s" % Fraction(num, den))
+    return num // den
 
 
 # ---------------------------------------------------------------------------

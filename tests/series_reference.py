@@ -17,9 +17,13 @@ A Weyl element moves a vector by the Fraction reflections its word names, where
 the package reads the element's root permutation.  The Schur route's a^omega
 coefficient runs the point route's step table over the down-set of omega;
 `f_omega_reference` copies a dict of sub-multi-indices once per factor.
+The Schur route reads the divided difference off the staircase coefficients
+of a packed-int argument; `schur_route_reference` builds the argument from
+`MultiPoly` linear forms and Vandermondes and applies `divided_difference`.
 Tests compare the two.
 """
 
+import math
 from fractions import Fraction
 
 from homgenus.cobordism import formal_group_law
@@ -28,12 +32,15 @@ from homgenus.exactalg import (
     PoleCancellationError,
     RationalFn,
     TruncatedSeries,
+    divided_difference,
     exact_divide,
+    vandermonde,
     var_weight,
 )
 from homgenus.hirzebruch import _genus_variable, _sample_point
 from homgenus.rootdata import canonical_positive, dot
 from homgenus.structures import fixed_points
+from homgenus.toricgenus import _block_partition, _down_set, _normalize_omega, _steps
 
 
 def invert_series(s):
@@ -395,3 +402,38 @@ def f_omega_reference(pairs, omega):
                 new[k2] = add if cur is None else cur + add
         state = new
     return state.get(tuple(omega), MultiPoly.zero())
+
+
+def schur_route_reference(structure, omega):
+    """`toricgenus.s_number_schur_route` on `MultiPoly`/`Fraction`: f_omega
+    by the point route's step table on linear forms, times the blocks'
+    `vandermonde`s, through the full `divided_difference`."""
+    space = structure.space
+    blocks = _block_partition(space)
+    if blocks is None:
+        raise ValueError("the divided-difference route needs a U(n)/(block product) space")
+    omega = _normalize_omega(omega, space.n)
+    names = ["x%d" % (i + 1) for i in range(space.group.dim)]
+    lam = Fraction(1)
+    for e in structure.eps:
+        lam *= e
+    index, steps, parts = _steps(_down_set(omega, space.n))
+    acc = [MultiPoly.const(1)] + [MultiPoly.zero()] * (len(index) - 1)
+    for line, scale in map(canonical_positive, structure.roots):
+        pw = [MultiPoly.const(1), MultiPoly.linear_form(names, line) * scale]
+        for _ in range(2, max(parts, default=1) + 1):
+            pw.append(pw[-1] * pw[1])
+        for src, i, dst in steps:
+            if acc[src]:
+                acc[dst] = acc[dst] + acc[src] * pw[i]
+    arg = acc[index[omega]]
+    for b in blocks:
+        arg = arg * vandermonde([names[i] for i in b])
+        lam /= math.factorial(len(b))
+    res = divided_difference(arg, names)
+    if not res.is_constant():
+        raise ArithmeticError("divided difference did not produce a constant")
+    value = res.constant_value() * lam
+    if value.denominator != 1:
+        raise ArithmeticError("s_omega value is not an integer: %s" % value)
+    return int(value)

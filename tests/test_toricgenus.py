@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -13,8 +14,15 @@ from homgenus.catalog import catalog_entry, catalog_space
 from homgenus.cobordism import basis_convert
 from homgenus import toricgenus
 from homgenus.exactalg import MultiPoly, Packing, PoleCancellationError, divided_difference, parse_poly, vandermonde
-from homgenus.rootdata import canonical_positive, default_ordering
-from homgenus.structures import InvariantStructure, fixed_points, parse_signs, space_from_json
+from homgenus.rootdata import InputError, canonical_positive, default_ordering
+from homgenus.structures import (
+    InvariantStructure,
+    StableStructure,
+    enumerate_structures,
+    fixed_points,
+    parse_signs,
+    space_from_json,
+)
 from homgenus.toricgenus import (
     _block_partition,
     _down_set,
@@ -28,7 +36,8 @@ from homgenus.toricgenus import (
     s_number_schur_route,
     top_s,
 )
-from series_reference import f_omega_reference
+from series_reference import f_omega_reference, schur_route_reference
+from test_lattice import SCALED
 
 
 def _std(name):
@@ -174,33 +183,67 @@ def test_schur_route_agrees():
     assert s_number_schur_route(_std("CP2"), (0, 1)) == s_number(_std("CP2"), (0, 1)) == 3
 
 
+def test_schur_route_refuses_a_stable_structure():
+    space = catalog_space("CP2")
+    table = [(1,) * space.n] * space.euler_characteristic
+    s = StableStructure(space, _std("CP2"), table)
+    assert s_number(s, (0, 1)) == 3
+    with pytest.raises(InputError, match="needs an invariant structure"):
+        s_number_schur_route(s, (0, 1))
+
+
+def test_schur_route_does_not_read_the_point_route(monkeypatch):
+    """The cross-check shares only the step table with the point route: with
+    the certificate and the point sums gone it still gives s_4 on G42 and
+    s_6 on G52."""
+
+    def refuse(*args):
+        raise AssertionError("the Schur route called the point route")
+
+    monkeypatch.setattr(toricgenus, "certified", refuse)
+    monkeypatch.setattr(toricgenus, "_point_sums", refuse)
+    assert s_number_schur_route(_std("G42"), (0, 0, 0, 1)) == -20
+    assert s_number_schur_route(_std("G52"), (0, 0, 0, 0, 0, 1)) == 70
+
+
+def _omegas(n):
+    return [k for k in _down_set((n,) * n, n) if sum(i * c for i, c in enumerate(k, 1)) == n]
+
+
+@pytest.mark.parametrize(
+    "name", ["CP1", "CP2", "CP3", "U3-flag", "G42", "G52", "U4-flag", "U4-T2xU2"] + sorted(SCALED)
+)
+def test_schur_route_matches_the_reference(name):
+    """The packed-int route against the MultiPoly route through the full
+    divided difference, on every omega of weight n, with up to 8 structures
+    per space."""
+    space = space_from_json(SCALED[name]) if name in SCALED else catalog_space(name)
+    for s in itertools.islice(enumerate_structures(space), 8):
+        for omega in _omegas(space.n):
+            assert s_number_schur_route(s, omega) == schur_route_reference(s, omega)
+
+
 @pytest.mark.parametrize(
     "name, signs", [("U3-flag", None), ("G42", None), ("G52", None), ("U4-flag", None), ("U4-flag", "+-+--+")]
 )
-def test_schur_f_omega_matches_the_reference(monkeypatch, name, signs):
-    """The polynomial the Schur route hands to the divided difference, f_omega
-    times the blocks' Vandermondes, against the dict-copying f_omega, on
-    every omega of weight n (on U4-flag these hold the mixed omegas of the
-    benchmark's genus sweep), and its value against the point route."""
+def test_schur_f_omega_matches_the_reference(name, signs):
+    """The Schur route against L(f_omega * the blocks' Vandermondes) with the
+    dict-copying f_omega, the MultiPoly `vandermonde` and the full
+    `divided_difference`, on every omega of weight n (on U4-flag these hold
+    the mixed omegas of the benchmark's genus sweep), and against the point
+    route."""
     space = catalog_space(name)
     s = parse_signs(space, signs) if signs else _std(name)
-    seen = []
-
-    def spy(poly, names):
-        seen.append(poly)
-        return divided_difference(poly, names)
-
-    monkeypatch.setattr(toricgenus, "divided_difference", spy)
+    names = ["x%d" % (i + 1) for i in range(space.group.dim)]
+    lam = Fraction(math.prod(s.eps))
     vander = MultiPoly.const(1)
     for b in _block_partition(space):
-        vander = vander * vandermonde(["x%d" % (i + 1) for i in b])
+        vander = vander * vandermonde([names[i] for i in b])
+        lam /= math.factorial(len(b))
     pairs = [canonical_positive(r) for r in s.roots]
-    n = space.n
-    for omega in _down_set((n,) * n, n):
-        if sum(i * c for i, c in enumerate(omega, 1)) == n:
-            value = s_number_schur_route(s, omega)
-            assert seen.pop() == f_omega_reference(pairs, omega) * vander
-            assert value == s_number(s, omega)
+    for omega in _omegas(space.n):
+        want = divided_difference(f_omega_reference(pairs, omega) * vander, names).constant_value() * lam
+        assert s_number_schur_route(s, omega) == want == s_number(s, omega)
 
 
 def test_top_s_on_flags():
