@@ -259,10 +259,6 @@ class MultiPoly:
         # looked up once per call by each caller, not once per term
         return tuple(var_weight(v) for v in self.vars)
 
-    def weighted_degree(self):
-        w = self._weights()
-        return max((sum(map(mul, e, w)) for e in self.terms), default=-1)
-
     def degree_in(self, name):
         if name not in self.vars:
             return 0
@@ -668,15 +664,6 @@ def exact_divide(numerator, denominator, message="pole not cancelled"):
 
 # ---------------------------------------------------------------------------
 # alternation / divided differences
-
-
-def vandermonde(names):
-    """prod_{i<j} (x_i - x_j) over the given variable names."""
-    p = MultiPoly.const(1)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            p = p * (MultiPoly.variable(names[i]) - MultiPoly.variable(names[j]))
-    return p
 
 
 def _perm_sign(perm):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .cobordism import evaluate_class, specialize_genus, tanh_series, todd_series
 from .exactalg import MultiPoly, RationalFn, TruncatedSeries
 from .rootdata import InputError, dot
-from .structures import fixed_points, index_counts, point_signs
+from .structures import fixed_points, index_counts, signed_root_table
 from .toricgenus import chern_dold_genus
 
 
@@ -130,28 +130,28 @@ def rigidity_eval(structure, f, point):
 
     f is a RationalFn in one variable with f(z)/z invertible at 0; the sum
     sum_p sign(p) / prod_j f(<Lambda_j(p), point>) is a single Fraction.
-    The weight on line l at point p is eps_l * roots[point_roots[p][l]], so
-    no weight vector is built; a weight that pairs to zero with the point,
-    or meets a zero (ValueError) or a pole (ZeroDivisionError) of the
-    kernel, raises an error naming it.  Each point's product is an int
-    numerator and denominator, and the sum one Fraction over their lcm.
+    The points are the structure's `signed_root_table`, so no weight vector
+    is built and each kernel value is worked out once per root id; a weight
+    that pairs to zero with the point, or meets a zero (ValueError) or a
+    pole (ZeroDivisionError) of the kernel, raises an error naming it.  Each
+    point's product is an int numerator and denominator, and the sum one
+    Fraction over their lcm.
     """
     if not isinstance(f, RationalFn):
         raise TypeError("rigidity_eval needs an exact rational genus kernel")
     var = _genus_variable(f)
     point = tuple(Fraction(c) for c in point)
-    space = structure.space
-    roots = space.group.roots
-    # a sum meets at most 2 * |roots| distinct (sign, root) weights, each many times
+    roots = structure.space.group.roots
+    # a sum meets each of the at most |roots| weights many times
     kernel = {}
     terms = []
-    for (sign, eps), row in zip(point_signs(structure), space.point_roots):
+    for sign, ids in signed_root_table(structure):
         num = den = 1
-        for e, r in zip(eps, row):
-            val = kernel.get((e, r))
+        for r in ids:
+            val = kernel.get(r)
             if val is None:
-                arg = e * dot(roots[r], point)
-                w = tuple(e * c for c in roots[r])
+                w = roots[r]
+                arg = dot(w, point)
                 if arg == 0:
                     raise ValueError("weight %s pairs to zero with the sample point" % (w,))
                 try:
@@ -160,7 +160,7 @@ def rigidity_eval(structure, f, point):
                     raise ZeroDivisionError("genus kernel has a pole at weight %s" % (w,)) from None
                 if value == 0:
                     raise ValueError("genus kernel vanishes at weight %s" % (w,))
-                val = kernel[e, r] = (value.numerator, value.denominator)
+                val = kernel[r] = (value.numerator, value.denominator)
             num *= val[0]
             den *= val[1]
         terms.append((sign * den, num))  # sign / (num / den)

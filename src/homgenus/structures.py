@@ -222,14 +222,11 @@ class HomogeneousSpace:
         ks = self.comp_root_indices
         return tuple(tuple(map(rep.perm.__getitem__, ks)) for rep in self.cosets.representatives)
 
-    def _through_roots(self, per_root):
-        """The table per_root[point_roots[w][l]]."""
-        return tuple(tuple(map(per_root.__getitem__, row)) for row in self.point_roots)
-
     @cached_property
     def coset_root_images(self):
         """coset_root_images[w][l] = roots[point_roots[w][l]], a root of G."""
-        return self._through_roots(self.group.roots)
+        roots = self.group.roots
+        return tuple(tuple(map(roots.__getitem__, row)) for row in self.point_roots)
 
     @cached_property
     def root_values(self):
@@ -238,34 +235,23 @@ class HomogeneousSpace:
         v = self.ordering.v
         return vec(dot(r, v) for r in self.group.roots)
 
-    @cached_property
-    def image_values(self):
-        """image_values[w][l] = <coset_root_images[w][l], v>: the point
-        route evaluates every weight at v."""
-        return self._through_roots(self.root_values)
-
-    def sign_table(self, ordering):
-        """table[w][l] = the sign of coset_root_images[w][l] under
-        `ordering`; ValueError when the functional vanishes on one."""
-        signs = [(x > 0) - (x < 0) for x in (dot(r, ordering.v) for r in self.group.roots)]
-        table = self._through_roots(signs)
-        if 0 in signs:
-            for row, ids in zip(table, self.point_roots):
-                if 0 in row:
-                    # raises: the functional vanishes on this weight
-                    ordering.sign(self.group.roots[ids[row.index(0)]])
-        return table
-
-    @cached_property
-    def line_signs(self):
-        """The sign table of the space's own ordering, which every structure
-        on the space reuses."""
-        return self.sign_table(self.ordering)
+    def negative_roots(self, ordering):
+        """negative[i]: is roots[i] on the negative side of `ordering`?
+        ValueError when the functional vanishes on a tangent weight."""
+        values = [dot(r, ordering.v) for r in self.group.roots]
+        if 0 in values:
+            for row in self.point_roots:
+                for r in row:
+                    if not values[r]:
+                        ordering.sign(self.group.roots[r])  # raises
+        return [x < 0 for x in values]
 
     @cached_property
     def line_sign_masks(self):
-        """One int per fixed point, with bit l set where line_signs[w][l] < 0."""
-        return tuple(sum(1 << l for l, s in enumerate(row) if s < 0) for row in self.line_signs)
+        """One int per fixed point, with bit l set where the root
+        point_roots[w][l] is negative under the space's ordering."""
+        negative = self.negative_roots(self.ordering)
+        return tuple(sum(1 << l for l, r in enumerate(row) if negative[r]) for row in self.point_roots)
 
     @cached_property
     def residues_cancel(self):
@@ -416,9 +402,12 @@ class InvariantStructure:
 
     @property
     def roots(self):
-        """The structure's weight roots eps_l * rho_l, in comp_roots order."""
-        sp = self.space
-        return tuple(tuple(e * c for c in r) for e, r in zip(self.eps, sp.comp_roots))
+        """The structure's weight roots at the identity coset, in comp_roots
+        order: the identity row of `signed_root_table`, read without the
+        coset search."""
+        group = self.space.group
+        ids = _signed_ids(self.eps, self.space.comp_root_indices, group.negation)
+        return tuple(map(group.roots.__getitem__, ids))
 
     def to_signs(self):
         return "".join("+" if s > 0 else "-" for s in self.summand_signs)
@@ -502,8 +491,7 @@ def is_integrable(structure):
     structure root is not oriented by the ordering gives no verdict.
     """
     side = structure.space.root_values
-    eps = structure.eps
-    return any(all(e * side[r] > 0 for e, r in zip(eps, row)) for row in structure.space.point_roots)
+    return any(all(side[r] > 0 for r in ids) for _, ids in signed_root_table(structure))
 
 
 class StableStructure:
@@ -635,9 +623,16 @@ def _residues_cancel(rows, pairs, ordering):
     return True
 
 
-def point_signs(structure):
-    """(sign, line signs) at each fixed point: the point's weights are its
-    line signs times the space's coset root images.
+def _signed_ids(eps, row, negation):
+    """The ids of the weights eps_l * roots[row[l]]: row[l], or its
+    negation's id where eps_l is -1."""
+    return [r if e > 0 else negation[r] for e, r in zip(eps, row)]
+
+
+def signed_root_table(structure):
+    """The structure's fixed points as (sign, ids) rows, in coset order: the
+    weight on line l at point w is roots[ids[l]], the root point_roots[w][l]
+    or, where the line's sign is -1, its negation.  Built on each call.
 
     For a stable structure the per-point sign is the product of that point's
     table entries -- the sign RELATIVE to the reference invariant structure.
@@ -646,24 +641,27 @@ def point_signs(structure):
     back themselves, while the rigidity functionals work with the relative
     data, which is what makes them structure-independent for odd kernels.
     """
+    space = structure.space
+    neg = space.group.negation
     if isinstance(structure, InvariantStructure):
-        return [(1, structure.eps)] * structure.space.euler_characteristic
+        eps = structure.eps
+        return [(1, _signed_ids(eps, row, neg)) for row in space.point_roots]
     if isinstance(structure, StableStructure):
         base_eps = structure.base.eps
-        return [(math.prod(row), tuple(s * e for s, e in zip(row, base_eps))) for row in structure.table]
+        return [
+            (math.prod(signs), _signed_ids((s * e for s, e in zip(signs, base_eps)), row, neg))
+            for signs, row in zip(structure.table, space.point_roots)
+        ]
     raise TypeError("expected an InvariantStructure or StableStructure")
 
 
 def point_indices(structure, ordering=None):
-    """(sign, index) at each fixed point: its `point_signs` sign and the
-    number of its weights on the negative side of `ordering`, by default
-    the space's own."""
+    """(sign, index) at each fixed point: its `signed_root_table` sign and
+    the number of its weights on the negative side of `ordering`, by
+    default the space's own."""
     space = structure.space
-    table = space.line_signs if ordering is None else space.sign_table(ordering)
-    return [
-        (sign, sum(1 for e, s in zip(eps, row) if e * s < 0))
-        for (sign, eps), row in zip(point_signs(structure), table)
-    ]
+    negative = space.negative_roots(space.ordering if ordering is None else ordering)
+    return [(sign, sum(map(negative.__getitem__, ids))) for sign, ids in signed_root_table(structure)]
 
 
 def index_counts(structure, ordering=None):
@@ -678,11 +676,11 @@ def index_counts(structure, ordering=None):
 
 
 def fixed_points(structure):
-    """Fixed-point localization data for an invariant or stable structure,
-    with the signs of `point_signs`."""
+    """Fixed-point localization data for an invariant or stable structure:
+    `signed_root_table` with each id read as its root vector."""
     space = structure.space
-    images = space.coset_root_images
+    roots = space.group.roots
     return [
-        FixedPoint(i, rep, [tuple(e * c for c in img) for e, img in zip(eps, images[i])], sign)
-        for i, (rep, (sign, eps)) in enumerate(zip(space.cosets.representatives, point_signs(structure)))
+        FixedPoint(i, rep, map(roots.__getitem__, ids), sign)
+        for i, (rep, (sign, ids)) in enumerate(zip(space.cosets.representatives, signed_root_table(structure)))
     ]

@@ -35,8 +35,7 @@ from .structures import (
     InvariantStructure,
     SubgroupData,
     _residues_cancel,
-    fixed_points,
-    point_signs,
+    signed_root_table,
 )
 
 
@@ -75,7 +74,7 @@ def _times_line(poly, line_terms):
     return acc
 
 
-def _packed_sum(points, ordering, cutoff, fiber_forms):
+def _packed_sum(points, ordering, cutoff):
     """The symbolic fixed-point sum on one `Packing`.
 
     Returns (terms, den, line_terms, layout, factor_vars), terms / den
@@ -87,37 +86,28 @@ def _packed_sum(points, ordering, cutoff, fiber_forms):
     weight in the top field, so `key >> layout.top` is a term's t-degree and
     sorting keys sorts by it.  Every factor is ints: a scale p/q enters
     f(t * (p/q) * line) as the terms a_i t^i p^i q^(cutoff-i) line^i over
-    q^cutoff, a fiber form over the lcm of its denominators, and each
-    point's remaining rational, sign * prod q / (prod p * prod q^cutoff *
-    fiber denominator), is scaled to an int over den, the lcm of those
-    over the points.
+    q^cutoff, and each point's remaining rational, sign * prod q / (prod p
+    * prod q^cutoff), is scaled to an int over den, the lcm of those over
+    the points.
     """
     # a sum meets each of the at most 2*|roots| signed weights at many points
     distinct = dict.fromkeys(w for _, ws in points for w in ws)
     canonical = {w: canonical_positive(w, ordering) for w in distinct}
     lines = list(dict.fromkeys(line for line, _ in canonical.values()))
     # exponent bounds: the missing lines and the f-chain (x-degree equal to
-    # its t-degree, a_i with t^i) bound the x-degree and the a's, and a fiber
-    # form adds its own; a division by a line keeps each term's x-degree
-    fiber_x, fiber_a = 0, [0] * cutoff
-    for form in fiber_forms or ():
-        xs = [i for i, v in enumerate(form.vars) if v[0] == "x"]
-        fiber_x = max(fiber_x, max((sum(e[i] for i in xs) for e in form.terms), default=0))
-        for v, column in zip(form.vars, zip(*form.terms)):
-            if v[0] == "a" and int(v[1:]) <= cutoff:
-                fiber_a[int(v[1:]) - 1] = max(fiber_a[int(v[1:]) - 1], max(column))
-    bounds = dict.fromkeys(("x%d" % (j + 1) for j in range(len(ordering.v))), len(lines) + cutoff + fiber_x)
-    bounds.update(("a%d" % i, cutoff // i + b) for i, b in enumerate(fiber_a, 1))
+    # its t-degree, a_i with t^i) bound the x-degree and the a's; a division
+    # by a line keeps each term's x-degree
+    bounds = dict.fromkeys(("x%d" % (j + 1) for j in range(len(ordering.v))), len(lines) + cutoff)
+    bounds.update(("a%d" % i, cutoff // i) for i in range(1, cutoff + 1))
     bounds["t"] = cutoff
     layout = Packing(bounds, {"t": 1})
     ts, unit = layout.top, layout.unit
     line_terms = {line: [(unit["x%d" % (j + 1)], c) for j, c in enumerate(line) if c] for line in lines}
-    fibers = [layout.pack(form) for form in fiber_forms] if fiber_forms is not None else None
-    factor_vars = sum(unit[v] for v in {v for form in fiber_forms or () for v in form.vars})
+    factor_vars = 0
 
     # each point's rational as an int over one denominator, before any product
     rows = []
-    for k, (sign, ws) in enumerate(points):
+    for sign, ws in points:
         cw = [canonical[w] for w in ws]
         own = {line for line, _ in cw}
         if len(own) != len(cw):
@@ -126,8 +116,6 @@ def _packed_sum(points, ordering, cutoff, fiber_forms):
         for _, scale in cw:
             num *= scale.denominator
             den *= scale.numerator * scale.denominator**cutoff
-        if fibers is not None:
-            den *= fibers[k][1]
         g = math.gcd(num, den) * (1 if den > 0 else -1)
         rows.append((num // g, den // g, cw, tuple(line for line in lines if line not in own)))
     common = math.lcm(*(den for _, den, _, _ in rows))
@@ -149,7 +137,7 @@ def _packed_sum(points, ordering, cutoff, fiber_forms):
         return _by_degree(terms.items(), ts, cutoff)
 
     groups = {}
-    for k, (num, den, cw, missing) in enumerate(rows):
+    for num, den, cw, missing in rows:
         run = {0: num * (common // den)}
         for pair in cw:
             if pair not in f_factors:
@@ -157,8 +145,6 @@ def _packed_sum(points, ordering, cutoff, fiber_forms):
                 for key, _ in f_factors[pair][-1]:
                     factor_vars |= key
             run = _times(run, f_factors[pair], ts, cutoff)
-        if fibers is not None:
-            run = _times(run, _by_degree(fibers[k][0], ts, cutoff), ts, cutoff)
         acc = groups.setdefault(missing, {})
         get = acc.get
         for key, c in run.items():
@@ -183,38 +169,35 @@ def localized_numerator(points, ordering, cutoff):
     Points that miss the same lines are summed first, and each group's sum
     then multiplies its missing lines once.
     """
-    terms, den, line_terms, layout, factor_vars = _packed_sum(points, ordering, cutoff, None)
+    terms, den, line_terms, layout, factor_vars = _packed_sum(points, ordering, cutoff)
     return layout.unpack(terms.items(), den, factor_vars), list(line_terms)
 
 
-def _localized_form(points, ordering, cutoff, fiber_forms=None):
+def _localized_form(points, ordering, cutoff):
     """`localized_numerator`'s N divided by its lines, exactly, on its
-    packed ints, with point k's term times fiber_forms[k] when given: each
-    line is primitive, so `Packing.divide` by it on its first nonzero
-    coordinate raises PoleCancellationError on an uncancelled pole."""
-    terms, den, line_terms, layout, _ = _packed_sum(points, ordering, cutoff, fiber_forms)
+    packed ints: each line is primitive, so `Packing.divide` by it on its
+    first nonzero coordinate raises PoleCancellationError on an uncancelled
+    pole."""
+    terms, den, line_terms, layout, _ = _packed_sum(points, ordering, cutoff)
     for line, ((_, lead), *rest) in line_terms.items():
         pivot = "x%d" % (next(j for j, c in enumerate(line) if c) + 1)
         terms = layout.divide(terms.items(), pivot, lead, rest, _POLE)
     return layout.unpack(terms.items(), den, reduce(or_, terms, 0))
 
 
-def certified(structure):
-    """Does the residue-pairing certificate prove the structure's fixed-point
-    sum free of poles?  An invariant structure reads its space's certificate,
-    which holds for every sign choice at once; a stable structure is checked
-    on its own points, the weight e * roots[r] having the id r or its
-    negation's.  Raises ValueError when two weights of one fixed point share
-    a line."""
+def certified(structure, table=None):
+    """Does the residue-pairing certificate prove the fixed-point sum over
+    `table`, by default the structure's `signed_root_table`, free of poles?
+    An invariant structure's own table reads its space's certificate, which
+    holds for every sign choice at once; any other table is checked on its
+    own rows, each weight keyed by its root id.  Raises ValueError when two
+    weights of one fixed point share a line."""
     space = structure.space
-    if isinstance(structure, InvariantStructure):
-        return space.residues_cancel
-    neg = space.group.negation
-    rows = [
-        (sign, [r if e > 0 else neg[r] for e, r in zip(eps, row)])
-        for (sign, eps), row in zip(point_signs(structure), space.point_roots)
-    ]
-    return _residues_cancel(rows, [(0, r) for r in space.group.roots], space.ordering)
+    if table is None:
+        if isinstance(structure, InvariantStructure):
+            return space.residues_cancel
+        table = signed_root_table(structure)
+    return _residues_cancel(table, [(0, r) for r in space.group.roots], space.ordering)
 
 
 def _down_set(cap, room, part=1):
@@ -246,38 +229,39 @@ def _steps(keys):
     return index, steps, parts
 
 
-def _point_sums(structure, keys, targets):
+def _point_sums(structure, keys, targets, table=None):
     """sum_p sign(p) * [a^k] prod_j f(v_j) / prod_j v_j for each k in
-    `targets`, exactly, with v_j the point's weights at x0, the ordering's
-    functional (`fixed_points` evaluated there, without building a weight).
+    `targets`, exactly, over the points of `table`, by default the
+    structure's `signed_root_table`, with v_j the point's weights at x0, the
+    ordering's functional: each id read in the space's `root_values`.
 
     `keys` is a down-set of multi-indices holding `targets`, zero first.  At
     each point one int pass of `_steps(keys)` per weight v adds a part i,
     times v^i, to every key below the top.
     """
-    rows = [
-        (sign, [e * v for e, v in zip(eps, row)])
-        for (sign, eps), row in zip(point_signs(structure), structure.space.image_values)
-    ]
+    if table is None:
+        table = signed_root_table(structure)
+    values = structure.space.root_values
     # the summand is homogeneous of degree 0 in the v's, so clearing a
-    # rational entry's denominators from all of them changes nothing
-    d = math.lcm(*(v.denominator for _, vs in rows for v in vs))
+    # rational value's denominators from all of them changes nothing
+    d = math.lcm(*(v.denominator for v in values))
     if d > 1:
-        rows = [(sign, [int(v * d) for v in vs]) for sign, vs in rows]
+        values = [int(v * d) for v in values]
     index, steps, parts = _steps(keys)
     pw = [0] * (max(parts, default=0) + 1)
     picks = [index[k] for k in targets]
     terms = []
-    for sign, values in rows:
+    for sign, ids in table:
         acc = [1] + [0] * (len(keys) - 1)
-        for v in values:
+        point = list(map(values.__getitem__, ids))
+        for v in point:
             for i in parts:
                 pw[i] = v**i
             for src, i, dst in steps:
                 c = acc[src]
                 if c:
                     acc[dst] += c * pw[i]
-        terms.append((sign, math.prod(values), [acc[j] for j in picks]))
+        terms.append((sign, math.prod(point), [acc[j] for j in picks]))
     den = math.lcm(*(e for _, e, _ in terms))
     nums = [0] * len(picks)
     for sign, e, got in terms:
@@ -287,44 +271,52 @@ def _point_sums(structure, keys, targets):
     return [Fraction(structure.global_sign * c, den) for c in nums]
 
 
-def _point_class(structure):
-    """The bordism class of a certified structure, from the point route."""
+def _point_class(structure, table=None):
+    """The bordism class of a certified structure, or of a certified `table`
+    on its space, from the point route."""
     n = structure.space.n
     keys = _down_set((n,) * n, n)
     top = [k for k in keys if sum(i * c for i, c in enumerate(k, 1)) == n]
     names = tuple("a%d" % i for i in range(1, n + 1))
-    return MultiPoly(names, dict(zip(top, _point_sums(structure, keys, top)))).restrict_vars()
+    return MultiPoly(names, dict(zip(top, _point_sums(structure, keys, top, table)))).restrict_vars()
 
 
-def _symbolic_form(structure, cutoff):
-    """The expansion to t^cutoff, cleared of denominators and divided out."""
-    # fixed_points hands back signs relative to the reference structure; the
+def _symbolic_form(structure, cutoff, table=None):
+    """The expansion to t^cutoff over `table`, by default the structure's
+    `signed_root_table`, cleared of denominators and divided out."""
+    # the table's signs are relative to the reference structure; the
     # expansion is an invariant of the oriented manifold, so the orientation
     # sign comes back in here.
-    points = [(structure.global_sign * fp.sign, fp.weights) for fp in fixed_points(structure)]
+    if table is None:
+        table = signed_root_table(structure)
+    roots = structure.space.group.roots
+    points = [(structure.global_sign * sign, list(map(roots.__getitem__, ids))) for sign, ids in table]
     return _localized_form(points, structure.space.ordering, cutoff)
 
 
 class GenusExpansion:
     """The localized genus of a structure, to t^cutoff.
 
-    `form` is the expansion cleared of denominators and divided out exactly.
-    An expansion given its form, or of a structure the certificate does not
-    cover, reads everything from the form (route "symbolic"); the latter
-    builds it here, so that a pole raises at once.  Otherwise (route
-    "point") the class comes from the point route, the lower terms vanish
-    by the certificate, and the form is built when first read: zero below
-    t^n, the class times t^n at cutoff n, and only past t^n symbolically
+    The sum runs over `table`, a signed-root table on the structure's
+    space, by default the structure's own (`signed_root_table`).  `form` is
+    the expansion cleared of denominators and divided out exactly.  An
+    expansion given its form, or of a table the certificate does not cover,
+    reads everything from the form (route "symbolic"); the latter builds it
+    here, so that a pole raises at once.  Otherwise (route "point") the
+    class comes from the point route, the lower terms vanish by the
+    certificate, and the form is built when first read: zero below t^n, the
+    class times t^n at cutoff n, and only past t^n symbolically
     (`form_route`).
     """
 
-    def __init__(self, structure, cutoff, form=None, label=None):
-        if form is None and not certified(structure):
-            form = _symbolic_form(structure, cutoff)
+    def __init__(self, structure, cutoff, form=None, label=None, table=None):
+        if form is None and not certified(structure, table):
+            form = _symbolic_form(structure, cutoff, table)
         self.structure = structure
         self.cutoff = cutoff
         self._form = form
         self.label = label
+        self.table = table
         self.route = "symbolic" if form is not None else "point"
 
     def __repr__(self):
@@ -339,9 +331,9 @@ class GenusExpansion:
             if self.cutoff < n:
                 self._form = MultiPoly.zero()
             elif self.cutoff == n:
-                self._form = _point_class(self.structure) * MultiPoly(("t",), {(n,): 1})
+                self._form = _point_class(self.structure, self.table) * MultiPoly(("t",), {(n,): 1})
             else:
-                self._form = _symbolic_form(self.structure, self.cutoff)
+                self._form = _symbolic_form(self.structure, self.cutoff, self.table)
         return self._form
 
     @property
@@ -365,7 +357,7 @@ class GenusExpansion:
         if self.cutoff < n:
             raise ValueError("expansion cutoff %d is below the dimension %d" % (self.cutoff, n))
         if self.route == "point":
-            return _point_class(self.structure)
+            return _point_class(self.structure, self.table)
         cls = self.coefficient(n).restrict_vars()
         if any(v[0] == "x" for v in cls.vars):
             raise ArithmeticError(
@@ -478,12 +470,13 @@ def s_number_schur_route(structure, omega):
     """Type-A cross-check: s_omega via the divided-difference operator.
 
     Valid for an invariant structure on U(dim)/(product of unitary blocks):
-    s_omega = (lambda / prod q_b!) . L(prod_b Vandermonde_b * f_omega), with
-    lambda the product of the structure's signs, f_omega = [a^omega]
-    prod_j f(<r_j, x>) and L = d_{w0}.  The argument has the degree C(dim, 2)
-    of the staircase delta, so L of it is the sum of its coefficients at the
-    permutations of delta signed by their inversions (Macdonald, Notes on
-    Schubert Polynomials, ch. II).  Symbolic in x, on packed ints: f_omega
+    s_omega = L(prod_b Vandermonde_b * f_omega) / (c * prod q_b!), with
+    f_omega = [a^omega] prod_j f(<r_j, x>) over the structure's roots r_j,
+    c the product of their scales over the positive lines (the product of
+    the structure's signs where the roots are the lines) and L = d_{w0}.
+    The argument has the degree C(dim, 2) of the staircase delta, so L of it
+    is the sum of its coefficients at the permutations of delta signed by
+    their inversions (Macdonald, Notes on Schubert Polynomials, ch. II).  Symbolic in x, on packed ints: f_omega
     by the point route's step table, roots times the lcm D of their
     coordinates' denominators, and the sum over D^n.
     """
@@ -525,11 +518,12 @@ def s_number_schur_route(structure, omega):
     for u in unit:
         moves = [(v * u, 1 << v) for v in range(dim)]
         stair = [(k + vu, s * (-1) ** (t % b).bit_count(), t | b) for k, s, t in stair for vu, b in moves if not t & b]
-    num = math.prod(structure.eps) * sum(s * arg.get(k, 0) for k, s, _ in stair)
+    scale = math.prod(canonical_positive(r, space.ordering)[1] for r in structure.roots)
     den = d**space.n * math.prod(math.factorial(len(b)) for b in blocks)
-    if num % den:
-        raise ArithmeticError("s_omega value is not an integer: %s" % Fraction(num, den))
-    return num // den
+    value = Fraction(sum(s * arg.get(k, 0) for k, s, _ in stair), den) / scale
+    if value.denominator != 1:
+        raise ArithmeticError("s_omega value is not an integer: %s" % value)
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +564,13 @@ def twisted_product(base_structure, fiber_structure, cutoff=None):
     """Genus of the total space of H/K -> G/K -> G/H from base and fiber data.
 
     Requires the base structure's signed root set to be invariant under the
-    isotropy Weyl group W_H.  Each base fixed point p then carries the
-    fiber's fixed-point sum with every fiber weight moved by p's coset
-    representative, a root permutation; the base sum multiplies each point's
-    term by its fiber sum, and the base poles clear as in the plain genus.
+    isotropy Weyl group W_H.  The total space's fixed points are then the
+    pairs (base point p, fiber point q): the pair's row of the flattened
+    signed-root table is p's ids followed by q's, each root of H taken into
+    G and moved by p's coset representative, a root permutation, and its
+    sign is the product of the two.  The expansion sums over that table
+    like any other (`GenusExpansion`), without the total space's own coset
+    search.
     """
     base_space = base_structure.space
     fiber_space = fiber_structure.space
@@ -583,8 +580,9 @@ def twisted_product(base_structure, fiber_structure, cutoff=None):
         raise ValueError("a twisted product needs invariant base and fiber structures, not stable ones")
     if fiber_space.group.root_set != base_space.subgroup.root_set:
         raise ValueError("fiber ambient group must be the base isotropy group")
-    roots, neg = base_space.group.roots, base_space.group.negation
-    signed = {k if e > 0 else neg[k] for e, k in zip(base_structure.eps, base_space.comp_root_indices)}
+    base_rows = signed_root_table(base_structure)
+    # the identity coset comes first: its ids are the structure's signed roots
+    signed = set(base_rows[0][1])
     # invariance under the generators of W_H is invariance under W_H
     for gen in base_space.subgroup_reflections:
         if {gen[k] for k in signed} != signed:
@@ -596,21 +594,16 @@ def twisted_product(base_structure, fiber_structure, cutoff=None):
     total_space = combined.space
     if cutoff is None:
         cutoff = total_space.n
-    # the fiber's weight on line l at its point q is eps_l times the root of
-    # H at point_roots[q][l], kept as its index in G
-    h_roots, root_index = fiber_space.group.roots, base_space.group.root_index
-    fiber_weights = [
-        [(e, root_index[h_roots[r]]) for e, r in zip(fiber_structure.eps, row)] for row in fiber_space.point_roots
+    # a root id of H -> the id of the same root in G
+    root_index = base_space.group.root_index
+    to_g = [root_index[r] for r in fiber_space.group.roots]
+    fiber_rows = [(sign, [to_g[r] for r in ids]) for sign, ids in signed_root_table(fiber_structure)]
+    table = [
+        (bsign * fsign, bids + list(map(rep.perm.__getitem__, fids)))
+        for rep, (bsign, bids) in zip(base_space.cosets.representatives, base_rows)
+        for fsign, fids in fiber_rows
     ]
-    fps = fixed_points(base_structure)
-    fiber_forms = []
-    for fp in fps:
-        perm = fp.rep.perm
-        moved = [(1, [tuple(c * x for x in roots[perm[i]]) for c, i in ws]) for ws in fiber_weights]
-        fiber_forms.append(_localized_form(moved, base_space.ordering, cutoff))
-    points = [(fp.sign, fp.weights) for fp in fps]
-    form = _localized_form(points, base_space.ordering, cutoff, fiber_forms)
-    return GenusExpansion(combined, cutoff, form, label=total_space.label + " (twisted)")
+    return GenusExpansion(combined, cutoff, label=total_space.label + " (twisted)", table=table)
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,20 @@ Fractions.  The package finds the blocks of a block-diagonal subgroup of
 U(n) in one pass and matches two fixed points' weights on a Counter;
 `block_partition_reference` uses union-find and `match_weights_reference` a
 dict that drops spent weights.  The package reads every tangent weight
-through one table of root indices, `HomogeneousSpace.point_roots`;
-`point_tables_reference` composes each representative's permutation with
-the line roots per table, `index_counts_reference` signs each weight vector
-of `fixed_points` with `Ordering.sign`, and `stable_certificate_reference`
-runs `residues_cancel` on those vectors.  Tests compare the two.
+as a root id of one signed-root table, `structures.signed_root_table`,
+built on `HomogeneousSpace.point_roots`; `point_tables_reference` composes
+each representative's permutation with the line roots,
+`signed_points_reference` signs those vectors coordinate by coordinate,
+`index_counts_reference` signs each weight vector of `fixed_points` with
+`Ordering.sign`, and `stable_certificate_reference` runs `residues_cancel`
+on those vectors.  Tests compare the two.
 """
 
+import math
 from fractions import Fraction
 
 from homgenus.rootdata import canonical_positive, compose, dot
-from homgenus.structures import fixed_points, residues_cancel
+from homgenus.structures import StableStructure, fixed_points, residues_cancel
 
 
 def coset_search_reference(group, simple, h_simple):
@@ -158,15 +161,26 @@ def match_weights_reference(wa, wb):
 
 
 def point_tables_reference(space):
-    """(coset_root_images, image_values, line_signs) of `space`, each read
-    through rep.perm[comp_root_indices[l]] for every representative."""
+    """coset_root_images of `space`: roots[rep.perm[comp_root_indices[l]]]
+    for every representative."""
     roots, ks = space.group.roots, space.comp_root_indices
-    v = space.ordering.v
-    reps = space.cosets.representatives
-    images = tuple(tuple(roots[rep.perm[k]] for k in ks) for rep in reps)
-    values = tuple(tuple(dot(roots[rep.perm[k]], v) for k in ks) for rep in reps)
-    signs = tuple(tuple(space.ordering.sign(roots[rep.perm[k]]) for k in ks) for rep in reps)
-    return images, values, signs
+    return tuple(tuple(roots[rep.perm[k]] for k in ks) for rep in space.cosets.representatives)
+
+
+def signed_points_reference(structure):
+    """(sign, weights) at each fixed point, every weight the vector e * image
+    of `point_tables_reference` with e the line's sign; a stable structure's
+    line signs are its table row times the base structure's, and its point
+    sign the product of the row."""
+    space = structure.space
+    if isinstance(structure, StableStructure):
+        rows = [(math.prod(row), [s * e for s, e in zip(row, structure.base.eps)]) for row in structure.table]
+    else:
+        rows = [(1, structure.eps)] * space.euler_characteristic
+    return [
+        (sign, [tuple(e * c for c in img) for e, img in zip(eps, images)])
+        for (sign, eps), images in zip(rows, point_tables_reference(space))
+    ]
 
 
 def index_counts_reference(structure, ordering):

@@ -19,8 +19,9 @@ coefficient runs the point route's step table over the down-set of omega;
 `f_omega_reference` copies a dict of sub-multi-indices once per factor.
 The Schur route reads the divided difference off the staircase coefficients
 of a packed-int argument; `schur_route_reference` builds the argument from
-`MultiPoly` linear forms and Vandermondes and applies `divided_difference`.
-Tests compare the two.
+`MultiPoly` linear forms and Vandermondes (`vandermonde`, kept here as the
+package never forms one) and applies `divided_difference`.  Tests compare
+the two.
 """
 
 import math
@@ -34,7 +35,6 @@ from homgenus.exactalg import (
     TruncatedSeries,
     divided_difference,
     exact_divide,
-    vandermonde,
     var_weight,
 )
 from homgenus.hirzebruch import _genus_variable, _sample_point
@@ -404,6 +404,15 @@ def f_omega_reference(pairs, omega):
     return state.get(tuple(omega), MultiPoly.zero())
 
 
+def vandermonde(names):
+    """prod_{i<j} (x_i - x_j) over the given variable names."""
+    p = MultiPoly.const(1)
+    for i in range(len(names)):
+        for j in range(i + 1, len(names)):
+            p = p * (MultiPoly.variable(names[i]) - MultiPoly.variable(names[j]))
+    return p
+
+
 def schur_route_reference(structure, omega):
     """`toricgenus.s_number_schur_route` on `MultiPoly`/`Fraction`: f_omega
     by the point route's step table on linear forms, times the blocks'
@@ -414,9 +423,8 @@ def schur_route_reference(structure, omega):
         raise ValueError("the divided-difference route needs a U(n)/(block product) space")
     omega = _normalize_omega(omega, space.n)
     names = ["x%d" % (i + 1) for i in range(space.group.dim)]
-    lam = Fraction(1)
-    for e in structure.eps:
-        lam *= e
+    # the roots are lam^-1 times the product of the positive lines
+    lam = 1 / Fraction(math.prod(canonical_positive(r, space.ordering)[1] for r in structure.roots))
     index, steps, parts = _steps(_down_set(omega, space.n))
     acc = [MultiPoly.const(1)] + [MultiPoly.zero()] * (len(index) - 1)
     for line, scale in map(canonical_positive, structure.roots):

@@ -14,9 +14,8 @@ from homgenus.exactalg import (
     exact_divide,
     parse_poly,
     parse_rational,
-    vandermonde,
 )
-from series_reference import evaluate_reference, invert_series, series_reversion
+from series_reference import evaluate_reference, invert_series, series_reversion, vandermonde
 
 
 def test_ring_basics():
@@ -121,7 +120,7 @@ def test_divided_difference_degree_drop():
     # dividing by the full Vandermonde lowers total degree by 3 choose 2
     p = parse_poly("x1^4*x2^2")
     out = divided_difference(p, ["x1", "x2", "x3"])
-    assert out.weighted_degree() == 6 - 3
+    assert {sum(e) for e in out.terms} == {6 - 3}
 
 
 def test_vandermonde():

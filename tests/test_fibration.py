@@ -38,6 +38,19 @@ def test_six_sphere_times_su3_flag():
     assert tw.lower_terms_vanish()
 
 
+def test_grassmannian_class_from_the_flattened_table():
+    # U(5)/T over G(2,5): the twisted class sums over the pairs (base point,
+    # fiber point) of the base's and the fiber's coset searches, so the total
+    # space's own search has not run when it is read
+    g52 = catalog_space("G52")
+    fiber_space = _full_flag_fiber(g52)
+    tw = twisted_product(_std(g52), _std(fiber_space))
+    assert tw.route == "point" and len(tw.table) == 120
+    cls = tw.bordism_class()
+    assert "cosets" not in tw.structure.space.__dict__
+    assert cls == chern_dold_genus(tw.structure).bordism_class()
+
+
 def test_combined_structure_signs():
     s6 = catalog_space("S6")
     fiber_space = _full_flag_fiber(s6)

@@ -111,11 +111,15 @@ def test_chi_y_specializations_are_its_values():
 
 @pytest.mark.parametrize("which", ["invariant", "stable"])
 def test_one_index_count_serves_every_specialization(monkeypatch, which):
-    # the default-ordering count reads the space's sign table once
+    # the default-ordering count reads the space's signs once: the line masks
+    # of the batched count, or the per-root signs of a stable table
     reads = []
-    attr = "line_sign_masks" if which == "invariant" else "line_signs"
-    table = getattr(HomogeneousSpace, attr)
-    monkeypatch.setattr(HomogeneousSpace, attr, property(lambda sp: reads.append(1) or table.func(sp)))
+    if which == "invariant":
+        masks = HomogeneousSpace.line_sign_masks
+        monkeypatch.setattr(HomogeneousSpace, "line_sign_masks", property(lambda sp: reads.append(1) or masks.func(sp)))
+    else:
+        signs = HomogeneousSpace.negative_roots
+        monkeypatch.setattr(HomogeneousSpace, "negative_roots", lambda sp, o: reads.append(1) or signs(sp, o))
     if which == "invariant":
         # a space of its own: the catalog's U4-flag keeps its structures' counts
         s = parse_signs(make_space("U(4)", label="U4-flag"), "+-+--+")
@@ -126,7 +130,8 @@ def test_one_index_count_serves_every_specialization(monkeypatch, which):
     # the same values as a count on the space's ordering passed explicitly
     chi = chi_y_genus(s, ordering=s.space.ordering)
     assert got == (chi, chi.evaluate({"y": 1}), chi.evaluate({"y": 0}), chi.evaluate({"y": -1}))
-    assert len(reads) == 1
+    # an explicit ordering is counted afresh, from the per-root signs
+    assert len(reads) == (1 if which == "invariant" else 2)
 
 
 def test_chi_y_independent_of_ordering():

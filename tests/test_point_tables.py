@@ -1,19 +1,27 @@
-"""Every tangent-weight read goes through `HomogeneousSpace.point_roots`:
-its weight, value and sign tables, the index counts under any ordering and
-the stable certificate against the direct references in
-`rootdata_reference`, on every catalog space, the multi-line JSON spaces and
-the scaled JSON spaces."""
+"""Every tangent-weight read goes through one signed-root table built on
+`HomogeneousSpace.point_roots`: the table, the weights, values and signs
+read through it, the index counts under any ordering and the stable
+certificate against the direct references in `rootdata_reference`, on every
+catalog space, the multi-line JSON spaces and the scaled JSON spaces."""
 
 import pytest
 
 from homgenus.catalog import catalog_entry, catalog_list, catalog_space
 from homgenus.hirzebruch import chi_y_genus
 from homgenus.rootdata import Ordering, dot
-from homgenus.structures import StableStructure, enumerate_structures, index_counts, space_from_json
+from homgenus.structures import (
+    StableStructure,
+    enumerate_structures,
+    fixed_points,
+    index_counts,
+    signed_root_table,
+    space_from_json,
+)
 from homgenus.toricgenus import certified
 from rootdata_reference import (
     index_counts_reference,
     point_tables_reference,
+    signed_points_reference,
     stable_certificate_reference,
 )
 from test_lattice import SCALED
@@ -59,15 +67,42 @@ def _stable_tables(space):
     return out
 
 
+def _read_through(space, rows, orderings):
+    """(sign, weights, values, negative flags per ordering) of each (sign,
+    ids) row, every id looked up in the space's per-root lists."""
+    roots, values = space.group.roots, space.root_values
+    negatives = [space.negative_roots(o) for o in orderings]
+    return [
+        (sign, [roots[r] for r in ids], [values[r] for r in ids], [[neg[r] for r in ids] for neg in negatives])
+        for sign, ids in rows
+    ]
+
+
+def _by_vectors(space, points, orderings):
+    """`_read_through` of the (sign, weight vectors) `points`, each value a
+    dot product and each flag a call of `Ordering.sign`."""
+    v = space.ordering.v
+    return [
+        (sign, list(ws), [dot(w, v) for w in ws], [[o.sign(w) < 0 for w in ws] for o in orderings])
+        for sign, ws in points
+    ]
+
+
 @pytest.mark.parametrize("space", _spaces(), ids=lambda sp: sp.label)
 def test_point_tables_match_the_reference(space):
-    images, values, signs = point_tables_reference(space)
+    images = point_tables_reference(space)
     assert space.coset_root_images == images
-    assert space.image_values == values
-    assert space.line_signs == signs
-    assert space.sign_table(space.ordering) == signs
     roots = space.group.roots
     assert all(roots[space.group.negation[i]] == tuple(-c for c in r) for i, r in enumerate(roots))
+    orderings = (space.ordering, _other_ordering(space))
+    # the positive line roots, which every structure's table signs
+    lines = [(1, row) for row in space.point_roots]
+    assert _read_through(space, lines, orderings) == _by_vectors(space, [(1, ws) for ws in images], orderings)
+    structures = enumerate_structures(space)
+    for s in _sampled(structures) + (_stable_tables(space) if structures else []):
+        want = signed_points_reference(s)
+        assert [(fp.sign, list(fp.weights)) for fp in fixed_points(s)] == want
+        assert _read_through(space, signed_root_table(s), orderings) == _by_vectors(space, want, orderings)
 
 
 @pytest.mark.parametrize("space", _spaces(), ids=lambda sp: sp.label)

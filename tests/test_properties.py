@@ -1,5 +1,6 @@
 """Property-based invariants (hypothesis)."""
 
+import math
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -18,7 +19,7 @@ from homgenus.exactalg import (
     var_weight,
 )
 from homgenus.hirzebruch import chi_y_genus, euler_number, signature
-from homgenus.rootdata import Ordering, SubgroupData, canonical_positive
+from homgenus.rootdata import Ordering, SubgroupData, canonical_positive, dot
 from homgenus.structures import (
     HomogeneousSpace,
     InvariantStructure,
@@ -535,47 +536,75 @@ def test_symbolic_sum_matches_the_fraction_engine(s, extra, factor):
     assert got == _outcome(divide_lines_reference, num, lines)
 
 
-def _twisted_reference(base, fiber, cutoff):
-    """twisted_product(base, fiber, cutoff).form as the plain localization
-    sum over the pairs (base point p, fiber point q), on the Fraction engine:
-    a pair's weights are p's and q's, q's moved by p's representative along
+def _twisted_points(base, fiber):
+    """The (sign, weights) of the pairs (base point p, fiber point q): a
+    pair's weights are p's and q's, q's moved by p's representative along
     its word."""
-    group, ordering = base.space.group, base.space.ordering
-    simple = group.simple_roots(ordering)
+    group = base.space.group
+    simple = group.simple_roots(base.space.ordering)
     fiber_points = fixed_points(fiber)
-    points = [
+    return [
         (p.sign * q.sign, p.weights + tuple(word_image(group, simple, p.rep.word, w) for w in q.weights))
         for p in fixed_points(base)
         for q in fiber_points
     ]
-    return divide_lines_reference(*localized_numerator_reference(points, ordering, cutoff))
 
 
-def _twisted_case(name, bsign, fsign, cutoff, fiber_roots=(), fiber=""):
+def _twisted_reference(base, fiber, cutoff):
+    """twisted_product(base, fiber, cutoff).form as the plain localization
+    sum over the pairs (base point p, fiber point q), on the Fraction
+    engine."""
+    points = _twisted_points(base, fiber)
+    return divide_lines_reference(*localized_numerator_reference(points, base.space.ordering, cutoff))
+
+
+def _twisted_value_reference(base, fiber, cutoff):
+    """`_twisted_reference` with x at the ordering's functional v: the sum
+    of sign * prod_j f(t * <w_j, v>) / <w_j, v> over the pairs, to
+    t^cutoff, on Fractions.  At t^n of the total space the form of a
+    genuine structure is free of the x's, so this value is the form; the
+    symbolic sum takes minutes on U(5)/T."""
+    v = base.space.ordering.v
+    t = MultiPoly.variable("t")
+
+    def f(x):
+        return reduce(add, (MultiPoly.variable("a%d" % i) * (x * t) ** i for i in range(1, cutoff + 1)), t**0)
+
+    total = MultiPoly.zero()
+    for sign, ws in _twisted_points(base, fiber):
+        values = [dot(w, v) for w in ws]
+        factors = [MultiPoly.const(Fraction(sign, math.prod(values)))] + list(map(f, values))
+        # a_i t^i has var_weight 2i
+        total = total + MultiPoly.product(factors, 2 * cutoff)
+    return total
+
+
+def _twisted_case(name, bsign, fsign, cutoff, fiber_roots=(), fiber="", reference=_twisted_reference):
     label = "%s%s-%d-%d-%d" % (name, fiber, bsign, fsign, cutoff)
-    return pytest.param(name, bsign, fsign, cutoff, fiber_roots, id=label)
+    return pytest.param(name, bsign, fsign, cutoff, fiber_roots, reference, id=label)
 
 
 @pytest.mark.parametrize(
-    "name, bsign, fsign, cutoff, fiber_roots",
+    "name, bsign, fsign, cutoff, fiber_roots, reference",
     # reproduction check 13's twisted products
     [_twisted_case("S6", 1, 1, 6)]
     + [_twisted_case("CP2", b, f, c) for b in (1, -1) for f in (1, -1) for c in (3, 4)]
     # long roots 2e_i of scale 2, and multi-summand bases, at t^n and t^(n+1) of the total space
     + [_twisted_case("CP3-sp", 1, 1, c) for c in (4, 5)]
     + [_twisted_case("G42", 1, -1, c) for c in (6, 7)]
+    + [_twisted_case("G42", 1, 1, 6), _twisted_case("G52", 1, 1, 10, reference=_twisted_value_reference)]
     + [_twisted_case("U4-T2xU2", 1, 1, c) for c in (6, 7)]
     + [_twisted_case("U4-T2xU2", -1, 1, 6)]
     # the fiber U(1)xU(3)/(U(1)xU(1)xU(2)), as fibration check --fiber-roots builds it
     + [_twisted_case("CP3", 1, 1, c, ((0, 0, 1, -1), (0, 0, -1, 1)), "/K") for c in (5, 6)],
 )
-def test_twisted_products_match_the_fraction_engine(name, bsign, fsign, cutoff, fiber_roots):
+def test_twisted_products_match_the_fraction_engine(name, bsign, fsign, cutoff, fiber_roots, reference):
     space = catalog_space(name)
     base = space.structure((bsign,) * len(space.summands))
     h = space.subgroup.as_group()
     fiber_space = HomogeneousSpace(h, SubgroupData(h, fiber_roots, label="K"), label="H/K")
     fiber = fiber_space.structure((fsign,) * len(fiber_space.summands))
-    assert twisted_product(base, fiber, cutoff).form == _twisted_reference(base, fiber, cutoff)
+    assert twisted_product(base, fiber, cutoff).form == reference(base, fiber, cutoff)
 
 
 @st.composite

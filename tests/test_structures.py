@@ -244,6 +244,14 @@ def test_fixed_points_cp1():
     ]
 
 
+@pytest.mark.parametrize("name", catalog_list())
+def test_structure_roots_are_the_identity_weights(name):
+    """`roots` are the tangent weights at the identity coset, long roots of
+    Sp(n) at full size rather than their primitive lines."""
+    for s in enumerate_structures(catalog_space(name)):
+        assert s.roots == fixed_points(s)[0].weights
+
+
 def test_fixed_points_count_matches_euler():
     for name in ("CP3", "U3-flag", "G42", "Sp2-flag"):
         space = catalog_space(name)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from homgenus.catalog import catalog_space
-from homgenus.structures import make_space, point_signs
+from homgenus.structures import make_space, signed_root_table
 from homgenus.toricgenus import chern_dold_genus
 
 
@@ -18,8 +18,8 @@ def _c1_power(structure):
     fixed points of sign * (sum of the weights)^n / (product of the weights)."""
     space = structure.space
     total = Fraction(0)
-    for (sign, eps), row in zip(point_signs(structure), space.image_values):
-        values = [e * v for e, v in zip(eps, row)]
+    for sign, ids in signed_root_table(structure):
+        values = [space.root_values[r] for r in ids]
         total += sign * Fraction(sum(values) ** space.n, math.prod(values))
     return total
 

@@ -13,7 +13,7 @@ import pytest
 from homgenus.catalog import catalog_entry, catalog_space
 from homgenus.cobordism import basis_convert
 from homgenus import toricgenus
-from homgenus.exactalg import MultiPoly, Packing, PoleCancellationError, divided_difference, parse_poly, vandermonde
+from homgenus.exactalg import MultiPoly, Packing, PoleCancellationError, divided_difference, parse_poly
 from homgenus.rootdata import InputError, canonical_positive, default_ordering
 from homgenus.structures import (
     InvariantStructure,
@@ -36,7 +36,7 @@ from homgenus.toricgenus import (
     s_number_schur_route,
     top_s,
 )
-from series_reference import f_omega_reference, schur_route_reference
+from series_reference import f_omega_reference, schur_route_reference, vandermonde
 from test_lattice import SCALED
 
 
@@ -216,11 +216,14 @@ def _omegas(n):
 def test_schur_route_matches_the_reference(name):
     """The packed-int route against the MultiPoly route through the full
     divided difference, on every omega of weight n, with up to 8 structures
-    per space."""
+    per space; on the scaled spaces, whose roots are not their primitive
+    lines, also against the point route."""
     space = space_from_json(SCALED[name]) if name in SCALED else catalog_space(name)
     for s in itertools.islice(enumerate_structures(space), 8):
         for omega in _omegas(space.n):
             assert s_number_schur_route(s, omega) == schur_route_reference(s, omega)
+            if name in SCALED:
+                assert s_number_schur_route(s, omega) == s_number(s, omega)
 
 
 @pytest.mark.parametrize(
