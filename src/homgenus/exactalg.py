@@ -599,11 +599,6 @@ class MultiPoly:
             "terms": [{"exps": list(e), "coeff": str(c)} for e, c in items],
         }
 
-    @classmethod
-    def from_json(cls, doc):
-        vs = tuple(doc["vars"])
-        return cls(vs, {tuple(t["exps"]): Fraction(t["coeff"]) for t in doc["terms"]})
-
 
 # ---------------------------------------------------------------------------
 # exact division

@@ -10,22 +10,24 @@ genuine structure and the t^n coefficient, which is free of the x's, is the
 bordism class.  Characteristic numbers s_omega keep only the a^omega
 coefficient of the f-product.
 
-Two routes compute these.  The symbolic route clears the sum to the common
-denominator D = product of the distinct weight lines, divides exactly and
-reads off t-coefficients.  The point route first proves, by the residue
-pairing of `structures.residues_cancel`, that the sum has no pole: it is
-then a polynomial in x, homogeneous of degree l - n in its t^l part, so its
-lower terms vanish and the class and every s_omega are constants, exactly
-their value at one integer point x0 where no weight vanishes.  A structure
-the certificate does not cover takes the symbolic route.
+Two routes compute these, and both multiply out the f-chain on one step
+table over the multi-indices of the a's (`_steps`).  The symbolic route
+runs it with packed polynomials in the x's as values, clears the sum to
+the common denominator, the product of the distinct weight lines, and
+divides each a-monomial's polynomial by the lines exactly.  The point
+route runs it on ints, the weights' values at one integer point x0 where
+no weight vanishes.  It first proves, by the residue pairing of
+`structures.residues_cancel`, that the sum has no pole: it is then a
+polynomial in x, homogeneous of degree l - n in its t^l part, so its lower
+terms vanish and the class and every s_omega are constants, exactly their
+value at x0.  A structure the certificate does not cover takes the
+symbolic route.
 """
 
 import itertools
 import math
-from bisect import bisect_left
 from fractions import Fraction
-from functools import reduce
-from operator import or_
+from functools import lru_cache
 
 from .exactalg import MAX_EXPONENT, MultiPoly, Packing, exact_divide
 from .catalog import catalog_space
@@ -42,27 +44,6 @@ from .structures import (
 _POLE = "localization sum has uncancelled pole"
 
 
-def _by_degree(terms, ts, cutoff):
-    """upto[r]: the (key, coefficient) pairs `terms` of t-degree at most r,
-    r <= cutoff."""
-    items = sorted(terms)
-    keys = [k for k, _ in items]
-    return [items[: bisect_left(keys, (r + 1) << ts)] for r in range(cutoff + 1)]
-
-
-def _times(run, upto, ts, cutoff):
-    """run times a factor given as `_by_degree` lists, to t^cutoff; pairs
-    past the cutoff are never formed."""
-    acc = {}
-    get = acc.get
-    for k1, c1 in run.items():
-        if c1:
-            for k2, c2 in upto[cutoff - (k1 >> ts)]:
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
-    return acc
-
-
 def _times_line(poly, line_terms):
     """poly times a packed linear form."""
     acc = {}
@@ -74,36 +55,59 @@ def _times_line(poly, line_terms):
     return acc
 
 
-def _packed_sum(points, ordering, cutoff):
-    """The symbolic fixed-point sum on one `Packing`.
+def _powers(line_terms, top):
+    """[1, L, ..., L^top] of a packed linear form L, each power as (key,
+    coefficient) pairs."""
+    pw = [{0: 1}]
+    for _ in range(top):
+        pw.append(_times_line(pw[-1], line_terms))
+    return [list(p.items()) for p in pw]
 
-    Returns (terms, den, line_terms, layout, factor_vars), terms / den
-    being the numerator over the product of the lines, line_terms mapping
-    each line to <line, x> as packed (key, coefficient) pairs, its first
-    coordinate first, and factor_vars the OR of the keys of every factor,
-    whose fields name the variables the numerator's factors carry.  The
-    layout has a field per x, per a_i to the cutoff and for t, and t's
-    weight in the top field, so `key >> layout.top` is a term's t-degree and
-    sorting keys sorts by it.  Every factor is ints: a scale p/q enters
-    f(t * (p/q) * line) as the terms a_i t^i p^i q^(cutoff-i) line^i over
-    q^cutoff, and each point's remaining rational, sign * prod q / (prod p
-    * prod q^cutoff), is scaled to an int over den, the lcm of those over
-    the points.
+
+def _step_pass(acc, pw, steps, dead):
+    """One weight through a `_steps` table on packed polynomials: each step
+    (src, i, dst) adds acc[src] times pw[i], the weight's i-th power, to
+    acc[dst].  acc[j] is a {key: int} dict, or None until a step first
+    writes it; a term whose key meets `dead` is dropped."""
+    for src, i, dst in steps:
+        a = acc[src]
+        if a:
+            out = acc[dst]
+            if out is None:
+                out = acc[dst] = {}
+            get = out.get
+            for k2, c2 in pw[i]:
+                for k1, c1 in a.items():
+                    if not (k := k1 + k2) & dead:
+                        out[k] = get(k, 0) + c1 * c2
+
+
+def _packed_sum(points, ordering, cutoff):
+    """The symbolic fixed-point sum as packed polynomials in x1..xd, each
+    point one `_step_pass` per weight on the table of `_chain`.
+
+    Returns (terms, den, line_terms, layout, tails): over the product of the
+    lines, the numerator's coefficient of the monomial in a1..a_cutoff and t
+    with exponents tails[j] is the {key: int} dict of the terms whose key
+    holds j above `layout.top`, over den, and line_terms maps each line to
+    <line, x> as packed (key, coefficient) pairs, its first coordinate
+    first.  With D the lcm of the weights' coordinate denominators, a
+    point's t^k part is sign * D^(n-k) [t^k] prod_j f(t D w_j) / prod_j D
+    w_j, each D w_j an int scale times its line: each point's sign * D^n /
+    (prod scales * D^cutoff) is scaled to an int over den, the lcm over the
+    points, and t^k's coefficient by D^(cutoff-k).
     """
     # a sum meets each of the at most 2*|roots| signed weights at many points
     distinct = dict.fromkeys(w for _, ws in points for w in ws)
     canonical = {w: canonical_positive(w, ordering) for w in distinct}
     lines = list(dict.fromkeys(line for line, _ in canonical.values()))
-    # exponent bounds: the missing lines and the f-chain (x-degree equal to
-    # its t-degree, a_i with t^i) bound the x-degree and the a's; a division
-    # by a line keeps each term's x-degree
-    bounds = dict.fromkeys(("x%d" % (j + 1) for j in range(len(ordering.v))), len(lines) + cutoff)
-    bounds.update(("a%d" % i, cutoff // i) for i in range(1, cutoff + 1))
-    bounds["t"] = cutoff
-    layout = Packing(bounds, {"t": 1})
-    ts, unit = layout.top, layout.unit
-    line_terms = {line: [(unit["x%d" % (j + 1)], c) for j, c in enumerate(line) if c] for line in lines}
-    factor_vars = 0
+    d = math.lcm(*(c.denominator for w in distinct for c in w))
+    # the missing lines and the f-chain bound the x-degree; a division by a
+    # line keeps each term's x-degree
+    layout = Packing(dict.fromkeys(("x%d" % (j + 1) for j in range(len(ordering.v))), len(lines) + cutoff))
+    unit = list(layout.unit.values())
+    line_terms = {line: [(u, c) for u, c in zip(unit, line) if c] for line in lines}
+    tails, steps = _chain(cutoff, max((len(ws) for _, ws in points), default=0))
 
     # each point's rational as an int over one denominator, before any product
     rows = []
@@ -112,52 +116,50 @@ def _packed_sum(points, ordering, cutoff):
         own = {line for line, _ in cw}
         if len(own) != len(cw):
             raise ValueError("two isotropy weights at one fixed point share a line")
-        num, den = sign, 1
-        for _, scale in cw:
-            num *= scale.denominator
-            den *= scale.numerator * scale.denominator**cutoff
-        g = math.gcd(num, den) * (1 if den > 0 else -1)
-        rows.append((num // g, den // g, cw, tuple(line for line in lines if line not in own)))
-    common = math.lcm(*(den for _, den, _, _ in rows))
+        pairs = [(line, int(scale * d)) for line, scale in cw]
+        q = Fraction(sign * d ** len(pairs), math.prod(s for _, s in pairs) * d**cutoff)
+        rows.append((q, pairs, tuple(line for line in lines if line not in own)))
+    den = math.lcm(*(q.denominator for q, _, _ in rows))
 
-    powers = {line: [{0: 1}] for line in lines}
-    f_factors = {}
-
-    def f_factor(pair):
-        line, scale = pair
-        p, q = scale.numerator, scale.denominator
-        pw = powers[line]
-        terms = {0: q**cutoff}
-        for i in range(1, cutoff + 1):
-            if len(pw) <= i:
-                pw.append(_times_line(pw[-1], line_terms[line]))
-            at, c = unit["a%d" % i] + i * unit["t"], p**i * q ** (cutoff - i)
-            for key, v in pw[i].items():
-                terms[at + key] = c * v
-        return _by_degree(terms.items(), ts, cutoff)
-
-    groups = {}
-    for num, den, cw, missing in rows:
-        run = {0: num * (common // den)}
-        for pair in cw:
-            if pair not in f_factors:
-                f_factors[pair] = f_factor(pair)
-                for key, _ in f_factors[pair][-1]:
-                    factor_vars |= key
-            run = _times(run, f_factors[pair], ts, cutoff)
-        acc = groups.setdefault(missing, {})
-        get = acc.get
-        for key, c in run.items():
-            acc[key] = get(key, 0) + c
+    # the coefficient of the monomial tails[j] holds j above the x fields,
+    # where no product or division by a line reaches
+    top = layout.top
+    powers, groups = {}, {}
+    for q, pairs, missing in rows:
+        acc = [{0: q.numerator * (den // q.denominator)}] + [None] * (len(tails) - 1)
+        for line, s in pairs:
+            if (line, s) not in powers:
+                powers[line, s] = _powers([(u, s * c) for u, c in line_terms[line]], cutoff)
+            _step_pass(acc, powers[line, s], steps, 0)
+        group = groups.setdefault(missing, {})
+        get = group.get
+        for j, poly in enumerate(acc):
+            for k, c in (poly or {}).items():
+                k += j << top
+                group[k] = get(k, 0) + c
     total = {}
     get = total.get
-    for missing, acc in groups.items():
+    for missing, group in groups.items():
         for line in missing:
-            acc = _times_line(acc, line_terms[line])
-            factor_vars |= sum(step for step, _ in line_terms[line])
-        for key, c in acc.items():
-            total[key] = get(key, 0) + c
-    return {k: c for k, c in total.items() if c}, common, line_terms, layout, factor_vars
+            group = _times_line(group, line_terms[line])
+        for k, c in group.items():
+            total[k] = get(k, 0) + c
+    # the t^k coefficient times D^(cutoff - k)
+    terms = {k: c * d ** (cutoff - tails[k >> top][-1]) for k, c in total.items() if c}
+    return terms, den, line_terms, layout, tails
+
+
+def _unpack(terms, den, layout, tails, line_terms):
+    """The MultiPoly of `_packed_sum`'s terms over den, each term's a and t
+    exponents the tail its key holds.  Its variables are the factors': the
+    lines' x's, a1..a_cutoff and t."""
+    keep = [j for j in range(len(layout.names)) if any(line[j] for line in line_terms)]
+    names = tuple(layout.names[j] for j in keep) + tuple("a%d" % i for i in range(1, len(tails[0]))) + ("t",)
+    fields = [layout.fields[j] for j in keep]
+    out = {}
+    for k, c in terms.items():
+        out[tuple([k >> s & m for s, m in fields]) + tails[k >> layout.top]] = Fraction(c, den)
+    return MultiPoly._from_clean(names, out)
 
 
 def localized_numerator(points, ordering, cutoff):
@@ -169,20 +171,20 @@ def localized_numerator(points, ordering, cutoff):
     Points that miss the same lines are summed first, and each group's sum
     then multiplies its missing lines once.
     """
-    terms, den, line_terms, layout, factor_vars = _packed_sum(points, ordering, cutoff)
-    return layout.unpack(terms.items(), den, factor_vars), list(line_terms)
+    terms, den, line_terms, layout, tails = _packed_sum(points, ordering, cutoff)
+    return _unpack(terms, den, layout, tails, line_terms), list(line_terms)
 
 
 def _localized_form(points, ordering, cutoff):
     """`localized_numerator`'s N divided by its lines, exactly, on its
-    packed ints: each line is primitive, so `Packing.divide` by it on its
-    first nonzero coordinate raises PoleCancellationError on an uncancelled
-    pole."""
-    terms, den, line_terms, layout, _ = _packed_sum(points, ordering, cutoff)
+    packed ints, every a-monomial's polynomial at once: each line is
+    primitive, so `Packing.divide` by it on its first nonzero coordinate
+    raises PoleCancellationError on an uncancelled pole."""
+    terms, den, line_terms, layout, tails = _packed_sum(points, ordering, cutoff)
     for line, ((_, lead), *rest) in line_terms.items():
         pivot = "x%d" % (next(j for j, c in enumerate(line) if c) + 1)
         terms = layout.divide(terms.items(), pivot, lead, rest, _POLE)
-    return layout.unpack(terms.items(), den, reduce(or_, terms, 0))
+    return _unpack(terms, den, layout, tails, line_terms).restrict_vars()
 
 
 def certified(structure, table=None):
@@ -200,15 +202,15 @@ def certified(structure, table=None):
     return _residues_cancel(table, [(0, r) for r in space.group.roots], space.ordering)
 
 
-def _down_set(cap, room, part=1):
+def _down_set(cap, room, count=math.inf, part=1):
     """The multi-indices k <= cap with sum_i i * k_i <= room (k_i counts the
-    parts i), the zero index first."""
+    parts i) and at most `count` parts, the zero index first."""
     if part > len(cap):
         return [()]
     return [
         (c,) + rest
-        for c in range(min(cap[part - 1], room // part) + 1)
-        for rest in _down_set(cap, room - c * part, part + 1)
+        for c in range(min(cap[part - 1], room // part, count) + 1)
+        for rest in _down_set(cap, room - c * part, count - c, part + 1)
     ]
 
 
@@ -227,6 +229,14 @@ def _steps(keys):
                 steps.append((index[k], i + 1, up))
     parts = sorted({i for _, i, _ in steps})
     return index, steps, parts
+
+
+@lru_cache(maxsize=64)
+def _chain(cutoff, count):
+    """The exponents of a1..a_cutoff and t of each multi-index to t^cutoff
+    with at most `count` parts, and the steps of `_steps` on them."""
+    keys = _down_set((cutoff,) * cutoff, cutoff, count)
+    return tuple(k + (sum(i * c for i, c in enumerate(k, 1)),) for k in keys), tuple(_steps(keys)[1])
 
 
 def _point_sums(structure, keys, targets, table=None):
@@ -498,18 +508,11 @@ def s_number_schur_route(structure, omega):
     dead = sum((mask ^ (2**m - 1)) << s for s, mask in layout.fields)
     d = math.lcm(*(c.denominator for r in structure.roots for c in r))
     index, steps, parts = _steps(_down_set(omega, space.n))
-    acc = [{bias: 1}] + [{} for _ in range(len(index) - 1)]
+    acc = [{bias: 1}] + [None] * (len(index) - 1)
     for r in structure.roots:
-        pw, line = [{0: 1}], [(u, c.numerator * (d // c.denominator)) for u, c in zip(unit, r) if c]
-        for _ in range(max(parts)):
-            pw.append(_times_line(pw[-1], line))
-        for src, i, dst in steps:
-            out, get = acc[dst], acc[dst].get
-            for k2, c2 in pw[i].items():
-                for k1, c1 in acc[src].items():
-                    if not (k := k1 + k2) & dead:
-                        out[k] = get(k, 0) + c1 * c2
-    arg = acc[index[omega]]
+        line = [(u, c.numerator * (d // c.denominator)) for u, c in zip(unit, r) if c]
+        _step_pass(acc, _powers(line, max(parts)), steps, dead)
+    arg = acc[index[omega]] or {}
     for i, j in (pair for b in blocks for pair in itertools.combinations(b, 2)):
         arg = _times_line(arg, [(unit[i], 1), (unit[j], -1)])
     # (key, sign, exponents taken) of the permuted staircases: variable i takes

@@ -21,7 +21,8 @@ The Schur route reads the divided difference off the staircase coefficients
 of a packed-int argument; `schur_route_reference` builds the argument from
 `MultiPoly` linear forms and Vandermondes (`vandermonde`, kept here as the
 package never forms one) and applies `divided_difference`.  Tests compare
-the two.
+the two.  The package writes `MultiPoly.to_json` documents but never reads
+one; `poly_from_json` reads them back for the round-trip tests.
 """
 
 import math
@@ -169,6 +170,12 @@ def to_text_reference(poly):
     for sign, body in parts[1:]:
         text += " %s %s" % (sign, body)
     return text
+
+
+def poly_from_json(doc):
+    """The MultiPoly of `MultiPoly.to_json`'s document; the package writes
+    that document but never reads one back."""
+    return MultiPoly(tuple(doc["vars"]), {tuple(t["exps"]): Fraction(t["coeff"]) for t in doc["terms"]})
 
 
 def _kernel_reference(f, var, arg):

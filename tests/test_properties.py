@@ -39,6 +39,7 @@ from series_reference import (
     f_factor_reference,
     invert_series,
     localized_numerator_reference,
+    poly_from_json,
     series_reversion,
     synthetic_divide_reference,
     to_text_reference,
@@ -141,7 +142,7 @@ def test_text_round_trip(p):
 
 @given(polys())
 def test_json_round_trip(p):
-    assert MultiPoly.from_json(p.to_json()) == p
+    assert poly_from_json(p.to_json()) == p
 
 
 @given(polys(names=("u1",), max_terms=4, max_exp=4), st.integers(1, 5))
@@ -519,21 +520,28 @@ def sign_tables(draw):
     return StableStructure(space, base, table, draw(st.sampled_from((1, -1))))
 
 
+SCALE_FACTORS = st.sampled_from((1, -1, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(sign_tables(), st.integers(0, 2), st.sampled_from((1, -1, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2))))
-def test_symbolic_sum_matches_the_fraction_engine(s, extra, factor):
+@given(sign_tables(), st.integers(0, 2), SCALE_FACTORS, st.data())
+def test_symbolic_sum_matches_the_fraction_engine(s, extra, factor, data):
     cutoff = s.space.n + extra
+    ordering = s.space.ordering
     orientation = getattr(s, "global_sign", 1)
     points = [(orientation * fp.sign, fp.weights) for fp in fixed_points(s)]
-    num, lines = localized_numerator_reference(points, s.space.ordering, cutoff)
-    assert localized_numerator(points, s.space.ordering, cutoff) == (num, lines)
+    num, lines = localized_numerator_reference(points, ordering, cutoff)
+    assert localized_numerator(points, ordering, cutoff) == (num, lines)
     assert _outcome(_symbolic_form, s, cutoff) == _outcome(divide_lines_reference, num, lines)
-    # every weight times one rational factor: scales p/q with q > 1 on every line
-    points = [(sign, tuple(tuple(factor * c for c in w) for w in ws)) for sign, ws in points]
-    num, lines = localized_numerator_reference(points, s.space.ordering, cutoff)
-    assert localized_numerator(points, s.space.ordering, cutoff) == (num, lines)
-    got = _outcome(_localized_form, points, s.space.ordering, cutoff)
-    assert got == _outcome(divide_lines_reference, num, lines)
+    # every weight times one rational factor: scales p/q with q > 1 on every
+    # line; then a factor per line, so that one point mixes denominators
+    per_line = {line: data.draw(SCALE_FACTORS) for line in lines}
+    for by in (lambda w: factor, lambda w: per_line[canonical_positive(w, ordering)[0]]):
+        scaled = [(sign, tuple(tuple(by(w) * c for c in w) for w in ws)) for sign, ws in points]
+        num, lines = localized_numerator_reference(scaled, ordering, cutoff)
+        assert localized_numerator(scaled, ordering, cutoff) == (num, lines)
+        got = _outcome(_localized_form, scaled, ordering, cutoff)
+        assert got == _outcome(divide_lines_reference, num, lines)
 
 
 def _twisted_points(base, fiber):
