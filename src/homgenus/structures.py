@@ -271,8 +271,7 @@ class HomogeneousSpace:
                 cols[li] = [k * len(roots) + r for r in (neg if o < 0 else range(len(roots)))]
         # each id is one int object, which every row holding it shares
         rows = [(1, [col[r] for col, r in zip(cols, row)]) for row in self.point_roots]
-        pairs = [(k, r) for k in range(len(self.summands)) for r in roots]
-        return _residues_cancel(rows, pairs, self.ordering)
+        return _residues_cancel(rows, roots, self.ordering)
 
     @cached_property
     def summand_chern(self):
@@ -491,7 +490,7 @@ def is_integrable(structure):
     structure root is not oriented by the ordering gives no verdict.
     """
     side = structure.space.root_values
-    return any(all(side[r] > 0 for r in ids) for _, ids in signed_root_table(structure))
+    return any(all(side[r] > 0 for r in ids) for _, ids in _signed_rows(structure))
 
 
 class StableStructure:
@@ -562,57 +561,66 @@ def residues_cancel(points, ordering):
     the ordering's functional, where the point route evaluates.  Raises
     ValueError when two weights of one point share a line.
     """
-    ids = {}  # (label, weight) -> its id
-    rows = []
-    for sign, ws, labels in points:
-        rows.append((sign, [ids.setdefault(pair, len(ids)) for pair in zip(labels, ws)]))
-    return _residues_cancel(rows, list(ids), ordering)
+    roots, labels = {}, {}  # weight -> its root id; label -> its index
+    pairs = [
+        (sign, [(labels.setdefault(label, len(labels)), roots.setdefault(w, len(roots))) for label, w in zip(ls, ws)])
+        for sign, ws, ls in points
+    ]
+    rows = [(sign, [label * len(roots) + r for label, r in row]) for sign, row in pairs]
+    return _residues_cancel(rows, list(roots), ordering)
 
 
-def _residues_cancel(rows, pairs, ordering):
-    """`residues_cancel` on interned weights: `rows` holds (sign, ids), one
-    id per weight, and pairs[id] is the (label, weight) it stands for.
+def _residues_cancel(rows, roots, ordering):
+    """`residues_cancel` on root ids: `rows` holds (sign, ids), one id per
+    weight, and the id k stands for the label k // R and the weight
+    roots[k % R], with R = len(roots).
 
-    On line l a weight reduces to its class modulo l, w -> l_i * w - w_i * l,
-    and each (label, class) gets a small int code.  A point with a weight on
-    l is keyed by the sorted codes of all its weights: the one on l reduces
-    to (its label, 0) and no other weight can, so the key holds the same
-    data as (label on l, multiset of the others).  sign / c is summed as the
-    int sign * q * (M // p), with c = p / q and M the lcm of the numerators."""
-    along = {}  # id -> (index of its line, scale)
+    Each root's line and scale come from one `canonical_positive`.  On line l
+    a root reduces to its class modulo l, w -> l_i * w - w_i * l; the classes
+    of the R roots get small int codes once per line, and the id k the code
+    (k // R) * classes + code[k % R], one per (label, class).  A point with a
+    weight on l is keyed by the sorted codes of all its weights: the one on l
+    reduces to (its label, 0) and no other weight can, so the key holds the
+    same data as (label on l, multiset of the others).  sign / c is summed as
+    the int sign * q * (M // p), with c = p / q and M the lcm of the
+    numerators."""
+    if not roots:
+        return True  # no weights, so no line to carry a pole
     lines = {}  # line -> its index
+    line_of, scales = [], []  # per root: the index of its line, and its scale
+    for r in roots:
+        line, scale = canonical_positive(r, ordering)
+        line_of.append(lines.setdefault(line, len(lines)))
+        scales.append(scale)
+    big = math.lcm(*(abs(scale.numerator) for scale in scales))
+    coeff = [scale.denominator * (big // scale.numerator) for scale in scales]
+    # every id's line and coefficient, through the labels the rows use
+    labels = max((max(row) for _, row in rows if row), default=0) // len(roots) + 1
+    line_of *= labels
+    coeff *= labels
     # for each point with a weight on line l, in step: its id on l and its index in rows
-    ids, at = [], []
+    ids = [[] for _ in lines]
+    at = [[] for _ in lines]
     for j, (_, row) in enumerate(rows):
-        on = []
-        for k in row:
-            a = along.get(k)
-            if a is None:
-                line, scale = canonical_positive(pairs[k][1], ordering)
-                li = lines.setdefault(line, len(lines))
-                if li == len(ids):
-                    ids.append([])
-                    at.append([])
-                a = along[k] = (li, scale)
-            on.append(a[0])
+        on = list(map(line_of.__getitem__, row))
         if len(set(on)) != len(on):
             raise ValueError("two isotropy weights at one fixed point share a line")
         for li, k in zip(on, row):
             ids[li].append(k)
             at[li].append(j)
-    big = math.lcm(*(abs(scale.numerator) for _, scale in along.values()))
-    coeff = {k: scale.denominator * (big // scale.numerator) for k, (_, scale) in along.items()}
     v = ordering.v
     for line, line_ids, line_at in zip(lines, ids, at):
+        if not line_ids:
+            continue
         if not dot(line, v):
             return False
         i = next(k for k, c in enumerate(line) if c)
         classes = {}
-        code = [0] * len(pairs)
-        for k in along:
-            label, w = pairs[k]
-            cls = (label, tuple(line[i] * c - w[i] * lc for c, lc in zip(w, line)))
-            code[k] = classes.setdefault(cls, len(classes))
+        root_code = [
+            classes.setdefault(tuple(line[i] * c - w[i] * lc for c, lc in zip(w, line)), len(classes))
+            for w in roots
+        ]
+        code = [label * len(classes) + c for label in range(labels) for c in root_code]
         sums = {}
         for k, j in zip(line_ids, line_at):
             sign, row = rows[j]
@@ -632,7 +640,8 @@ def _signed_ids(eps, row, negation):
 def signed_root_table(structure):
     """The structure's fixed points as (sign, ids) rows, in coset order: the
     weight on line l at point w is roots[ids[l]], the root point_roots[w][l]
-    or, where the line's sign is -1, its negation.  Built on each call.
+    or, where the line's sign is -1, its negation.  Built on each call, as
+    the list of `_signed_rows`.
 
     For a stable structure the per-point sign is the product of that point's
     table entries -- the sign RELATIVE to the reference invariant structure.
@@ -641,17 +650,23 @@ def signed_root_table(structure):
     back themselves, while the rigidity functionals work with the relative
     data, which is what makes them structure-independent for odd kernels.
     """
+    return list(_signed_rows(structure))
+
+
+def _signed_rows(structure):
+    """The rows of `signed_root_table`, one at a time, for a reader that may
+    stop early."""
     space = structure.space
     neg = space.group.negation
     if isinstance(structure, InvariantStructure):
         eps = structure.eps
-        return [(1, _signed_ids(eps, row, neg)) for row in space.point_roots]
+        return ((1, _signed_ids(eps, row, neg)) for row in space.point_roots)
     if isinstance(structure, StableStructure):
         base_eps = structure.base.eps
-        return [
+        return (
             (math.prod(signs), _signed_ids((s * e for s, e in zip(signs, base_eps)), row, neg))
             for signs, row in zip(structure.table, space.point_roots)
-        ]
+        )
     raise TypeError("expected an InvariantStructure or StableStructure")
 
 

@@ -11,17 +11,19 @@ bordism class.  Characteristic numbers s_omega keep only the a^omega
 coefficient of the f-product.
 
 Two routes compute these, and both multiply out the f-chain on one step
-table over the multi-indices of the a's (`_steps`).  The symbolic route
-runs it with packed polynomials in the x's as values, clears the sum to
-the common denominator, the product of the distinct weight lines, and
-divides each a-monomial's polynomial by the lines exactly.  The point
-route runs it on ints, the weights' values at one integer point x0 where
-no weight vanishes.  It first proves, by the residue pairing of
-`structures.residues_cancel`, that the sum has no pole: it is then a
-polynomial in x, homogeneous of degree l - n in its t^l part, so its lower
-terms vanish and the class and every s_omega are constants, exactly their
-value at x0.  A structure the certificate does not cover takes the
-symbolic route.
+table over the multi-indices of the a's (`_table`, built once per
+down-set).  The symbolic route runs it with packed polynomials in the x's
+as values, clears the sum to the common denominator, the product of the
+distinct weight lines, and divides each a-monomial's polynomial by the
+lines exactly.  The point route runs it on ints, the weights' values at
+one integer point x0 where no weight vanishes.  It first proves that the
+sum has no pole, by the residue pairing of `structures._residues_cancel`
+on the signed-root table's root ids (`certified`): each root of G is
+canonicalized once, and classed modulo each weight line once, however
+many points or labels carry it.  The sum is then a polynomial in x,
+homogeneous of degree l - n in its t^l part, so its lower terms vanish
+and the class and every s_omega are constants, exactly their value at
+x0.  A structure the certificate does not cover takes the symbolic route.
 """
 
 import itertools
@@ -65,10 +67,10 @@ def _powers(line_terms, top):
 
 
 def _step_pass(acc, pw, steps, dead):
-    """One weight through a `_steps` table on packed polynomials: each step
-    (src, i, dst) adds acc[src] times pw[i], the weight's i-th power, to
-    acc[dst].  acc[j] is a {key: int} dict, or None until a step first
-    writes it; a term whose key meets `dead` is dropped."""
+    """One weight through the steps of a `_table` on packed polynomials:
+    each step (src, i, dst) adds acc[src] times pw[i], the weight's i-th
+    power, to acc[dst].  acc[j] is a {key: int} dict, or None until a step
+    first writes it; a term whose key meets `dead` is dropped."""
     for src, i, dst in steps:
         a = acc[src]
         if a:
@@ -192,14 +194,14 @@ def certified(structure, table=None):
     `table`, by default the structure's `signed_root_table`, free of poles?
     An invariant structure's own table reads its space's certificate, which
     holds for every sign choice at once; any other table is checked on its
-    own rows, each weight keyed by its root id.  Raises ValueError when two
-    weights of one fixed point share a line."""
+    own rows, each weight's root id under the one label 0.  Raises
+    ValueError when two weights of one fixed point share a line."""
     space = structure.space
     if table is None:
         if isinstance(structure, InvariantStructure):
             return space.residues_cancel
         table = signed_root_table(structure)
-    return _residues_cancel(table, [(0, r) for r in space.group.roots], space.ordering)
+    return _residues_cancel(table, space.group.roots, space.ordering)
 
 
 def _down_set(cap, room, count=math.inf, part=1):
@@ -214,11 +216,15 @@ def _down_set(cap, room, count=math.inf, part=1):
     ]
 
 
-def _steps(keys):
-    """(index, steps, parts) of a down-set `keys`, zero first: index[k] is k's
-    position, steps the (src, i, dst) moves adding a part i to key src, the
-    heaviest src first so that one pass per factor adds at most one part,
-    and parts the sizes i used (Macdonald, Symmetric Functions, I.6)."""
+@lru_cache(maxsize=64)
+def _table(cap, room, count=math.inf):
+    """(keys, index, steps, parts), the step table of the down-set
+    `_down_set(cap, room, count)`, built once per argument tuple: keys the
+    multi-indices, zero first, index[k] k's position, steps the (src, i, dst)
+    moves adding a part i to key src, the heaviest src first so that one
+    pass per factor adds at most one part, and parts the sizes i used
+    (Macdonald, Symmetric Functions, I.6).  Callers must not mutate it."""
+    keys = tuple(_down_set(cap, room, count))
     weight = {k: sum(i * c for i, c in enumerate(k, 1)) for k in keys}
     index = {k: j for j, k in enumerate(keys)}
     steps = []
@@ -227,27 +233,26 @@ def _steps(keys):
             up = index.get(k[:i] + (k[i] + 1,) + k[i + 1 :])
             if up is not None:
                 steps.append((index[k], i + 1, up))
-    parts = sorted({i for _, i, _ in steps})
-    return index, steps, parts
+    parts = tuple(sorted({i for _, i, _ in steps}))
+    return keys, index, tuple(steps), parts
 
 
-@lru_cache(maxsize=64)
 def _chain(cutoff, count):
     """The exponents of a1..a_cutoff and t of each multi-index to t^cutoff
-    with at most `count` parts, and the steps of `_steps` on them."""
-    keys = _down_set((cutoff,) * cutoff, cutoff, count)
-    return tuple(k + (sum(i * c for i, c in enumerate(k, 1)),) for k in keys), tuple(_steps(keys)[1])
+    with at most `count` parts, and the steps of `_table` on them."""
+    keys, _, steps, _ = _table((cutoff,) * cutoff, cutoff, count)
+    return tuple(k + (sum(i * c for i, c in enumerate(k, 1)),) for k in keys), steps
 
 
-def _point_sums(structure, keys, targets, table=None):
+def _point_sums(structure, cap, targets, table=None):
     """sum_p sign(p) * [a^k] prod_j f(v_j) / prod_j v_j for each k in
     `targets`, exactly, over the points of `table`, by default the
     structure's `signed_root_table`, with v_j the point's weights at x0, the
     ordering's functional: each id read in the space's `root_values`.
 
-    `keys` is a down-set of multi-indices holding `targets`, zero first.  At
-    each point one int pass of `_steps(keys)` per weight v adds a part i,
-    times v^i, to every key below the top.
+    The targets lie in the down-set of the multi-indices k <= `cap` of
+    weight at most n.  At each point one int pass of its `_table` per weight
+    v adds a part i, times v^i, to every key below the top.
     """
     if table is None:
         table = signed_root_table(structure)
@@ -257,7 +262,7 @@ def _point_sums(structure, keys, targets, table=None):
     d = math.lcm(*(v.denominator for v in values))
     if d > 1:
         values = [int(v * d) for v in values]
-    index, steps, parts = _steps(keys)
+    keys, index, steps, parts = _table(cap, structure.space.n)
     pw = [0] * (max(parts, default=0) + 1)
     picks = [index[k] for k in targets]
     terms = []
@@ -285,10 +290,10 @@ def _point_class(structure, table=None):
     """The bordism class of a certified structure, or of a certified `table`
     on its space, from the point route."""
     n = structure.space.n
-    keys = _down_set((n,) * n, n)
-    top = [k for k in keys if sum(i * c for i, c in enumerate(k, 1)) == n]
+    cap = (n,) * n
+    top = [k for k in _table(cap, n)[0] if sum(i * c for i, c in enumerate(k, 1)) == n]
     names = tuple("a%d" % i for i in range(1, n + 1))
-    return MultiPoly(names, dict(zip(top, _point_sums(structure, keys, top, table)))).restrict_vars()
+    return MultiPoly(names, dict(zip(top, _point_sums(structure, cap, top, table)))).restrict_vars()
 
 
 def _symbolic_form(structure, cutoff, table=None):
@@ -441,7 +446,7 @@ def s_number(structure, omega):
     space = structure.space
     omega = _normalize_omega(omega, space.n)
     if certified(structure):
-        (value,) = _point_sums(structure, _down_set(omega, space.n), [omega])
+        (value,) = _point_sums(structure, omega, [omega])
     else:
         value = _symbolic_class(structure)
         for i, k in enumerate(omega, 1):
@@ -507,8 +512,8 @@ def s_number_schur_route(structure, omega):
     unit, bias = list(layout.unit.values()), (2**m - dim) * sum(layout.unit.values())
     dead = sum((mask ^ (2**m - 1)) << s for s, mask in layout.fields)
     d = math.lcm(*(c.denominator for r in structure.roots for c in r))
-    index, steps, parts = _steps(_down_set(omega, space.n))
-    acc = [{bias: 1}] + [None] * (len(index) - 1)
+    keys, index, steps, parts = _table(omega, space.n)
+    acc = [{bias: 1}] + [None] * (len(keys) - 1)
     for r in structure.roots:
         line = [(u, c.numerator * (d // c.denominator)) for u, c in zip(unit, r) if c]
         _step_pass(acc, _powers(line, max(parts)), steps, dead)

@@ -41,7 +41,7 @@ from homgenus.exactalg import (
 from homgenus.hirzebruch import _genus_variable, _sample_point
 from homgenus.rootdata import canonical_positive, dot
 from homgenus.structures import fixed_points
-from homgenus.toricgenus import _block_partition, _down_set, _normalize_omega, _steps
+from homgenus.toricgenus import _block_partition, _normalize_omega, _table
 
 
 def invert_series(s):
@@ -432,7 +432,7 @@ def schur_route_reference(structure, omega):
     names = ["x%d" % (i + 1) for i in range(space.group.dim)]
     # the roots are lam^-1 times the product of the positive lines
     lam = 1 / Fraction(math.prod(canonical_positive(r, space.ordering)[1] for r in structure.roots))
-    index, steps, parts = _steps(_down_set(omega, space.n))
+    _, index, steps, parts = _table(omega, space.n)
     acc = [MultiPoly.const(1)] + [MultiPoly.zero()] * (len(index) - 1)
     for line, scale in map(canonical_positive, structure.roots):
         pw = [MultiPoly.const(1), MultiPoly.linear_form(names, line) * scale]

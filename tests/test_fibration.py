@@ -5,7 +5,8 @@ import pytest
 from homgenus.catalog import catalog_entry, catalog_space
 from homgenus.rootdata import SubgroupData
 from homgenus.structures import HomogeneousSpace, InvariantStructure
-from homgenus.toricgenus import chern_dold_genus, combine_structures, twisted_product
+from homgenus.toricgenus import certified, chern_dold_genus, combine_structures, twisted_product
+from rootdata_reference import residues_cancel_reference
 
 
 def _std(space):
@@ -49,6 +50,31 @@ def test_grassmannian_class_from_the_flattened_table():
     cls = tw.bordism_class()
     assert "cosets" not in tw.structure.space.__dict__
     assert cls == chern_dold_genus(tw.structure).bordism_class()
+
+
+@pytest.mark.parametrize(
+    "name, bsign, fsign",
+    [("S6", 1, 1)] + [("CP2", b, f) for b in (1, -1) for f in (1, -1)] + [("G42", 1, 1)],
+)
+def test_flattened_table_certificate_matches_the_reference(name, bsign, fsign):
+    """The certificate on a twisted product's flattened (base point, fiber
+    point) table, by root id, against the reference on the table's weight
+    vectors, each labelled 0; with one row's sign flipped both refuse."""
+    base_space = catalog_space(name)
+    fiber_space = _full_flag_fiber(base_space)
+    base = InvariantStructure(base_space, (bsign,) * len(base_space.summands))
+    fiber = InvariantStructure(fiber_space, (fsign,) * len(fiber_space.summands))
+    tw = twisted_product(base, fiber)
+    space = tw.structure.space
+    roots = space.group.roots
+
+    def verdicts(table):
+        points = [(sign, [roots[r] for r in ids], (0,) * len(ids)) for sign, ids in table]
+        return certified(tw.structure, table), residues_cancel_reference(points, space.ordering)
+
+    assert verdicts(tw.table) == (True, True)
+    (sign, ids), *rest = tw.table
+    assert verdicts([(-sign, ids)] + rest) == (False, False)
 
 
 def test_combined_structure_signs():

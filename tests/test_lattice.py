@@ -8,7 +8,7 @@ import pytest
 from homgenus.catalog import catalog_list, catalog_space
 from homgenus.hirzebruch import chi_y_genus
 from homgenus.rootdata import canonical_positive
-from homgenus.structures import InvariantStructure, enumerate_structures, fixed_points, space_from_json
+from homgenus.structures import InvariantStructure, enumerate_structures, fixed_points, make_space, space_from_json
 from homgenus.toricgenus import _symbolic_form, chern_dold_genus, s_number
 from series_reference import divide_lines_reference, localized_numerator_reference
 
@@ -90,3 +90,51 @@ def test_scaled_symbolic_forms_match_the_fraction_engine(name):
         for cutoff in (space.n, space.n + 1):
             want = divide_lines_reference(*localized_numerator_reference(points, space.ordering, cutoff))
             assert _symbolic_form(s, cutoff) == want
+
+
+def _in_coordinates(group, a, subgroup_roots):
+    """A rank-2 group and subgroup as a JSON space in new root coordinates:
+    each root r becomes A r, and the Gram matrix G (the identity when the
+    group has none) becomes A^-T G A^-1, so every pairing is unchanged."""
+    (p, q), (r, s) = a
+    det = p * s - q * r
+    inv = ((s / det, -q / det), (-r / det, p / det))
+    gram = group.gram or ((1, 0), (0, 1))
+    moved_gram = [
+        [sum(inv[k][i] * gram[k][l] * inv[l][j] for k in range(2) for l in range(2)) for j in range(2)]
+        for i in range(2)
+    ]
+
+    def move(v):
+        return [str(a[i][0] * v[0] + a[i][1] * v[1]) for i in range(2)]
+
+    return {
+        "group": {
+            "label": group.label + "'",
+            "dim": 2,
+            "roots": [move(r) for r in group.roots],
+            "gram": [[str(c) for c in row] for row in moved_gram],
+        },
+        "subgroup_roots": [move(r) for r in subgroup_roots],
+    }
+
+
+@pytest.mark.parametrize(
+    "group, subgroup_roots", [("Sp(2)", ()), ("Sp(2)", ((2, 0),)), ("G2", ())], ids=["Sp2/T", "Sp2/2e1", "G2/T"]
+)
+def test_classes_do_not_depend_on_the_root_coordinates(group, subgroup_roots):
+    """A non-uniform rational change of root coordinates leaves the space,
+    so the multiset of its invariant structures' classes, as it was; the
+    moved roots are rational, so the certificate and the point route run on
+    rational scales."""
+    space = make_space(group, subgroup_roots)
+    change = ((Fraction(1), Fraction(1, 2)), (Fraction(-1, 3), Fraction(2)))
+    moved = space_from_json(_in_coordinates(space.group, change, space.subgroup.roots))
+    assert any(type(c) is Fraction for r in moved.group.roots for c in r)
+    assert (moved.n, len(moved.cosets)) == (space.n, len(space.cosets))
+    assert moved.residues_cancel
+
+    def classes(sp):
+        return sorted(chern_dold_genus(s).bordism_class().to_text() for s in enumerate_structures(sp))
+
+    assert classes(moved) == classes(space)

@@ -18,6 +18,7 @@ from homgenus.structures import (
     is_integrable,
     make_space,
     parse_signs,
+    signed_root_table,
     space_from_json,
 )
 from rootdata_reference import index_counts_reference
@@ -34,6 +35,16 @@ def test_s6_structure_basics():
     assert std.eps == (1, -1, 1)
     assert first_chern(std) == (0, 0)
     assert not is_integrable(std)
+
+
+@pytest.mark.parametrize("name", catalog_list())
+def test_integrability_is_any_over_the_whole_table(name):
+    """`is_integrable` walks the rows lazily and stops at the first positive
+    one; its verdict is `any` over the full signed-root table."""
+    space = catalog_space(name)
+    side = space.root_values
+    for s in enumerate_structures(space):
+        assert is_integrable(s) == any(all(side[r] > 0 for r in ids) for _, ids in signed_root_table(s))
 
 
 def test_s6_has_two_structures():

@@ -25,9 +25,11 @@ from homgenus.structures import (
 )
 from homgenus.toricgenus import (
     _block_partition,
+    _chain,
     _down_set,
     _localized_form,
     _symbolic_form,
+    _table,
     chern_dold_genus,
     hp_obstruction_search,
     localized_numerator,
@@ -204,6 +206,23 @@ def test_schur_route_does_not_read_the_point_route(monkeypatch):
     monkeypatch.setattr(toricgenus, "_point_sums", refuse)
     assert s_number_schur_route(_std("G42"), (0, 0, 0, 1)) == -20
     assert s_number_schur_route(_std("G52"), (0, 0, 0, 0, 0, 1)) == 70
+
+
+def test_each_step_table_is_built_once():
+    """The 64 top s-numbers of U4-flag share one step table, and the
+    symbolic sum's chain is the same table with each key's weight."""
+    structures = enumerate_structures(catalog_space("U4-flag"))
+    assert len(structures) == 64
+    _table.cache_clear()
+    for s in structures:
+        top_s(s)
+    assert _table.cache_info().misses == 1
+    for cutoff, count in ((4, 2), (6, 6), (7, 6)):
+        keys, _, steps, _ = _table((cutoff,) * cutoff, cutoff, count)
+        tails, chain_steps = _chain(cutoff, count)
+        assert chain_steps == steps
+        assert [t[:-1] for t in tails] == list(keys)
+        assert [t[-1] for t in tails] == [sum(i * c for i, c in enumerate(k, 1)) for k in keys]
 
 
 def _omegas(n):
