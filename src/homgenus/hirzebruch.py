@@ -8,13 +8,12 @@ certificates are combinatorial pairings of the fixed points, not numerics.
 
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 
 from .cobordism import evaluate_class, specialize_genus, tanh_series, todd_series
 from .exactalg import MultiPoly, RationalFn, TruncatedSeries
 from .rootdata import InputError, dot
-from .structures import fixed_points, index_counts, signed_root_table
+from .structures import index_counts, signed_root_table
 from .toricgenus import chern_dold_genus
 
 
@@ -133,14 +132,18 @@ def rigidity_eval(structure, f, point):
     The points are the structure's `signed_root_table`, so no weight vector
     is built and each kernel value is worked out once per root id; a weight
     that pairs to zero with the point, or meets a zero (ValueError) or a
-    pole (ZeroDivisionError) of the kernel, raises an error naming it.  Each
-    point's product is an int numerator and denominator, and the sum one
-    Fraction over their lcm.
+    pole (ZeroDivisionError) of the kernel, raises an error naming it, and
+    a point with other than one coordinate per torus variable an InputError.
+    Each point's product is an int numerator and denominator, and the sum
+    one Fraction over their lcm.
     """
     if not isinstance(f, RationalFn):
         raise TypeError("rigidity_eval needs an exact rational genus kernel")
     var = _genus_variable(f)
     point = tuple(Fraction(c) for c in point)
+    dim = structure.space.group.dim
+    if len(point) != dim:
+        raise InputError("the sample point needs %d coordinates, got %d" % (dim, len(point)))
     roots = structure.space.group.roots
     # a sum meets each of the at most |roots| weights many times
     kernel = {}
@@ -197,11 +200,14 @@ def structure_independence(structures, f, samples=5, seed=0):
     """Evaluate the same rigid functional on several structures at shared
     sample points; returns the table and whether every row came out equal.
 
-    All structures must live on the same space; each sample point is one
-    where every structure's sum is defined (`_sample`)."""
+    All structures must live on the same space object (InputError
+    otherwise); each sample point is one where every structure's sum is
+    defined (`_sample`)."""
     rng = random.Random(seed)
     if not structures:
         raise ValueError("need at least one structure")
+    if any(s.space is not structures[0].space for s in structures):
+        raise InputError("structure independence compares structures on one space")
     if samples < 1:
         raise ValueError("need at least one sample point, got %d" % samples)
     drawn = [_sample(structures, f, rng) for _ in range(samples)]
@@ -214,18 +220,14 @@ def structure_independence(structures, f, samples=5, seed=0):
 # odd-genus certificates
 
 
-def _match_weights(wa, wb):
-    """Match the multiset wb against +/- wa; return flip count or None."""
-    remaining = Counter(map(tuple, wb))
-    flips = 0
-    for w in map(tuple, wa):
-        if not remaining[w]:
-            w = tuple(-c for c in w)
-            if not remaining[w]:
-                return None
-            flips += 1
-        remaining[w] -= 1
-    return None if any(remaining.values()) else flips
+def _row_flips(a, b, negation):
+    """Match row b against +/- row a, root ids of equal length on distinct
+    lines: the number of ids of a that b holds negated, or None when b holds
+    neither some id of a nor its negation."""
+    held = set(b)
+    if all(r in held or negation[r] in held for r in a):
+        return sum(r not in held for r in a)
+    return None
 
 
 def certify_odd_rigidity(structure, f=None, seed=0):
@@ -241,14 +243,14 @@ def certify_odd_rigidity(structure, f=None, seed=0):
     W has more than COSET_CAP elements is refused (InputError).
     """
     space = structure.space
-    fps = fixed_points(structure)
+    table = signed_root_table(structure)
     result = {"verdict": None, "certificate": None, "samples": []}
     if isinstance(f, RationalFn) and not f.is_odd(_genus_variable(f)):
         raise InputError("the kernel is not odd; this certificate does not apply")
-    if len(fps) % 2 == 1:
+    if len(table) % 2 == 1:
         result["verdict"] = "not covered: odd number of fixed points"
     else:
-        cert = _find_pairing(structure, fps)
+        cert = _find_pairing(structure, table)
         if cert is not None:
             result["verdict"] = "certified zero"
             result["certificate"] = cert
@@ -274,10 +276,11 @@ def certify_odd_rigidity(structure, f=None, seed=0):
     return result
 
 
-def _find_pairing(structure, fps):
+def _find_pairing(structure, table):
     """The first non-identity t in W, in (length, lex) order, that pairs the
-    cosets without fixed points, t.rep_i W_H = rep_j W_H, with matched
-    weights and opposite signs in each pair; None when there is none."""
+    cosets without fixed points, t.rep_i W_H = rep_j W_H, with the rows of
+    `table` matched (`_row_flips`) and opposite signs in each pair; None
+    when there is none."""
     cosets = structure.space.cosets
     n = len(cosets)
     for t in structure.space.weyl:
@@ -290,8 +293,8 @@ def _find_pairing(structure, fps):
         for i, j in enumerate(sigma):
             if j < i:
                 continue
-            k = _match_weights(fps[i].weights, fps[j].weights)
-            if k is None or fps[i].sign + fps[j].sign * (-1) ** k != 0:
+            k = _row_flips(table[i][1], table[j][1], structure.space.group.negation)
+            if k is None or table[i][0] + table[j][0] * (-1) ** k != 0:
                 break
             pairs.append({"pair": (i, j), "flips": k})
         else:

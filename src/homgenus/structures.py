@@ -500,6 +500,8 @@ class StableStructure:
     __slots__ = ("space", "base", "table", "global_sign", "name", "_index_counts", "_symbolic_class")
 
     def __init__(self, space, base, table, global_sign=1, name=None):
+        if not (isinstance(base, InvariantStructure) and base.space is space):
+            raise InputError("a stable structure's base must be an invariant structure on %s" % space.label)
         self.space = space
         self.base = base
         self.table = tuple(tuple(row) for row in table)
@@ -561,13 +563,17 @@ def residues_cancel(points, ordering):
     the ordering's functional, where the point route evaluates.  Raises
     ValueError when two weights of one point share a line.
     """
-    roots, labels = {}, {}  # weight -> its root id; label -> its index
-    pairs = [
-        (sign, [(labels.setdefault(label, len(labels)), roots.setdefault(w, len(roots))) for label, w in zip(ls, ws)])
-        for sign, ws, ls in points
-    ]
-    rows = [(sign, [label * len(roots) + r for label, r in row]) for sign, row in pairs]
-    return _residues_cancel(rows, list(roots), ordering)
+    rows, roots = _intern([(sign, ws) for sign, ws, _ in points])
+    labelled, _ = _intern([(sign, ls) for sign, _, ls in points])
+    rows = [(sign, [k * len(roots) + r for k, r in zip(ks, ids)]) for (sign, ids), (_, ks) in zip(rows, labelled)]
+    return _residues_cancel(rows, roots, ordering)
+
+
+def _intern(points):
+    """(rows, roots): the distinct weights of the (sign, weights) points in
+    order of first appearance, and each point as (sign, ids) over them."""
+    roots = {}  # weight -> its id
+    return [(sign, [roots.setdefault(w, len(roots)) for w in ws]) for sign, ws in points], list(roots)
 
 
 def _residues_cancel(rows, roots, ordering):

@@ -38,7 +38,9 @@ from .structures import (
     HomogeneousSpace,
     InvariantStructure,
     SubgroupData,
+    _intern,
     _residues_cancel,
+    _signed_ids,
     signed_root_table,
 )
 
@@ -84,50 +86,50 @@ def _step_pass(acc, pw, steps, dead):
                         out[k] = get(k, 0) + c1 * c2
 
 
-def _packed_sum(points, ordering, cutoff):
-    """The symbolic fixed-point sum as packed polynomials in x1..xd, each
-    point one `_step_pass` per weight on the table of `_chain`.
+def _packed_sum(rows, roots, ordering, cutoff):
+    """The symbolic fixed-point sum over the (sign, ids) `rows`, id r the
+    weight roots[r], as packed polynomials in x1..xd, each point one
+    `_step_pass` per weight on the table of `_chain`.
 
     Returns (terms, den, line_terms, layout, tails): over the product of the
     lines, the numerator's coefficient of the monomial in a1..a_cutoff and t
     with exponents tails[j] is the {key: int} dict of the terms whose key
-    holds j above `layout.top`, over den, and line_terms maps each line to
-    <line, x> as packed (key, coefficient) pairs, its first coordinate
-    first.  With D the lcm of the weights' coordinate denominators, a
-    point's t^k part is sign * D^(n-k) [t^k] prod_j f(t D w_j) / prod_j D
+    holds j above `layout.top`, over den, and line_terms maps each line, in
+    the order the rows meet it, to <line, x> as packed (key, coefficient)
+    pairs, its first coordinate first.  With D the lcm of the weights'
+    coordinate denominators, a point's t^k part is sign * D^(n-k) [t^k] prod_j f(t D w_j) / prod_j D
     w_j, each D w_j an int scale times its line: each point's sign * D^n /
     (prod scales * D^cutoff) is scaled to an int over den, the lcm over the
     points, and t^k's coefficient by D^(cutoff-k).
     """
-    # a sum meets each of the at most 2*|roots| signed weights at many points
-    distinct = dict.fromkeys(w for _, ws in points for w in ws)
-    canonical = {w: canonical_positive(w, ordering) for w in distinct}
+    # a sum meets each root id it uses at many points
+    canonical = {r: canonical_positive(roots[r], ordering) for r in dict.fromkeys(r for _, ids in rows for r in ids)}
     lines = list(dict.fromkeys(line for line, _ in canonical.values()))
-    d = math.lcm(*(c.denominator for w in distinct for c in w))
+    d = math.lcm(*(c.denominator for r in canonical for c in roots[r]))
     # the missing lines and the f-chain bound the x-degree; a division by a
     # line keeps each term's x-degree
     layout = Packing(dict.fromkeys(("x%d" % (j + 1) for j in range(len(ordering.v))), len(lines) + cutoff))
     unit = list(layout.unit.values())
     line_terms = {line: [(u, c) for u, c in zip(unit, line) if c] for line in lines}
-    tails, steps = _chain(cutoff, max((len(ws) for _, ws in points), default=0))
+    tails, steps = _chain(cutoff, max((len(ids) for _, ids in rows), default=0))
 
     # each point's rational as an int over one denominator, before any product
-    rows = []
-    for sign, ws in points:
-        cw = [canonical[w] for w in ws]
+    points = []
+    for sign, ids in rows:
+        cw = list(map(canonical.__getitem__, ids))
         own = {line for line, _ in cw}
         if len(own) != len(cw):
             raise ValueError("two isotropy weights at one fixed point share a line")
         pairs = [(line, int(scale * d)) for line, scale in cw]
         q = Fraction(sign * d ** len(pairs), math.prod(s for _, s in pairs) * d**cutoff)
-        rows.append((q, pairs, tuple(line for line in lines if line not in own)))
-    den = math.lcm(*(q.denominator for q, _, _ in rows))
+        points.append((q, pairs, tuple(line for line in lines if line not in own)))
+    den = math.lcm(*(q.denominator for q, _, _ in points))
 
     # the coefficient of the monomial tails[j] holds j above the x fields,
     # where no product or division by a line reaches
     top = layout.top
     powers, groups = {}, {}
-    for q, pairs, missing in rows:
+    for q, pairs, missing in points:
         acc = [{0: q.numerator * (den // q.denominator)}] + [None] * (len(tails) - 1)
         for line, s in pairs:
             if (line, s) not in powers:
@@ -151,7 +153,7 @@ def _packed_sum(points, ordering, cutoff):
     return terms, den, line_terms, layout, tails
 
 
-def _unpack(terms, den, layout, tails, line_terms):
+def _unpack(terms, den, line_terms, layout, tails):
     """The MultiPoly of `_packed_sum`'s terms over den, each term's a and t
     exponents the tail its key holds.  Its variables are the factors': the
     lines' x's, a1..a_cutoff and t."""
@@ -167,26 +169,26 @@ def _unpack(terms, den, layout, tails, line_terms):
 def localized_numerator(points, ordering, cutoff):
     """The one symbolic fixed-point sum, cleared to a common denominator.
 
-    `points` is a list of (sign, weights).  Returns (N, lines): N over the
-    product of the distinct weight lines is the sum over the points of sign
-    times prod_j f(t * w_j) / prod_j w_j, each f-factor carried to t^cutoff.
-    Points that miss the same lines are summed first, and each group's sum
-    then multiplies its missing lines once.
+    `points` is a list of (sign, weights), interned to ids (`_intern`).
+    Returns (N, lines): N over the product of the distinct weight lines is
+    the sum over the points of sign times prod_j f(t * w_j) / prod_j w_j,
+    each f-factor carried to t^cutoff.  Points that miss the same lines are
+    summed first, and each group's sum then multiplies its missing lines once.
     """
-    terms, den, line_terms, layout, tails = _packed_sum(points, ordering, cutoff)
-    return _unpack(terms, den, layout, tails, line_terms), list(line_terms)
+    packed = _packed_sum(*_intern(points), ordering, cutoff)
+    return _unpack(*packed), list(packed[2])
 
 
-def _localized_form(points, ordering, cutoff):
-    """`localized_numerator`'s N divided by its lines, exactly, on its
-    packed ints, every a-monomial's polynomial at once: each line is
-    primitive, so `Packing.divide` by it on its first nonzero coordinate
-    raises PoleCancellationError on an uncancelled pole."""
-    terms, den, line_terms, layout, tails = _packed_sum(points, ordering, cutoff)
+def _localized_form(rows, roots, ordering, cutoff):
+    """The N of `_packed_sum` over (sign, ids) `rows` divided by its lines,
+    exactly, on its packed ints, every a-monomial's polynomial at once: each
+    line is primitive, so `Packing.divide` by it on its first nonzero
+    coordinate raises PoleCancellationError on an uncancelled pole."""
+    terms, den, line_terms, layout, tails = _packed_sum(rows, roots, ordering, cutoff)
     for line, ((_, lead), *rest) in line_terms.items():
         pivot = "x%d" % (next(j for j, c in enumerate(line) if c) + 1)
         terms = layout.divide(terms.items(), pivot, lead, rest, _POLE)
-    return _unpack(terms, den, layout, tails, line_terms).restrict_vars()
+    return _unpack(terms, den, line_terms, layout, tails).restrict_vars()
 
 
 def certified(structure, table=None):
@@ -304,9 +306,8 @@ def _symbolic_form(structure, cutoff, table=None):
     # sign comes back in here.
     if table is None:
         table = signed_root_table(structure)
-    roots = structure.space.group.roots
-    points = [(structure.global_sign * sign, list(map(roots.__getitem__, ids))) for sign, ids in table]
-    return _localized_form(points, structure.space.ordering, cutoff)
+    rows = [(structure.global_sign * sign, ids) for sign, ids in table]
+    return _localized_form(rows, structure.space.group.roots, structure.space.ordering, cutoff)
 
 
 class GenusExpansion:
@@ -538,30 +539,29 @@ def s_number_schur_route(structure, omega):
 # twisted products of fibrations
 
 
-def combine_structures(base_structure, fiber_structure, total_space=None):
-    """The invariant structure on G/K induced by base (G/H) and fiber (H/K)."""
+def combine_structures(base_structure, fiber_structure):
+    """The invariant structure on G/K induced by base (G/H) and fiber (H/K):
+    a line's sign is +1 where its positive root is a base or fiber root."""
     base_space = base_structure.space
     fiber_space = fiber_structure.space
     if fiber_space.group.root_set != base_space.subgroup.root_set:
         raise ValueError("fiber ambient group must be the base isotropy group")
-    if total_space is None:
-        total_space = HomogeneousSpace(
-            base_space.group,
-            SubgroupData(base_space.group, fiber_space.subgroup.roots, label=fiber_space.subgroup.label),
-            label="%s/%s" % (base_space.group.label, fiber_space.subgroup.label),
-        )
-    union = {}
-    for r in base_structure.roots + fiber_structure.roots:
-        line, scale = canonical_positive(r, total_space.ordering)
-        union[line] = 1 if scale > 0 else -1
+    group = base_space.group
+    total_space = HomogeneousSpace(
+        group,
+        SubgroupData(group, fiber_space.subgroup.roots, label=fiber_space.subgroup.label),
+        label="%s/%s" % (group.label, fiber_space.subgroup.label),
+    )
+    union = {group.root_index[r] for r in base_structure.roots + fiber_structure.roots}
+    lines = total_space.comp_roots
     signs = []
     for sm in total_space.summands:
         sm_signs = set()
         for li, ori in zip(sm.line_indices, sm.orientation):
-            line = total_space.comp_roots[li]
-            if line not in union:
-                raise ValueError("line %s of the total space is covered by neither base nor fiber" % (line,))
-            sm_signs.add(union[line] * ori)
+            k = total_space.comp_root_indices[li]
+            if k not in union and group.negation[k] not in union:
+                raise ValueError("line %s of the total space is covered by neither base nor fiber" % (lines[li],))
+            sm_signs.add((1 if k in union else -1) * ori)
         if len(sm_signs) != 1:
             raise ValueError("combined signs are not constant on an isotropy summand")
         signs.append(sm_signs.pop())
@@ -714,8 +714,6 @@ def hp_obstruction_search(n=2):
     by_vec = {line: i for i, line in enumerate(lines)}
     plus = {2: by_vec[(1, 1, 0)], 3: by_vec[(1, 0, 1)]}
     minus = {2: by_vec[(1, -1, 0)], 3: by_vec[(1, 0, -1)]}
-    images = space.coset_root_images
-    reps = space.cosets.representatives
     names = ("eps2", "eps3", "delta2", "delta3")
     rows = []
     t1_survivors = []
@@ -726,16 +724,13 @@ def hp_obstruction_search(n=2):
         for j in (2, 3):
             signs_by_line[plus[j]] = eps[j]
             signs_by_line[minus[j]] = delta[j]
-        points = []
-        for i in range(len(reps)):
-            weights = [tuple(s * c for c in img) for s, img in zip(signs_by_line, images[i])]
-            points.append((1, weights))
+        table = [(1, _signed_ids(signs_by_line, row, space.group.negation)) for row in space.point_roots]
         first_bad = None
         witness = None
         for l in range(4):
             if l in (0, 2):
                 # to t^1 first; only a row whose t^0 and t^1 terms vanish goes on to t^3
-                numerator, _ = localized_numerator(points, space.ordering, l + 1)
+                numerator = _unpack(*_packed_sum(table, space.group.roots, space.ordering, l + 1))
             coeff = numerator.coefficient_of("t", l)
             if not coeff.is_zero():
                 first_bad = l

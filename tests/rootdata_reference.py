@@ -132,8 +132,9 @@ def block_partition_reference(space):
 
 
 def match_weights_reference(wa, wb):
-    """hirzebruch._match_weights on a dict of counts that drops a weight
-    when its count reaches zero: the flip count, or None."""
+    """hirzebruch._row_flips on weight vectors instead of root ids: match
+    the multiset wb against +/- wa on a dict of counts that drops a weight
+    when its count reaches zero; the flip count, or None."""
     remaining = {}
     for r in wb:
         key = tuple(r)

@@ -236,6 +236,15 @@ def test_rigidity_eval_error_paths():
         rigidity_eval(_std("CP1"), parse_rational("u^2/(1+u)"), (2, 1))
 
 
+def test_rigidity_eval_refuses_a_point_of_the_wrong_length():
+    # G42 lives on U(4): three or five coordinates are refused, not zipped
+    # down to the value at (3, 2, 1, 0)
+    f = parse_rational("u/(1+u^2)")
+    for point in ((3, 2, 1), (3, 2, 1, 0, 9)):
+        with pytest.raises(InputError, match="needs 4 coordinates, got %d" % len(point)):
+            rigidity_eval(_std("G42"), f, point)
+
+
 def _outcome(fn, *args):
     """fn(*args), or the type and message of the error it raises."""
     try:
@@ -304,6 +313,15 @@ def test_structure_independence_of_stable_presets():
         assert len(set(row)) == 1
 
 
+def test_structure_independence_needs_one_space():
+    # S6 on G2 has rank 3 and U4-flag shares G42's rank; neither may be
+    # compared with G42
+    f = parse_rational("u/(1+u^2)")
+    for other in ("S6", "U4-flag"):
+        with pytest.raises(InputError, match="on one space"):
+            structure_independence([_std("G42"), _std(other)], f)
+
+
 def test_structure_independence_needs_a_sample():
     structures = [_std("CP3")]
     for samples in (0, -3):
@@ -334,7 +352,7 @@ def test_certify_odd_rigidity_not_covered():
 def test_certify_refuses_a_wrong_certificate(monkeypatch):
     # a certificate handed to G42's standard structure, whose odd sums are
     # not zero: the samples contradict it, and the check holds under -O too
-    monkeypatch.setattr(homgenus.hirzebruch, "_find_pairing", lambda s, fps: {"element": (0,), "pairs": []})
+    monkeypatch.setattr(homgenus.hirzebruch, "_find_pairing", lambda s, table: {"element": (0,), "pairs": []})
     with pytest.raises(ArithmeticError, match="certified zero, but the sum at the sample point"):
         certify_odd_rigidity(_std("G42"), f=parse_rational("u/(1+u^2)"))
 

@@ -24,6 +24,7 @@ from homgenus.structures import (
     HomogeneousSpace,
     InvariantStructure,
     StableStructure,
+    _intern,
     enumerate_structures,
     fixed_points,
 )
@@ -540,7 +541,7 @@ def test_symbolic_sum_matches_the_fraction_engine(s, extra, factor, data):
         scaled = [(sign, tuple(tuple(by(w) * c for c in w) for w in ws)) for sign, ws in points]
         num, lines = localized_numerator_reference(scaled, ordering, cutoff)
         assert localized_numerator(scaled, ordering, cutoff) == (num, lines)
-        got = _outcome(_localized_form, scaled, ordering, cutoff)
+        got = _outcome(_localized_form, *_intern(scaled), ordering, cutoff)
         assert got == _outcome(divide_lines_reference, num, lines)
 
 

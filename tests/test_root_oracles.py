@@ -1,18 +1,27 @@
 """The keyed coset search, the interned residue certificate, the one-pass
-block partition and the Counter weight matching against the direct
-references in `rootdata_reference`: the same representatives, words and
-actions, certificate verdicts, blocks and flip counts."""
+block partition and the root-id row matching against the direct references
+in `rootdata_reference`: the same representatives, words and actions,
+certificate verdicts, blocks and flip counts."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homgenus.catalog import catalog_entry, catalog_list, catalog_space
-from homgenus.hirzebruch import _match_weights
+from homgenus.hirzebruch import _row_flips
 from homgenus.rootdata import CosetSpace, Ordering, group_from_doc
-from homgenus.structures import InvariantStructure, fixed_points, make_space, residues_cancel, space_from_json
+from homgenus.structures import (
+    InvariantStructure,
+    enumerate_structures,
+    fixed_points,
+    make_space,
+    residues_cancel,
+    signed_root_table,
+    space_from_json,
+)
 from homgenus.toricgenus import _block_partition, certified
 from rootdata_reference import (
     block_partition_reference,
@@ -218,26 +227,53 @@ def test_block_partitions_match_the_reference():
         assert _block_partition(space) == block_partition_reference(space)
 
 
-def _signed(ws, flips):
-    return [tuple(-c for c in w) if f else w for w, f in zip(ws, flips)]
+@cache
+def _pairing_structures():
+    """The first invariant structure of each catalog space with an even
+    number of fixed points, and the three CP3 presets: the tables the
+    odd-genus pairing matches rows of."""
+    spaces = [catalog_space(name) for name in catalog_list()]
+    found = [enumerate_structures(space) for space in spaces if len(space.cosets) % 2 == 0]
+    entry = catalog_entry("CP3")
+    return [js[0] for js in found if js] + [entry.stable_structure(p) for p in sorted(entry.stable_presets)]
+
+
+def _row_vectors(group, ids):
+    return [group.roots[r] for r in ids]
+
+
+def test_weight_matching_matches_the_reference():
+    """The row matching on root ids against the multiset matching on the
+    rows' weight vectors, for every ordered pair of rows of each table."""
+    structures = _pairing_structures()
+    assert len(structures) == 16
+    matched = 0
+    for s in structures:
+        group = s.space.group
+        rows = [ids for _, ids in signed_root_table(s)]
+        for a in rows:
+            for b in rows:
+                got = _row_flips(a, b, group.negation)
+                assert got == match_weights_reference(_row_vectors(group, a), _row_vectors(group, b))
+                matched += got is not None
+    assert matched > sum(len(s.space.cosets) for s in structures)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), max_size=7), st.data())
-def test_weight_matching_matches_the_reference(wa, data):
-    """Both matchings on a multiset against a signed permutation of itself,
-    then with one weight dropped, added or changed."""
-    flips = data.draw(st.lists(st.booleans(), min_size=len(wa), max_size=len(wa)))
-    wb = data.draw(st.permutations(_signed(wa, flips)))
-    change = data.draw(st.sampled_from(["none", "drop", "add", "replace"]))
-    other = data.draw(st.tuples(*[st.integers(-2, 2)] * 3))
-    if change == "drop" and wb:
-        wb = wb[1:]
-    elif change == "add":
-        wb = wb + [other]
-    elif change == "replace" and wb:
-        wb = [other] + wb[1:]
-    got = _match_weights(wa, wb)
-    assert got == match_weights_reference(wa, wb)
-    if change == "none":
-        assert got is not None
+@given(st.data())
+def test_row_matching_matches_the_reference_on_signed_permutations(data):
+    """A real row against a signed permutation of itself, with one id
+    perhaps replaced by any root id of the group; the lengths stay equal,
+    as in the pairing."""
+    s = data.draw(st.sampled_from(_pairing_structures()))
+    group = s.space.group
+    a = data.draw(st.sampled_from(signed_root_table(s)))[1]
+    flips = data.draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
+    b = data.draw(st.permutations([group.negation[r] if f else r for r, f in zip(a, flips)]))
+    replaced = bool(a) and data.draw(st.booleans())
+    if replaced:
+        b[data.draw(st.integers(0, len(b) - 1))] = data.draw(st.integers(0, len(group.roots) - 1))
+    got = _row_flips(a, b, group.negation)
+    assert got == match_weights_reference(_row_vectors(group, a), _row_vectors(group, b))
+    if not replaced:
+        assert got == sum(flips)

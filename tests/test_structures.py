@@ -8,6 +8,7 @@ from homgenus.hirzebruch import chi_y_genus
 from homgenus.rootdata import InputError, build_group
 from homgenus.structures import (
     STRUCTURE_CAP,
+    HomogeneousSpace,
     InvariantStructure,
     StableStructure,
     c1_divisibility,
@@ -289,6 +290,24 @@ def test_stable_table_validation():
         StableStructure(cp3, std, ((1, 1),) * 4)
     with pytest.raises(ValueError, match="must be \\+1 or -1"):
         StableStructure(cp3, std, ((1, 1, 2),) * 4)
+
+
+def test_stable_base_must_be_invariant_on_the_same_space():
+    # a U3-flag base would read its own summand signs on CP3's lines, and an
+    # S6 base would reach the sum as a pole: both are refused as input
+    cp3 = catalog_space("CP3")
+    rows = ((1, 1, 1),) * 4
+    for other in ("U3-flag", "S6"):
+        space = catalog_space(other)
+        with pytest.raises(InputError, match="base must be an invariant structure on CP3"):
+            StableStructure(cp3, InvariantStructure(space, (1,) * len(space.summands)), rows)
+    stable = StableStructure(cp3, InvariantStructure(cp3, (1,)), rows)
+    with pytest.raises(InputError, match="base must be an invariant structure"):
+        StableStructure(cp3, stable, rows)
+    # the same root data built into a second space object is another space
+    twin = HomogeneousSpace(cp3.group, cp3.subgroup, label="CP3")
+    with pytest.raises(InputError, match="base must be an invariant structure on CP3"):
+        StableStructure(cp3, InvariantStructure(twin, (1,)), rows)
 
 
 def test_space_data_never_enumerates_subgroup_weyl(monkeypatch):

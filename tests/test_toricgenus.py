@@ -304,7 +304,7 @@ def test_cancelling_numerator_is_zero_without_a_pole():
     weights = ((1, -1, 0), (0, 1, -1))
     points = [(1, weights), (-1, weights)]
     assert localized_numerator(points, default_ordering(3), 3) == (MultiPoly.zero(), list(weights))
-    assert _localized_form(points, default_ordering(3), 3) == MultiPoly.zero()
+    assert _localized_form([(1, [0, 1]), (-1, [0, 1])], weights, default_ordering(3), 3) == MultiPoly.zero()
 
 
 def test_inexact_pivot_division_is_a_pole():
