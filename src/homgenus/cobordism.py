@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .exactalg import MultiPoly, PoleCancellationError, RationalFn, TruncatedSeries
+from .exactalg import MultiPoly, PoleCancellationError, RationalFn, TruncatedSeries, var_weight
 
 
 def _weighted_cutoff(degree):
@@ -138,11 +138,8 @@ def b_in_terms_of_a(degree):
 
 
 def _alphabet_degree(poly, prefix):
-    deg = 0
-    for v in poly.vars:
-        if v.startswith(prefix) and v[len(prefix):].isdigit():
-            deg = max(deg, int(v[len(prefix):]))
-    return deg
+    """The largest index of a variable of poly in the alphabet `prefix`."""
+    return max((var_weight(v) for v in poly.vars if v[0] == prefix), default=0)
 
 
 def basis_convert(poly, direction):
@@ -237,8 +234,8 @@ def evaluate_class(class_poly, assignment):
     """
     point = {}
     for v in class_poly.vars:
-        if v.startswith("a") and v[1:].isdigit():
-            point[v] = assignment.get(int(v[1:]), Fraction(0))
+        if v[0] == "a":
+            point[v] = assignment.get(var_weight(v), Fraction(0))
         elif v.startswith("b"):
             raise ValueError("class is written in the b-alphabet; convert with basis_convert first")
         else:

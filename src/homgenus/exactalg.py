@@ -70,6 +70,15 @@ def _as_fraction(c):
     raise TypeError("coefficient must be rational, got %r" % (c,))
 
 
+def _union(polys):
+    """The canonical union of the variables of `polys`; the first one's
+    when they all agree, as they mostly do."""
+    vs = polys[0].vars if polys else ()
+    if any(p.vars != vs for p in polys):
+        vs = tuple(sorted({v for p in polys for v in p.vars}, key=var_key))
+    return vs
+
+
 class PoleCancellationError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
@@ -204,15 +213,13 @@ class MultiPoly:
                 if c:
                     clean[tuple(e)] = c
         else:
-            # caller handed us vars out of canonical order; remap exponents
-            pos = {v: i for i, v in enumerate(vars)}
+            # caller handed us vars out of canonical order: permuting the
+            # exponent positions keeps distinct exponent tuples distinct
+            pos = [vars.index(v) for v in vs]
             for e, c in terms.items():
                 c = _as_fraction(c)
-                if not c:
-                    continue
-                ne = tuple(e[pos[v]] for v in vs)
-                clean[ne] = clean.get(ne, Fraction(0)) + c
-            clean = {e: c for e, c in clean.items() if c}
+                if c:
+                    clean[tuple([e[i] for i in pos])] = c
         self.terms = clean
         self._text = None
         self._ints = None
@@ -235,12 +242,7 @@ class MultiPoly:
     @classmethod
     def linear_form(cls, names, coeffs):
         """sum of c_i * name_i for parallel sequences names, coeffs."""
-        p = cls.zero()
-        for n, c in zip(names, coeffs):
-            c = _as_fraction(c)
-            if c:
-                p = p + cls.variable(n, c)
-        return p
+        return cls.sum(cls.variable(n, c) for n, c in zip(names, map(_as_fraction, coeffs)) if c)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -265,20 +267,14 @@ class MultiPoly:
         i = self.vars.index(name)
         return max((e[i] for e in self.terms), default=0)
 
-    def _aligned(self, other):
-        """Return (terms_a, terms_b, vars) over the union variable set."""
-        if self.vars == other.vars:
-            return self.terms, other.terms, self.vars
-        vs = tuple(sorted(set(self.vars) | set(other.vars), key=var_key))
-
-        def remap(poly):
-            idx = [poly.vars.index(v) if v in poly.vars else None for v in vs]
-            out = {}
-            for e, c in poly.terms.items():
-                out[tuple(e[i] if i is not None else 0 for i in idx)] = c
-            return out
-
-        return remap(self), remap(other), vs
+    def _over(self, vs):
+        """The same polynomial over `vs`, canonical variables that include
+        its own."""
+        if self.vars == vs:
+            return self
+        idx = [self.vars.index(v) if v in self.vars else None for v in vs]
+        terms = {tuple([e[i] if i is not None else 0 for i in idx]): c for e, c in self.terms.items()}
+        return MultiPoly._from_clean(vs, terms)
 
     def restrict_vars(self):
         """Drop variables that no term actually uses."""
@@ -300,15 +296,7 @@ class MultiPoly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(other)
-        ta, tb, vs = self._aligned(other)
-        out = dict(ta)
-        for e, c in tb.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return MultiPoly(vs, out)
+        return MultiPoly.sum((self, other))
 
     __radd__ = __add__
 
@@ -325,19 +313,16 @@ class MultiPoly:
 
     @classmethod
     def sum(cls, polys):
-        """The sum of many polynomials, accumulated in one dict; equal to
-        folding ``+`` over them, without copying the running total."""
+        """The sum of many polynomials, accumulated in one dict, with no
+        copy of a running total; ``p + q`` is its two-term case."""
         polys = list(polys)
-        vs = tuple(sorted({v for p in polys for v in p.vars}, key=var_key))
-        out = {}
+        if not polys:
+            return cls.zero()
+        vs = _union(polys)
+        out = dict(polys[0]._over(vs).terms)
         get = out.get
-        for p in polys:
-            if p.vars == vs:
-                items = p.terms.items()
-            else:
-                idx = [p.vars.index(v) if v in p.vars else None for v in vs]
-                items = ((tuple(e[i] if i is not None else 0 for i in idx), c) for e, c in p.terms.items())
-            for e, c in items:
+        for p in polys[1:]:
+            for e, c in p._over(vs).terms.items():
                 out[e] = get(e, 0) + c
         return cls._from_clean(vs, {e: c for e, c in out.items() if c})
 
@@ -380,9 +365,7 @@ class MultiPoly:
         since no weight is negative.
         """
         factors = list(factors)
-        vs = factors[0].vars if factors else ()
-        if any(p.vars != vs for p in factors):
-            vs = tuple(sorted({v for p in factors for v in p.vars}, key=var_key))
+        vs = _union(factors)
         bounds = dict.fromkeys(vs, 0)
         for p in factors:
             if not p.terms:
@@ -480,7 +463,9 @@ class MultiPoly:
         Exact.  With a cutoff, the result is
         ``subs(mapping).truncate_weight(cutoff)``, built without forming a
         term above the cutoff: the powers of each image are truncated
-        products, and each term is one truncated product of its factors.
+        products, and the terms that raise the substituted variables to the
+        same powers are one truncated product of those powers and the
+        polynomial of the rest of the terms.
         """
         powers = {}
         for v, img in mapping.items():
@@ -499,19 +484,17 @@ class MultiPoly:
                     memo[n] = MultiPoly.product((half, half) + odd, cutoff=cutoff)
             return memo[n]
 
+        p = self.restrict_vars()
+        subbed = [i for i, v in enumerate(p.vars) if v in powers]
+        kept = [i for i, v in enumerate(p.vars) if v not in powers]
+        groups = {}
+        for e, c in p.terms.items():
+            groups.setdefault(tuple([e[i] for i in subbed]), {})[tuple([e[i] for i in kept])] = c
+        rest = tuple(p.vars[i] for i in kept)
         terms = []
-        for e, c in self.terms.items():
-            factors = []
-            kept, exps = [], []
-            for v, ei in zip(self.vars, e):
-                if not ei:
-                    continue
-                if v in powers:
-                    factors.append(power(v, ei))
-                else:
-                    kept.append(v)
-                    exps.append(ei)
-            factors.append(MultiPoly._from_clean(tuple(kept), {tuple(exps): c}))
+        for key, group in groups.items():
+            factors = [power(p.vars[i], k) for i, k in zip(subbed, key) if k]
+            factors.append(MultiPoly._from_clean(rest, group))
             terms.append(MultiPoly.product(factors, cutoff=cutoff))
         return MultiPoly.sum(terms)
 
@@ -574,11 +557,7 @@ class MultiPoly:
         return self._text
 
     def _to_text(self):
-        if len(self.vars) == 1:
-            # graded-lex on one variable is exponent order, whatever its weight
-            vs, items = self.vars, sorted(self.terms.items(), reverse=True)
-        else:
-            vs, items = self._sorted_terms()
+        vs, items = self._sorted_terms()
         if not items:
             return "0"
         parts = []
@@ -627,16 +606,15 @@ def exact_divide(numerator, denominator, message="pole not cancelled"):
         raise ZeroDivisionError("division by zero polynomial")
     if numerator.is_zero():
         return MultiPoly.zero()
-    ta, tb, vs = numerator._aligned(denominator)
-    num = MultiPoly._from_clean(vs, ta)
-    den = MultiPoly._from_clean(vs, tb)
+    vs = _union((numerator, denominator))
+    num, den = numerator._over(vs), denominator._over(vs)
     de, dc = _lead(den)
     p = de.index(1) if sum(de) == 1 else None
-    if p is not None and sum(e[p] for e in tb) == 1:
+    if p is not None and sum(e[p] for e in den.terms) == 1:
         # room for the divisor and every key the division forms: at most
         # deg_p(N) steps down, each adding R's exponents
-        n_deg = [max(column) for column in zip(*ta)]
-        layout = Packing({v: a + (n_deg[p] + 1) * max(b) for v, a, b in zip(vs, n_deg, zip(*tb))})
+        n_deg = [max(column) for column in zip(*num.terms)]
+        layout = Packing({v: a + (n_deg[p] + 1) * max(b) for v, a, b in zip(vs, n_deg, zip(*den.terms))})
         terms, n_den = layout.pack(num)
         d_terms, d_den = layout.pack(den)
         g = math.gcd(*(c for _, c in d_terms))
@@ -733,7 +711,7 @@ def divided_difference(poly, names):
         rest = tuple(e[i] for i in other_idx)
         key = (srt, rest)
         buckets[key] = buckets.get(key, Fraction(0)) + sgn * c
-    result = MultiPoly.zero()
+    terms = []
     schur_cache = {}
     for (srt, rest), c in buckets.items():
         if not c:
@@ -754,8 +732,8 @@ def divided_difference(poly, names):
                 schur_cache[srt] = q
             sym = schur_cache[srt]
         tail = MultiPoly(other_vars, {rest: c}) if other_vars else MultiPoly.const(c)
-        result = result + sym * tail
-    return result
+        terms.append(sym * tail)
+    return MultiPoly.sum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -788,9 +766,7 @@ class TruncatedSeries:
         return TruncatedSeries(-self.body, self.cutoff)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(self.body - other, self.cutoff)
-        return TruncatedSeries(self.body - other.body, min(self.cutoff, other.cutoff))
+        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -813,21 +789,14 @@ class TruncatedSeries:
         return p.terms.get((0,) * len(p.vars), Fraction(0))
 
     def compose(self, name, inner):
-        """Substitute variable `name` by the series `inner` (valuation >= 1)."""
+        """Substitute variable `name` by the series `inner` (valuation >= 1),
+        by one truncated `MultiPoly.subs` at the lesser cutoff."""
         if isinstance(inner, MultiPoly):
             inner = TruncatedSeries(inner, self.cutoff)
         cutoff = min(self.cutoff, inner.cutoff)
         if inner.constant_term():
             raise ValueError("composition needs a series with zero constant term")
-        body = self.body
-        if name not in body.vars:
-            return TruncatedSeries(body, cutoff)
-        deg = body.degree_in(name)
-        # Horner in `name`, highest power first
-        out = TruncatedSeries(body.coefficient_of(name, deg), cutoff)
-        for k in range(deg - 1, -1, -1):
-            out = out * inner + TruncatedSeries(body.coefficient_of(name, k), cutoff)
-        return out
+        return TruncatedSeries(self.body.subs({name: inner.body}, cutoff=cutoff), cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ certificates are combinatorial pairings of the fixed points, not numerics.
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 from .cobordism import evaluate_class, specialize_genus, tanh_series, todd_series
-from .exactalg import MultiPoly, RationalFn, TruncatedSeries
+from .exactalg import MultiPoly, RationalFn, TruncatedSeries, var_weight
 from .rootdata import InputError, dot
 from .structures import index_counts, signed_root_table
 from .toricgenus import chern_dold_genus
@@ -70,11 +71,8 @@ def euler_number(structure):
 
 def _class_degree(cls):
     """The largest weight sum_i i * k_i of a term a^k of the class."""
-    degree = 0
-    for e in cls.terms:
-        w = sum(k * (int(v[1:]) if v[1:].isdigit() else 0) for v, k in zip(cls.vars, e) if v[0] == "a")
-        degree = max(degree, w)
-    return degree
+    w = [var_weight(v) if v[0] == "a" else 0 for v in cls.vars]
+    return max((sum(map(mul, e, w)) for e in cls.terms), default=0)
 
 
 def _degree(cls, degree):

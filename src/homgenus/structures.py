@@ -324,7 +324,7 @@ class HomogeneousSpace:
         return tuple(summands)
 
 
-def make_space(group, subgroup_roots=None, label=None, subgroup_label="H"):
+def make_space(group, subgroup_roots=None, label=None):
     """Build a HomogeneousSpace from a group spec and subgroup root list.
 
     `group` may be a GroupData or a name like "Sp(3)"; `subgroup_roots` a
@@ -340,7 +340,7 @@ def make_space(group, subgroup_roots=None, label=None, subgroup_label="H"):
             if s not in seen:
                 seen.add(s)
                 roots.append(s)
-    sub = SubgroupData(group, roots, label=subgroup_label)
+    sub = SubgroupData(group, roots)
     return HomogeneousSpace(group, sub, label=label)
 
 

@@ -319,10 +319,10 @@ class GenusExpansion:
     expansion given its form, or of a table the certificate does not cover,
     reads everything from the form (route "symbolic"); the latter builds it
     here, so that a pole raises at once.  Otherwise (route "point") the
-    class comes from the point route, the lower terms vanish by the
-    certificate, and the form is built when first read: zero below t^n, the
-    class times t^n at cutoff n, and only past t^n symbolically
-    (`form_route`).
+    class comes from the point route, built once and kept, the lower terms
+    vanish by the certificate, and the form is built when first read: zero
+    below t^n, the class times t^n at cutoff n, and only past t^n
+    symbolically (`form_route`).
     """
 
     def __init__(self, structure, cutoff, form=None, label=None, table=None):
@@ -334,6 +334,7 @@ class GenusExpansion:
         self.label = label
         self.table = table
         self.route = "symbolic" if form is not None else "point"
+        self._class = None
 
     def __repr__(self):
         return "GenusExpansion(%s, cutoff=%d)" % (self.label or "?", self.cutoff)
@@ -347,7 +348,7 @@ class GenusExpansion:
             if self.cutoff < n:
                 self._form = MultiPoly.zero()
             elif self.cutoff == n:
-                self._form = _point_class(self.structure, self.table) * MultiPoly(("t",), {(n,): 1})
+                self._form = self.bordism_class() * MultiPoly(("t",), {(n,): 1})
             else:
                 self._form = _symbolic_form(self.structure, self.cutoff, self.table)
         return self._form
@@ -373,7 +374,9 @@ class GenusExpansion:
         if self.cutoff < n:
             raise ValueError("expansion cutoff %d is below the dimension %d" % (self.cutoff, n))
         if self.route == "point":
-            return _point_class(self.structure, self.table)
+            if self._class is None:
+                self._class = _point_class(self.structure, self.table)
+            return self._class
         cls = self.coefficient(n).restrict_vars()
         if any(v[0] == "x" for v in cls.vars):
             raise ArithmeticError(
@@ -623,13 +626,12 @@ def _odd_component(var, max_index):
     genuine series division (not transcribed)."""
     cutoff = 2 * max_index + 1
     v = MultiPoly.variable(var)
-    f_plus = MultiPoly.const(1)
-    f_minus = MultiPoly.const(1)
-    for i in range(1, cutoff + 1):
-        ai = MultiPoly.variable("a%d" % i)
-        f_plus = f_plus + ai * (2 * v) ** i
-        f_minus = f_minus + ai * (-2 * v) ** i
-    return exact_divide(f_plus - f_minus, 2 * v, "odd part lost its leading factor")
+
+    def f(u):
+        powers = (MultiPoly.variable("a%d" % i) * u**i for i in range(1, cutoff + 1))
+        return MultiPoly.sum([MultiPoly.const(1), *powers])
+
+    return exact_divide(f(2 * v) - f(-2 * v), 2 * v, "odd part lost its leading factor")
 
 
 def restricted_genus_hp(n=2, which="sp-flag", max_index=3):

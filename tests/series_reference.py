@@ -4,7 +4,9 @@ The package computes the exponential of the universal formal group law and
 the a <-> b dictionaries by Lagrange inversion, and a genus table by one
 coefficient recurrence per quotient.  The series functions here compute the
 same things by reverting truncated power series with a fixed-point
-iteration and inverting them by Newton's iteration.  `MultiPoly.evaluate`
+iteration and inverting them by Newton's iteration; `TruncatedSeries.compose`
+is one truncated `MultiPoly.subs`, and `compose_reference` composes by
+Horner's scheme in the substituted variable.  `MultiPoly.evaluate`
 and `to_text` work on the ints inside each Fraction, and `rigidity_eval`
 evaluates the kernel once per distinct weight; the functions after the
 series do each in plain Fraction arithmetic, one term or one weight at a
@@ -57,6 +59,19 @@ def invert_series(s):
         r = r * (TruncatedSeries(MultiPoly.const(2), s.cutoff) - s * r)
         k *= 2
     return r
+
+
+def compose_reference(series, name, inner):
+    """`series.compose(name, inner)` by Horner's scheme in `name`, highest
+    power first, each step a truncated series product and sum."""
+    cutoff = min(series.cutoff, inner.cutoff)
+    if inner.constant_term():
+        raise ValueError("composition needs a series with zero constant term")
+    body = series.body
+    out = TruncatedSeries(MultiPoly.zero(), cutoff)
+    for k in range(body.degree_in(name), -1, -1):
+        out = out * inner + TruncatedSeries(body.coefficient_of(name, k), cutoff)
+    return out
 
 
 def series_reversion(series, in_var, out_var):

@@ -2,7 +2,10 @@
 
 import pytest
 
+import homgenus.toricgenus
 from homgenus.catalog import catalog_entry, catalog_space
+from homgenus.cli import main
+from homgenus.exactalg import MultiPoly
 from homgenus.rootdata import SubgroupData
 from homgenus.structures import HomogeneousSpace, InvariantStructure
 from homgenus.toricgenus import certified, chern_dold_genus, combine_structures, twisted_product
@@ -135,3 +138,25 @@ def test_stable_structures_are_rejected():
         twisted_product(stable, fiber)
     with pytest.raises(ValueError, match="invariant base and fiber"):
         twisted_product(base, stable)
+
+
+def test_the_point_class_is_built_once_per_expansion(monkeypatch, capsys):
+    # `form` at t^n is the kept class times t^n; `fibration check` reads the
+    # twisted form, the direct form and the twisted class: one class each
+    calls = []
+    point_class = homgenus.toricgenus._point_class
+
+    def counted(*args):
+        calls.append(args)
+        return point_class(*args)
+
+    monkeypatch.setattr(homgenus.toricgenus, "_point_class", counted)
+    ge = chern_dold_genus(_std(catalog_space("G42")))
+    assert ge.route == "point"
+    assert ge.form == ge.bordism_class() * MultiPoly.variable("t") ** ge.structure.space.n
+    assert ge.bordism_class() is ge.bordism_class()
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["fibration", "check", "--space", "G42", "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2

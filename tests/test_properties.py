@@ -35,6 +35,7 @@ from homgenus.toricgenus import (
     twisted_product,
 )
 from series_reference import (
+    compose_reference,
     divide_lines_reference,
     evaluate_reference,
     f_factor_reference,
@@ -118,9 +119,9 @@ def test_linear_exact_divide_matches_the_reference(divisor, q, data):
     for num, want in cases:
         if num.is_zero():
             continue
-        ta, tb, vs = num._aligned(d)
+        vs = tuple(sorted(set(num.vars) | set(d.vars), key=var_key))
         try:
-            ref = synthetic_divide_reference(ta, tb, vs, "caller's message")
+            ref = synthetic_divide_reference(num._over(vs).terms, d._over(vs).terms, vs, "caller's message")
         except PoleCancellationError as exc:
             ref = exc
         try:
@@ -399,10 +400,61 @@ def test_truncated_subs_matches_subs_then_truncate(case, data):
     assert same(p.subs(mapping, cutoff=c), full.truncate_weight(c))
 
 
+@st.composite
+def compose_cases(draw):
+    """(outer, name, inner): series in u1, u2 and the b's with unequal
+    cutoffs, the outer one in `name`; the inner one has no constant term
+    and is sometimes in `name` itself."""
+    pool = ("u1", "u2", "b1", "b2", "b3")
+    name = draw(st.sampled_from(("u1", "u2", "b2")))
+    small = st.integers(0, 3)
+    outer = draw(kernel_polys(pool=pool, exps=small)) + MultiPoly.variable(name, draw(mixed_fractions)) ** draw(st.integers(1, 4))
+    inner = draw(kernel_polys(pool=pool, exps=small, max_terms=4))
+    if draw(st.booleans()):
+        inner = inner + MultiPoly.variable(name, draw(mixed_fractions))
+    inner = MultiPoly(inner.vars, {e: c for e, c in inner.terms.items() if any(e)})
+    cutoffs = draw(st.lists(st.integers(0, 8), min_size=2, max_size=2, unique=True))
+    return TruncatedSeries(outer, cutoffs[0]), name, TruncatedSeries(inner, cutoffs[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(compose_cases(), fractions.filter(bool))
+def test_compose_matches_the_horner_reference(case, c):
+    outer, name, inner = case
+    got = outer.compose(name, inner)
+    assert got.cutoff == min(outer.cutoff, inner.cutoff)
+    assert got == compose_reference(outer, name, inner)
+    # a polynomial inner series is taken at the outer cutoff
+    assert outer.compose(name, inner.body) == compose_reference(outer, name, TruncatedSeries(inner.body, outer.cutoff))
+    with pytest.raises(ValueError, match="zero constant term"):
+        outer.compose(name, inner + c)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(kernel_polys(), max_size=6))
 def test_sum_matches_folded_add(ps):
     assert same(MultiPoly.sum(ps), reduce(add, ps, MultiPoly.zero()))
+
+
+def monomials(p):
+    """p as {frozenset of (name, exponent > 0): coefficient}."""
+    return {frozenset((v, k) for v, k in zip(p.vars, e) if k): c for e, c in p.terms.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(kernel_polys(), max_size=6))
+def test_sum_matches_a_monomial_reference(ps):
+    # `+` is `MultiPoly.sum` of two, so the fold above checks it against
+    # itself; this adds up the terms by variable name instead, with every
+    # other summand cancelled
+    ps = ps + [-p for p in ps[::2]]
+    want = {}
+    for p in ps:
+        for m, c in monomials(p).items():
+            want[m] = want.get(m, 0) + c
+    got = MultiPoly.sum(ps)
+    assert monomials(got) == {m: c for m, c in want.items() if c}
+    assert got.vars == tuple(sorted({v for p in ps for v in p.vars}, key=var_key))
 
 
 def test_product_cancels_cross_terms():
