@@ -19,6 +19,7 @@ from fractions import Fraction
 from .catalog import catalog_entry, catalog_list
 from .exactalg import MAX_EXPONENT, MultiPoly, PoleCancellationError, parse_rational
 from .hirzebruch import (
+    MAX_SAMPLES,
     certify_odd_rigidity,
     chi_y_genus,
     rigidity_eval,
@@ -357,10 +358,10 @@ def cmd_rigidity_certify(ns):
 
 
 def cmd_rigidity_independence(ns):
+    if not 1 <= ns.samples <= MAX_SAMPLES:
+        raise UsageError("--samples must be between 1 and %d, got %d" % (MAX_SAMPLES, ns.samples))
     entry, space = _resolve_space(ns)
     f = _resolve_series(ns)
-    if ns.samples < 1:
-        raise UsageError("--samples must be >= 1, got %d" % ns.samples)
     structures = []
     names = []
     if entry is not None and entry.stable_presets:
@@ -564,7 +565,7 @@ def build_parser():
     ev.add_argument("--at", help="comma-separated rational sample point")
     command(risub, "certify", cmd_rigidity_certify, "space", "structure", "series", "seed")
     ind = command(risub, "independence", cmd_rigidity_independence, "space", "series", "seed")
-    ind.add_argument("--samples", type=int, default=5)
+    ind.add_argument("--samples", type=int, default=5, help="sample points, 1 to %d (default 5)" % MAX_SAMPLES)
 
     su = sub.add_parser("su", help="special-unitary structure inventory")
     susub = su.add_subparsers(dest="subcommand")

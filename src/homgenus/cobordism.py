@@ -10,6 +10,9 @@ through D.  The truncation happens as terms are formed: series products,
 composition and substitution (`MultiPoly.product` and `MultiPoly.subs` with
 a cutoff) never build a term above it, which is exact because no weight is
 negative and weights add under multiplication, homogeneous input or not.
+The law, `add`, composition and `basis_convert` all run through `subs`,
+which keeps each image's powers and every product as packed ints on one
+layout and builds the result's Fractions once.
 
 The exponential and both dictionaries are closed forms by Lagrange
 inversion (Stanley, Enumerative Combinatorics II, 5.4): each coefficient is

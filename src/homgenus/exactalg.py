@@ -21,7 +21,7 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import groupby
+from itertools import groupby, zip_longest
 from operator import itemgetter, mul, or_
 
 _VAR_RE = re.compile(r"^([a-z]+?)(\d*)$")
@@ -83,20 +83,34 @@ class PoleCancellationError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
-def _by_weight(terms, shift, cutoff):
-    """(w, key, coeff) for packed (key, coeff) pairs, with w the key's top
-    field from bit `shift` up, sorted by w; a cutoff drops the terms with w
-    above it."""
-    out = [(k >> shift, k, c) for k, c in terms]
+def _times(a, b, shift, cutoff):
+    """The product of the packed (key, int) pairs a and b, as (key, int)
+    pairs with the zeros dropped: the one multiply loop of `product` and
+    `subs`.  With a cutoff, only pairs whose weights (the fields from bit
+    `shift` up) sum to at most it are formed: each weight of the shorter
+    side, sorted by weight, meets a bisected prefix of the longer; no
+    weight is negative, so a dropped pair makes no kept term."""
+    if len(a) > len(b):
+        a, b = b, a
+    rows = [(a, b)]
     if cutoff is not None:
-        out = [r for r in out if r[0] <= cutoff]
-    out.sort(key=itemgetter(0))
-    return out
+        a, b = (sorted([(k >> shift, k, c) for k, c in x if k >> shift <= cutoff]) for x in (a, b))
+        weights = [w for w, _, _ in b]
+        b = [(k, c) for _, k, c in b]
+        rows = [([(k, c) for _, k, c in row], b[: bisect_right(weights, cutoff - w)]) for w, row in groupby(a, key=itemgetter(0))]
+    acc = {}
+    get = acc.get
+    for row, inner in rows:
+        for k1, c1 in row:
+            for k2, c2 in inner:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+    return [kc for kc in acc.items() if kc[1]]
 
 
 class Packing:
-    """The packed-int layout of monomials that products and exact divisions
-    run on.
+    """The packed-int layout of monomials that products, substitutions and
+    exact divisions run on.
 
     `bounds` maps each variable, in canonical order, to a bound on its
     exponent; a monomial becomes one int with a bit field per variable, the
@@ -372,43 +386,23 @@ class MultiPoly:
                 return cls._from_clean(vs, {})
             for v, column in zip(p.vars, zip(*p.terms)):
                 bounds[v] += max(column)
-        truncating = cutoff is not None
-        layout = Packing(bounds, {v: var_weight(v) for v in vs} if truncating else None)
+        layout = Packing(bounds, {v: var_weight(v) for v in vs} if cutoff is not None else None)
         shift = layout.top
         terms, den = layout.pack(factors[0]) if factors else ([(0, 1)], 1)
-        if truncating:
+        if cutoff is not None:
             terms = [kc for kc in terms if kc[0] >> shift <= cutoff]
         for p in factors[1:]:
             pb, den_b = layout.pack(p)
-            pa, pb = _by_weight(terms, shift, None), _by_weight(pb, shift, cutoff)
+            terms = _times(terms, pb, shift, cutoff)
             den *= den_b
-            if len(pa) > len(pb):
-                pa, pb = pb, pa
-            b_weights = [w for w, _, _ in pb]
-            b_terms = [(k, c) for _, k, c in pb]
-            acc = {}
-            get = acc.get
-            for w1, group in groupby(pa, key=itemgetter(0)):
-                inner = b_terms[: bisect_right(b_weights, cutoff - w1)] if truncating else b_terms
-                for _, k1, c1 in group:
-                    for k2, c2 in inner:
-                        k = k1 + k2
-                        acc[k] = get(k, 0) + c1 * c2
-            terms = [kc for kc in acc.items() if kc[1]]
-            del acc, pa, pb  # freed before the next step or the output is built
         return layout.unpack(terms, den)
 
     def __pow__(self, n):
+        """self ** n: t^n with t replaced by self, by the packed
+        square-and-multiply of `subs` (simultaneous, so a t of self stays)."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        r = MultiPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                r = r * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return r
+        return MultiPoly(("t",), {(n,): 1}).subs({"t": self})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -462,41 +456,53 @@ class MultiPoly:
 
         Exact.  With a cutoff, the result is
         ``subs(mapping).truncate_weight(cutoff)``, built without forming a
-        term above the cutoff: the powers of each image are truncated
-        products, and the terms that raise the substituted variables to the
-        same powers are one truncated product of those powers and the
-        polynomial of the rest of the terms.
+        term above the cutoff.  One `Packing` of the result's variables (the
+        kept ones and those of the images used; none when self is zero),
+        each field as wide as the largest exponent a term of self gives it,
+        holds every image, packed once, its powers, each from the one below
+        or from two halves, and each group of terms with the same powers of the
+        substituted variables times those powers; the groups, scaled to one
+        denominator, add into one int dict, unpacked once.
         """
-        powers = {}
-        for v, img in mapping.items():
-            if isinstance(img, (int, Fraction, str)):
-                img = MultiPoly.const(_as_fraction(img))
-            powers[v] = {1: img}
+        p = self.restrict_vars()
+        images = {v: MultiPoly.const(_as_fraction(img)) if isinstance(img, (int, Fraction, str)) else img for v, img in mapping.items() if v in p.vars}
+        subbed = [i for i, v in enumerate(p.vars) if v in images]
+        kept = [i for i, v in enumerate(p.vars) if v not in images]
+        # a term e raises the output variable w to the power e . cols[w]
+        rows = [dict(zip_longest(images[v].vars, map(max, zip(*images[v].terms)), fillvalue=0)) if v in images else {v: 1} for v in p.vars]
+        cols = {w: [r.get(w, 0) for r in rows] for w in sorted(set().union(*rows), key=var_key)}
+        bounds = {w: max(sum(map(mul, e, col)) for e in p.terms) for w, col in cols.items()}
+        layout = Packing(bounds, {w: var_weight(w) for w in cols} if cutoff is not None else None)
+        shift = layout.top
+        packed = {v: layout.pack(img) for v, img in images.items()}
+        powers = {v: {1: terms} for v, (terms, _) in packed.items()}
 
         def power(v, n):
             memo = powers[v]
             if n not in memo:
-                if n - 1 in memo:
-                    memo[n] = MultiPoly.product((memo[n - 1], memo[1]), cutoff=cutoff)
-                else:
-                    half = power(v, n // 2)
-                    odd = (memo[1],) if n % 2 else ()
-                    memo[n] = MultiPoly.product((half, half) + odd, cutoff=cutoff)
+                a, b = (memo[n - 1], memo[1]) if n - 1 in memo else (power(v, n // 2), power(v, n - n // 2))
+                memo[n] = _times(a, b, shift, cutoff)
             return memo[n]
 
-        p = self.restrict_vars()
-        subbed = [i for i, v in enumerate(p.vars) if v in powers]
-        kept = [i for i, v in enumerate(p.vars) if v not in powers]
+        den_p = math.lcm(*(c.denominator for c in p.terms.values()))
+        units = [layout.unit[p.vars[i]] for i in kept]
         groups = {}
         for e, c in p.terms.items():
-            groups.setdefault(tuple([e[i] for i in subbed]), {})[tuple([e[i] for i in kept])] = c
-        rest = tuple(p.vars[i] for i in kept)
-        terms = []
-        for key, group in groups.items():
-            factors = [power(p.vars[i], k) for i, k in zip(subbed, key) if k]
-            factors.append(MultiPoly._from_clean(rest, group))
-            terms.append(MultiPoly.product(factors, cutoff=cutoff))
-        return MultiPoly.sum(terms)
+            k = sum(e[i] * u for i, u in zip(kept, units))
+            if cutoff is None or k >> shift <= cutoff:
+                groups.setdefault(tuple([e[i] for i in subbed]), []).append((k, c.numerator * (den_p // c.denominator)))
+        scales = {g: math.prod(packed[p.vars[i]][1] ** n for i, n in zip(subbed, g)) for g in groups}
+        den = math.lcm(*scales.values())
+        acc = {}
+        get = acc.get
+        for g, terms in groups.items():
+            for i, n in zip(subbed, g):
+                if n:
+                    terms = _times(terms, power(p.vars[i], n), shift, cutoff)
+            scale = den // scales[g]
+            for k, c in terms:
+                acc[k] = get(k, 0) + c * scale
+        return layout.unpack([kc for kc in acc.items() if kc[1]], den * den_p)
 
     def evaluate(self, point):
         """Evaluate at a dict name -> rational, exactly, as a Fraction.

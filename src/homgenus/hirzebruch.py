@@ -174,6 +174,9 @@ def _sample_point(dim, rng):
 
 
 SAMPLE_TRIES = 200
+# every sample row is kept and costs up to milliseconds per structure, so
+# `structure_independence` refuses more points than this before drawing any
+MAX_SAMPLES = 1000
 
 
 def _sample(structures, f, rng):
@@ -198,16 +201,16 @@ def structure_independence(structures, f, samples=5, seed=0):
     """Evaluate the same rigid functional on several structures at shared
     sample points; returns the table and whether every row came out equal.
 
-    All structures must live on the same space object (InputError
-    otherwise); each sample point is one where every structure's sum is
-    defined (`_sample`)."""
+    All structures must live on the same space object, and samples must be
+    between 1 and MAX_SAMPLES (InputError otherwise); each sample point is
+    one where every structure's sum is defined (`_sample`)."""
     rng = random.Random(seed)
     if not structures:
         raise ValueError("need at least one structure")
     if any(s.space is not structures[0].space for s in structures):
         raise InputError("structure independence compares structures on one space")
-    if samples < 1:
-        raise ValueError("need at least one sample point, got %d" % samples)
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise InputError("need at least one sample point and at most %d, got %d" % (MAX_SAMPLES, samples))
     drawn = [_sample(structures, f, rng) for _ in range(samples)]
     values = [row for _, row in drawn]
     independent = all(len(set(row)) == 1 for row in values)

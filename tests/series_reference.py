@@ -6,7 +6,9 @@ coefficient recurrence per quotient.  The series functions here compute the
 same things by reverting truncated power series with a fixed-point
 iteration and inverting them by Newton's iteration; `TruncatedSeries.compose`
 is one truncated `MultiPoly.subs`, and `compose_reference` composes by
-Horner's scheme in the substituted variable.  `MultiPoly.evaluate`
+Horner's scheme in the substituted variable.  `MultiPoly.subs` keeps every
+power and product as packed ints on one layout; `subs_reference` forms
+each as a `MultiPoly` product and adds the groups by `MultiPoly.sum`.  `MultiPoly.evaluate`
 and `to_text` work on the ints inside each Fraction, and `rigidity_eval`
 evaluates the kernel once per distinct weight; the functions after the
 series do each in plain Fraction arithmetic, one term or one weight at a
@@ -72,6 +74,45 @@ def compose_reference(series, name, inner):
     for k in range(body.degree_in(name), -1, -1):
         out = out * inner + TruncatedSeries(body.coefficient_of(name, k), cutoff)
     return out
+
+
+def subs_reference(p, mapping, cutoff=None):
+    """`p.subs(mapping, cutoff)` on `MultiPoly` values: the powers of each
+    image are (truncated) products, each from the one below when that is
+    known and by squaring otherwise, and the terms that raise the
+    substituted variables to the same powers are one product of those
+    powers and the polynomial of the rest, repacked and read back to
+    Fractions at every step; the groups are added by `MultiPoly.sum`."""
+    powers = {}
+    for v, img in mapping.items():
+        if not isinstance(img, MultiPoly):
+            img = MultiPoly.const(Fraction(img))
+        powers[v] = {1: img}
+
+    def power(v, n):
+        memo = powers[v]
+        if n not in memo:
+            if n - 1 in memo:
+                memo[n] = MultiPoly.product((memo[n - 1], memo[1]), cutoff=cutoff)
+            else:
+                half = power(v, n // 2)
+                odd = (memo[1],) if n % 2 else ()
+                memo[n] = MultiPoly.product((half, half) + odd, cutoff=cutoff)
+        return memo[n]
+
+    p = p.restrict_vars()
+    subbed = [i for i, v in enumerate(p.vars) if v in powers]
+    kept = [i for i, v in enumerate(p.vars) if v not in powers]
+    groups = {}
+    for e, c in p.terms.items():
+        groups.setdefault(tuple([e[i] for i in subbed]), {})[tuple([e[i] for i in kept])] = c
+    rest = tuple(p.vars[i] for i in kept)
+    terms = []
+    for key, group in groups.items():
+        factors = [power(p.vars[i], k) for i, k in zip(subbed, key) if k]
+        factors.append(MultiPoly(rest, group))
+        terms.append(MultiPoly.product(factors, cutoff=cutoff))
+    return MultiPoly.sum(terms)
 
 
 def series_reversion(series, in_var, out_var):

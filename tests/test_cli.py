@@ -339,6 +339,20 @@ def test_rigidity_independence_needs_a_sample(capsys):
         assert "--samples" in err
 
 
+def test_rigidity_independence_caps_the_samples(capsys, monkeypatch):
+    # refused before the space is resolved or a point drawn
+    monkeypatch.setattr(homgenus.cli, "_resolve_space", None)
+    for samples in ("1001", "100000000"):
+        code, out, err = run(
+            capsys,
+            "rigidity", "independence", "--space", "G42",
+            "--series", "u/(1+u^2)", "--samples", samples,
+        )
+        assert code == 1
+        assert out == ""
+        assert "--samples must be between 1 and 1000" in err
+
+
 def test_rigidity_certify(capsys):
     code, out, _ = run(
         capsys, "rigidity", "certify", "--space", "U3-flag", "--series", "u/(1+u^2)", "--json"

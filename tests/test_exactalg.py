@@ -173,6 +173,22 @@ def test_subs():
     assert MultiPoly.zero().subs({"x1": MultiPoly.variable("x2")}) == MultiPoly.zero()
 
 
+def test_pow_matches_repeated_multiplication():
+    p = parse_poly("1 + a1 + b1/2")
+    want = MultiPoly.const(1)
+    for _ in range(7):
+        want = want * p
+    got = p**7
+    assert (got.vars, got.terms) == (want.vars, want.terms)
+    assert ((p**0).vars, (p**0).terms) == ((), {(): 1})
+    assert ((p**1).vars, (p**1).terms) == (p.vars, p.terms)
+    # the packed square-and-multiply names a variable t of its own
+    t = parse_poly("t + y/3")
+    assert t**3 == t * t * t
+    with pytest.raises(ValueError):
+        p ** -1
+
+
 def test_truncate_weight():
     p = parse_poly("1 + x1 + x1^2 + x1^3")
     assert p.truncate_weight(2) == parse_poly("1 + x1 + x1^2")

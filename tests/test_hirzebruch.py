@@ -12,6 +12,7 @@ from homgenus.catalog import catalog_entry, catalog_list, catalog_space
 from homgenus.cobordism import tanh_series, todd_series
 from homgenus.exactalg import parse_poly, parse_rational
 from homgenus.hirzebruch import (
+    MAX_SAMPLES,
     _sample,
     _sample_point,
     certify_odd_rigidity,
@@ -327,6 +328,15 @@ def test_structure_independence_needs_a_sample():
     for samples in (0, -3):
         with pytest.raises(ValueError, match="at least one sample"):
             structure_independence(structures, parse_rational("u/(1+u^2)"), samples=samples)
+
+
+def test_structure_independence_refuses_too_many_samples():
+    structures = [_std("CP3")]
+    f = parse_rational("u/(1+u^2)")
+    for samples in (0, -3, MAX_SAMPLES + 1, 100000000):
+        with pytest.raises(InputError, match="at most %d" % MAX_SAMPLES):
+            structure_independence(structures, f, samples=samples)
+    assert len(structure_independence(structures, f, samples=1)["points"]) == 1
 
 
 def test_certify_odd_rigidity_u3_flag():

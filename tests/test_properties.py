@@ -43,6 +43,7 @@ from series_reference import (
     localized_numerator_reference,
     poly_from_json,
     series_reversion,
+    subs_reference,
     synthetic_divide_reference,
     to_text_reference,
     word_image,
@@ -398,6 +399,36 @@ def test_truncated_subs_matches_subs_then_truncate(case, data):
     full = p.subs(mapping)
     c = cutoff_near(data, full, {v: var_weight(v) for v in full.vars})
     assert same(p.subs(mapping, cutoff=c), full.truncate_weight(c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(subs_cases(), st.data())
+def test_subs_matches_the_product_reference(case, data):
+    p, mapping = case
+    full = p.subs(mapping)
+    assert same(full, subs_reference(p, mapping))
+    c = cutoff_near(data, full, {v: var_weight(v) for v in full.vars})
+    assert same(p.subs(mapping, cutoff=c), subs_reference(p, mapping, cutoff=c))
+
+
+_x1, _u1, _u2 = (MultiPoly.variable(v) for v in ("x1", "u1", "u2"))
+_a1_half = MultiPoly.variable("a1", Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "p, mapping",
+    [
+        (parse_poly("u1^3*u2 - 2*u1*u2^2/3 + u2 + a1*u1"), {"u1": _u2, "u2": _u1}),
+        (parse_poly("x1^2*x2 + 3*x1 - x2^3/2 + t"), {"x1": 0, "x2": Fraction(-3, 2)}),
+        (parse_poly("x1^2*x2 + 3*x1 - x2^3/2 + t"), {"x1": MultiPoly.zero(), "x2": 4}),
+        (parse_poly("x1^2 + a1*x1 + 1/7"), {"x2": _u1 + 1, "x1": _u1 - _a1_half}),
+        (MultiPoly.variable("x2", Fraction(5, 3)) ** 4365 + _x1, {"x2": MultiPoly.variable("x1", Fraction(-1, 2))}),
+    ],
+    ids=["swap", "zero-and-rational", "zero-poly-and-int", "absent-key", "x2^4365"],
+)
+@pytest.mark.parametrize("cutoff", [None, 0, 3, 4366])
+def test_subs_matches_the_reference_on_pinned_cases(p, mapping, cutoff):
+    assert same(p.subs(mapping, cutoff=cutoff), subs_reference(p, mapping, cutoff=cutoff))
 
 
 @st.composite
