@@ -349,7 +349,6 @@ def cmd_rigidity_certify(ns):
     out = certify_odd_rigidity(structure, f, seed=ns.seed or 0)
     plain = ["verdict: %s" % out["verdict"]]
     if out["certificate"]:
-        plain.append("pairing element (word): %s" % (list(out["certificate"]["element"]),))
         for p in out["certificate"]["pairs"]:
             plain.append("  cosets %s flip %d weights" % (p["pair"], p["flips"]))
     for pt, val in out["samples"]:
@@ -611,6 +610,8 @@ def _emit(ns, command_name, out, started):
         sys.stdout.write(buf.getvalue())
     else:
         print(out["plain"])
+    # a closed pipe raises here, where main catches it, not at interpreter exit
+    sys.stdout.flush()
 
 
 def main(argv=None):
@@ -627,7 +628,12 @@ def main(argv=None):
             raise UsageError("--cutoff must be between 0 and %d, got %d" % (MAX_EXPONENT, cutoff))
         out = ns.func(ns)
         name = ns.command + (" " + ns.subcommand if getattr(ns, "subcommand", None) else "")
-        _emit(ns, name, out, started)
+        try:
+            _emit(ns, name, out, started)
+        except BrokenPipeError:
+            # the reader (say `| head`) stopped early: the output is cut, the
+            # exit code stands, and the flush at exit goes to the null device
+            sys.stdout = open(os.devnull, "w")
         if not out.get("math_ok", True):
             return EXIT_MATH
         if not out.get("accept_ok", True):

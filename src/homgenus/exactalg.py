@@ -589,56 +589,44 @@ class MultiPoly:
 # exact division
 
 
-def _lead(poly):
-    """Leading (exps, coeff) under graded-lex; poly must be nonzero."""
-    w = poly._weights()
-    e = max(poly.terms, key=lambda e: (sum(map(mul, e, w)), e))
-    return e, poly.terms[e]
-
-
 def exact_divide(numerator, denominator, message="pole not cancelled"):
     """Divide exactly, raising PoleCancellationError on any remainder.
 
     Since we only ever divide by actual factors (products of linear forms
     coming from isotropy weights), a nonzero remainder means a localization
-    pole failed to cancel — hence the default error text.  A divisor whose
-    graded-lex leading term is c*x_p, with x_p in no other term, takes
-    `Packing.divide`: the numerator as ints over the lcm of its denominators,
-    divided by the divisor's primitive integer part, the quotient read back
-    over that lcm times the divisor's content.  Anything else falls back to
-    leading-term reduction in graded-lex order.
+    pole failed to cancel — hence the default error text.  The divisor must
+    be linear in a pivot: its graded-lex leading term is c*x_p, with x_p in
+    no other term (ValueError otherwise).  The division is `Packing.divide`:
+    the numerator as ints over the lcm of its denominators, divided by the
+    divisor's primitive integer part, the quotient read back over that lcm
+    times the divisor's content.
     """
     if denominator.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    if numerator.is_zero():
-        return MultiPoly.zero()
     vs = _union((numerator, denominator))
     num, den = numerator._over(vs), denominator._over(vs)
-    de, dc = _lead(den)
+    w = den._weights()
+    de = max(den.terms, key=lambda e: (sum(map(mul, e, w)), e))  # the graded-lex leading term
     p = de.index(1) if sum(de) == 1 else None
-    if p is not None and sum(e[p] for e in den.terms) == 1:
-        # room for the divisor and every key the division forms: at most
-        # deg_p(N) steps down, each adding R's exponents
-        n_deg = [max(column) for column in zip(*num.terms)]
-        layout = Packing({v: a + (n_deg[p] + 1) * max(b) for v, a, b in zip(vs, n_deg, zip(*den.terms))})
-        terms, n_den = layout.pack(num)
-        d_terms, d_den = layout.pack(den)
-        g = math.gcd(*(c for _, c in d_terms))
-        unit = layout.unit[vs[p]]
-        lead = next(c for k, c in d_terms if k == unit) // g
-        rest = [(k, c // g) for k, c in d_terms if k != unit]
-        quotient = layout.divide(terms, vs[p], lead, rest, message)
-        return layout.unpack(((k, c * d_den) for k, c in quotient.items()), n_den * g, reduce(or_, quotient, 0))
-    qterms = {}
-    while not num.is_zero():
-        ne, nc = _lead(num)
-        qe = tuple(a - b for a, b in zip(ne, de))
-        if any(qk < 0 for qk in qe):
-            raise PoleCancellationError(message)
-        qc = nc / dc
-        qterms[qe] = qterms.get(qe, Fraction(0)) + qc
-        num = num - MultiPoly(vs, {qe: qc}) * den
-    return MultiPoly(vs, qterms).restrict_vars()
+    if p is None or sum(e[p] for e in den.terms) != 1:
+        raise ValueError(
+            "exact_divide needs a divisor linear in a pivot (leading term c*x, x in no other term), got %s"
+            % denominator.to_text()
+        )
+    if numerator.is_zero():
+        return MultiPoly.zero()
+    # room for the divisor and every key the division forms: at most
+    # deg_p(N) steps down, each adding R's exponents
+    n_deg = [max(column) for column in zip(*num.terms)]
+    layout = Packing({v: a + (n_deg[p] + 1) * max(b) for v, a, b in zip(vs, n_deg, zip(*den.terms))})
+    terms, n_den = layout.pack(num)
+    d_terms, d_den = layout.pack(den)
+    g = math.gcd(*(c for _, c in d_terms))
+    unit = layout.unit[vs[p]]
+    lead = next(c for k, c in d_terms if k == unit) // g
+    rest = [(k, c // g) for k, c in d_terms if k != unit]
+    quotient = layout.divide(terms, vs[p], lead, rest, message)
+    return layout.unpack(((k, c * d_den) for k, c in quotient.items()), n_den * g, reduce(or_, quotient, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Everything here stays exact: the chi_y polynomial comes from counting
 negative isotropy weights at each fixed point, rigidity evaluations plug
 rational sample points into rational genus kernels, and the odd-genus
-certificates are combinatorial pairings of the fixed points, not numerics.
+certificate pairs the fixed points inside the sets of lines their weights
+lie on: combinatorics on the signed-root table, not numerics.
 """
 
 import math
@@ -221,40 +222,63 @@ def structure_independence(structures, f, samples=5, seed=0):
 # odd-genus certificates
 
 
-def _row_flips(a, b, negation):
-    """Match row b against +/- row a, root ids of equal length on distinct
-    lines: the number of ids of a that b holds negated, or None when b holds
-    neither some id of a nor its negation."""
-    held = set(b)
-    if all(r in held or negation[r] in held for r in a):
-        return sum(r not in held for r in a)
-    return None
+def _line_set_pairs(table, negation):
+    """Pair the rows of `table` inside their line sets, or None.
+
+    An odd kernel's term sign / prod f(w) changes sign with each weight
+    negated, so the rows whose root ids lie on one set of lines contribute
+    tau = sign (-1)^c times one shared term, c counting the ids r with
+    r > negation[r]: not their line's canonical id.  Each line set's k-th
+    row with tau = +1 is paired with its k-th row with tau = -1, and `flips`
+    counts the lines on which the two rows' ids differ.  None when a line set
+    holds more rows of one tau than of the other.
+    """
+    groups = {}
+    for i, (sign, ids) in enumerate(table):
+        tau = sign * (-1) ** sum(r > negation[r] for r in ids)
+        lines = frozenset(min(r, negation[r]) for r in ids)
+        groups.setdefault(lines, {1: [], -1: []})[tau].append(i)
+    if any(len(g[1]) != len(g[-1]) for g in groups.values()):
+        return None
+    pairs = sorted(tuple(sorted(p)) for g in groups.values() for p in zip(g[1], g[-1]))
+    return [{"pair": (i, j), "flips": len(set(table[i][1]) - set(table[j][1]))} for i, j in pairs]
+
+
+def _is_odd(f):
+    """Whether the kernel is odd: f(-u) = -f(u) for a rational function, and
+    only odd powers of one variable for a truncated series."""
+    if isinstance(f, RationalFn):
+        return f.is_odd(_genus_variable(f))
+    body = f.body.restrict_vars()
+    return len(body.vars) <= 1 and all(sum(e) % 2 for e in body.terms)
 
 
 def certify_odd_rigidity(structure, f=None, seed=0):
     """Try to certify that every odd genus kills this structure's sum.
 
-    Searches for an element t of the ambient Weyl group whose left action
-    pairs the fixed points off without fixed points, matching isotropy
-    weights up to sign with the parity condition sign(p) + sign(q) (-1)^k = 0.
-    Success certifies the vanishing for every odd kernel at once.  With an
-    exact odd rational kernel we also spot-check at three sample points;
-    with a truncated odd series we can only report consistency to the cutoff.
-    The search walks W, so a space with an even number of fixed points whose
-    W has more than COSET_CAP elements is refused (InputError).
+    Groups the fixed points by the set of lines their isotropy weights lie
+    on: an odd kernel gives every point of one group the same term up to the
+    sign tau of `_line_set_pairs`, so equal numbers of tau = +1 and tau = -1
+    in every group certify the vanishing for every odd kernel at once.  The
+    certificate pairs the points inside their groups.  The test reads the
+    signed-root table only, so it costs points x weights and needs no Weyl
+    group.  With an exact odd rational kernel we also spot-check at three
+    sample points; with a truncated odd series we can only report
+    consistency to the cutoff.  A kernel that is not odd is refused
+    (InputError).
     """
     space = structure.space
     table = signed_root_table(structure)
     result = {"verdict": None, "certificate": None, "samples": []}
-    if isinstance(f, RationalFn) and not f.is_odd(_genus_variable(f)):
+    if f is not None and not _is_odd(f):
         raise InputError("the kernel is not odd; this certificate does not apply")
     if len(table) % 2 == 1:
         result["verdict"] = "not covered: odd number of fixed points"
     else:
-        cert = _find_pairing(structure, table)
-        if cert is not None:
+        pairs = _line_set_pairs(table, space.group.negation)
+        if pairs is not None:
             result["verdict"] = "certified zero"
-            result["certificate"] = cert
+            result["certificate"] = {"pairs": pairs}
         else:
             result["verdict"] = "not covered: no fixed-point pairing found"
     if isinstance(f, RationalFn):
@@ -275,29 +299,3 @@ def certify_odd_rigidity(structure, f=None, seed=0):
         if result["verdict"] == "certified zero":
             result["verdict"] = "consistent to cutoff" if val == 0 else "inconsistent"
     return result
-
-
-def _find_pairing(structure, table):
-    """The first non-identity t in W, in (length, lex) order, that pairs the
-    cosets without fixed points, t.rep_i W_H = rep_j W_H, with the rows of
-    `table` matched (`_row_flips`) and opposite signs in each pair; None
-    when there is none."""
-    cosets = structure.space.cosets
-    n = len(cosets)
-    for t in structure.space.weyl:
-        if not t.word:
-            continue
-        sigma = cosets.act(t.word)
-        if any(sigma[i] == i or sigma[sigma[i]] != i for i in range(n)):
-            continue
-        pairs = []
-        for i, j in enumerate(sigma):
-            if j < i:
-                continue
-            k = _row_flips(table[i][1], table[j][1], structure.space.group.negation)
-            if k is None or table[i][0] + table[j][0] * (-1) ** k != 0:
-                break
-            pairs.append({"pair": (i, j), "flips": k})
-        else:
-            return {"element": tuple(t.word), "pairs": pairs}
-    return None

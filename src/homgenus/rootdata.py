@@ -369,38 +369,24 @@ class CosetSpace:
         # s_g rep_i is minimal unless rep_i maps a simple root of H to that
         # root: blocked[i] holds those g
         blocked = [{letter[a] for a in h_roots if a in letter}]
-        # action[g][i] is the index of the coset s_g rep_i W_H
-        action = [[] for _ in gens]
         done = 0
         while done < len(reps):
             level = range(done, len(reps))
-            for g, (gen, row) in enumerate(zip(gens, action)):
+            for g, gen in enumerate(gens):
                 move = gen.__getitem__
                 for i in level:
                     if g in blocked[i]:
                         # s_g rep_i = rep_i s_a lies in coset i (Deodhar)
-                        row.append(i)
                         continue
                     key = tuple(map(move, images[i]))
-                    j = index.get(key)
-                    if j is None:
-                        j = index[key] = len(reps)
+                    if key not in index:
+                        index[key] = len(reps)
                         p = compose(gen, reps[i].perm)
                         reps.append(WeylElement(p, (g,) + reps[i].word))
                         images.append(key)
                         blocked.append({letter[p[a]] for a in h_roots if p[a] in letter})
-                    row.append(j)
             done = level.stop
         self.representatives = tuple(reps)
-        self.action = tuple(map(tuple, action))
-
-    def act(self, word):
-        """The permutation of coset indices by which the element with this
-        word acts on the left: its letters' actions, applied right to left."""
-        sigma = tuple(range(len(self.representatives)))
-        for g in reversed(word):
-            sigma = compose(self.action[g], sigma)
-        return sigma
 
     def __len__(self):
         return len(self.representatives)

@@ -196,7 +196,7 @@ class HomogeneousSpace:
 
     @cached_property
     def weyl(self):
-        """W, in (length, word) order; only the rigidity certificate walks it."""
+        """W, in (length, word) order, for inspection and tests: no library path builds it."""
         return CosetSpace(self.group, self.simple_roots, ())
 
     @cached_property

@@ -16,11 +16,15 @@ each representative's permutation with the line roots,
 `signed_points_reference` signs those vectors coordinate by coordinate,
 `index_counts_reference` signs each weight vector of `fixed_points` with
 `Ordering.sign`, and `stable_certificate_reference` runs `residues_cancel`
-on those vectors.  Tests compare the two.
+on those vectors.  The package certifies odd genera by grouping the fixed
+points by their line sets; `pairing_walk_reference` walks W for a left
+translation that pairs them, on the reference search's coset action.
+Tests compare the two.
 """
 
 import math
 from fractions import Fraction
+from functools import cache
 
 from homgenus.rootdata import canonical_positive, compose, dot
 from homgenus.structures import StableStructure, fixed_points, residues_cancel
@@ -54,6 +58,51 @@ def coset_search_reference(group, simple, h_simple):
                 row.append(j)
         done = level.stop
     return reps, tuple(map(tuple, action))
+
+
+def coset_action_reference(action, word, n):
+    """The permutation of the n coset indices by which the element with this
+    word acts on the left: the letters' rows of `action`, applied right to
+    left."""
+    sigma = tuple(range(n))
+    for g in reversed(word):
+        sigma = compose(action[g], sigma)
+    return sigma
+
+
+@cache
+def _walk_tables(space):
+    """W's words and the action table on G/H of the reference search, built
+    once per space for the walk."""
+    weyl, _ = coset_search_reference(space.group, space.simple_roots, ())
+    _, action = coset_search_reference(space.group, space.simple_roots, space.subgroup_simple)
+    return [word for _, word in weyl], action
+
+
+def pairing_walk_reference(structure):
+    """The pairs of the first non-identity t in W, in (length, word) order,
+    whose left action pairs the cosets without fixed points, with each
+    pair's weights matched up to k sign flips (`match_weights_reference`) and
+    sign(p) + sign(q) (-1)^k = 0: [{"pair": (i, j), "flips": k}, ...] with
+    i < j, or None when no t does."""
+    weyl, action = _walk_tables(structure.space)
+    points = signed_points_reference(structure)
+    for word in weyl[1:]:
+        sigma = coset_action_reference(action, word, len(points))
+        if any(sigma[i] == i or sigma[sigma[i]] != i for i in range(len(sigma))):
+            continue
+        pairs = []
+        for i, j in enumerate(sigma):
+            if i > j:
+                continue
+            (si, wi), (sj, wj) = points[i], points[j]
+            k = match_weights_reference(wi, wj)
+            if k is None or si + sj * (-1) ** k:
+                break
+            pairs.append({"pair": (i, j), "flips": k})
+        else:
+            return pairs
+    return None
 
 
 def residues_cancel_reference(points, ordering):
@@ -132,9 +181,9 @@ def block_partition_reference(space):
 
 
 def match_weights_reference(wa, wb):
-    """hirzebruch._row_flips on weight vectors instead of root ids: match
-    the multiset wb against +/- wa on a dict of counts that drops a weight
-    when its count reaches zero; the flip count, or None."""
+    """Match the multiset wb against +/- wa on a dict of counts that drops a
+    weight when its count reaches zero: the number of weights of wa that wb
+    holds negated, or None when wb is not wa up to sign."""
     remaining = {}
     for r in wb:
         key = tuple(r)

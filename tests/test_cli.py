@@ -378,15 +378,55 @@ def test_oversized_quotient_is_usage_error(capsys):
     assert "479001600 cosets" in err
 
 
-def test_rigidity_certify_refuses_an_oversized_weyl_group(capsys):
-    # CP9 = U(10)/(U(1) x U(9)) has 10 cosets, but the certificate walks W, of order 10!
+def test_rigidity_certify_answers_cp9_without_the_weyl_group(capsys):
+    # CP9 = U(10)/(U(1) x U(9)) has 10 cosets and |W| = 10!: the line sets
+    # read the 10 fixed points only
     roots = [[0] + [1 if k == i else -1 if k == j else 0 for k in range(1, 10)]
              for i in range(1, 10) for j in range(1, 10) if i != j]
     doc = json.dumps({"group": "U(10)", "subgroup_roots": roots})
-    code, out, err = run(capsys, "rigidity", "certify", "--space", doc)
-    assert code == 1
-    assert out == ""
-    assert "3628800 cosets" in err
+    code, out, err = run(capsys, "rigidity", "certify", "--space", doc, "--json")
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["verdict"] == "not covered: no fixed-point pairing found"
+    assert result["certificate"] is None
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fmt", ["--plain", "--json", "--csv"])
+def test_a_closed_stdout_keeps_the_exit_code(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    argv = ["genus", "todd", "--space", "CP2"] if fmt == "--csv" else ["rigidity", "certify", "--space", "U3-flag"]
+    code = main(argv + [fmt])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert err == ""
+    # pointed at the null device, so the flush at exit has nowhere to fail
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+
+
+def test_a_closed_pipe_exits_cleanly():
+    # the read end is closed before the command writes: no traceback, and
+    # the command's own exit code
+    src = os.path.dirname(os.path.dirname(homgenus.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "homgenus", "rigidity", "certify", "--space", "U3-flag", "--series", "u/(1+u^2)"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 @pytest.mark.parametrize("argv", [("eval", "--at", "2,1"), ("independence",)], ids=lambda argv: argv[0])

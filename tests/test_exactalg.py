@@ -102,8 +102,16 @@ def test_exact_divide_custom_message():
 
 def test_exact_divide_round_trip():
     a = parse_poly("x1^2 - x2 + 3")
-    b = parse_poly("x1*x2 - 1")
+    b = parse_poly("2*x1 - 3/4*x2 + 5")
     assert exact_divide(a * b, b) == a
+
+
+@pytest.mark.parametrize("den", ["x1*x2 - 1", "x1^2 - x2", "x1 + x1*x2", "2", "x1 + x2^2"])
+def test_exact_divide_refuses_a_divisor_without_a_pivot(den):
+    with pytest.raises(ValueError, match="needs a divisor linear in a pivot"):
+        exact_divide(parse_poly("x1^3 - 1"), parse_poly(den))
+    with pytest.raises(ValueError, match="needs a divisor linear in a pivot"):
+        exact_divide(MultiPoly.zero(), parse_poly(den))
 
 
 def test_divided_difference_basics():

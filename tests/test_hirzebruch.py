@@ -3,16 +3,20 @@
 import hashlib
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import homgenus.hirzebruch
 from homgenus.catalog import catalog_entry, catalog_list, catalog_space
 from homgenus.cobordism import tanh_series, todd_series
-from homgenus.exactalg import parse_poly, parse_rational
+from homgenus.exactalg import TruncatedSeries, parse_poly, parse_rational
 from homgenus.hirzebruch import (
     MAX_SAMPLES,
+    _line_set_pairs,
     _sample,
     _sample_point,
     certify_odd_rigidity,
@@ -33,8 +37,10 @@ from homgenus.structures import (
     enumerate_structures,
     make_space,
     parse_signs,
+    signed_root_table,
 )
 from homgenus.toricgenus import chern_dold_genus
+from rootdata_reference import pairing_walk_reference
 from series_reference import admissible_point_reference, rigidity_eval_reference
 
 
@@ -342,9 +348,7 @@ def test_structure_independence_refuses_too_many_samples():
 def test_certify_odd_rigidity_u3_flag():
     out = certify_odd_rigidity(_std("U3-flag"), f=parse_rational("u/(1+u^2)"))
     assert out["verdict"] == "certified zero"
-    cert = out["certificate"]
-    assert cert["element"] == (0,)
-    assert cert["pairs"] == [
+    assert out["certificate"]["pairs"] == [
         {"pair": (0, 1), "flips": 1},
         {"pair": (2, 3), "flips": 3},
         {"pair": (4, 5), "flips": 1},
@@ -362,7 +366,7 @@ def test_certify_odd_rigidity_not_covered():
 def test_certify_refuses_a_wrong_certificate(monkeypatch):
     # a certificate handed to G42's standard structure, whose odd sums are
     # not zero: the samples contradict it, and the check holds under -O too
-    monkeypatch.setattr(homgenus.hirzebruch, "_find_pairing", lambda s, table: {"element": (0,), "pairs": []})
+    monkeypatch.setattr(homgenus.hirzebruch, "_line_set_pairs", lambda table, negation: [])
     with pytest.raises(ArithmeticError, match="certified zero, but the sum at the sample point"):
         certify_odd_rigidity(_std("G42"), f=parse_rational("u/(1+u^2)"))
 
@@ -378,12 +382,24 @@ def test_certify_rejects_even_series():
         certify_odd_rigidity(_std("U3-flag"), f=parse_rational("u^2/(1+u)"))
 
 
+@pytest.mark.parametrize(
+    "series",
+    [todd_series(9), TruncatedSeries(parse_poly("u1 + u1^2"), 5), TruncatedSeries(parse_poly("u1 + u2^3"), 5)],
+    ids=["todd", "u1+u1^2", "two-variables"],
+)
+def test_certify_rejects_a_series_that_is_not_odd(series):
+    # the class evaluation of Todd on U3-flag is 1: accepted, it would read
+    # as a certificate contradicted, not as a kernel outside the theorem
+    with pytest.raises(InputError, match="the kernel is not odd"):
+        certify_odd_rigidity(_std("U3-flag"), f=series)
+
+
 # certify_odd_rigidity(s) with f=None, as (space, structure, verdict,
 # certificate) rows, on the first 16 structures of every catalog space and
 # the CP3 stable presets, where the Euler characteristic is even: (number of
-# rows, sha1 of their repr).  The element and its pairs are visible in
-# `rigidity certify` output, so they are frozen.
-PINNED_CERTIFICATES = (105, "fa4285d328c7dce5436e55b9539977b9f2052379")
+# rows, sha1 of their repr).  The pairs are visible in `rigidity certify`
+# output, so they are frozen.
+PINNED_CERTIFICATES = (105, "78acd428f72b7e24a8310f9e5dfa7aee988fecfa")
 
 
 def test_certificates_are_pinned():
@@ -399,5 +415,86 @@ def test_certificates_are_pinned():
         if len(s.space.cosets) % 2 == 0:
             out = certify_odd_rigidity(s)
             rows.append((name, label, out["verdict"], out["certificate"]))
-    assert sum(r[2] == "certified zero" for r in rows) == 80
+    assert sum(r[2] == "certified zero" for r in rows) == 88
     assert (len(rows), hashlib.sha1(repr(rows).encode()).hexdigest()) == PINNED_CERTIFICATES
+
+
+@cache
+def _catalog_structures():
+    """(space name, structure) for every structure of every catalog space
+    and the three CP3 stable presets."""
+    cases = [(name, s) for name in catalog_list() for s in enumerate_structures(catalog_space(name))]
+    entry = catalog_entry("CP3")
+    return cases + [("CP3", entry.stable_structure(p)) for p in sorted(entry.stable_presets)]
+
+
+# verdicts of certify_odd_rigidity(s) over `_catalog_structures`, per space
+CERTIFY_CENSUS = {
+    ("CP1", "certified zero"): 2,
+    ("CP2", "not covered: odd number of fixed points"): 2,
+    ("CP3", "not covered: no fixed-point pairing found"): 5,
+    ("CP3-sp", "certified zero"): 4,
+    ("G2-flag", "certified zero"): 64,
+    ("G42", "not covered: no fixed-point pairing found"): 2,
+    ("G52", "not covered: no fixed-point pairing found"): 2,
+    ("G622", "not covered: no fixed-point pairing found"): 8,
+    ("S6", "certified zero"): 2,
+    ("Sp2-flag", "certified zero"): 16,
+    ("U3-flag", "certified zero"): 8,
+    ("U4-T2xU2", "certified zero"): 8,
+    ("U4-flag", "certified zero"): 64,
+    ("U5-flag", "certified zero"): 1024,
+}
+
+
+def test_line_sets_certify_every_walk_pairing():
+    """The line-set pairs against the pairs of the first left translation
+    in W that pairs the fixed points: equal wherever the walk finds one.
+    The line sets also certify U4-T2xU2, where no left translation pairs the
+    points."""
+    census = {}
+    walked = 0
+    for name, s in _catalog_structures():
+        out = certify_odd_rigidity(s)
+        key = (name, out["verdict"])
+        census[key] = census.get(key, 0) + 1
+        if len(s.space.cosets) % 2:
+            continue
+        walk = pairing_walk_reference(s)
+        if walk is not None:
+            walked += 1
+            assert out["certificate"]["pairs"] == walk
+    assert census == CERTIFY_CENSUS
+    assert walked == 1184 and sum(census.values()) == 1211
+
+
+def test_line_set_certificate_on_u4_t2xu2_vanishes_exactly():
+    f = parse_rational("u/(1+u^2)")
+    for s in enumerate_structures(catalog_space("U4-T2xU2")):
+        out = certify_odd_rigidity(s, f)
+        assert out["verdict"] == "certified zero"
+        assert [v for _, v in out["samples"]] == [0, 0, 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_negating_a_weight_with_the_point_sign_keeps_the_verdict(data):
+    """An odd kernel's term sign / prod f(w) is unchanged when one weight and
+    the point's sign are negated together, so the line-set verdict must not
+    move either; negating the weight alone moves one point to the other tau
+    of its group, and a certified table is no longer certified."""
+    name, s = data.draw(st.sampled_from(_catalog_structures()[::7]))
+    negation = s.space.group.negation
+    table = signed_root_table(s)
+    before = _line_set_pairs(table, negation)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    moved = []
+    for sign, ids in table:
+        flips = [rng.random() < 0.5 for _ in ids]
+        moved.append((sign * (-1) ** sum(flips), [negation[r] if f else r for r, f in zip(ids, flips)]))
+    assert (_line_set_pairs(moved, negation) is None) == (before is None)
+    if before is not None:
+        i = rng.randrange(len(table))
+        sign, ids = moved[i]
+        moved[i] = (sign, [negation[ids[0]]] + ids[1:])
+        assert _line_set_pairs(moved, negation) is None

@@ -76,12 +76,6 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@given(polys(), polys())
-def test_exact_divide_round_trip(a, b):
-    assume(not b.is_zero())
-    assert exact_divide(a * b, b) == a
-
-
 _DIVIDE_VARS = ("x1", "x2", "x3", "y")
 
 
@@ -101,6 +95,25 @@ def linear_divisors(draw):
             term = term * MultiPoly.variable(v) ** k
         d = d + term
     return "x%d" % p, d
+
+
+@given(polys(names=_DIVIDE_VARS), linear_divisors())
+def test_exact_divide_round_trip(a, divisor):
+    _, b = divisor
+    assert exact_divide(a * b, b) == a
+
+
+@given(polys(), polys())
+def test_exact_divide_refuses_a_divisor_without_a_pivot(a, b):
+    # only a divisor whose leading term is c*x, with x in no other term, has
+    # a pivot to divide along
+    assume(not b.is_zero())
+    try:
+        assert exact_divide(a * b, b) == a
+    except ValueError as exc:
+        assert "linear in a pivot" in str(exc)
+        lead = max(b.terms, key=lambda e: (sum(e), e))
+        assert sum(lead) != 1 or sum(e[lead.index(1)] for e in b.terms) != 1
 
 
 @settings(deadline=None)

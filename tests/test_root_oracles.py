@@ -1,7 +1,7 @@
 """The keyed coset search, the interned residue certificate, the one-pass
-block partition and the root-id row matching against the direct references
-in `rootdata_reference`: the same representatives, words and actions,
-certificate verdicts, blocks and flip counts."""
+block partition and the line-set pairing against the direct references in
+`rootdata_reference`: the same representatives and words, certificate
+verdicts, blocks and flip counts."""
 
 from fractions import Fraction
 from functools import cache
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homgenus.catalog import catalog_entry, catalog_list, catalog_space
-from homgenus.hirzebruch import _row_flips
+from homgenus.hirzebruch import certify_odd_rigidity
 from homgenus.rootdata import CosetSpace, Ordering, group_from_doc
 from homgenus.structures import (
     InvariantStructure,
@@ -19,7 +19,6 @@ from homgenus.structures import (
     fixed_points,
     make_space,
     residues_cancel,
-    signed_root_table,
     space_from_json,
 )
 from homgenus.toricgenus import _block_partition, certified
@@ -28,6 +27,7 @@ from rootdata_reference import (
     coset_search_reference,
     match_weights_reference,
     residues_cancel_reference,
+    signed_points_reference,
 )
 from test_certificate import stable_tables
 from test_lattice import SCALED
@@ -39,9 +39,8 @@ def _assert_searches_agree(space):
     simple, h_simple = space.simple_roots, space.subgroup_simple
     for a, b in ((simple, h_simple), (simple, ()), (h_simple, ())):
         got = CosetSpace(space.group, a, b)
-        reps, action = coset_search_reference(space.group, a, b)
+        reps, _ = coset_search_reference(space.group, a, b)
         assert [(r.perm, r.word) for r in got] == reps
-        assert got.action == action
 
 
 @pytest.mark.parametrize("name", catalog_list())
@@ -238,42 +237,17 @@ def _pairing_structures():
     return [js[0] for js in found if js] + [entry.stable_structure(p) for p in sorted(entry.stable_presets)]
 
 
-def _row_vectors(group, ids):
-    return [group.roots[r] for r in ids]
-
-
 def test_weight_matching_matches_the_reference():
-    """The row matching on root ids against the multiset matching on the
-    rows' weight vectors, for every ordered pair of rows of each table."""
+    """Each pair of the line-set certificate against the multiset matching
+    of the two points' weight vectors: the same flip count, never None."""
     structures = _pairing_structures()
     assert len(structures) == 16
     matched = 0
     for s in structures:
-        group = s.space.group
-        rows = [ids for _, ids in signed_root_table(s)]
-        for a in rows:
-            for b in rows:
-                got = _row_flips(a, b, group.negation)
-                assert got == match_weights_reference(_row_vectors(group, a), _row_vectors(group, b))
-                matched += got is not None
-    assert matched > sum(len(s.space.cosets) for s in structures)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_row_matching_matches_the_reference_on_signed_permutations(data):
-    """A real row against a signed permutation of itself, with one id
-    perhaps replaced by any root id of the group; the lengths stay equal,
-    as in the pairing."""
-    s = data.draw(st.sampled_from(_pairing_structures()))
-    group = s.space.group
-    a = data.draw(st.sampled_from(signed_root_table(s)))[1]
-    flips = data.draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
-    b = data.draw(st.permutations([group.negation[r] if f else r for r, f in zip(a, flips)]))
-    replaced = bool(a) and data.draw(st.booleans())
-    if replaced:
-        b[data.draw(st.integers(0, len(b) - 1))] = data.draw(st.integers(0, len(group.roots) - 1))
-    got = _row_flips(a, b, group.negation)
-    assert got == match_weights_reference(_row_vectors(group, a), _row_vectors(group, b))
-    if not replaced:
-        assert got == sum(flips)
+        points = signed_points_reference(s)
+        cert = certify_odd_rigidity(s)["certificate"]
+        for p in cert["pairs"] if cert else ():
+            i, j = p["pair"]
+            assert p["flips"] == match_weights_reference(points[i][1], points[j][1])
+            matched += 1
+    assert matched == 95

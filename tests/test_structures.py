@@ -341,10 +341,12 @@ def test_space_data_never_enumerates_subgroup_weyl(monkeypatch):
 
 def test_space_data_never_builds_weyl(monkeypatch):
     """Cosets, summands, coset root images, the structure inventory, the
-    bordism class, the top s-number and chi_y never build W: only the
-    rigidity certificate walks it."""
+    bordism class, the top s-number, chi_y, the odd-genus certificate on
+    every structure and the reproduction checks never build W."""
+    from homgenus.hirzebruch import certify_odd_rigidity
     from homgenus.structures import HomogeneousSpace
     from homgenus.toricgenus import chern_dold_genus, top_s
+    from homgenus.verification import run_checks
 
     def refuse(self):
         raise AssertionError("W was built")
@@ -361,3 +363,9 @@ def test_space_data_never_builds_weyl(monkeypatch):
             chern_dold_genus(j).bordism_class()
             top_s(j)
             chi_y_genus(j)
+        for j in inventory:
+            certify_odd_rigidity(j)
+        for preset in sorted(entry.stable_presets):
+            certify_odd_rigidity(entry.stable_structure(preset))
+    # a check that raised would read as failed, not as a test error
+    assert all(row["passed"] for row in run_checks())
