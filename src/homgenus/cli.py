@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 mathematical failure (uncancelled
-pole, impossible structure, mismatch in a checked identity), 3 reproduction
-failure.  Output formats: --plain (default), --json (schema-versioned
-document), --csv.
+Exit codes follow the type of what a command raises: 0 success; 1 bad input,
+a `rootdata.InputError`, raised by the library where it checks its arguments
+and here for flag text that does not parse; 2 a mathematical failure, any
+other ArithmeticError or ValueError (an uncancelled pole, a non-generic
+ordering, a mismatch in a checked identity); 3 a failed reproduction check;
+4 an internal error, any other exception, reported with its traceback.
+Output formats: --plain (default), --json (schema-versioned document), --csv.
 """
 
 import argparse
@@ -17,7 +20,7 @@ import traceback
 from fractions import Fraction
 
 from .catalog import catalog_entry, catalog_list
-from .exactalg import MAX_EXPONENT, MultiPoly, PoleCancellationError, parse_rational
+from .exactalg import MAX_EXPONENT, MultiPoly, parse_rational
 from .hirzebruch import (
     MAX_SAMPLES,
     certify_odd_rigidity,
@@ -27,7 +30,7 @@ from .hirzebruch import (
     structure_independence,
     todd_genus,
 )
-from .rootdata import InputError, Ordering, dot
+from .rootdata import InputError, Ordering, dot, read_vectors
 from .structures import (
     HomogeneousSpace,
     InvariantStructure,
@@ -52,14 +55,10 @@ SCHEMA = "homgenus/2"
 EXIT_OK, EXIT_USAGE, EXIT_MATH, EXIT_ACCEPT, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
-class UsageError(Exception):
-    pass
-
-
 class Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; our contract reserves 2 for math failures
     def error(self, message):
-        raise UsageError(message)
+        raise InputError(message)
 
 
 def _jsonable(obj):
@@ -68,7 +67,7 @@ def _jsonable(obj):
     if isinstance(obj, MultiPoly):
         return obj.to_text()
     if isinstance(obj, dict):
-        return {_key(k): _jsonable(v) for k, v in obj.items()}
+        return {_text(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (bool, int, float, str)) or obj is None:
@@ -76,7 +75,9 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _key(k):
+def _text(k):
+    """A tuple as comma-separated text, the syntax in which `rigidity eval
+    --at` reads a point (5/7,7,-3/5); anything else as str."""
     if isinstance(k, tuple):
         return ",".join(str(x) for x in k)
     return str(k)
@@ -89,32 +90,40 @@ def _key(k):
 def _resolve_space(ns):
     name = getattr(ns, "space", None)
     if not name:
-        raise UsageError("--space is required for this command")
+        raise InputError("--space is required for this command")
     if name.strip().startswith("{"):
-        return None, _space_from_json_text(name)
+        return None, _space_document(name)
     if os.path.exists(name) and name.endswith(".json"):
-        with open(name) as fh:
-            return None, _space_from_json_text(fh.read())
+        try:
+            with open(name) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError("cannot read --space %s: %s" % (name, exc)) from None
+        return None, _space_document(text)
     try:
         entry = catalog_entry(name)
     except KeyError:
-        raise UsageError(
+        raise InputError(
             "unknown space %r; catalog names are %s (or pass a JSON file/literal)"
             % (name, ", ".join(catalog_list()))
-        )
+        ) from None
     return entry, entry.space()
 
 
-def _space_from_json_text(text):
-    """The space a JSON document describes, with its cosets built: a document
-    that is not JSON, names a subgroup root that is not a root, or lists roots
-    not closed under their reflections is bad input, not a math failure."""
-    try:
-        space = space_from_json(json.loads(text))
-        space.cosets
-    except (ValueError, KeyError) as exc:
-        raise UsageError("invalid space document: %s" % exc)
+def _space_document(text):
+    """The space a JSON document describes, with its cosets built, so that
+    roots not closed under their reflections, or too many cosets, are
+    refused before any command reads the space."""
+    space = space_from_json(_read_json(text, "--space"))
+    space.cosets
     return space
+
+
+def _read_json(text, flag):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError("%s is not valid JSON: %s" % (flag, exc)) from None
 
 
 def _resolve_structure(ns, entry, space):
@@ -125,12 +134,12 @@ def _resolve_structure(ns, entry, space):
         return entry.stable_structure(text)
     if set(text) <= {"+", "-"}:
         if len(text) != len(space.summands):
-            raise UsageError(
+            raise InputError(
                 "sign string %r has %d signs; %s has %d isotropy summands"
                 % (text, len(text), space.label, len(space.summands))
             )
         return parse_signs(space, text)
-    raise UsageError(
+    raise InputError(
         "structure %r is neither 'standard', a +/- sign string, nor a known preset" % text
     )
 
@@ -139,7 +148,7 @@ def _parse_int_tuple(text, flag):
     try:
         return tuple(int(p) for p in text.replace(" ", "").split(",") if p != "")
     except ValueError:
-        raise UsageError("%s expects a comma-separated integer list, got %r" % (flag, text))
+        raise InputError("%s expects a comma-separated integer list, got %r" % (flag, text)) from None
 
 
 def _resolve_ordering(ns, space):
@@ -148,10 +157,10 @@ def _resolve_ordering(ns, space):
         return None
     vec = _parse_int_tuple(raw, "--ordering")
     if len(vec) != space.group.dim:
-        raise UsageError("--ordering needs %d components" % space.group.dim)
+        raise InputError("--ordering needs %d components" % space.group.dim)
     for r in space.group.roots:
         if not dot(r, vec):
-            raise UsageError("--ordering is not generic: it vanishes on the root %s" % (r,))
+            raise InputError("--ordering is not generic: it vanishes on the root %s" % (r,))
     return Ordering(vec)
 
 
@@ -159,12 +168,12 @@ def _resolve_series(ns, required=True):
     raw = getattr(ns, "series", None)
     if not raw:
         if required:
-            raise UsageError("--series is required (e.g. \"u/(1+u^2)\")")
+            raise InputError("--series is required (e.g. \"u/(1+u^2)\")")
         return None
     try:
         return parse_rational(raw)
-    except (ValueError, SyntaxError, ZeroDivisionError) as exc:
-        raise UsageError("could not parse --series: %s" % exc)
+    except InputError as exc:
+        raise InputError("could not parse --series: %s" % exc) from None
 
 
 # --------------------------------------------------------------------------
@@ -261,11 +270,8 @@ def cmd_genus_class(ns):
 def cmd_genus_s(ns):
     entry, space = _resolve_space(ns)
     if not ns.omega:
-        raise UsageError("--omega is required, e.g. --omega 1,0,0,0,1,0")
-    try:
-        omega = _normalize_omega(_parse_int_tuple(ns.omega, "--omega"), space.n)
-    except ValueError as exc:
-        raise UsageError("--omega: %s" % exc)
+        raise InputError("--omega is required, e.g. --omega 1,0,0,0,1,0")
+    omega = _normalize_omega(_parse_int_tuple(ns.omega, "--omega"), space.n)
     structure = _resolve_structure(ns, entry, space)
     value = s_number(structure, omega)
     route = "point" if certified(structure) else "symbolic"
@@ -320,21 +326,20 @@ def cmd_rigidity_eval(ns):
     structure = _resolve_structure(ns, entry, space)
     f = _resolve_series(ns)
     if not ns.at:
-        raise UsageError("--at is required, e.g. --at 3,2,1,0")
+        raise InputError("--at is required, e.g. --at 3,2,1,0")
     try:
         point = tuple(Fraction(p) for p in ns.at.replace(" ", "").split(",") if p != "")
     except (ValueError, ZeroDivisionError):
-        raise UsageError("--at expects a comma-separated list of rationals, got %r" % ns.at)
-    if len(point) != space.group.dim:
-        raise UsageError("--at needs %d components" % space.group.dim)
+        raise InputError("--at expects a comma-separated list of rationals, got %r" % ns.at) from None
     try:
         value = rigidity_eval(structure, f, point)
     except InputError:
         raise
     except (ValueError, ZeroDivisionError) as exc:
-        # the point is input: a weight that pairs to zero with it or meets a
-        # zero or pole of the kernel is named, as a usage error
-        raise UsageError("--at %s: %s" % (ns.at, exc))
+        # a weight that pairs to zero with the point or meets a zero or pole of
+        # the kernel: plain errors in the library, where `_sample` draws again
+        # on them, but bad input here, where the point is the caller's
+        raise InputError("--at %s: %s" % (ns.at, exc)) from None
     return {
         "result": {"point": list(point), "value": _jsonable(value)},
         "plain": "value at %s = %s" % (ns.at, value),
@@ -352,13 +357,13 @@ def cmd_rigidity_certify(ns):
         for p in out["certificate"]["pairs"]:
             plain.append("  cosets %s flip %d weights" % (p["pair"], p["flips"]))
     for pt, val in out["samples"]:
-        plain.append("sample %s -> %s" % (pt, val))
+        plain.append("sample %s -> %s" % (_text(pt), val))
     return {"result": _jsonable(out), "plain": "\n".join(plain), "csv": None}
 
 
 def cmd_rigidity_independence(ns):
     if not 1 <= ns.samples <= MAX_SAMPLES:
-        raise UsageError("--samples must be between 1 and %d, got %d" % (MAX_SAMPLES, ns.samples))
+        raise InputError("--samples must be between 1 and %d, got %d" % (MAX_SAMPLES, ns.samples))
     entry, space = _resolve_space(ns)
     f = _resolve_series(ns)
     structures = []
@@ -382,12 +387,12 @@ def cmd_rigidity_independence(ns):
     }
     plain = ["structures: " + ", ".join(names)]
     for p, row in zip(out["points"], out["values"]):
-        plain.append("at %s: %s" % (tuple(str(c) for c in p), [str(v) for v in row]))
+        plain.append("at %s: %s" % (_text(p), [str(v) for v in row]))
     plain.append("independent: %s" % out["independent"])
     return {
         "result": doc,
         "plain": "\n".join(plain),
-        "csv": [["point"] + names] + [[str(p)] + [str(v) for v in row] for p, row in zip(out["points"], out["values"])],
+        "csv": [["point"] + names] + [[_text(p)] + [str(v) for v in row] for p, row in zip(out["points"], out["values"])],
     }
 
 
@@ -406,24 +411,23 @@ def cmd_fibration_check(ns):
     entry, base_space = _resolve_space(ns)
     base = _resolve_structure(ns, entry, base_space)
     if not isinstance(base, InvariantStructure):
-        # twisted_product raises ValueError on it too, which would read as exit 2
-        raise UsageError("--structure %s is a stable preset; a fibration needs an invariant base structure" % ns.structure)
+        raise InputError("--structure %s is a stable preset; a fibration needs an invariant base structure" % ns.structure)
     h_group = base_space.subgroup.as_group()
+    roots = _read_json(ns.fiber_roots or "[]", "--fiber-roots")
     try:
-        roots = json.loads(ns.fiber_roots) if ns.fiber_roots else []
         fiber_space = HomogeneousSpace(
-            h_group, SubgroupData(h_group, roots, label="K"), label="%s/K" % h_group.label
+            h_group, SubgroupData(h_group, read_vectors(roots, "roots"), label="K"), label="%s/K" % h_group.label
         )
         fiber_space.cosets  # building the cosets checks closure under reflections
-    except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError("invalid --fiber-roots: %s" % exc)
+    except InputError as exc:
+        raise InputError("invalid --fiber-roots: %s" % exc) from None
     fsigns = ns.fiber or "standard"
     if fsigns in ("standard", "all-plus"):
         fiber = fiber_space.structure((1,) * len(fiber_space.summands))
     elif set(fsigns) <= {"+", "-"}:
         fiber = parse_signs(fiber_space, fsigns)
     else:
-        raise UsageError("--fiber must be 'standard' or a +/- sign string")
+        raise InputError("--fiber must be 'standard' or a +/- sign string")
     cutoff = ns.cutoff
     tw = twisted_product(base, fiber, cutoff=cutoff)
     direct = chern_dold_genus(tw.structure, cutoff=tw.cutoff)
@@ -446,9 +450,9 @@ def cmd_fibration_check(ns):
 def cmd_hp_restricted(ns):
     try:
         out = restricted_genus_hp(2, ns.which, max_index=ns.max_index)
-    except ValueError as exc:
+    except InputError as exc:
         # the expansion's only inputs are --which (argparse checks it) and --max-index
-        raise UsageError("--max-index: %s" % exc)
+        raise InputError("--max-index: %s" % exc) from None
     doc = _jsonable(
         {k: v for k, v in out.items() if k not in ("component",)}
     )
@@ -602,7 +606,7 @@ def _emit(ns, command_name, out, started):
     elif getattr(ns, "csv", False):
         rows = out.get("csv")
         if rows is None:
-            raise UsageError("this command has no tabular form; use --json or --plain")
+            raise InputError("this command has no tabular form; use --json or --plain")
         buf = io.StringIO()
         w = csv.writer(buf)
         for row in rows:
@@ -625,7 +629,7 @@ def main(argv=None):
             return EXIT_USAGE
         cutoff = getattr(ns, "cutoff", None)
         if cutoff is not None and not 0 <= cutoff <= MAX_EXPONENT:
-            raise UsageError("--cutoff must be between 0 and %d, got %d" % (MAX_EXPONENT, cutoff))
+            raise InputError("--cutoff must be between 0 and %d, got %d" % (MAX_EXPONENT, cutoff))
         out = ns.func(ns)
         name = ns.command + (" " + ns.subcommand if getattr(ns, "subcommand", None) else "")
         try:
@@ -639,18 +643,12 @@ def main(argv=None):
         if not out.get("accept_ok", True):
             return EXIT_ACCEPT
         return EXIT_OK
-    except UsageError as exc:
+    except InputError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except InputError as exc:
-        # a ValueError, but one about the input, not the mathematics
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (PoleCancellationError, ArithmeticError, ValueError, KeyError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         print("mathematical failure: %s" % exc, file=sys.stderr)
         return EXIT_MATH
-    except SystemExit:
-        raise
     except Exception as exc:
         # a bug, not a property of the input: keep the traceback for the report
         traceback.print_exc()

@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exactalg import MultiPoly, PoleCancellationError, RationalFn, TruncatedSeries, var_weight
+from .rootdata import InputError
 
 
 def _weighted_cutoff(degree):
@@ -62,7 +63,7 @@ class FormalGroupLaw:
 
     def __init__(self, degree):
         if degree < 1:
-            raise ValueError("degree must be >= 1")
+            raise InputError("degree must be >= 1")
         self.degree = degree
         cutoff = _weighted_cutoff(degree)
         self.cutoff = cutoff
@@ -122,7 +123,7 @@ def a_in_terms_of_b(degree):
     Lagrange-Buermann applied to x/exp(x) = B(exp(x)).
     """
     if degree < 0:
-        raise ValueError("degree must be >= 0")
+        raise InputError("degree must be >= 0")
     return {
         i: MultiPoly.variable("b1") if i == 1 else _power_coefficient("b", 1 - i, i) * Fraction(1, 1 - i)
         for i in range(1, degree + 1)
@@ -136,7 +137,7 @@ def b_in_terms_of_a(degree):
     b_n = [u^n] A(u)^{n+1} / (n+1).
     """
     if degree < 0:
-        raise ValueError("degree must be >= 0")
+        raise InputError("degree must be >= 0")
     return {n: _power_coefficient("a", n + 1, n) * Fraction(1, n + 1) for n in range(1, degree + 1)}
 
 
@@ -153,7 +154,7 @@ def basis_convert(poly, direction):
     """
     dictionaries = {"a->b": a_in_terms_of_b, "b->a": b_in_terms_of_a}
     if direction not in dictionaries:
-        raise ValueError("direction must be 'a->b' or 'b->a'")
+        raise InputError("direction must be 'a->b' or 'b->a'")
     source = direction[0]
     table = dictionaries[direction](_alphabet_degree(poly, source))
     if not table:
@@ -168,7 +169,7 @@ def basis_convert(poly, direction):
 def _single_series_var(vars_):
     cands = [v for v in vars_ if v[0] in ("u", "x")]
     if len(set(cands)) != 1:
-        raise ValueError("expected a one-variable series, got variables %r" % (sorted(vars_),))
+        raise InputError("expected a one-variable series, got variables %r" % (sorted(vars_),))
     return cands[0]
 
 
@@ -199,7 +200,7 @@ def _coefficients(poly, var, count):
         k = e[i] if i is not None else 0
         if k < count:
             if sum(e) != k:
-                raise ValueError("genus coefficients must be numbers, got %s" % poly.coefficient_of(var, k).to_text())
+                raise InputError("genus coefficients must be numbers, got %s" % poly.coefficient_of(var, k).to_text())
             out[k] = c
     return out
 
@@ -217,7 +218,7 @@ def specialize_genus(f, degree):
         var = _single_series_var(set(num.vars) | set(den.vars))
     elif isinstance(f, TruncatedSeries):
         if f.cutoff < degree + 1:
-            raise ValueError("series cutoff %d is below degree + 1 = %d" % (f.cutoff, degree + 1))
+            raise InputError("series cutoff %d is below degree + 1 = %d" % (f.cutoff, degree + 1))
         num, den = f.body, MultiPoly.const(1)
         var = _single_series_var(num.vars)
     else:
@@ -226,7 +227,7 @@ def specialize_genus(f, degree):
         raise PoleCancellationError("genus series must vanish at the origin")
     q = _quotient(_coefficients(den, var, degree + 1), _coefficients(num, var, degree + 2)[1:], degree)
     if q[0] != 1:
-        raise ValueError("genus series must start with the variable itself (f'(0) = 1)")
+        raise InputError("genus series must start with the variable itself (f'(0) = 1)")
     return dict(enumerate(q[1:], 1))
 
 
@@ -240,9 +241,9 @@ def evaluate_class(class_poly, assignment):
         if v[0] == "a":
             point[v] = assignment.get(var_weight(v), Fraction(0))
         elif v.startswith("b"):
-            raise ValueError("class is written in the b-alphabet; convert with basis_convert first")
+            raise InputError("class is written in the b-alphabet; convert with basis_convert first")
         else:
-            raise ValueError("class has a non-coefficient variable %r" % (v,))
+            raise InputError("class has a non-coefficient variable %r" % (v,))
     return class_poly.evaluate(point)
 
 

@@ -24,6 +24,8 @@ from functools import lru_cache, reduce
 from itertools import groupby, zip_longest
 from operator import itemgetter, mul, or_
 
+from .rootdata import InputError
+
 _VAR_RE = re.compile(r"^([a-z]+?)(\d*)$")
 
 # category rank within the canonical ordering, by prefix
@@ -37,11 +39,11 @@ def var_weight(name):
     """Grading weight of a variable, from its name."""
     m = _VAR_RE.match(name)
     if not m or m.group(1) not in _CAT:
-        raise ValueError("unknown variable %r" % (name,))
+        raise InputError("unknown variable %r" % (name,))
     prefix, idx = m.group(1), m.group(2)
     if prefix in ("a", "b"):
         if not idx:
-            raise ValueError("variable %r needs an index" % (name,))
+            raise InputError("variable %r needs an index" % (name,))
         return int(idx)
     if prefix in ("v", "z"):
         return 2
@@ -55,7 +57,7 @@ def var_key(name):
     """Canonical sort key for a variable name."""
     m = _VAR_RE.match(name)
     if not m or m.group(1) not in _CAT:
-        raise ValueError("unknown variable %r" % (name,))
+        raise InputError("unknown variable %r" % (name,))
     prefix, idx = m.group(1), m.group(2)
     return (_CAT[prefix], int(idx) if idx else 0)
 
@@ -216,7 +218,7 @@ class MultiPoly:
         vars = tuple(vars)
         vs = tuple(sorted(set(vars), key=var_key))
         if len(set(vars)) != len(vars):
-            raise ValueError("duplicate variable in %r" % (vars,))
+            raise InputError("duplicate variable in %r" % (vars,))
         self.vars = vs
         if terms is None:
             terms = {}
@@ -401,7 +403,7 @@ class MultiPoly:
         """self ** n: t^n with t replaced by self, by the packed
         square-and-multiply of `subs` (simultaneous, so a t of self stays)."""
         if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
+            raise InputError("only nonnegative integer powers")
         return MultiPoly(("t",), {(n,): 1}).subs({"t": self})
 
     def __eq__(self, other):
@@ -745,7 +747,7 @@ class TruncatedSeries:
 
     def __init__(self, body, cutoff):
         if cutoff < 0:
-            raise ValueError("cutoff must be >= 0")
+            raise InputError("cutoff must be >= 0")
         self.body = body.truncate_weight(cutoff)
         self.cutoff = cutoff
 
@@ -789,7 +791,7 @@ class TruncatedSeries:
             inner = TruncatedSeries(inner, self.cutoff)
         cutoff = min(self.cutoff, inner.cutoff)
         if inner.constant_term():
-            raise ValueError("composition needs a series with zero constant term")
+            raise InputError("composition needs a series with zero constant term")
         return TruncatedSeries(self.body.subs({name: inner.body}, cutoff=cutoff), cutoff)
 
 
@@ -895,7 +897,7 @@ def _eval_node(node):
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int):
             return _as_ratfn(node.value)
-        raise ValueError("only integer literals allowed, got %r" % (node.value,))
+        raise InputError("only integer literals allowed, got %r" % (node.value,))
     if isinstance(node, ast.Name):
         var_weight(node.id)  # validates the name
         return _as_ratfn(MultiPoly.variable(node.id))
@@ -905,16 +907,16 @@ def _eval_node(node):
             return -v
         if isinstance(node.op, ast.UAdd):
             return v
-        raise ValueError("unsupported unary operator")
+        raise InputError("unsupported unary operator")
     if isinstance(node, ast.BinOp):
         op = node.op
         if isinstance(op, ast.Pow):
             base = _eval_node(node.left)
             if not isinstance(node.right, ast.Constant) or not isinstance(node.right.value, int):
-                raise ValueError("exponent must be an integer literal")
+                raise InputError("exponent must be an integer literal")
             n = node.right.value
             if n > MAX_EXPONENT or n * _degree(base) > MAX_EXPONENT:
-                raise ValueError("power of degree above %d (exponent %d)" % (MAX_EXPONENT, n))
+                raise InputError("power of degree above %d (exponent %d)" % (MAX_EXPONENT, n))
             return base ** n
         left = _eval_node(node.left)
         right = _eval_node(node.right)
@@ -926,26 +928,30 @@ def _eval_node(node):
             return left * right
         if isinstance(op, ast.Div):
             return left / right
-        raise ValueError("unsupported operator %r" % (op,))
-    raise ValueError("unsupported syntax: %s" % ast.dump(node))
+        raise InputError("unsupported operator %r" % (op,))
+    raise InputError("unsupported syntax: %s" % ast.dump(node))
 
 
 def parse_rational(text):
     """Parse e.g. "u/(1+u^2)" into a RationalFn.  `^` means power.
 
     Exponents are integer literals; a power whose exponent or degree exceeds
-    ``MAX_EXPONENT`` raises ValueError before it is formed."""
+    ``MAX_EXPONENT`` raises InputError before it is formed, as does text
+    that is not an expression, is nested too deeply or divides by zero."""
     cooked = text.replace("^", "**")
     try:
-        tree = ast.parse(cooked, mode="eval")
+        return _eval_node(ast.parse(cooked, mode="eval"))
     except SyntaxError as exc:
-        raise ValueError("cannot parse %r: %s" % (text, exc)) from None
-    return _eval_node(tree)
+        raise InputError("cannot parse %r: %s" % (text, exc)) from None
+    except RecursionError:
+        raise InputError("the expression is nested too deeply to parse") from None
+    except ZeroDivisionError as exc:
+        raise InputError(str(exc)) from None
 
 
 def parse_poly(text):
     """Parse a polynomial; rejects genuine quotients."""
     r = parse_rational(text)
     if not r.is_polynomial():
-        raise ValueError("expected a polynomial, got a quotient: %r" % (text,))
+        raise InputError("expected a polynomial, got a quotient: %r" % (text,))
     return r.as_poly()

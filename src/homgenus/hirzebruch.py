@@ -207,7 +207,7 @@ def structure_independence(structures, f, samples=5, seed=0):
     one where every structure's sum is defined (`_sample`)."""
     rng = random.Random(seed)
     if not structures:
-        raise ValueError("need at least one structure")
+        raise InputError("need at least one structure")
     if any(s.space is not structures[0].space for s in structures):
         raise InputError("structure independence compares structures on one space")
     if not 1 <= samples <= MAX_SAMPLES:

@@ -24,8 +24,10 @@ COSET_CAP = 100000
 
 
 class InputError(ValueError):
-    """The input asks for something malformed or too large to run, as
-    opposed to a mathematical failure; the command line exits 1 on it."""
+    """The caller's input is malformed or too large to run, as opposed to a
+    mathematical failure: raised where the library checks its arguments, and
+    the command line exits 1 on it.  A ValueError, so `except ValueError`
+    still catches it."""
 
 
 def vec(values):
@@ -99,7 +101,7 @@ def canonical_positive(vector, ordering=None):
     integral, else a Fraction.
     """
     if all(not c for c in vector):
-        raise ValueError("zero vector has no direction")
+        raise InputError("zero vector has no direction")
     # ints and Fractions both carry numerator and denominator
     denom = lcm(*[c.denominator for c in vector])
     ints = [c.numerator * (denom // c.denominator) for c in vector]
@@ -131,17 +133,20 @@ class GroupData:
         self.root_index = {r: i for i, r in enumerate(self.roots)}
         self.gram = tuple(vec(row) for row in gram) if gram is not None else None
         self.rank = rank if rank is not None else dim
+        if self.gram is not None and (len(self.gram) != dim or any(len(row) != dim for row in self.gram)):
+            raise InputError("gram must be a %d x %d matrix, got %d rows of lengths %s"
+                             % (dim, dim, len(self.gram), sorted({len(row) for row in self.gram})))
         self._reflections = {}  # root -> its reflection, as a root permutation
         negation = []
         for r in self.roots:
             if len(r) != dim:
-                raise ValueError("root %r has wrong length for dim %d" % (r, dim))
+                raise InputError("root %r has wrong length for dim %d" % (r, dim))
             neg = self.root_index.get(vec_neg(r))
             if neg is None:
-                raise ValueError("root set not closed under negation at %r" % (r,))
+                raise InputError("root set not closed under negation at %r" % (r,))
             # the coset search and the order by heights assume a reduced system
             if tuple(2 * c for c in r) in self.root_set:
-                raise ValueError("root set is not reduced: %r and twice it are both roots" % (r,))
+                raise InputError("root set is not reduced: %r and twice it are both roots" % (r,))
             negation.append(neg)
         self.negation = tuple(negation)  # negation[i] = index of -roots[i]
 
@@ -161,7 +166,7 @@ class GroupData:
         galpha = alpha if self.gram is None else tuple(dot(row, alpha) for row in self.gram)
         norm = dot(alpha, galpha)
         if not norm:
-            raise ValueError("cannot reflect in an isotropic vector %r" % (alpha,))
+            raise InputError("cannot reflect in an isotropic vector %r" % (alpha,))
         perm = []
         for r in self.roots:
             twice = 2 * dot(r, galpha)
@@ -174,7 +179,7 @@ class GroupData:
             try:
                 perm.append(self.root_index[tuple(a - n * b for a, b in zip(r, alpha)) if n else r])
             except KeyError:
-                raise ValueError(
+                raise InputError(
                     "the reflection in (%s) does not permute the roots of %s"
                     % (", ".join(str(c) for c in alpha), self.label)
                 ) from None
@@ -205,7 +210,7 @@ def build_group(spec):
     spec = spec.strip()
     m = _GROUP_RE.match(spec)
     if not m:
-        raise ValueError("unrecognized group %r (expected U(n), SU(n), Sp(n), SO(n), G2, or Tk)" % (spec,))
+        raise InputError("unrecognized group %r (expected U(n), SU(n), Sp(n), SO(n), G2, or Tk)" % (spec,))
     if spec == "G2":
         gram = ((2, -1), (-1, 2))
         short = [(1, 0), (0, 1), (1, 1)]
@@ -221,7 +226,7 @@ def build_group(spec):
     fam, n = m.group(1), int(m.group(2))
     if fam in ("U", "SU"):
         if n < 1:
-            raise ValueError("need n >= 1 in %r" % (spec,))
+            raise InputError("need n >= 1 in %r" % (spec,))
         roots = []
         for i in range(n):
             for j in range(n):
@@ -260,7 +265,7 @@ def build_group(spec):
                         r[i], r[j] = si, sj
                         roots.append(tuple(r))
         return GroupData(spec, l, roots, rank=l)
-    raise ValueError("unrecognized group %r" % (spec,))
+    raise InputError("unrecognized group %r" % (spec,))
 
 
 class WeylElement:
@@ -288,14 +293,14 @@ class SubgroupData:
         self.root_set = frozenset(self.roots)
         for r in self.roots:
             if r not in group.root_set:
-                raise ValueError("subgroup root %r is not a root of %s" % (r, group.label))
+                raise InputError("subgroup root %r is not a root of %s" % (r, group.label))
             if vec_neg(r) not in self.root_set:
-                raise ValueError("subgroup roots not closed under negation at %r" % (r,))
+                raise InputError("subgroup roots not closed under negation at %r" % (r,))
         for a in self.roots:
             for b in self.roots:
                 s = vec_add(a, b)
                 if s in group.root_set and s not in self.root_set:
-                    raise ValueError(
+                    raise InputError(
                         "subgroup roots not closed under addition: %r + %r is a root of %s but missing"
                         % (a, b, group.label)
                     )
@@ -399,14 +404,37 @@ class CosetSpace:
 # JSON space descriptions
 
 
+def read_vectors(value, field):
+    """The exact vectors of a JSON list of lists whose entries are integers
+    or rationals written as "p/q"; InputError naming `field` otherwise."""
+    if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
+        raise InputError("%s must be a list of lists, got %r" % (field, value))
+    vectors = []
+    for r in value:
+        try:
+            vectors.append(vec(r))
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise InputError('%s: %r holds an entry that is not an integer or a "p/q" rational' % (field, r)) from None
+    return vectors
+
+
 def group_from_doc(doc):
+    """A group from its JSON description: a name such as "U(3)", or an object
+    {"dim": d, "roots": [...]} with an optional "gram" matrix and "label"."""
     if isinstance(doc, str):
         return build_group(doc)
-    if isinstance(doc, dict):
-        dim = doc["dim"]
-        gram = doc.get("gram")
-        return GroupData(doc.get("label", "custom"), dim, doc["roots"], gram=gram)
-    raise ValueError("group description must be a name or a {roots, dim} object")
+    if not isinstance(doc, dict):
+        raise InputError("group description must be a name or a {roots, dim} object")
+    dim = doc.get("dim")
+    if type(dim) is not int or dim < 0:
+        raise InputError("dim must be a nonnegative integer, got %r" % (dim,))
+    gram = doc.get("gram")
+    return GroupData(
+        doc.get("label", "custom"),
+        dim,
+        read_vectors(doc.get("roots"), "roots"),
+        gram=None if gram is None else read_vectors(gram, "gram"),
+    )
 
 
 def space_from_doc(doc):
@@ -414,6 +442,9 @@ def space_from_doc(doc):
 
     Vector entries may be integers or exact rationals written as "p/q".
     """
+    if not isinstance(doc, dict) or "group" not in doc:
+        raise InputError('a space document must be a JSON object with a "group" field')
     group = group_from_doc(doc["group"])
-    sub = SubgroupData(group, doc.get("subgroup_roots", []), label=doc.get("subgroup_label", "H"))
+    roots = read_vectors(doc.get("subgroup_roots", []), "subgroup_roots")
+    sub = SubgroupData(group, roots, label=doc.get("subgroup_label", "H"))
     return group, sub

@@ -475,7 +475,7 @@ def find_su_structures(space, cap=STRUCTURE_CAP):
 def c1_divisibility(structure, n):
     """Is every coordinate of c_1 divisible by n (in the weight lattice)?"""
     if n <= 0:
-        raise ValueError("divisor must be positive")
+        raise InputError("divisor must be positive")
     return all(c % n == 0 for c in first_chern(structure))
 
 
@@ -506,17 +506,17 @@ class StableStructure:
         self.base = base
         self.table = tuple(tuple(row) for row in table)
         if len(self.table) != space.euler_characteristic:
-            raise ValueError(
+            raise InputError(
                 "sign table needs one row per fixed point (%d), got %d"
                 % (space.euler_characteristic, len(self.table))
             )
         for row in self.table:
             if len(row) != space.n:
-                raise ValueError("each sign-table row needs %d entries" % space.n)
+                raise InputError("each sign-table row needs %d entries" % space.n)
             if any(s not in (1, -1) for s in row):
-                raise ValueError("table entries must be +1 or -1")
+                raise InputError("table entries must be +1 or -1")
         if global_sign not in (1, -1):
-            raise ValueError("global sign must be +1 or -1")
+            raise InputError("global sign must be +1 or -1")
         self.global_sign = global_sign
         self.name = name
         self._index_counts = None

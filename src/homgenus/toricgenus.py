@@ -372,7 +372,7 @@ class GenusExpansion:
         """The t^n coefficient; must be free of the x's."""
         n = self.structure.space.n
         if self.cutoff < n:
-            raise ValueError("expansion cutoff %d is below the dimension %d" % (self.cutoff, n))
+            raise InputError("expansion cutoff %d is below the dimension %d" % (self.cutoff, n))
         if self.route == "point":
             if self._class is None:
                 self._class = _point_class(self.structure, self.table)
@@ -393,9 +393,9 @@ class GenusExpansion:
 def _check_cutoff(cutoff):
     """Refuse a t-cutoff below 0 or above MAX_EXPONENT before any work."""
     if cutoff < 0:
-        raise ValueError("cutoff must be >= 0, got %d" % cutoff)
+        raise InputError("cutoff must be >= 0, got %d" % cutoff)
     if cutoff > MAX_EXPONENT:
-        raise ValueError("cutoff must be <= %d, got %d" % (MAX_EXPONENT, cutoff))
+        raise InputError("cutoff must be <= %d, got %d" % (MAX_EXPONENT, cutoff))
 
 
 def chern_dold_genus(structure, cutoff=None):
@@ -414,13 +414,13 @@ def chern_dold_genus(structure, cutoff=None):
 def _normalize_omega(omega, n):
     omega = tuple(int(k) for k in omega)
     if any(k < 0 for k in omega):
-        raise ValueError("omega entries must be nonnegative")
+        raise InputError("omega entries must be nonnegative")
     if any(omega[n:]):
-        raise ValueError("omega has entries beyond the dimension")
+        raise InputError("omega has entries beyond the dimension")
     omega = (omega + (0,) * n)[:n]
     weight = sum((i + 1) * k for i, k in enumerate(omega))
     if weight != n:
-        raise ValueError("omega must have total weight %d, got %d" % (n, weight))
+        raise InputError("omega must have total weight %d, got %d" % (n, weight))
     return omega
 
 
@@ -504,7 +504,7 @@ def s_number_schur_route(structure, omega):
     space = structure.space
     blocks = _block_partition(space)
     if blocks is None:
-        raise ValueError("the divided-difference route needs a U(n)/(block product) space")
+        raise InputError("the divided-difference route needs a U(n)/(block product) space")
     omega = _normalize_omega(omega, space.n)
     dim, top = space.group.dim, math.comb(space.group.dim, 2)
     if space.n + sum(math.comb(len(b), 2) for b in blocks) != top:
@@ -548,7 +548,7 @@ def combine_structures(base_structure, fiber_structure):
     base_space = base_structure.space
     fiber_space = fiber_structure.space
     if fiber_space.group.root_set != base_space.subgroup.root_set:
-        raise ValueError("fiber ambient group must be the base isotropy group")
+        raise InputError("fiber ambient group must be the base isotropy group")
     group = base_space.group
     total_space = HomogeneousSpace(
         group,
@@ -588,16 +588,16 @@ def twisted_product(base_structure, fiber_structure, cutoff=None):
     if cutoff is not None:
         _check_cutoff(cutoff)
     if not (isinstance(base_structure, InvariantStructure) and isinstance(fiber_structure, InvariantStructure)):
-        raise ValueError("a twisted product needs invariant base and fiber structures, not stable ones")
+        raise InputError("a twisted product needs invariant base and fiber structures, not stable ones")
     if fiber_space.group.root_set != base_space.subgroup.root_set:
-        raise ValueError("fiber ambient group must be the base isotropy group")
+        raise InputError("fiber ambient group must be the base isotropy group")
     base_rows = signed_root_table(base_structure)
     # the identity coset comes first: its ids are the structure's signed roots
     signed = set(base_rows[0][1])
     # invariance under the generators of W_H is invariance under W_H
     for gen in base_space.subgroup_reflections:
         if {gen[k] for k in signed} != signed:
-            raise ValueError(
+            raise InputError(
                 "base structure is not invariant under the isotropy Weyl group; "
                 "the fibration does not transport it"
             )
@@ -646,11 +646,11 @@ def restricted_genus_hp(n=2, which="sp-flag", max_index=3):
     the computed expansion is authoritative.
     """
     if n != 2:
-        raise ValueError("only n = 2 is implemented; general n is out of scope")
+        raise InputError("only n = 2 is implemented; general n is out of scope")
     if max_index < 0:
-        raise ValueError("max_index must be >= 0, got %d" % max_index)
+        raise InputError("max_index must be >= 0, got %d" % max_index)
     if 2 * max_index + 1 > MAX_EXPONENT:
-        raise ValueError(
+        raise InputError(
             "max_index %d needs a%d, above the degree cap %d" % (max_index, 2 * max_index + 1, MAX_EXPONENT)
         )
     if which == "sp-flag":
@@ -691,7 +691,7 @@ def restricted_genus_hp(n=2, which="sp-flag", max_index=3):
                 "computed expansion here is authoritative"
             ),
         }
-    raise ValueError("which must be 'sp-flag' or 'cp-odd'")
+    raise InputError("which must be 'sp-flag' or 'cp-odd'")
 
 
 def hp_obstruction_search(n=2):
@@ -709,7 +709,7 @@ def hp_obstruction_search(n=2):
     value, plus the sign relations that characterize surviving the t^1 test.
     """
     if n != 2:
-        raise ValueError("only n = 2 is implemented; general n is out of scope")
+        raise InputError("only n = 2 is implemented; general n is out of scope")
     space = catalog_space("HP2")
     # complementary lines in canonical order: x1-x2, x1-x3, x1+x3, x1+x2
     lines = space.comp_roots

@@ -478,12 +478,7 @@ def _c18():
     ok_sig = True
     for name in ("S6", "CP1", "CP2", "CP3", "U3-flag", "G42", "G52", "Sp2-flag", "CP3-sp", "U4-T2xU2", "U4-flag"):
         space = catalog_entry(name).space()
-        structures = enumerate_structures(space)
-        # the full class on an n=6 space runs tens of seconds, so sample one
-        cap = 1 if space.n > 5 else (2 if space.n > 4 else 8)
-        if len(structures) > cap:
-            structures = random.Random(618).sample(structures, cap)
-        for s in structures:
+        for s in enumerate_structures(space):
             cls = chern_dold_genus(s).bordism_class()
             v = genus_of_class(cls, tanh_series(2 * space.n + 1), space.n)
             if v != signature(s):

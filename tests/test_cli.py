@@ -225,6 +225,88 @@ def test_too_many_summands_is_usage_error(capsys):
     assert "too many summands (21)" in err
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"group": "U(3)", "subgroup_roots": [[None, 0, 0]]}, "subgroup_roots"),
+        ({"group": "U(3)", "subgroup_roots": [1, 2]}, "subgroup_roots"),
+        ({"group": {"dim": 2, "roots": [[1, 0], [-1, 0]], "gram": [1, 2]}}, "gram"),
+        ({"group": {"dim": "2", "roots": [[1, 0], [-1, 0]]}}, "dim"),
+        ({"group": {"dim": 1, "roots": [["1/0"], [-1]]}}, "roots"),
+        ({"group": {"dim": 1, "roots": [[None], [-1]]}}, "roots"),
+        ({"subgroup_roots": []}, "group"),
+    ],
+    ids=["null-entry", "flat-subgroup-roots", "flat-gram", "string-dim", "zero-denominator", "null-root", "no-group"],
+)
+def test_malformed_json_space_is_usage_error(capsys, doc, field):
+    code, out, err = run(capsys, "space", "info", "--space", json.dumps(doc))
+    assert code == 1
+    assert out == ""
+    assert field in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "binary"])
+def test_unreadable_json_space_file_is_usage_error(capsys, tmp_path, kind):
+    path = tmp_path / "space.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{")
+    code, out, err = run(capsys, "space", "info", "--space", str(path))
+    assert code == 1
+    assert out == ""
+    assert "cannot read --space" in err
+
+
+def test_deeply_nested_json_space_is_usage_error(capsys):
+    # json.loads gives up with a RecursionError, not a ValueError
+    code, out, err = run(capsys, "space", "info", "--space", '{"group":' + "[" * 100000 + "]" * 100000 + "}")
+    assert code == 1
+    assert out == ""
+    assert "--space is not valid JSON" in err
+
+
+def _eval_at(capsys, space, structure, series, point):
+    # --at=: a point whose first coordinate is negative would read as a flag
+    code, out, err = run(
+        capsys, "rigidity", "eval", "--space", space, "--structure", structure, "--series", series, "--at=" + point, "--json"
+    )
+    assert code == 0, err
+    return Fraction(json.loads(out)["result"]["value"])
+
+
+def test_certify_samples_read_back_through_eval(capsys):
+    series = "u/(1+u^2)"
+    code, out, _ = run(capsys, "rigidity", "certify", "--space", "U3-flag", "--structure", "+-+", "--series", series)
+    assert code == 0
+    samples = [line[len("sample "):].split(" -> ") for line in out.splitlines() if line.startswith("sample ")]
+    assert len(samples) == 3
+    for point, value in samples:
+        assert "Fraction" not in point and "(" not in point
+        assert _eval_at(capsys, "U3-flag", "+-+", series, point) == Fraction(value)
+
+
+@pytest.mark.parametrize("fmt", ["--plain", "--csv"])
+def test_independence_points_read_back_through_eval(capsys, fmt):
+    series = "u/(1+u^2)"
+    code, out, _ = run(capsys, "rigidity", "independence", "--space", "CP3", "--series", series, "--samples", "2", fmt)
+    assert code == 0
+    if fmt == "--csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        names, table = rows[0][1:], [(row[0], row[1:]) for row in rows[1:]]
+    else:
+        lines = out.splitlines()
+        names = lines[0][len("structures: "):].split(", ")
+        table = []
+        for line in lines[1:-1]:
+            point, values = line[len("at "):].split(": ", 1)
+            table.append((point, [v.strip("' ") for v in values.strip("[]").split(",")]))
+    assert len(table) == 2
+    for point, values in table:
+        assert [_eval_at(capsys, "CP3", name, series, point) for name in names] == [Fraction(v) for v in values]
+
+
 def test_genus_chi_y_plain(capsys):
     code, out, _ = run(
         capsys, "genus", "chi-y", "--space", "CP3", "--structure", "cp3-e11-minus"
@@ -513,8 +595,8 @@ def test_fibration_check_reports_the_direct_route(capsys, cutoff, route):
 
 @pytest.mark.parametrize(
     "roots",
-    ["[[0,1,-1,0", "[[0,1,-1,0]]", "[[5,1,-1,0],[-5,-1,1,0]]"],
-    ids=["malformed-json", "not-closed-under-negation", "not-a-root-of-H"],
+    ["[[0,1,-1,0", "[[0,1,-1,0]]", "[[5,1,-1,0],[-5,-1,1,0]]", "[[null,0,1,-1]]", "[0,1,-1,0]"],
+    ids=["malformed-json", "not-closed-under-negation", "not-a-root-of-H", "null-entry", "not-a-list-of-lists"],
 )
 def test_fibration_check_bad_fiber_roots_is_usage_error(capsys, roots):
     code, out, err = run(capsys, "fibration", "check", "--space", "CP3", "--fiber-roots", roots)

@@ -57,6 +57,19 @@ def test_build_group_rejects_unknown():
         build_group("E8")
 
 
+@pytest.mark.parametrize(
+    "gram",
+    [((2, -1), (-1, 2), (0, 0)), ((2, -1, 0), (-1, 2, 0))],
+    ids=["three-rows", "rows-of-three"],
+)
+def test_gram_must_be_dim_by_dim(gram):
+    g2 = build_group("G2")
+    with pytest.raises(InputError, match="gram must be a 2 x 2 matrix"):
+        GroupData("G2", 2, g2.roots, gram=gram)
+    with pytest.raises(InputError, match="gram must be a 2 x 2 matrix"):
+        group_from_doc({"dim": 2, "roots": [list(r) for r in g2.roots], "gram": [list(row) for row in gram]})
+
+
 def test_roots_come_in_pairs():
     for spec in ("U(4)", "Sp(2)", "SO(5)", "G2"):
         g = build_group(spec)

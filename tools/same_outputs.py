@@ -11,7 +11,12 @@ at the same time:
   for both `--which` values;
 - `space list --json`, and on each catalog space it lists, with `--json`:
   `genus chi-y`, `genus class` at the dimension and at cutoff 1,
-  `rigidity certify` and `fibration check`.
+  `rigidity certify` and `fibration check`;
+- the plain `rigidity certify` and plain and CSV `rigidity independence`
+  output, which print sample points;
+- BAD_INPUT, commands that must fail: malformed JSON space documents and
+  a bad `--omega`, `--at`, `--series`, `--fiber-roots`, `--max-index` and
+  `--cutoff`, so that error messages and exit codes are compared too.
 
 It compares stdout, stderr and exit code, apart from the timing lines
 ("ms" and "timing_ms") of the JSON output.  It prints one line per
@@ -48,6 +53,33 @@ def _at(lines, i):
     return repr(lines[i]) if i < len(lines) else "end of output"
 
 
+KERNEL = "u/(1+u^2)"
+BAD_INPUT = [
+    ["space", "info", "--space", '{"group":"U(3)","subgroup_roots":[[null,0,0]]}'],
+    ["space", "info", "--space", '{"group":"U(3)","subgroup_roots":[1,2]}'],
+    ["space", "info", "--space", '{"group":{"dim":2,"roots":[[1,0],[-1,0]],"gram":[1,2]}}'],
+    ["space", "info", "--space", '{"group":{"dim":"2","roots":[[1,0],[-1,0]]}}'],
+    ["space", "info", "--space", '{"group":{"dim":1,"roots":[["1/0"],[-1]]}}'],
+    ["space", "info", "--space", '{"group":{"dim":2,"roots":[[1,0],[-1,0]],"gram":[[1,0],[0,1],[0,0]]}}'],
+    ["space", "info", "--space", '{"group":"U(2)","subgroup_roots":[[2,0]]}'],
+    ["space", "info", "--space", '{"group":"U(3)"'],
+    ["genus", "s", "--space", "G42", "--omega", "1,0"],
+    ["genus", "s", "--space", "G42", "--omega", "1,x"],
+    ["rigidity", "eval", "--space", "G42", "--series", KERNEL, "--at", "1,2"],
+    ["rigidity", "eval", "--space", "G42", "--series", KERNEL, "--at", "1,1,0,0"],
+    ["rigidity", "eval", "--space", "G42", "--series", KERNEL, "--at", "1/0,1,0,3"],
+    ["rigidity", "eval", "--space", "CP3", "--series", "1/0", "--at", "1,2,3,4"],
+    ["rigidity", "eval", "--space", "CP3", "--series", "u +", "--at", "1,2,3,4"],
+    ["fibration", "check", "--space", "CP2", "--fiber-roots", "[[null,0,0]]"],
+    ["fibration", "check", "--space", "CP3", "--fiber-roots", "[[0,1,-1,0"],
+    ["fibration", "check", "--space", "CP3", "--fiber-roots", "[[0,1,-1,0]]"],
+    ["hp", "restricted", "--max-index", "-1"],
+    ["hp", "restricted", "--max-index", "128"],
+    ["genus", "class", "--space", "S6", "--cutoff", "-1"],
+    ["fibration", "check", "--space", "CP2", "--cutoff", "257"],
+]
+
+
 def commands(spaces):
     yield ["reproduce", "--json"]
     yield ["hp", "obstruction", "--json"]
@@ -60,6 +92,10 @@ def commands(spaces):
         yield ["genus", "class", "--space", s, "--cutoff", "1", "--json"]
         yield ["rigidity", "certify", "--space", s, "--json"]
         yield ["fibration", "check", "--space", s, "--json"]
+    yield ["rigidity", "certify", "--space", "U3-flag", "--series", KERNEL]
+    for fmt in ("--plain", "--csv"):
+        yield ["rigidity", "independence", "--space", "CP3", "--series", KERNEL, "--samples", "2", fmt]
+    yield from BAD_INPUT
 
 
 def differences(argv, parent, here):
