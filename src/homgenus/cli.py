@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import time
 import traceback
@@ -59,6 +60,21 @@ class Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; our contract reserves 2 for math failures
     def error(self, message):
         raise InputError(message)
+
+
+# flags whose value may start with a minus sign: argparse reads any such
+# word as a flag, so "--at -6/5,1,2" is joined into "--at=-6/5,1,2" first
+SIGNED_VALUE_FLAGS = ("--at", "--ordering")
+
+
+def _join_signed_values(argv):
+    out = []
+    for arg in argv:
+        if out and out[-1] in SIGNED_VALUE_FLAGS and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _jsonable(obj):
@@ -623,7 +639,7 @@ def main(argv=None):
     parser = build_parser()
     started = time.perf_counter()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_join_signed_values(argv))
         if not getattr(ns, "func", None):
             parser.print_help(sys.stderr)
             return EXIT_USAGE

@@ -406,12 +406,15 @@ class CosetSpace:
 
 def read_vectors(value, field):
     """The exact vectors of a JSON list of lists whose entries are integers
-    or rationals written as "p/q"; InputError naming `field` otherwise."""
+    or rationals written as "p/q"; InputError naming `field` otherwise.  A
+    JSON float or boolean is refused, not read as a binary fraction or 0/1."""
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise InputError("%s must be a list of lists, got %r" % (field, value))
     vectors = []
     for r in value:
         try:
+            if any(isinstance(x, (bool, float)) for x in r):
+                raise TypeError
             vectors.append(vec(r))
         except (TypeError, ValueError, ZeroDivisionError):
             raise InputError('%s: %r holds an entry that is not an integer or a "p/q" rational' % (field, r)) from None

@@ -235,8 +235,27 @@ def test_too_many_summands_is_usage_error(capsys):
         ({"group": {"dim": 1, "roots": [["1/0"], [-1]]}}, "roots"),
         ({"group": {"dim": 1, "roots": [[None], [-1]]}}, "roots"),
         ({"subgroup_roots": []}, "group"),
+        # JSON floats and booleans are not "integers or p/q"
+        ({"group": {"dim": 1, "roots": [[0.1], [-0.1]]}}, "roots"),
+        ({"group": {"dim": 2, "roots": [[True, -1], [-1, 1]]}}, "roots"),
+        ({"group": {"dim": 2, "roots": [[1, -1], [-1, 1]], "gram": [[1, 0.0], [0, 1]]}}, "gram"),
+        ({"group": "U(3)", "subgroup_roots": [[1.0, -1, 0], [-1, 1, 0]]}, "subgroup_roots"),
+        ({"group": "U(3)", "subgroup_roots": [[1, False, -1], [-1, 0, 1]]}, "subgroup_roots"),
     ],
-    ids=["null-entry", "flat-subgroup-roots", "flat-gram", "string-dim", "zero-denominator", "null-root", "no-group"],
+    ids=[
+        "null-entry",
+        "flat-subgroup-roots",
+        "flat-gram",
+        "string-dim",
+        "zero-denominator",
+        "null-root",
+        "no-group",
+        "float-root",
+        "bool-root",
+        "float-gram",
+        "float-subgroup-root",
+        "bool-subgroup-root",
+    ],
 )
 def test_malformed_json_space_is_usage_error(capsys, doc, field):
     code, out, err = run(capsys, "space", "info", "--space", json.dumps(doc))
@@ -268,7 +287,7 @@ def test_deeply_nested_json_space_is_usage_error(capsys):
 
 
 def _eval_at(capsys, space, structure, series, point):
-    # --at=: a point whose first coordinate is negative would read as a flag
+    # the joined form; test_negative_first_coordinate_reads_after_a_space feeds a point after a space
     code, out, err = run(
         capsys, "rigidity", "eval", "--space", space, "--structure", structure, "--series", series, "--at=" + point, "--json"
     )
@@ -285,6 +304,28 @@ def test_certify_samples_read_back_through_eval(capsys):
     for point, value in samples:
         assert "Fraction" not in point and "(" not in point
         assert _eval_at(capsys, "U3-flag", "+-+", series, point) == Fraction(value)
+
+
+def test_negative_first_coordinate_reads_after_a_space(capsys):
+    series = "u/(1+u^2)"
+    code, out, _ = run(capsys, "rigidity", "certify", "--space", "U3-flag", "--structure", "+-+", "--series", series, "--seed", "1")
+    assert code == 0
+    samples = [line[len("sample "):].split(" -> ") for line in out.splitlines() if line.startswith("sample ")]
+    negative = [(point, value) for point, value in samples if point.startswith("-")]
+    assert negative
+    for point, value in negative:
+        code, out, err = run(
+            capsys, "rigidity", "eval", "--space", "U3-flag", "--structure", "+-+", "--series", series, "--at", point, "--json"
+        )
+        assert code == 0, err
+        assert Fraction(json.loads(out)["result"]["value"]) == Fraction(value)
+
+
+def test_negative_ordering_reads_after_a_space(capsys):
+    joined = run(capsys, "genus", "chi-y", "--space", "U3-flag", "--ordering=-3,2,1")
+    spaced = run(capsys, "genus", "chi-y", "--space", "U3-flag", "--ordering", "-3,2,1")
+    assert spaced == joined
+    assert joined[0] == 0
 
 
 @pytest.mark.parametrize("fmt", ["--plain", "--csv"])
@@ -595,8 +636,24 @@ def test_fibration_check_reports_the_direct_route(capsys, cutoff, route):
 
 @pytest.mark.parametrize(
     "roots",
-    ["[[0,1,-1,0", "[[0,1,-1,0]]", "[[5,1,-1,0],[-5,-1,1,0]]", "[[null,0,1,-1]]", "[0,1,-1,0]"],
-    ids=["malformed-json", "not-closed-under-negation", "not-a-root-of-H", "null-entry", "not-a-list-of-lists"],
+    [
+        "[[0,1,-1,0",
+        "[[0,1,-1,0]]",
+        "[[5,1,-1,0],[-5,-1,1,0]]",
+        "[[null,0,1,-1]]",
+        "[0,1,-1,0]",
+        "[[0,1.0,-1,0],[0,-1,1,0]]",
+        "[[0,true,-1,0],[0,-1,1,0]]",
+    ],
+    ids=[
+        "malformed-json",
+        "not-closed-under-negation",
+        "not-a-root-of-H",
+        "null-entry",
+        "not-a-list-of-lists",
+        "float-entry",
+        "bool-entry",
+    ],
 )
 def test_fibration_check_bad_fiber_roots_is_usage_error(capsys, roots):
     code, out, err = run(capsys, "fibration", "check", "--space", "CP3", "--fiber-roots", roots)

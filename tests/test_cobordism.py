@@ -18,7 +18,9 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 import homgenus
+from homgenus import cobordism
 from homgenus.cobordism import (
+    FormalGroupLaw,
     a_in_terms_of_b,
     b_in_terms_of_a,
     basis_convert,
@@ -211,6 +213,63 @@ def test_closed_forms_match_series_route(degree):
     for got, want in zip(closed, series):
         assert (got.vars, got.terms) == (want.vars, want.terms)
         assert got.to_text() == want.to_text()
+
+
+# every per-process cache of the module
+CACHES = (
+    cobordism._partition_table,
+    cobordism._a_coefficient,
+    cobordism._b_coefficient,
+    cobordism._exp_term,
+    formal_group_law,
+)
+
+
+def _same(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.vars, g.terms, g.to_text()) == (w.vars, w.terms, w.to_text())
+
+
+def test_cached_coefficients_do_not_depend_on_call_order():
+    want = {
+        d: [*series_a_in_terms_of_b(d).values(), *series_b_in_terms_of_a(d).values(), series_exp(d).body]
+        for d in range(1, 10)
+    }
+    u = MultiPoly.variable("u1")
+    # descending through the cached laws, then shuffled through fresh ones
+    for order, build in ((range(9, 0, -1), formal_group_law), ((5, 2, 9, 1, 7, 3, 8, 4, 6), FormalGroupLaw)):
+        for fn in CACHES:
+            fn.cache_clear()
+        for d in order:
+            fgl = build(d)
+            # F(u, v) itself, built between the dictionary calls
+            assert fgl.add(u, MultiPoly.zero()).body == u
+            _same([*a_in_terms_of_b(d).values(), *b_in_terms_of_a(d).values(), fgl.exp.body], want[d])
+            log = u + MultiPoly.sum(u ** (k + 1) * MultiPoly.variable("b%d" % k) for k in range(1, d))
+            _same([fgl.log.body], [log])
+
+
+@pytest.mark.parametrize("fn", [a_in_terms_of_b, b_in_terms_of_a])
+def test_returned_dictionary_is_fresh(fn):
+    table = fn(4)
+    want = dict(table)
+    table[1] = MultiPoly.zero()
+    del table[4]
+    table[9] = MultiPoly.const(1)
+    assert fn(4) == want
+
+
+def test_second_dictionary_call_computes_no_coefficient(monkeypatch):
+    first = a_in_terms_of_b(7)
+    calls = []
+    power_coefficient = cobordism._power_coefficient
+    monkeypatch.setattr(cobordism, "_power_coefficient", lambda *args: calls.append(args) or power_coefficient(*args))
+    misses = [fn.cache_info().misses for fn in CACHES]
+    again = a_in_terms_of_b(7)
+    assert calls == []
+    assert [fn.cache_info().misses for fn in CACHES] == misses
+    assert all(again[i] is first[i] for i in range(1, 8))
 
 
 @pytest.mark.parametrize("fn", [a_in_terms_of_b, b_in_terms_of_a])

@@ -13,6 +13,7 @@ from homgenus.cobordism import (
     b_in_terms_of_a,
     basis_convert,
     evaluate_class,
+    formal_group_law,
     specialize_genus,
 )
 from homgenus.exactalg import (
@@ -85,6 +86,8 @@ CHECKS = [
     ("SubgroupData-addition", lambda: SubgroupData(U3, A1_PAIR + [(0, 1, -1), (0, -1, 1)]), "closed under addition"),
     ("read_vectors-shape", lambda: read_vectors([1, 2], "roots"), "roots must be a list of lists"),
     ("read_vectors-entry", lambda: read_vectors([[None]], "roots"), "not an integer"),
+    ("read_vectors-float", lambda: read_vectors([[0.5]], "roots"), "roots: \\[0.5\\] holds an entry that is not an integer"),
+    ("read_vectors-bool", lambda: read_vectors([[1, True]], "gram"), "gram: \\[1, True\\] holds an entry that is not an integer"),
     ("group_from_doc-kind", lambda: group_from_doc(5), "a name or a {roots, dim} object"),
     ("group_from_doc-dim", lambda: group_from_doc({"dim": "2", "roots": []}), "dim must be"),
     ("space_from_doc-object", lambda: space_from_doc([]), '"group" field'),
@@ -111,6 +114,12 @@ CHECKS = [
     ("a_in_terms_of_b-degree", lambda: a_in_terms_of_b(-1), "degree must be >= 0"),
     ("b_in_terms_of_a-degree", lambda: b_in_terms_of_a(-1), "degree must be >= 0"),
     ("basis_convert-direction", lambda: basis_convert(parse_poly("a1"), "a-b"), "direction must be"),
+    ("FormalGroupLaw-cap", lambda: FormalGroupLaw(33), "degree must be <= 32, got 33"),
+    ("formal_group_law-cap", lambda: formal_group_law(33), "degree must be <= 32, got 33"),
+    ("a_in_terms_of_b-cap", lambda: a_in_terms_of_b(33), "degree must be <= 32, got 33"),
+    ("b_in_terms_of_a-cap", lambda: b_in_terms_of_a(10**9), "degree must be <= 32"),
+    ("basis_convert-cap", lambda: basis_convert(parse_poly("a70"), "a->b"), "degree must be <= 32, got 70"),
+    ("basis_convert-cap-b", lambda: basis_convert(parse_poly("b40^2"), "b->a"), "degree must be <= 32, got 40"),
     ("specialize-variables", lambda: specialize_genus(parse_rational("u + x"), 2), "one-variable series"),
     ("specialize-numbers", lambda: specialize_genus(parse_rational("u/(1+y*u)"), 2), "must be numbers"),
     ("specialize-cutoff", lambda: specialize_genus(TruncatedSeries(MultiPoly.variable("u"), 2), 3), "series cutoff 2"),

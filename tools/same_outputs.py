@@ -14,9 +14,11 @@ at the same time:
   `rigidity certify` and `fibration check`;
 - the plain `rigidity certify` and plain and CSV `rigidity independence`
   output, which print sample points;
-- BAD_INPUT, commands that must fail: malformed JSON space documents and
-  a bad `--omega`, `--at`, `--series`, `--fiber-roots`, `--max-index` and
-  `--cutoff`, so that error messages and exit codes are compared too.
+- BAD_INPUT, commands at the edge of what the CLI accepts: malformed JSON
+  space documents (floats and booleans among them) and a bad `--omega`,
+  `--at`, `--series`, `--fiber-roots`, `--max-index` and `--cutoff`, so
+  that error messages and exit codes are compared too, and an `--at` point
+  whose first coordinate is negative, given after a space.
 
 It compares stdout, stderr and exit code, apart from the timing lines
 ("ms" and "timing_ms") of the JSON output.  It prints one line per
@@ -63,6 +65,8 @@ BAD_INPUT = [
     ["space", "info", "--space", '{"group":{"dim":2,"roots":[[1,0],[-1,0]],"gram":[[1,0],[0,1],[0,0]]}}'],
     ["space", "info", "--space", '{"group":"U(2)","subgroup_roots":[[2,0]]}'],
     ["space", "info", "--space", '{"group":"U(3)"'],
+    ["space", "info", "--space", '{"group":{"dim":1,"roots":[[0.1],[-0.1]]}}'],
+    ["space", "info", "--space", '{"group":{"dim":2,"roots":[[true,-1],[-1,1]]}}'],
     ["genus", "s", "--space", "G42", "--omega", "1,0"],
     ["genus", "s", "--space", "G42", "--omega", "1,x"],
     ["rigidity", "eval", "--space", "G42", "--series", KERNEL, "--at", "1,2"],
@@ -70,6 +74,7 @@ BAD_INPUT = [
     ["rigidity", "eval", "--space", "G42", "--series", KERNEL, "--at", "1/0,1,0,3"],
     ["rigidity", "eval", "--space", "CP3", "--series", "1/0", "--at", "1,2,3,4"],
     ["rigidity", "eval", "--space", "CP3", "--series", "u +", "--at", "1,2,3,4"],
+    ["rigidity", "eval", "--space", "U3-flag", "--series", KERNEL, "--at", "-6/5,-11/3,-11/7"],
     ["fibration", "check", "--space", "CP2", "--fiber-roots", "[[null,0,0]]"],
     ["fibration", "check", "--space", "CP3", "--fiber-roots", "[[0,1,-1,0"],
     ["fibration", "check", "--space", "CP3", "--fiber-roots", "[[0,1,-1,0]]"],
