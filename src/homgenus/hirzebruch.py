@@ -10,6 +10,7 @@ lie on: combinatorics on the signed-root table, not numerics.
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from .cobordism import evaluate_class, specialize_genus, tanh_series, todd_series
@@ -19,40 +20,41 @@ from .structures import index_counts, signed_root_table
 from .toricgenus import chern_dold_genus
 
 
+# the entries each chi_y cache keeps, count vectors or (vector, y) pairs:
+# the 1,208 invariant structures of the catalog spaces have 31 vectors
+CHI_Y_CACHE = 1024
+
+
+@lru_cache(maxsize=CHI_Y_CACHE)
 def _chi_y_of_counts(counts):
+    """The chi_y polynomial of an index-count vector, one object per vector
+    while it is cached, shared by every structure on any space with those
+    counts.  Like every MultiPoly it must not be changed, since it memoizes
+    its text and its integer form."""
     terms = {(ind,): Fraction(-c if ind % 2 else c) for ind, c in enumerate(counts) if c}
     return MultiPoly._from_clean(("y",), terms)
+
+
+@lru_cache(maxsize=CHI_Y_CACHE)
+def _chi_y_value(counts, y):
+    """chi_y of an index-count vector at the integer y, an integer, without
+    building the polynomial."""
+    return sum(c * (-y) ** ind for ind, c in enumerate(counts))
 
 
 def chi_y_genus(structure, ordering=None):
     """The chi_y polynomial: sum over fixed points of sign(p) (-y)^{ind(p)}.
 
-    For the space's own ordering the space keeps one polynomial per index
-    count vector, shared by every structure with those counts; like every
-    MultiPoly it must not be changed, since it memoizes its text and its
-    integer form, so each is built once per count vector.  The value does
-    not depend on the choice of generic ordering; another ordering is
-    counted afresh (`structures.index_counts`).
+    The value does not depend on the choice of generic ordering; another
+    ordering than the space's own is counted afresh
+    (`structures.index_counts`), and either count vector reads the shared
+    polynomial of `_chi_y_of_counts`.
     """
-    if ordering is not None:
-        return _chi_y_of_counts(index_counts(structure, ordering))
-    counts = structure.index_counts
-    shared = structure.space._chi_y_polys
-    chi = shared.get(counts)
-    if chi is None:
-        chi = shared[counts] = _chi_y_of_counts(counts)
-    return chi
+    return _chi_y_of_counts(structure.index_counts if ordering is None else index_counts(structure, ordering))
 
 
 def _chi_y_at(structure, y):
-    """chi_y evaluated at the integer y, an integer, worked out once per
-    (index counts, y) on the structure's space."""
-    counts = structure.index_counts
-    memo = structure.space._chi_y_values
-    value = memo.get((counts, y))
-    if value is None:
-        value = memo[counts, y] = sum(c * (-y) ** ind for ind, c in enumerate(counts))
-    return value
+    return _chi_y_value(structure.index_counts, y)
 
 
 def signature(structure):

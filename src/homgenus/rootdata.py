@@ -15,6 +15,7 @@ Supported named groups: U(n), SU(n), Sp(n), SO(n), G2, and tori (U(1), Tn)
 which contribute no roots.
 """
 
+import json
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -404,12 +405,21 @@ class CosetSpace:
 # JSON space descriptions
 
 
+def _as_typed(value):
+    """value as the JSON it was read from, or its str when JSON cannot hold it."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return str(value)
+
+
 def read_vectors(value, field):
     """The exact vectors of a JSON list of lists whose entries are integers
-    or rationals written as "p/q"; InputError naming `field` otherwise.  A
-    JSON float or boolean is refused, not read as a binary fraction or 0/1."""
+    or rationals written as "p/q"; InputError naming `field` and quoting the
+    offending JSON otherwise.  A JSON float or boolean is refused, not read
+    as a binary fraction or 0/1."""
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
-        raise InputError("%s must be a list of lists, got %r" % (field, value))
+        raise InputError("%s must be a list of lists, got %s" % (field, _as_typed(value)))
     vectors = []
     for r in value:
         try:
@@ -417,7 +427,9 @@ def read_vectors(value, field):
                 raise TypeError
             vectors.append(vec(r))
         except (TypeError, ValueError, ZeroDivisionError):
-            raise InputError('%s: %r holds an entry that is not an integer or a "p/q" rational' % (field, r)) from None
+            raise InputError(
+                '%s: %s holds an entry that is not an integer or a "p/q" rational' % (field, _as_typed(r))
+            ) from None
     return vectors
 
 

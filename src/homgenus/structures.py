@@ -75,8 +75,6 @@ class HomogeneousSpace:
         self.comp_root_indices = tuple(along[line] for line in self.comp_roots)
         self._structures = {}  # summand signs -> the one InvariantStructure
         self._count_vectors = {}  # packed index counts -> the interned tuple
-        self._chi_y_polys = {}  # index counts -> the one chi_y polynomial (hirzebruch.chi_y_genus)
-        self._chi_y_values = {}  # (index counts, y) -> chi_y at the integer y (hirzebruch._chi_y_at)
 
     def __repr__(self):
         return "HomogeneousSpace(%s)" % self.label
@@ -355,7 +353,7 @@ class InvariantStructure:
     `space.structure(signs)` hands out the space's one structure per sign
     tuple; calling the class directly builds an equal, separate object."""
 
-    __slots__ = ("space", "summand_signs", "_eps", "_index_counts", "_symbolic_class")
+    __slots__ = ("space", "summand_signs", "_eps", "_index_counts")
     global_sign = 1  # the orientation a stable structure may reverse
 
     def __init__(self, space, summand_signs):
@@ -375,7 +373,6 @@ class InvariantStructure:
         self.summand_signs = tuple(summand_signs)
         self._eps = None
         self._index_counts = None
-        self._symbolic_class = None  # filled by toricgenus.s_number
 
     @property
     def eps(self):
@@ -435,15 +432,16 @@ def parse_signs(space, text):
     return space.structure(1 if c == "+" else -1 for c in text)
 
 
-def _check_cap(space, cap):
-    """Refuse an inventory of more than 2^cap structures before any is built;
-    a space with a self-conjugate summand has none, whatever its size."""
+def _check_cap(space):
+    """Refuse an inventory of more than 2^STRUCTURE_CAP structures before any
+    is built; a space with a self-conjugate summand has none, whatever its
+    size."""
     s = len(space.summands)
-    if s > cap and not any(sm.self_conjugate for sm in space.summands):
-        raise InputError("too many summands (%d) for exhaustive enumeration; cap is %d" % (s, cap))
+    if s > STRUCTURE_CAP and not any(sm.self_conjugate for sm in space.summands):
+        raise InputError("too many summands (%d) for exhaustive enumeration; cap is %d" % (s, STRUCTURE_CAP))
 
 
-def enumerate_structures(space, cap=STRUCTURE_CAP):
+def enumerate_structures(space):
     """All invariant almost complex structures (2^s sign choices), as a
     fresh list of the space's own structure objects in itertools.product
     order.
@@ -451,7 +449,7 @@ def enumerate_structures(space, cap=STRUCTURE_CAP):
     Returns [] when some summand is conjugation-invariant, in which case no
     invariant structure exists at all.
     """
-    _check_cap(space, cap)
+    _check_cap(space)
     return list(space._inventory)
 
 
@@ -465,10 +463,10 @@ def first_chern(structure):
     return tuple(total)
 
 
-def find_su_structures(space, cap=STRUCTURE_CAP):
+def find_su_structures(space):
     """Invariant structures with vanishing first Chern class, found once per
     space."""
-    _check_cap(space, cap)
+    _check_cap(space)
     return list(space._su_inventory)
 
 
@@ -490,14 +488,14 @@ def is_integrable(structure):
     structure root is not oriented by the ordering gives no verdict.
     """
     side = structure.space.root_values
-    return any(all(side[r] > 0 for r in ids) for _, ids in _signed_rows(structure))
+    return any(all(side[r] > 0 for r in ids) for _, ids in signed_root_table(structure))
 
 
 class StableStructure:
     """A stable tangential structure: per-fixed-point signs over a reference
     invariant structure, plus a global orientation sign."""
 
-    __slots__ = ("space", "base", "table", "global_sign", "name", "_index_counts", "_symbolic_class")
+    __slots__ = ("space", "base", "table", "global_sign", "name", "_index_counts")
 
     def __init__(self, space, base, table, global_sign=1, name=None):
         if not (isinstance(base, InvariantStructure) and base.space is space):
@@ -520,7 +518,6 @@ class StableStructure:
         self.global_sign = global_sign
         self.name = name
         self._index_counts = None
-        self._symbolic_class = None  # filled by toricgenus.s_number
 
     @property
     def index_counts(self):
@@ -646,8 +643,7 @@ def _signed_ids(eps, row, negation):
 def signed_root_table(structure):
     """The structure's fixed points as (sign, ids) rows, in coset order: the
     weight on line l at point w is roots[ids[l]], the root point_roots[w][l]
-    or, where the line's sign is -1, its negation.  Built on each call, as
-    the list of `_signed_rows`.
+    or, where the line's sign is -1, its negation.  Built on each call.
 
     For a stable structure the per-point sign is the product of that point's
     table entries -- the sign RELATIVE to the reference invariant structure.
@@ -656,23 +652,17 @@ def signed_root_table(structure):
     back themselves, while the rigidity functionals work with the relative
     data, which is what makes them structure-independent for odd kernels.
     """
-    return list(_signed_rows(structure))
-
-
-def _signed_rows(structure):
-    """The rows of `signed_root_table`, one at a time, for a reader that may
-    stop early."""
     space = structure.space
     neg = space.group.negation
     if isinstance(structure, InvariantStructure):
         eps = structure.eps
-        return ((1, _signed_ids(eps, row, neg)) for row in space.point_roots)
+        return [(1, _signed_ids(eps, row, neg)) for row in space.point_roots]
     if isinstance(structure, StableStructure):
         base_eps = structure.base.eps
-        return (
+        return [
             (math.prod(signs), _signed_ids((s * e for s, e in zip(signs, base_eps)), row, neg))
             for signs, row in zip(structure.table, space.point_roots)
-        )
+        ]
     raise TypeError("expected an InvariantStructure or StableStructure")
 
 

@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactalg import MAX_EXPONENT, MultiPoly, Packing, exact_divide
+from .exactalg import MAX_EXPONENT, MultiPoly, Packing, _times, exact_divide
 from .catalog import catalog_space
 from .rootdata import InputError, canonical_positive
 from .structures import (
@@ -48,24 +48,13 @@ from .structures import (
 _POLE = "localization sum has uncancelled pole"
 
 
-def _times_line(poly, line_terms):
-    """poly times a packed linear form."""
-    acc = {}
-    get = acc.get
-    for step, c in line_terms:
-        for k, v in poly.items():
-            k += step
-            acc[k] = get(k, 0) + c * v
-    return acc
-
-
 def _powers(line_terms, top):
     """[1, L, ..., L^top] of a packed linear form L, each power as (key,
     coefficient) pairs."""
-    pw = [{0: 1}]
+    pw = [[(0, 1)]]
     for _ in range(top):
-        pw.append(_times_line(pw[-1], line_terms))
-    return [list(p.items()) for p in pw]
+        pw.append(_times(pw[-1], line_terms, 0, None))
+    return pw
 
 
 def _step_pass(acc, pw, steps, dead):
@@ -144,9 +133,10 @@ def _packed_sum(rows, roots, ordering, cutoff):
     total = {}
     get = total.get
     for missing, group in groups.items():
+        prod = group.items()
         for line in missing:
-            group = _times_line(group, line_terms[line])
-        for k, c in group.items():
+            prod = _times(prod, line_terms[line], 0, None)
+        for k, c in prod:
             total[k] = get(k, 0) + c
     # the t^k coefficient times D^(cutoff - k)
     terms = {k: c * d ** (cutoff - tails[k >> top][-1]) for k, c in total.items() if c}
@@ -424,35 +414,20 @@ def _normalize_omega(omega, n):
     return omega
 
 
-def _symbolic_class(structure):
-    """`chern_dold_genus(structure).bordism_class()`, built once per
-    structure and kept on it; a class that raised an ArithmeticError raises
-    that error again on every later call."""
-    cls = structure._symbolic_class
-    if cls is None:
-        try:
-            cls = chern_dold_genus(structure).bordism_class()
-        except ArithmeticError as exc:
-            cls = exc
-        structure._symbolic_class = cls
-    if isinstance(cls, ArithmeticError):
-        raise cls.with_traceback(None)
-    return cls
-
-
 def s_number(structure, omega):
     """The characteristic number s_omega, an exact integer.
 
     A certified structure takes the point route over the down-set of omega.
-    Otherwise s_omega is the a^omega coefficient of the symbolic class, so it
-    raises exactly where `chern_dold_genus(structure).bordism_class()` does.
+    Otherwise s_omega is the a^omega coefficient of the symbolic class, built
+    on each call, so it raises exactly where
+    `chern_dold_genus(structure).bordism_class()` does.
     """
     space = structure.space
     omega = _normalize_omega(omega, space.n)
     if certified(structure):
         (value,) = _point_sums(structure, omega, [omega])
     else:
-        value = _symbolic_class(structure)
+        value = chern_dold_genus(structure).bordism_class()
         for i, k in enumerate(omega, 1):
             value = value.coefficient_of("a%d" % i, k)
         value = value.constant_value()
@@ -521,9 +496,10 @@ def s_number_schur_route(structure, omega):
     for r in structure.roots:
         line = [(u, c.numerator * (d // c.denominator)) for u, c in zip(unit, r) if c]
         _step_pass(acc, _powers(line, max(parts)), steps, dead)
-    arg = acc[index[omega]] or {}
+    arg = (acc[index[omega]] or {}).items()
     for i, j in (pair for b in blocks for pair in itertools.combinations(b, 2)):
-        arg = _times_line(arg, [(unit[i], 1), (unit[j], -1)])
+        arg = _times(arg, [(unit[i], 1), (unit[j], -1)], 0, None)
+    arg = dict(arg)
     # (key, sign, exponents taken) of the permuted staircases: variable i takes
     # an exponent v not taken yet, and each taken one below v is an inversion
     stair = [(bias, 1, 0)]

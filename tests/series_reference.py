@@ -266,8 +266,8 @@ def rigidity_eval_reference(structure, f, point):
 
 
 def admissible_point_reference(structure, f, rng, tries=200):
-    """hirzebruch._admissible_point, testing every weight of every fixed
-    point in turn at each drawn point."""
+    """The point `hirzebruch._sample` draws for one structure, testing every
+    weight of every fixed point in turn at each drawn point."""
     var = _genus_variable(f) if isinstance(f, RationalFn) else "u"
     fps = fixed_points(structure)
     for _ in range(tries):

@@ -226,9 +226,10 @@ def test_too_many_summands_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "doc, field",
+    "doc, text",
     [
-        ({"group": "U(3)", "subgroup_roots": [[None, 0, 0]]}, "subgroup_roots"),
+        # the message names the field and quotes the JSON as typed
+        ({"group": "U(3)", "subgroup_roots": [[None, 0, 0]]}, "subgroup_roots: [null, 0, 0] holds"),
         ({"group": "U(3)", "subgroup_roots": [1, 2]}, "subgroup_roots"),
         ({"group": {"dim": 2, "roots": [[1, 0], [-1, 0]], "gram": [1, 2]}}, "gram"),
         ({"group": {"dim": "2", "roots": [[1, 0], [-1, 0]]}}, "dim"),
@@ -236,11 +237,13 @@ def test_too_many_summands_is_usage_error(capsys):
         ({"group": {"dim": 1, "roots": [[None], [-1]]}}, "roots"),
         ({"subgroup_roots": []}, "group"),
         # JSON floats and booleans are not "integers or p/q"
-        ({"group": {"dim": 1, "roots": [[0.1], [-0.1]]}}, "roots"),
-        ({"group": {"dim": 2, "roots": [[True, -1], [-1, 1]]}}, "roots"),
+        ({"group": {"dim": 1, "roots": [[0.1], [-0.1]]}}, "roots: [0.1] holds"),
+        ({"group": {"dim": 2, "roots": [[True, -1], [-1, 1]]}}, "roots: [true, -1] holds"),
         ({"group": {"dim": 2, "roots": [[1, -1], [-1, 1]], "gram": [[1, 0.0], [0, 1]]}}, "gram"),
         ({"group": "U(3)", "subgroup_roots": [[1.0, -1, 0], [-1, 1, 0]]}, "subgroup_roots"),
         ({"group": "U(3)", "subgroup_roots": [[1, False, -1], [-1, 0, 1]]}, "subgroup_roots"),
+        ({"group": {"dim": 1, "roots": [0.1]}}, "roots must be a list of lists, got [0.1]"),
+        ({"group": {"dim": 1, "roots": None}}, "roots must be a list of lists, got null"),
     ],
     ids=[
         "null-entry",
@@ -255,13 +258,15 @@ def test_too_many_summands_is_usage_error(capsys):
         "float-gram",
         "float-subgroup-root",
         "bool-subgroup-root",
+        "float-row",
+        "null-roots",
     ],
 )
-def test_malformed_json_space_is_usage_error(capsys, doc, field):
+def test_malformed_json_space_is_usage_error(capsys, doc, text):
     code, out, err = run(capsys, "space", "info", "--space", json.dumps(doc))
     assert code == 1
     assert out == ""
-    assert field in err
+    assert text in err
     assert "Traceback" not in err
 
 

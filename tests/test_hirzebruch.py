@@ -54,8 +54,12 @@ def _fresh_space(name):
 def test_genus_values_match_the_direct_sums(name, memo_first):
     """signature, Todd and Euler (one value per count vector and y) and the
     shared chi_y polynomial (its integer form kept) give the direct sum over
-    the index counts, whichever is read first on a fresh space."""
+    the index counts, whichever is read first on a fresh space and emptied
+    caches."""
     space = _fresh_space(name)
+    polys, values = homgenus.hirzebruch._chi_y_of_counts, homgenus.hirzebruch._chi_y_value
+    polys.cache_clear()
+    values.cache_clear()
     for s in enumerate_structures(space):
         want = tuple(sum(c * (-y) ** i for i, c in enumerate(s.index_counts)) for y in (1, 0, -1))
         chi = chi_y_genus(s)
@@ -68,7 +72,17 @@ def test_genus_values_match_the_direct_sums(name, memo_first):
 
         for read in (memo, poly) if memo_first else (poly, memo):
             assert read() == want
-    assert len(space._chi_y_values) == 3 * len(space._chi_y_polys)
+    assert values.cache_info().currsize == 3 * polys.cache_info().currsize
+
+
+def test_equal_counts_share_one_chi_y():
+    # CP3 as U(4)/(U(1) x U(3)) and as Sp(2)/(U(1) x Sp(1)), a fresh copy,
+    # and another ordering: equal count vectors, one polynomial
+    a = _std("CP3")
+    b = next(s for s in enumerate_structures(catalog_space("CP3-sp")) if s.index_counts == a.index_counts)
+    c = InvariantStructure(_fresh_space("CP3"), a.summand_signs)
+    alt = Ordering((Fraction(11), Fraction(5), Fraction(2), Fraction(1)))
+    assert chi_y_genus(a) is chi_y_genus(b) is chi_y_genus(c) is chi_y_genus(a, ordering=alt)
 
 
 def _std(name):

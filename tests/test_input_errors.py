@@ -87,7 +87,8 @@ CHECKS = [
     ("read_vectors-shape", lambda: read_vectors([1, 2], "roots"), "roots must be a list of lists"),
     ("read_vectors-entry", lambda: read_vectors([[None]], "roots"), "not an integer"),
     ("read_vectors-float", lambda: read_vectors([[0.5]], "roots"), "roots: \\[0.5\\] holds an entry that is not an integer"),
-    ("read_vectors-bool", lambda: read_vectors([[1, True]], "gram"), "gram: \\[1, True\\] holds an entry that is not an integer"),
+    ("read_vectors-bool", lambda: read_vectors([[1, True]], "gram"), "gram: \\[1, true\\] holds an entry that is not an integer"),
+    ("read_vectors-python", lambda: read_vectors([[1, 2j]], "roots"), "roots: \\[1, 2j\\] holds an entry that is not an integer"),
     ("group_from_doc-kind", lambda: group_from_doc(5), "a name or a {roots, dim} object"),
     ("group_from_doc-dim", lambda: group_from_doc({"dim": "2", "roots": []}), "dim must be"),
     ("space_from_doc-object", lambda: space_from_doc([]), '"group" field'),

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import homgenus.structures
 from homgenus.catalog import catalog_entry, catalog_list, catalog_space
 from homgenus.hirzebruch import chi_y_genus
 from homgenus.rootdata import InputError, build_group
@@ -191,7 +192,7 @@ def test_space_builds_each_structure_once():
     assert su == find_su_structures(u3) and all(j is parse_signs(u3, j.to_signs()) for j in su)
 
 
-def test_cap_is_checked_before_any_structure_is_built():
+def test_cap_is_checked_before_any_structure_is_built(monkeypatch):
     space = make_space("U(7)")
     assert len(space.summands) == 21 > STRUCTURE_CAP
     for call in (enumerate_structures, find_su_structures):
@@ -199,7 +200,8 @@ def test_cap_is_checked_before_any_structure_is_built():
             call(space)
     assert not space._structures and "_inventory" not in space.__dict__
     # a self-conjugate summand means no structures, whatever the cap
-    assert enumerate_structures(catalog_space("HP2"), cap=0) == []
+    monkeypatch.setattr(homgenus.structures, "STRUCTURE_CAP", 0)
+    assert enumerate_structures(catalog_space("HP2")) == []
 
 
 # U(5)/(U(2) x U(1) x U(2)) and Sp(3)/(Sp(1) x T2): summands of 2 and 4 lines

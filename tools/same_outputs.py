@@ -10,8 +10,12 @@ at the same time:
 - `reproduce --json`, `hp obstruction --json` and `hp restricted --json`
   for both `--which` values;
 - `space list --json`, and on each catalog space it lists, with `--json`:
-  `genus chi-y`, `genus class` at the dimension and at cutoff 1,
-  `rigidity certify` and `fibration check`;
+  `space info`, `su find`, `genus chi-y`, `genus signature`, `genus todd`,
+  `genus s` at omega = (0, ..., 0, 1), `genus class` at the dimension and
+  at cutoff 1, `rigidity certify` and `fibration check` (on HP1 and HP2,
+  which have no invariant structure, the structure commands compare their
+  errors);
+- `genus chi-y` under a second generic ordering on U4-flag and G42;
 - the plain `rigidity certify` and plain and CSV `rigidity independence`
   output, which print sample points;
 - BAD_INPUT, commands at the edge of what the CLI accepts: malformed JSON
@@ -86,17 +90,26 @@ BAD_INPUT = [
 
 
 def commands(spaces):
+    """The commands to compare; `spaces` maps each catalog name to its
+    complex dimension."""
     yield ["reproduce", "--json"]
     yield ["hp", "obstruction", "--json"]
     for which in ("sp-flag", "cp-odd"):
         yield ["hp", "restricted", "--which", which, "--json"]
     yield ["space", "list", "--json"]
-    for s in spaces:
+    for s, n in spaces.items():
+        yield ["space", "info", "--space", s, "--json"]
+        yield ["su", "find", "--space", s, "--json"]
         yield ["genus", "chi-y", "--space", s, "--json"]
+        yield ["genus", "signature", "--space", s, "--json"]
+        yield ["genus", "todd", "--space", s, "--json"]
+        yield ["genus", "s", "--space", s, "--omega", ",".join(["0"] * (n - 1) + ["1"]), "--json"]
         yield ["genus", "class", "--space", s, "--json"]
         yield ["genus", "class", "--space", s, "--cutoff", "1", "--json"]
         yield ["rigidity", "certify", "--space", s, "--json"]
         yield ["fibration", "check", "--space", s, "--json"]
+    for s in ("U4-flag", "G42"):
+        yield ["genus", "chi-y", "--space", s, "--ordering", "10,7,3,1", "--json"]
     yield ["rigidity", "certify", "--space", "U3-flag", "--series", KERNEL]
     for fmt in ("--plain", "--csv"):
         yield ["rigidity", "independence", "--space", "CP3", "--series", KERNEL, "--samples", "2", fmt]
@@ -124,7 +137,7 @@ def main(argv):
     if code:
         print("space list --json failed in this tree", file=sys.stderr)
         return 2
-    spaces = [s["name"] for s in json.loads(listing)["result"]["spaces"]]
+    spaces = {s["name"]: s["dim"] for s in json.loads(listing)["result"]["spaces"]}
     found, count = 0, 0
     with ThreadPoolExecutor(2) as pool:
         for cmd in commands(spaces):
